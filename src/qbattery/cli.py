@@ -258,8 +258,7 @@ def cmd_fock_check(args: argparse.Namespace) -> int:
     ratio = None
     if cfg["ergotropy"]:
         final = traj.final_state
-        rho = final.to_density() if hasattr(final, "to_density") else final
-        ratio = ergotropy(rho, p.omega_b) / (p.omega_b * rho.mean_population())
+        ratio = ergotropy(final, p.omega_b) / (p.omega_b * final.mean_population())
         columns.append("ergotropy_ratio")
     rows = []
     for i, t in enumerate(times):

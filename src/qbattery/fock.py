@@ -17,12 +17,28 @@ the moment equations; matrix exponentials are never formed. Evolution
 from the vacuum conserves parity exactly, so the odd-sector mass doubles
 as a transcription check, and the top four ladder levels are watched as
 a truncation alarm.
-"""
 
+The density-matrix engine steps only the entries that can be nonzero,
+in a frame where they are real. Write sigma = e^(i pi n/4) rho
+e^(-i pi n/4), so rho_jk = e^(-i pi (j-k)/4) sigma_jk. There the drive
+becomes h [A, sigma] with A real, antisymmetric and tridiagonal on each
+parity class, and both loss terms keep real, positive weights, so the
+generator has real coefficients. The drive moves one index by two and
+loss moves both indices by one, so the parity blocks of sigma (row
+parity, column parity) evolve as two decoupled pairs, {ee, oo} and
+{eo, oe}; a pair that is zero at the start stays exactly zero and is
+not stored. From the vacuum that leaves half of the dim^2 entries, held
+in float64; a state whose rotated form is complex is held in
+complex128. Before allocating, the engine compares the bytes the run
+needs with the smaller of physical RAM and the RLIMIT_AS soft limit and
+fails at once if they do not fit.
+"""
 from __future__ import annotations
 
 import cmath
 import math
+import os
+import resource
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -61,6 +77,24 @@ FOCK_ACCURACY = Accuracy(abs_tol=1e-12, rel_tol=1e-10)
 
 # How many top ladder levels count as the truncation alarm zone.
 _TAIL_LEVELS = 4
+
+# e^(i pi m / 4) for m = 0..7, exact at the multiples of pi/2 so that the
+# frame rotation leaves populations and the {ee, oo} blocks unrounded.
+_C8 = math.sqrt(0.5)
+_EIGHTH_TURNS = np.array(
+    [1.0, _C8 + _C8 * 1j, 1j, -_C8 + _C8 * 1j, -1.0, -_C8 - _C8 * 1j, -1j, _C8 - _C8 * 1j]
+)
+
+# Arrays the size of the stored Lindblad state that can be alive at once
+# besides the samples. While RK45 steps: its seven stages, y, y_old and
+# f, a stage's increment and trial state, the error-norm temporaries,
+# the four-column dense-output matrix and its evaluation, the RHS
+# temporaries and the damping and jump weights. After it: the complex
+# rho (four copies of a real state holding half the entries) with the
+# temporaries of its Hermiticity check and of eigvalsh. tracemalloc
+# peaks at dims 60-200 came to 17-27 copies; the tests hold this bound
+# against them.
+_WORK_COPIES = 32
 
 
 class TruncationError(RuntimeError):
@@ -241,21 +275,31 @@ class FockTrajectory:
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _vector_trajectory(Y: np.ndarray, times: np.ndarray, tail_guard: float) -> FockTrajectory:
-    dim = Y.shape[0]
-    prob = np.abs(Y) ** 2
-    norms = prob.sum(axis=0)
-    n = np.arange(dim) @ prob
-    lower, _ = _pair_coeffs(dim)
-    s = (lower[: dim - 2, None] * np.conj(Y[:-2]) * Y[2:]).sum(axis=0)
+def _population_stats(
+    prob: np.ndarray, tail_guard: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Mean population, tail mass, odd-level mass and norm (or trace) per
+    sample of the level populations ``prob`` (levels x samples).
+
+    Raises :class:`TruncationError` if the tail mass ever exceeds
+    ``tail_guard``.
+    """
+    dim = prob.shape[0]
     tail = prob[dim - _TAIL_LEVELS:].sum(axis=0)
-    odd = prob[1::2].sum(axis=0)
     worst_tail = float(tail.max())
     if worst_tail > tail_guard:
         raise TruncationError(
             f"tail mass reached {worst_tail:.3e} (guard {tail_guard:.1e}); "
             f"increase the Fock dimension beyond {dim}"
         )
+    return np.arange(dim) @ prob, tail, prob[1::2].sum(axis=0), prob.sum(axis=0)
+
+
+def _vector_trajectory(Y: np.ndarray, times: np.ndarray, tail_guard: float) -> FockTrajectory:
+    dim = Y.shape[0]
+    n, tail, odd, norms = _population_stats(np.abs(Y) ** 2, tail_guard)
+    lower, _ = _pair_coeffs(dim)
+    s = (lower[: dim - 2, None] * np.conj(Y[:-2]) * Y[2:]).sum(axis=0)
     final = Y[:, -1] / math.sqrt(norms[-1])
     return FockTrajectory(
         times=times,
@@ -391,6 +435,45 @@ def evolve_full(
     return _vector_trajectory(sol.y, times, tail_guard)
 
 
+def _lindblad_bytes(entries: int, itemsize: int, samples: int) -> int:
+    """Upper bound on the bytes :func:`evolve_lindblad` holds at once for a
+    stored state of ``entries`` numbers of ``itemsize`` bytes each.
+
+    Samples count twice: ``solve_ivp`` keeps one array per sample and
+    stacks them into ``sol.y`` when the run ends.
+    """
+    return entries * itemsize * (_WORK_COPIES + 2 * samples)
+
+
+def _memory_budget() -> int:
+    """Bytes this process can allocate: physical RAM, or the RLIMIT_AS
+    soft limit when that is finite and smaller."""
+    ram = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    soft, _ = resource.getrlimit(resource.RLIMIT_AS)
+    return ram if soft == resource.RLIM_INFINITY else min(ram, soft)
+
+
+def _parity_blocks(dim: int, both_pairs: bool) -> list[tuple[int, int, slice, tuple[int, int]]]:
+    """(row parity, column parity, flat slice, shape) of each stored
+    block of the rotated state, {ee, oo} first, then {eo, oe}."""
+    sizes = ((dim + 1) // 2, dim // 2)
+    blocks = []
+    start = 0
+    for r, c in ((0, 0), (1, 1), (0, 1), (1, 0))[: 4 if both_pairs else 2]:
+        size = sizes[r] * sizes[c]
+        blocks.append((r, c, slice(start, start + size), (sizes[r], sizes[c])))
+        start += size
+    return blocks
+
+
+def _frame_phase(r: int, c: int, shape: tuple[int, int]) -> np.ndarray:
+    """e^(i pi (j - k) / 4) over the rows j = r, r+2, ... and columns
+    k = c, c+2, ... of one parity block."""
+    a = np.arange(shape[0])[:, None]
+    b = np.arange(shape[1])[None, :]
+    return _EIGHTH_TURNS[(r - c + 2 * (a - b)) % 8]
+
+
 def evolve_lindblad(
     p: DriveParams,
     kappa: float,
@@ -410,6 +493,24 @@ def evolve_lindblad(
     enforced: integration noise puts the lowest eigenvalue of the final
     state at roughly the relative tolerance below zero, so the default
     rejection threshold scales with it, max(1e-8, 100 rel_tol).
+
+    The state is stepped as sigma = e^(i pi n/4) rho e^(-i pi n/4), in
+    which the drive is h [A, sigma] with A real and antisymmetric and
+    every loss weight is real, so the generator has real coefficients.
+    sigma is stored as its parity blocks (row parity, column parity):
+    the drive keeps each block and loss couples ee with oo and eo with
+    oe, so the {eo, oe} pair is stored only when the initial state has
+    entries there (never for the vacuum). The state is real (float64)
+    when the rotated initial state is, the vacuum included, and complex
+    otherwise. Observables are read off the block diagonals; the full
+    complex rho is rebuilt only for ``final_state``.
+
+    Before anything of size dim^2 is allocated, the bytes the run needs
+    (stored entries x item size x (RK45 work arrays + twice the samples))
+    are compared with what the process can allocate, the smaller of
+    physical RAM and a finite RLIMIT_AS soft limit; a run that cannot
+    fit raises :class:`MemoryError` naming both byte counts. An explicit
+    ``initial`` state is budgeted at complex width.
     """
     require_resonant(p)
     if kappa < 0.0:
@@ -422,51 +523,95 @@ def evolve_lindblad(
         positivity_tol = max(1e-8, 100.0 * acc.rel_tol)
 
     if initial is None:
-        rho0 = np.zeros((dim, dim), dtype=complex)
-        rho0[0, 0] = 1.0
+        both_pairs, itemsize = False, 8
     elif isinstance(initial, FockVector):
         if initial.dim != dim:
             raise ValueError(f"initial state has dim {initial.dim}, expected {dim}")
-        rho0 = np.outer(initial.amp, np.conj(initial.amp))
+        amp = initial.amp
+        both_pairs, itemsize = bool(np.any(amp[0::2]) and np.any(amp[1::2])), 16
     elif isinstance(initial, FockDensity):
         if initial.dim != dim:
             raise ValueError(f"initial state has dim {initial.dim}, expected {dim}")
-        rho0 = initial.matrix.copy()
+        m = initial.matrix
+        both_pairs, itemsize = bool(np.any(m[0::2, 1::2]) or np.any(m[1::2, 0::2])), 16
     else:
         raise TypeError("initial must be a FockVector or FockDensity")
 
-    lower, raise_ = _pair_coeffs(dim)
-    lc = lower[: dim - 2]
-    rc = raise_[2:]
-    sq1 = np.sqrt(np.arange(1, dim, dtype=float))
-    jump_weight = np.outer(sq1, sq1)  # sqrt((i+1)(j+1)) for b rho b†
-    ksum = np.add.outer(np.arange(dim, dtype=float), np.arange(dim, dtype=float))
+    blocks = _parity_blocks(dim, both_pairs)
+    entries = blocks[-1][2].stop
+    need = _lindblad_bytes(entries, itemsize, times.size)
+    budget = _memory_budget()
+    if need > budget:
+        raise MemoryError(
+            f"the Lindblad run at dim {dim} with {times.size} samples needs about "
+            f"{need} bytes, more than the {budget} bytes this process can allocate "
+            "(physical RAM or the RLIMIT_AS soft limit); lower the Fock dimension "
+            "or the number of samples"
+        )
+
+    if initial is None:
+        y0 = np.zeros(entries)
+        y0[0] = 1.0
+    else:
+        parts = []
+        for r, c, _, shape in blocks:
+            if isinstance(initial, FockVector):
+                rho_rc = np.outer(amp[r::2], np.conj(amp[c::2]))
+            else:
+                rho_rc = m[r::2, c::2]
+            parts.append((rho_rc * _frame_phase(r, c, shape)).ravel())
+        y0 = np.concatenate(parts)
+        if not np.any(y0.imag):
+            y0 = y0.real.copy()
+
+    lower, _ = _pair_coeffs(dim)
+    levels = np.arange(dim, dtype=float)
+    root = np.sqrt(levels + 1.0)
+    ops = []
+    for i, (r, c, sl, shape) in enumerate(blocks):
+        _, _, src, src_shape = blocks[i ^ 1]  # the loss partner: ee <-> oo, eo <-> oe
+        # sigma[j+1, k+1] sits at offset (r, c) of the partner block
+        rows, cols = src_shape[0] - r, src_shape[1] - c
+        ops.append(
+            (
+                sl,
+                shape,
+                lower[r::2][: shape[0] - 1, None],
+                lower[c::2][None, : shape[1] - 1],
+                -0.5 * kappa * np.add.outer(levels[r::2], levels[c::2]),
+                src,
+                src_shape,
+                (slice(r, r + rows), slice(c, c + cols)),
+                kappa * np.outer(root[r::2][:rows], root[c::2][:cols]),
+            )
+        )
     half_zeta = 0.5 * p.zeta
     value = p.pulse.value
 
     def rhs(t, y):
-        rho = y.reshape(dim, dim)
-        out = np.zeros((dim, dim), dtype=complex)
+        out = np.empty_like(y)
         h = half_zeta * value(t)
-        if h != 0.0:
-            # -i h [b†b† + bb, rho], row shifts act from the left,
-            # column shifts from the right
-            comm = np.zeros((dim, dim), dtype=complex)
-            comm[:-2, :] += lc[:, None] * rho[2:, :]
-            comm[2:, :] += rc[:, None] * rho[:-2, :]
-            comm[:, 2:] -= rho[:, :-2] * rc[None, :]
-            comm[:, :-2] -= rho[:, 2:] * lc[None, :]
-            comm *= -1j * h
-            out += comm
-        if kappa != 0.0:
-            out[:-1, :-1] += kappa * jump_weight * rho[1:, 1:]
-            out -= (0.5 * kappa) * ksum * rho
-        return out.ravel()
+        for sl, shape, lr, lc, damp, src, src_shape, shift, jump in ops:
+            s = y[sl].reshape(shape)
+            o = out[sl].reshape(shape)
+            np.multiply(damp, s, out=o)
+            if h != 0.0:
+                # h (A s - s A); A raises a level by two with weight
+                # lower and lowers it by two with weight -lower
+                hr = h * lr
+                hc = h * lc
+                o[1:] += hr * s[:-1]
+                o[:-1] -= hr * s[1:]
+                o[:, 1:] += s[:, :-1] * hc
+                o[:, :-1] -= s[:, 1:] * hc
+            if kappa != 0.0:
+                o[: jump.shape[0], : jump.shape[1]] += jump * y[src].reshape(src_shape)[shift]
+        return out
 
     sol = solve_ivp(
         rhs,
         (times[0], times[-1]),
-        rho0.ravel(),
+        y0,
         method="RK45",
         t_eval=times,
         rtol=acc.rel_tol,
@@ -476,29 +621,26 @@ def evolve_lindblad(
     if not sol.success:
         raise IntegrationError(f"lossy evolution failed: {sol.message}")
 
-    n_points = times.size
-    lower_diag = lower[: dim - 2]
-    n_arr = np.empty(n_points)
-    s_arr = np.empty(n_points, dtype=complex)
-    tail_arr = np.empty(n_points)
-    odd_arr = np.empty(n_points)
-    trace_err = 0.0
-    levels = np.arange(dim, dtype=float)
-    for j in range(n_points):
-        rho = sol.y[:, j].reshape(dim, dim)
-        diag = rho.diagonal().real
-        trace_err = max(trace_err, abs(float(diag.sum()) - 1.0))
-        n_arr[j] = float(levels @ diag)
-        s_arr[j] = complex(lower_diag @ np.diagonal(rho, offset=-2))
-        tail_arr[j] = float(diag[-_TAIL_LEVELS:].sum())
-        odd_arr[j] = float(diag[1::2].sum())
-    worst_tail = float(tail_arr.max())
-    if worst_tail > tail_guard:
-        raise TruncationError(
-            f"tail mass reached {worst_tail:.3e} (guard {tail_guard:.1e}); "
-            f"increase the Fock dimension beyond {dim}"
-        )
-    final = sol.y[:, -1].reshape(dim, dim).copy()
+    def diagonal(block, offset):
+        # flat indices of sigma[a + offset, a] in a square block
+        _, _, sl, (size, _) = block
+        a = np.arange(size - offset)
+        return sl.start + (a + offset) * size + a
+
+    ee, oo = blocks[0], blocks[1]
+    pops = np.empty((dim, times.size))
+    pops[0::2] = sol.y[diagonal(ee, 0)].real
+    pops[1::2] = sol.y[diagonal(oo, 0)].real
+    n_arr, tail_arr, odd_arr, traces = _population_stats(pops, tail_guard)
+    # <bb> = sum_j lower[j] rho[j+2, j], and rho[j+2, j] = -i sigma[j+2, j]
+    s_arr = -1j * (
+        lower[0::2][: ee[3][0] - 1] @ sol.y[diagonal(ee, 1)]
+        + lower[1::2][: oo[3][0] - 1] @ sol.y[diagonal(oo, 1)]
+    )
+    last = sol.y[:, -1]
+    final = np.zeros((dim, dim), dtype=complex)
+    for r, c, sl, shape in blocks:
+        final[r::2, c::2] = last[sl].reshape(shape) * np.conj(_frame_phase(r, c, shape))
     final /= np.trace(final).real
     min_eig = float(np.linalg.eigvalsh(final)[0])
     if min_eig < -positivity_tol:
@@ -513,23 +655,27 @@ def evolve_lindblad(
         var_x_min=0.5 + n_arr - np.abs(s_arr),
         tail_mass=tail_arr,
         odd_mass=odd_arr,
-        norm_drift=trace_err,
+        norm_drift=float(np.max(np.abs(traces - 1.0))),
         final_state=FockDensity(final),
     )
 
 
-def ergotropy(state: FockDensity, omega_b: float) -> float:
+def ergotropy(state: FockDensity | FockVector, omega_b: float) -> float:
     """Maximum work extractable by unitaries on the ladder Hamiltonian:
 
     omega_b [Tr(rho n) - sum_k lambda_k(desc) * k],
 
     i.e. mean energy minus the passive-state energy obtained by pairing
     the eigenvalues of rho, sorted descending, with the levels sorted
-    ascending. Never exceeds the stored energy; equals it for pure
-    states (whose passive state is the ground state).
+    ascending. Never exceeds the stored energy. The passive state of a
+    pure state is the ground state (Allahverdyan, Balian & Nieuwenhuizen,
+    EPL 67, 565 (2004)), so a :class:`FockVector` gets its full mean
+    energy without forming a density matrix.
     """
+    if isinstance(state, FockVector):
+        return omega_b * state.mean_population()
     if not isinstance(state, FockDensity):
-        raise TypeError("ergotropy expects a FockDensity; use FockVector.to_density() first")
+        raise TypeError("ergotropy expects a FockDensity or a FockVector")
     lam = np.linalg.eigvalsh(state.matrix)
     if lam[0] < -1e-10:
         raise ValueError(

@@ -104,6 +104,27 @@ def test_fock_check_schema(tmp_path):
     assert abs(rows[0, header.index("ergotropy_ratio")] - 1.0) < 1e-6
 
 
+def test_fock_check_pure_ergotropy_needs_no_density_matrix(tmp_path, monkeypatch):
+    from qbattery.fock import FockVector
+
+    def refuse(self):
+        raise AssertionError("to_density builds a dim^2 matrix")
+
+    monkeypatch.setattr(FockVector, "to_density", refuse)
+    out = tmp_path / "fock.csv"
+    assert main(["fock-check", "--zeta", "0.3", "--steps", "5", "--ergotropy", "--out", str(out)]) == 0
+    header, rows = read_csv(out)
+    assert np.all(rows[:, header.index("ergotropy_ratio")] == 1.0)
+
+
+def test_fock_check_lossy_refuses_oversized_ladder(capsys):
+    # zeta = 4 sizes a 24480-level density matrix, far beyond any RAM
+    assert main(["fock-check", "--zeta", "4", "--kappa", "0.1"]) == 1
+    err = capsys.readouterr().err
+    assert "bytes, more than the" in err
+    assert "RLIMIT_AS" in err
+
+
 def test_fock_check_lossy_engine(tmp_path):
     out = tmp_path / "lossy.csv"
     assert main(

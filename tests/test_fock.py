@@ -1,10 +1,12 @@
 """Fock-ladder engines against the closed forms and against each other."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from qbattery import fock
 from qbattery.dynamics import DriveParams, analytic_moments, integrate_moments
 from qbattery.fock import (
     FockDensity,
@@ -21,7 +23,7 @@ from qbattery.merit import quadrature_variances
 from qbattery.pulses import Gaussian
 from qbattery.specfun import Accuracy
 
-from oracles import squeezed_vacuum_distribution
+from oracles import lindblad_dense, squeezed_vacuum_distribution
 
 
 def gauss_params(zeta, tau=1.0, omega_b=1.0, omega_d=None):
@@ -201,6 +203,67 @@ class TestEvolveLindblad:
         traj = evolve_lindblad(p, 0.2, choose_truncation(0.5, 1e-8), grid)
         assert traj.final_state.min_eigenvalue() > -1e-10
 
+    @pytest.mark.parametrize(
+        "zeta, kappa, dim, initial",
+        [
+            (0.6, 0.0, 16, "vacuum"),
+            (0.6, 0.1, 20, "vacuum"),
+            (0.4, 0.5, 12, "one"),
+            (0.5, 0.2, 14, "plus"),
+            (0.5, 0.15, 40, "random"),
+        ],
+    )
+    def test_matches_dense_reference(self, zeta, kappa, dim, initial):
+        # (|0> + |1>)/sqrt(2) fills the {eo, oe} pair; the random state
+        # is complex in the rotated frame
+        if initial == "random":
+            rng = np.random.default_rng(11)
+            x = rng.normal(size=(dim, dim // 2)) + 1j * rng.normal(size=(dim, dim // 2))
+            rho0 = x @ x.conj().T
+            rho0 = 0.5 * (rho0 + rho0.conj().T) / np.trace(rho0).real
+            state = FockDensity(rho0)
+        else:
+            amp = np.zeros(dim, dtype=complex)
+            amp[{"vacuum": [0], "one": [1], "plus": [0, 1]}[initial]] = 1.0
+            amp /= np.linalg.norm(amp)
+            rho0 = np.outer(amp, amp.conj())
+            state = None if initial == "vacuum" else FockVector(amp)
+        p = gauss_params(zeta)
+        grid = np.linspace(-6.0, 4.0, 11)
+        acc = Accuracy(1e-13, 1e-12)
+        traj = evolve_lindblad(p, kappa, dim, grid, acc, initial=state, tail_guard=1.0)
+        ref = lindblad_dense(p, kappa, rho0, grid, acc)
+        for name in ("n", "s", "tail_mass", "odd_mass"):
+            assert np.max(np.abs(getattr(traj, name) - ref[name])) < 1e-9, name
+        assert abs(traj.norm_drift - ref["norm_drift"]) < 1e-9
+        assert np.max(np.abs(traj.final_state.matrix - ref["final"])) < 1e-9
+
+    def test_memory_estimate_bounds_peak(self):
+        # from the vacuum only the {ee, oo} pair is stored, in float64
+        dim, grid = 200, np.linspace(-6.0, 6.0, 15)
+        bound = fock._lindblad_bytes(2 * (dim // 2) ** 2, 8, grid.size)
+        tracemalloc.start()
+        try:
+            evolve_lindblad(gauss_params(1.0), 0.1, dim, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
+
+    def test_preflight_refuses_before_allocating(self):
+        dim, grid = 200_000, np.linspace(-6.0, 6.0, 15)
+        need = fock._lindblad_bytes(2 * (dim // 2) ** 2, 8, grid.size)
+        tracemalloc.start()
+        try:
+            with pytest.raises(MemoryError) as err:
+                evolve_lindblad(gauss_params(1.0), 0.1, dim, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # not even one dim-sized array
+        assert f"{need} bytes" in str(err.value)
+        assert f"{fock._memory_budget()} bytes" in str(err.value)
+
     def test_rejects_negative_kappa_and_bad_initial(self):
         p = gauss_params(0.5)
         with pytest.raises(ValueError):
@@ -219,6 +282,7 @@ class TestErgotropy:
         state = FockVector(amp)
         expected = 1.7 * state.mean_population()
         assert ergotropy(state.to_density(), 1.7) == pytest.approx(expected, rel=1e-12)
+        assert ergotropy(state, 1.7) == expected
 
     def test_passive_state_gives_zero(self):
         # populations already decreasing with level: nothing extractable
