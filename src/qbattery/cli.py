@@ -9,7 +9,7 @@ zeta sinh(2 zeta) scale, times over tau).
 Exit status: 0 on success, 1 with a diagnostic on standard error for
 numerical or domain failures, 2 for unusable flags. Output is
 deterministic for identical configurations: full double precision,
-fixed row order regardless of how a sweep was scheduled.
+fixed row order.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -301,16 +300,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ValueError("sweep takes a single --alpha")
     if cfg["threads"] < 1:
         raise ValueError("--threads must be at least 1")
-
-    def worker(z: float) -> list[float]:
-        return _sweep_row(z, cfg["tau"], cfg["omega_b"], alphas[0])
-
-    if cfg["threads"] == 1:
-        rows = [worker(z) for z in zetas]
-    else:
-        # map preserves the input order no matter how execution interleaves
-        with ThreadPoolExecutor(max_workers=cfg["threads"]) as pool:
-            rows = list(pool.map(worker, zetas))
+    rows = [_sweep_row(z, cfg["tau"], cfg["omega_b"], alphas[0]) for z in zetas]
     _write_table(
         ["zeta", "e_max", "t_alpha", "t_p", "p_max", "p_max_estimate", "p_avg_fwhm"],
         rows,
@@ -473,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--alpha", default=None, help="charge fraction for the charging-time column")
     sp.add_argument("--tau", type=float, default=None)
     sp.add_argument("--omega-b", dest="omega_b", type=float, default=None)
-    sp.add_argument("--threads", type=int, default=None)
+    sp.add_argument("--threads", type=int, default=None, help="must be >= 1; has no effect (the rows are GIL-bound and computed in order)")
     _add_out_args(sp)
     sp.set_defaults(func=cmd_sweep)
 

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .pulses import DeltaLimit, Gaussian, PulseShape, UnsupportedPulseError
 from .specfun import Accuracy, erf
@@ -52,6 +51,19 @@ ODE_ACCURACY = Accuracy(abs_tol=1e-10, rel_tol=1e-10)
 
 class IntegrationError(RuntimeError):
     """Adaptive integration failed (step-size underflow or solver breakdown)."""
+
+
+def _solve_ivp(*args, **kwargs):
+    """``scipy.integrate.solve_ivp``, imported when an integration runs.
+
+    Every ODE in the package goes through here, so importing the package
+    (and running the closed forms) never loads scipy. The name is looked
+    up on each call, so whatever ``scipy.integrate.solve_ivp`` is bound to
+    at that moment is what runs.
+    """
+    from scipy.integrate import solve_ivp
+
+    return solve_ivp(*args, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -265,7 +277,7 @@ def integrate_moments(
     y = np.array([initial.n, initial.s.real, initial.s.imag], dtype=float)
     for a, b in zip(cuts[:-1], cuts[1:]):
         inside_pulse = a < hot and b > -hot
-        sol = solve_ivp(
+        sol = _solve_ivp(
             rhs,
             (a, b),
             y,

@@ -36,6 +36,7 @@ fails at once if they do not fit.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import os
 import resource
@@ -43,11 +44,11 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .dynamics import (
     DriveParams,
     IntegrationError,
+    _solve_ivp,
     require_resonant,
 )
 from .merit import QuadratureReport
@@ -143,13 +144,16 @@ class FockDensity:
 
     Positivity is monitored rather than enforced: construction checks
     trace and Hermiticity, :func:`ergotropy` rejects spectra below the
-    -1e-10 tolerance.
+    -1e-10 tolerance. The spectrum is computed once, on first use of
+    :attr:`eigenvalues`, and shared by every reader; ``matrix`` is a
+    read-only copy, so the cached spectrum cannot go stale.
     """
 
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        m = np.ascontiguousarray(self.matrix, dtype=complex)
+        m = np.array(self.matrix, dtype=complex, order="C")
+        m.flags.writeable = False
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise ValueError("matrix must be square and nonempty")
         object.__setattr__(self, "matrix", m)
@@ -167,8 +171,15 @@ class FockDensity:
     def populations(self) -> np.ndarray:
         return self.matrix.diagonal().real.copy()
 
+    @functools.cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """Eigenvalues in ascending order (read-only)."""
+        lam = np.linalg.eigvalsh(self.matrix)
+        lam.flags.writeable = False
+        return lam
+
     def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.matrix)[0])
+        return float(self.eigenvalues[0])
 
     def mean_population(self) -> float:
         return float(np.arange(self.dim) @ self.populations())
@@ -358,7 +369,7 @@ def evolve_rwa(
 
     psi0 = np.zeros(dim, dtype=complex)
     psi0[0] = 1.0
-    sol = solve_ivp(
+    sol = _solve_ivp(
         rhs,
         (times[0], times[-1]),
         psi0,
@@ -420,7 +431,7 @@ def evolve_full(
 
     psi0 = np.zeros(dim, dtype=complex)
     psi0[0] = 1.0
-    sol = solve_ivp(
+    sol = _solve_ivp(
         rhs,
         (times[0], times[-1]),
         psi0,
@@ -608,7 +619,7 @@ def evolve_lindblad(
                 o[: jump.shape[0], : jump.shape[1]] += jump * y[src].reshape(src_shape)[shift]
         return out
 
-    sol = solve_ivp(
+    sol = _solve_ivp(
         rhs,
         (times[0], times[-1]),
         y0,
@@ -642,7 +653,8 @@ def evolve_lindblad(
     for r, c, sl, shape in blocks:
         final[r::2, c::2] = last[sl].reshape(shape) * np.conj(_frame_phase(r, c, shape))
     final /= np.trace(final).real
-    min_eig = float(np.linalg.eigvalsh(final)[0])
+    final_state = FockDensity(final)
+    min_eig = final_state.min_eigenvalue()
     if min_eig < -positivity_tol:
         raise IntegrationError(
             f"final state lost positivity (min eigenvalue {min_eig:.3e}); "
@@ -656,7 +668,7 @@ def evolve_lindblad(
         tail_mass=tail_arr,
         odd_mass=odd_arr,
         norm_drift=float(np.max(np.abs(traces - 1.0))),
-        final_state=FockDensity(final),
+        final_state=final_state,
     )
 
 
@@ -676,7 +688,7 @@ def ergotropy(state: FockDensity | FockVector, omega_b: float) -> float:
         return omega_b * state.mean_population()
     if not isinstance(state, FockDensity):
         raise TypeError("ergotropy expects a FockDensity or a FockVector")
-    lam = np.linalg.eigvalsh(state.matrix)
+    lam = state.eigenvalues
     if lam[0] < -1e-10:
         raise ValueError(
             f"density matrix is not positive semidefinite (min eigenvalue {lam[0]:.3e})"

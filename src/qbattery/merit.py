@@ -15,11 +15,9 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from scipy.optimize import brentq
-
 from .dynamics import DriveParams, MomentState, require_resonant
 from .pulses import Gaussian, UnsupportedPulseError
-from .specfun import Accuracy, arcsinh, erf, erfinv, lambert_w0
+from .specfun import Accuracy, arcsinh, brentq, erf, erfinv, lambert_w0
 
 __all__ = [
     "ChargingReport",
@@ -162,7 +160,8 @@ def peak_power_time(p: DriveParams, acc: Accuracy | None = None) -> float:
     with xi(t) = 1 + erf(t / sqrt(2) tau). The left side falls and the
     right side grows on t > 0, so the root is unique; it is bracketed by
     the strong-drive Lambert-W asymptote plus one tau of slack and
-    polished by Brent's method.
+    polished by :func:`qbattery.specfun.brentq`, the package's port of
+    scipy's Brent solver (same iterates, same float).
     """
     require_resonant(p)
     pulse = _require_gaussian(p, "peak_power_time")
@@ -186,9 +185,7 @@ def peak_power_time(p: DriveParams, acc: Accuracy | None = None) -> float:
         raise RuntimeError(
             f"could not bracket the power maximum for zeta = {p.zeta!r}"
         )
-    return float(
-        brentq(turning, 0.0, hi, xtol=acc.abs_tol * tau, rtol=max(acc.rel_tol, 1e-15))
-    )
+    return brentq(turning, 0.0, hi, xtol=acc.abs_tol * tau, rtol=max(acc.rel_tol, 1e-15))
 
 
 def peak_power_delay_weak_limit(tau: float = 1.0) -> float:

@@ -1,9 +1,11 @@
-"""Scalar special functions used throughout the package.
+"""Scalar special functions and the root finder used throughout the package.
 
 Everything in this module is pure and stateless: plain floats in, plain
 floats out, ``ValueError`` on arguments outside the stated domain. The
 :class:`Accuracy` pair carries tolerance targets around; its defaults
 (1e-12 absolute and relative) are what the rest of the package assumes.
+:func:`brentq` is Brent's bracketed root finder, so the closed-form
+figures of merit need nothing beyond the standard library.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from dataclasses import dataclass
 __all__ = [
     "Accuracy",
     "arcsinh",
+    "brentq",
     "debruijn_w_approx",
     "erf",
     "erfinv",
@@ -153,3 +156,91 @@ def debruijn_w_approx(u: float) -> float:
 def arcsinh(x: float) -> float:
     """Inverse hyperbolic sine, ln(x + sqrt(x^2 + 1))."""
     return math.asinh(_require_finite("x", x))
+
+
+# Smallest relative tolerance brentq accepts: below a few ulp the
+# stopping test can never be met.
+_BRENT_MIN_RTOL = 4.0 * 2.0**-52
+# Iteration cap, scipy's default.
+_BRENT_MAXITER = 100
+
+
+def brentq(f, a: float, b: float, xtol: float, rtol: float) -> float:
+    """Root of ``f`` in the bracket [a, b] by Brent's method.
+
+    R. P. Brent, *Algorithms for Minimization without Derivatives*
+    (1973), ch. 4, transcribed branch for branch from scipy's
+    ``brentq.c`` so that every iterate, and hence the returned float,
+    matches ``scipy.optimize.brentq`` exactly: each step interpolates
+    (secant), extrapolates (inverse quadratic) or bisects, and the run
+    stops once half the bracket is below
+    ``delta = (xtol + rtol |x|) / 2``.
+
+    Exact agreement has been checked on x86_64 against scipy 1.17.1;
+    a scipy build whose compiler fuses multiply-adds (common on ARM)
+    may differ in the last bits.
+
+    Raises ``ValueError`` if ``xtol <= 0``, ``rtol < 4 eps``, f(a) and
+    f(b) carry the same sign, or ``f`` returns NaN; ``RuntimeError`` if
+    scipy's default of 100 iterations does not converge.
+    """
+    if xtol <= 0:
+        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
+    if rtol < _BRENT_MIN_RTOL:
+        raise ValueError(f"rtol too small ({rtol:g} < {_BRENT_MIN_RTOL:g})")
+
+    def fx(x: float) -> float:
+        y = float(f(x))
+        if math.isnan(y):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return y
+
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre = fx(xpre)
+    fcur = fx(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = fx(xcur)
+
+    raise RuntimeError(f"Failed to converge after {_BRENT_MAXITER} iterations.")

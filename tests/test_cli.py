@@ -2,12 +2,34 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qbattery.cli import main
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+# Every closed-form command behind the paper's panels.
+CLOSED_FORM_COMMANDS = [
+    ["fig", "2a"],
+    ["fig", "2b"],
+    ["fig", "2c"],
+    ["fig", "3a"],
+    ["fig", "3b"],
+    ["fig", "3c"],
+    ["energy"],
+    ["power"],
+    ["charge-time"],
+    ["peak-power"],
+    ["quadratures"],
+    ["sweep"],
+]
 
 
 def read_csv(path):
@@ -151,6 +173,72 @@ def test_sweep_threads_keep_order(tmp_path):
     assert serial.read_bytes() == parallel.read_bytes()
     header, rows = read_csv(serial)
     assert [r[0] for r in rows] == [2.0, 0.5, 1.0, 4.0]
+
+
+def test_sweep_rejects_zero_threads(capsys):
+    assert main(["sweep", "--threads", "0"]) == 1
+    assert "--threads" in capsys.readouterr().err
+
+
+def run_python(code):
+    """Run ``code`` in a fresh interpreter that finds the package in src/."""
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": SRC if not path else SRC + os.pathsep + path}
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+def test_import_loads_no_scipy():
+    proc = run_python(
+        "import json, sys\n"
+        "import qbattery.cli\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))))"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
+
+
+def test_closed_form_commands_run_without_scipy():
+    # with scipy blocked, any import of it (at load or while running)
+    # fails, and main() turns that into exit 1 with a message
+    proc = run_python(
+        "import io, json, sys\n"
+        "from contextlib import redirect_stdout\n"
+        "sys.modules['scipy'] = None\n"
+        "from qbattery.cli import main\n"
+        "codes = []\n"
+        f"for argv in {CLOSED_FORM_COMMANDS!r}:\n"
+        "    with redirect_stdout(io.StringIO()):\n"
+        "        codes.append(main(argv))\n"
+        "print(json.dumps(codes))"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout) == [0] * len(CLOSED_FORM_COMMANDS)
+
+
+def test_lossy_ergotropy_decomposes_the_final_state_once(tmp_path, monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    out = tmp_path / "lossy.csv"
+    assert main(
+        [
+            "fock-check",
+            "--zeta", "0.5", "--kappa", "0.1", "--ergotropy",
+            "--t-min", "-6", "--t-max", "4", "--steps", "6",
+            "--out", str(out),
+        ]
+    ) == 0
+    assert len(calls) == 1
+    header, rows = read_csv(out)
+    assert 0.0 < rows[0, header.index("ergotropy_ratio")] <= 1.0
 
 
 def test_json_format(tmp_path):

@@ -55,6 +55,22 @@ class TestStateContainers:
         with pytest.raises(ValueError):
             FockDensity(lopsided)  # not Hermitian
 
+    def test_density_spectrum_is_computed_once_and_frozen(self):
+        source = np.diag([0.1, 0.6, 0.3]).astype(complex)
+        rho = FockDensity(source)
+        lam = rho.eigenvalues
+        assert rho.eigenvalues is lam
+        assert np.array_equal(lam, [0.1, 0.3, 0.6])
+        assert rho.min_eigenvalue() == lam[0]
+        with pytest.raises(ValueError):
+            lam[0] = -1.0
+        # the matrix is a frozen copy: neither it nor the caller's array
+        # can change under the cached spectrum
+        with pytest.raises(ValueError):
+            rho.matrix[0, 0] = 0.0
+        source[0, 0] = 0.5
+        assert rho.matrix[0, 0] == 0.1
+
     def test_vector_to_density(self):
         amp = np.zeros(6, dtype=complex)
         amp[0] = amp[2] = 1.0 / math.sqrt(2.0)
@@ -272,6 +288,28 @@ class TestEvolveLindblad:
         amp[0] = 1.0
         with pytest.raises(ValueError):
             evolve_lindblad(p, 0.1, 16, np.linspace(-6, 6, 5), initial=FockVector(amp))
+
+
+def test_every_integration_looks_up_solve_ivp_when_it_runs(monkeypatch):
+    # the four ODE call sites resolve scipy.integrate.solve_ivp per call,
+    # so a rebinding made after import (e.g. by a tracer) is honoured
+    import scipy.integrate
+
+    solve_ivp = scipy.integrate.solve_ivp
+    calls = []
+
+    def counting(fun, *args, **kwargs):
+        calls.append(fun)
+        return solve_ivp(fun, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.integrate, "solve_ivp", counting)
+    p = gauss_params(0.3)
+    grid = np.linspace(-6.0, 4.0, 5)
+    integrate_moments(p, -6.0, 4.0)
+    evolve_rwa(p, 20, grid)
+    evolve_full(p, 20, grid)
+    evolve_lindblad(p, 0.1, 20, grid)
+    assert len(calls) == 4
 
 
 class TestErgotropy:
