@@ -42,6 +42,14 @@ __all__ = ["main", "build_parser"]
 # Legend values used by the multi-series figure panels; a package choice.
 FIG_ZETAS = "0.1,0.5,1,2,4"
 
+# Largest vector ladder fock-check steps. A right-sized ladder is
+# occupied to its top, so RK45 makes about six right-hand-side calls per
+# level, each costing time proportional to the level count: the work
+# grows as the square of the ladder size. On a 2-core host 3318 levels
+# (zeta 3) take 1-3 s, 9010 (zeta 3.5) about 10 s and 24480 (zeta 4)
+# about 85 s.
+VECTOR_LEVEL_LIMIT = 10_000
+
 _DRIVE_DEFAULTS = {
     "zeta": 1.0,
     "tau": 1.0,
@@ -240,14 +248,22 @@ def cmd_fock_check(args: argparse.Namespace) -> int:
     if kappa < 0.0:
         raise ValueError(f"kappa must be >= 0, got {kappa!r}")
     times = _grid(cfg)
+    # both engines hold the state the pulse actually reaches from the
+    # vacuum, a squeezed vacuum of squeeze parameter at most zeta
+    dim = cfg["fock_dim"]
+    if dim is None:
+        dim = choose_truncation(0.5 * cfg["zeta"], cfg["tail_tol"])
     if kappa == 0.0:
-        dim = cfg["fock_dim"] or choose_truncation(cfg["zeta"], cfg["tail_tol"])
+        if dim > VECTOR_LEVEL_LIMIT:
+            raise ValueError(
+                f"the vector ladder needs {dim} levels (zeta {cfg['zeta']:g}, "
+                f"--tail-tol {cfg['tail_tol']:g}), above the {VECTOR_LEVEL_LIMIT}-level "
+                "limit of the lossless engine, whose work grows as the square of the "
+                "ladder size"
+            )
         traj = evolve_rwa(p, dim, times)
         n_ref = [analytic_moments(p, float(t)).n for t in times]
     else:
-        # density matrix: size for the state actually reached (squeeze
-        # parameter <= zeta), not the vector-engine headroom rule
-        dim = cfg["fock_dim"] or choose_truncation(0.5 * cfg["zeta"], cfg["tail_tol"])
         traj = evolve_lindblad(p, kappa, dim, times)
         ref = integrate_moments(
             p, float(times[0]), float(times[-1]), kappa=kappa, times=times
@@ -452,8 +468,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_drive_args(sp)
     _add_grid_args(sp)
     sp.add_argument("--kappa", type=float, default=None, help="photon-loss rate; > 0 switches to the lossy engine")
-    sp.add_argument("--tail-tol", dest="tail_tol", type=float, default=None, help="tail mass budget used to size the ladder")
-    sp.add_argument("--fock-dim", dest="fock_dim", type=int, default=None, help="explicit ladder size (overrides --tail-tol)")
+    sp.add_argument("--tail-tol", dest="tail_tol", type=float, default=None, help="tail mass budget of the squeezed vacuum the pulse reaches (squeeze parameter zeta), used to size the ladder")
+    sp.add_argument("--fock-dim", dest="fock_dim", type=int, default=None, help=f"explicit ladder size (overrides --tail-tol); without --kappa at most {VECTOR_LEVEL_LIMIT}")
     sp.add_argument("--ergotropy", action="store_true", default=None, help="append the extractable-work ratio of the final state")
     _add_out_args(sp)
     sp.set_defaults(func=cmd_fock_check)

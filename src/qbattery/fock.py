@@ -79,6 +79,9 @@ FOCK_ACCURACY = Accuracy(abs_tol=1e-12, rel_tol=1e-10)
 # How many top ladder levels count as the truncation alarm zone.
 _TAIL_LEVELS = 4
 
+# Most terms choose_truncation sums before giving up.
+_TRUNCATION_TERMS = 10_000_000
+
 # e^(i pi m / 4) for m = 0..7, exact at the multiples of pi/2 so that the
 # frame rotation leaves populations and the {ee, oo} blocks unrounded.
 _C8 = math.sqrt(0.5)
@@ -186,16 +189,26 @@ class FockDensity:
 
 
 def choose_truncation(zeta: float, tail_tol: float) -> int:
-    """Ladder size with comfortable headroom for drive strength ``zeta``.
+    """Ladder size that holds a squeezed vacuum of squeeze parameter 2 zeta.
 
-    Sizes the space so a squeezed vacuum with squeeze parameter 2 zeta
-    (twice the largest value a unit-area pulse ever produces) keeps less
-    than ``tail_tol`` of its mass in the alarm zone. That distribution
+    Sizes the space so a squeezed vacuum with squeeze parameter
+    r = 2 zeta keeps less than ``tail_tol`` of its mass in the alarm
+    zone. A unit-area pulse of drive strength zeta reaches at most
+    r = zeta from the vacuum, so a caller sizing for the state the pulse
+    actually produces passes half the drive strength, ``0.5 * zeta``, as
+    ``fock-check`` does; passing zeta itself buys headroom for twice
+    that squeeze, at a cost that grows exponentially. The distribution
     populates even levels only, with
 
         P(2m) = [(2m)! / (2^(2m) (m!)^2)] tanh^(2m)(r) / cosh(r),
 
-    summed here by its term-to-term recurrence.
+    summed here by its term-to-term recurrence for at most 10^7 terms.
+    The ratio of consecutive terms rises with m and stays below 1, so
+    the mass beyond term M is at least P(2M) q / (1 - q), with
+    q = tanh^2(r) (2M + 1) / (2M + 2), and at least 1 - (M + 1) P(0).
+    When either bound at the cap exceeds ``tail_tol`` by more than the
+    summation's rounding, the search cannot succeed and
+    :class:`RuntimeError` is raised at once.
     """
     if not (math.isfinite(zeta) and zeta >= 0.0):
         raise ValueError(f"zeta must be nonnegative and finite, got {zeta!r}")
@@ -204,7 +217,24 @@ def choose_truncation(zeta: float, tail_tol: float) -> int:
     r = 2.0 * zeta
     if r == 0.0:
         return 6
-    th2 = math.tanh(r) ** 2
+    th = math.tanh(r)
+    th2 = th**2
+    cap = _TRUNCATION_TERMS
+    log_p0 = math.log(2.0) - r - math.log1p(math.exp(-2.0 * r))  # -log cosh r
+    log_p_cap = (
+        math.lgamma(2 * cap + 1)
+        - 2 * math.lgamma(cap + 1)
+        + 2 * cap * math.log(0.5 * th)
+        + log_p0
+    )
+    q = th2 * (2 * cap + 1) / (2 * cap + 2)
+    beyond = max(math.exp(log_p_cap) * q / (1.0 - q), 1.0 - (cap + 1) * math.exp(log_p0))
+    if beyond > tail_tol + cap * np.finfo(float).eps:
+        raise RuntimeError(
+            f"truncation search did not converge: more than {beyond:.2e} of the "
+            f"squeezed-vacuum mass (r = {r:g}) lies beyond {2 * cap} levels, "
+            f"above tail_tol {tail_tol:g}"
+        )
     term = 1.0 / math.cosh(r)
     total = term
     m = 0
@@ -212,7 +242,7 @@ def choose_truncation(zeta: float, tail_tol: float) -> int:
         term *= th2 * (2 * m + 1) / (2 * m + 2)
         m += 1
         total += term
-        if m > 10_000_000:
+        if m > cap:
             raise RuntimeError("truncation search did not converge")
     return 2 * m + 2 + _TAIL_LEVELS
 

@@ -147,6 +147,65 @@ def test_fock_check_lossy_refuses_oversized_ladder(capsys):
     assert "RLIMIT_AS" in err
 
 
+def test_fock_check_sizes_the_vector_ladder_for_the_squeeze_reached(tmp_path, monkeypatch):
+    # a unit-area pulse leaves a squeezed vacuum with r = zeta; its
+    # ladder at --tail-tol 1e-8 is 12 / 26 / 66 / 454 levels
+    from qbattery import cli
+
+    dims = []
+    real = cli.evolve_rwa
+
+    def recording(p, dim, times):
+        dims.append(dim)
+        return real(p, dim, times)
+
+    monkeypatch.setattr(cli, "evolve_rwa", recording)
+    for zeta in ("0.1", "0.5", "1", "2"):
+        out = tmp_path / f"pure-{zeta}.csv"
+        assert main(["fock-check", "--zeta", zeta, "--tail-tol", "1e-8", "--out", str(out)]) == 0
+        header, rows = read_csv(out)
+        n_ref = rows[:, header.index("n_ref")]
+        assert np.max(rows[:, header.index("abs_err")] / (1.0 + n_ref)) <= 1e-6
+        assert np.max(np.abs(rows[:, header.index("tail_mass")])) <= 1e-7
+        assert rows[-1, header.index("n")] == pytest.approx(math.sinh(float(zeta)) ** 2, rel=1e-6)
+    assert dims == [12, 26, 66, 454]
+
+
+def _refuse_vector_step(*args, **kwargs):
+    raise AssertionError("the vector engine must not run")
+
+
+def test_fock_check_refuses_an_oversized_vector_ladder_at_once(capsys, monkeypatch):
+    from qbattery import cli
+
+    monkeypatch.setattr(cli, "evolve_rwa", _refuse_vector_step)
+    start = time.perf_counter()
+    assert main(["fock-check", "--zeta", "4", "--tail-tol", "1e-8"]) == 1
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "24480 levels" in err
+    assert f"{cli.VECTOR_LEVEL_LIMIT}-level limit" in err
+    assert "zeta 4" in err and "--tail-tol 1e-08" in err
+
+
+def test_fock_check_refuses_an_explicit_vector_ladder_above_the_limit(capsys, monkeypatch):
+    from qbattery import cli
+
+    monkeypatch.setattr(cli, "evolve_rwa", _refuse_vector_step)
+    dim = cli.VECTOR_LEVEL_LIMIT + 1
+    assert main(["fock-check", "--zeta", "1", "--fock-dim", str(dim)]) == 1
+    err = capsys.readouterr().err
+    assert f"needs {dim} levels" in err
+    assert f"{cli.VECTOR_LEVEL_LIMIT}-level limit" in err
+
+
+@pytest.mark.parametrize("kappa", ["0", "0.1"])
+def test_fock_check_refuses_a_zero_fock_dim(capsys, kappa):
+    # an explicit size is used as given, never replaced by the automatic one
+    assert main(["fock-check", "--zeta", "1", "--kappa", kappa, "--fock-dim", "0"]) == 1
+    assert "at least 6, got 0" in capsys.readouterr().err
+
+
 def test_fock_check_lossy_engine(tmp_path):
     out = tmp_path / "lossy.csv"
     assert main(

@@ -1,6 +1,7 @@
 """Fock-ladder engines against the closed forms and against each other."""
 
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -94,6 +95,35 @@ class TestChooseTruncation:
             assert sum(probs[n - 4 :]) < tol
             # minimality up to the even-headroom rounding
             assert sum(probs[max(0, n - 8) :]) > tol or n == 6
+
+    def test_hopeless_arguments_fail_at_once(self):
+        # r = 8 puts 2.7e-3 of the mass beyond the 10^7-term search cap;
+        # r = 2000 overflows cosh(r) if evaluated directly
+        for zeta, tol in ((4.0, 1e-8), (10.0, 1e-4), (1000.0, 1e-8)):
+            start = time.perf_counter()
+            with pytest.raises(RuntimeError, match="did not converge"):
+                choose_truncation(zeta, tol)
+            assert time.perf_counter() - start < 0.1
+
+    def test_early_refusal_only_when_the_cap_is_out_of_reach(self, monkeypatch):
+        # with a 200-term cap the oracle can sum everything the search
+        # could: a refusal must mean the mass beyond the cap exceeds
+        # tail_tol
+        terms = 200
+        monkeypatch.setattr(fock, "_TRUNCATION_TERMS", terms)
+        early = 0
+        for zeta in np.linspace(0.5, 6.0, 45):
+            for tol in (1e-8, 1e-3):
+                probs = squeezed_vacuum_distribution(2.0 * zeta, 2 * terms + 1)
+                beyond = 1.0 - math.fsum(probs)
+                try:
+                    choose_truncation(float(zeta), tol)
+                except RuntimeError as exc:
+                    assert beyond > tol
+                    early += "lies beyond" in str(exc)
+                else:
+                    assert beyond < tol + 1e-12
+        assert early > 0
 
     def test_domain(self):
         with pytest.raises(ValueError):
