@@ -17,10 +17,7 @@ from .dynamics import (
     MomentState,
     MomentTrajectory,
     analytic_moments,
-    area_law_energy,
-    dissipative_moment_rhs,
     integrate_moments,
-    moment_rhs,
 )
 from .fock import (
     FOCK_ACCURACY,
@@ -61,8 +58,6 @@ from .pulses import (
     PulseShape,
     Sech,
     UnsupportedPulseError,
-    cumulative_area,
-    envelope_value,
     from_name,
 )
 from .specfun import Accuracy, arcsinh, debruijn_w_approx, erf, erfinv, lambert_w0
@@ -95,16 +90,12 @@ __all__ = [
     "VACUUM",
     "analytic_moments",
     "arcsinh",
-    "area_law_energy",
     "average_power_fwhm",
     "charging_time",
     "charging_time_large_zeta",
     "charging_time_small_zeta",
     "choose_truncation",
-    "cumulative_area",
     "debruijn_w_approx",
-    "dissipative_moment_rhs",
-    "envelope_value",
     "erf",
     "erfinv",
     "ergotropy",
@@ -116,7 +107,6 @@ __all__ = [
     "integrate_moments",
     "lambert_w0",
     "min_quadrature_variance",
-    "moment_rhs",
     "peak_power_delay_weak_limit",
     "peak_power_estimate",
     "peak_power_time",

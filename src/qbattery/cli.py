@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import DriveParams, analytic_moments, integrate_moments
+from .dynamics import DriveParams, _csv_text, analytic_moments, integrate_moments
 from .fock import choose_truncation, ergotropy, evolve_lindblad, evolve_rwa
 from .merit import (
     average_power_fwhm,
@@ -170,18 +170,12 @@ def _grid(cfg: dict) -> np.ndarray:
     return np.linspace(cfg["t_min"] * cfg["tau"], cfg["t_max"] * cfg["tau"], cfg["steps"])
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _write_table(columns: list[str], rows: list[list[float]], cfg: dict) -> None:
     if cfg["fmt"] == "json":
         payload = {"columns": columns, "rows": [[float(v) for v in row] for row in rows]}
         text = json.dumps(payload, separators=(",", ":")) + "\n"
     else:
-        lines = [",".join(columns)]
-        lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-        text = "\n".join(lines) + "\n"
+        text = _csv_text(columns, rows)
     if cfg["out"] in (None, "-"):
         sys.stdout.write(text)
     else:

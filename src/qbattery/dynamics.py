@@ -12,10 +12,10 @@ strength times the accumulated pulse area,
 
     n(t) = sinh^2(zeta A(t)),          s(t) = -(i/2) sinh(2 zeta A(t)),
 
-which :func:`analytic_moments` exposes for the Gaussian and delta-limit
-envelopes and :func:`area_law_energy` generalizes to any unit-area
-shape. :func:`integrate_moments` is the independent numerical route: an
-adaptive embedded Runge-Kutta pair on (n, Re s, Im s).
+for every unit-area envelope, the delta limit included; this area law
+is :func:`analytic_moments`. :func:`integrate_moments` is the
+independent numerical route: an adaptive embedded Runge-Kutta pair on
+(n, Re s, Im s), optionally with single-photon loss.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .pulses import DeltaLimit, Gaussian, PulseShape, UnsupportedPulseError
-from .specfun import Accuracy, erf
+from .pulses import DeltaLimit, PulseShape, UnsupportedPulseError
+from .specfun import Accuracy
 
 __all__ = [
     "ODE_ACCURACY",
@@ -37,10 +37,7 @@ __all__ = [
     "MomentState",
     "MomentTrajectory",
     "analytic_moments",
-    "area_law_energy",
-    "dissipative_moment_rhs",
     "integrate_moments",
-    "moment_rhs",
     "require_resonant",
 ]
 
@@ -53,17 +50,43 @@ class IntegrationError(RuntimeError):
     """Adaptive integration failed (step-size underflow or solver breakdown)."""
 
 
-def _solve_ivp(*args, **kwargs):
-    """``scipy.integrate.solve_ivp``, imported when an integration runs.
+def _rk45(rhs, t_span, y0, acc: Accuracy, max_step: float, label: str, **options):
+    """Integrate ``rhs`` over ``t_span`` with scipy's RK45 pair at the
+    tolerances of ``acc``; ``options`` go to ``solve_ivp`` unchanged.
 
-    Every ODE in the package goes through here, so importing the package
-    (and running the closed forms) never loads scipy. The name is looked
-    up on each call, so whatever ``scipy.integrate.solve_ivp`` is bound to
-    at that moment is what runs.
+    Every ODE in the package goes through here. ``solve_ivp`` is imported
+    on each call, so importing the package (and running the closed forms)
+    never loads scipy, and whatever ``scipy.integrate.solve_ivp`` is bound
+    to at that moment is what runs.
+
+    Raises
+    ------
+    IntegrationError
+        ``"{label}: {solver message}"`` when the solver gives up.
     """
     from scipy.integrate import solve_ivp
 
-    return solve_ivp(*args, **kwargs)
+    sol = solve_ivp(
+        rhs,
+        t_span,
+        y0,
+        method="RK45",
+        rtol=acc.rel_tol,
+        atol=acc.abs_tol,
+        max_step=max_step,
+        **options,
+    )
+    if not sol.success:
+        raise IntegrationError(f"{label}: {sol.message}")
+    return sol
+
+
+def _csv_text(columns: list[str], rows) -> str:
+    """A header line and one line per row, every value at full double
+    precision; the one table format of the package."""
+    lines = [",".join(columns)]
+    lines.extend(",".join(format(float(v), ".17g") for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)
@@ -136,28 +159,6 @@ class MomentState:
 VACUUM = MomentState(0.0, 0j)
 
 
-def moment_rhs(state: MomentState, t: float, p: DriveParams) -> MomentState:
-    """Time derivative (dn/dt, ds/dt) of the closed moment equations."""
-    require_resonant(p)
-    zf = p.zeta * p.pulse.value(t)
-    return MomentState(-2.0 * zf * state.s.imag, -1j * zf * (2.0 * state.n + 1.0))
-
-
-def dissipative_moment_rhs(
-    state: MomentState, t: float, p: DriveParams, kappa: float
-) -> MomentState:
-    """:func:`moment_rhs` plus zero-temperature single-photon loss.
-
-    The loss channel damps both moments at the same rate: dn/dt gains
-    -kappa n and ds/dt gains -kappa s, which keeps the moment system
-    exactly closed.
-    """
-    if kappa < 0.0:
-        raise ValueError(f"kappa must be >= 0, got {kappa!r}")
-    base = moment_rhs(state, t, p)
-    return MomentState(base.n - kappa * state.n, base.s - kappa * state.s)
-
-
 @dataclass(frozen=True)
 class MomentTrajectory:
     """Sampled moment evolution over strictly increasing times."""
@@ -190,22 +191,9 @@ class MomentTrajectory:
 
     def write_csv(self, path: str | Path) -> None:
         """Columns: t, n, re_s, im_s, invariant_residual."""
-        res = self.invariant_residual()
-        lines = ["t,n,re_s,im_s,invariant_residual"]
-        for i in range(len(self)):
-            lines.append(
-                ",".join(
-                    format(v, ".17g")
-                    for v in (
-                        self.times[i],
-                        self.n[i],
-                        self.s[i].real,
-                        self.s[i].imag,
-                        res[i],
-                    )
-                )
-            )
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        rows = zip(self.times, self.n, self.s.real, self.s.imag, self.invariant_residual())
+        text = _csv_text(["t", "n", "re_s", "im_s", "invariant_residual"], rows)
+        Path(path).write_text(text, encoding="utf-8")
 
 
 def integrate_moments(
@@ -219,6 +207,10 @@ def integrate_moments(
     times: np.ndarray | None = None,
 ) -> MomentTrajectory:
     """Integrate the moment equations, from the vacuum by default.
+
+    ``kappa`` adds zero-temperature single-photon loss, which damps both
+    moments at the same rate (dn/dt gains -kappa n, ds/dt gains
+    -kappa s) and so keeps the moment system exactly closed.
 
     The vacuum boundary condition lives at t -> -inf; starting at
     t_start <= -8 tau keeps its violation below 1e-13 of the peak drive
@@ -277,18 +269,15 @@ def integrate_moments(
     y = np.array([initial.n, initial.s.real, initial.s.imag], dtype=float)
     for a, b in zip(cuts[:-1], cuts[1:]):
         inside_pulse = a < hot and b > -hot
-        sol = _solve_ivp(
+        sol = _rk45(
             rhs,
             (a, b),
             y,
-            method="RK45",
-            rtol=acc.rel_tol,
-            atol=acc.abs_tol,
-            max_step=0.5 * tau if inside_pulse else np.inf,
+            acc,
+            0.5 * tau if inside_pulse else np.inf,
+            f"moment integration failed on [{a:g}, {b:g}]",
             dense_output=times is not None,
         )
-        if not sol.success:
-            raise IntegrationError(f"moment integration failed on [{a:g}, {b:g}]: {sol.message}")
         if times is None:
             keep = slice(1, None) if t_parts else slice(None)
             t_parts.append(sol.t[keep])
@@ -307,30 +296,13 @@ def integrate_moments(
 
 
 def analytic_moments(p: DriveParams, t: float) -> MomentState:
-    """Closed-form moments for the Gaussian and delta-limit envelopes.
+    """Closed-form moments from the vacuum for any unit-area envelope.
 
-    With r(t) = zeta * (1 + erf(t / sqrt(2) tau)) for the Gaussian
-    (r = 2 zeta for t > 0 in the delta limit):
-    n = sinh^2(r/2), s = -(i/2) sinh(r).
+    The area law: with x = zeta A(t), the state is a squeezed vacuum of
+    squeeze parameter 2 x, so n = sinh^2(x) and s = -(i/2) sinh(2 x).
+    ``t`` may be +-inf; in the delta limit A is the unit step with
+    A(0) = 1/2.
     """
     require_resonant(p)
-    if isinstance(p.pulse, Gaussian):
-        xi = 1.0 + erf(t / (math.sqrt(2.0) * p.pulse.tau))
-    elif isinstance(p.pulse, DeltaLimit):
-        xi = 2.0 * p.pulse.area(t)
-    else:
-        raise UnsupportedPulseError(
-            f"no closed form for the {type(p.pulse).__name__} envelope; use integrate_moments"
-        )
-    r = p.zeta * xi
-    return MomentState(math.sinh(0.5 * r) ** 2, -0.5j * math.sinh(r))
-
-
-def area_law_energy(p: DriveParams, t: float) -> float:
-    """Stored population sinh^2(zeta A(t)) for any unit-area envelope.
-
-    Multiplied by omega_b this is the stored energy; for the Gaussian it
-    coincides exactly with ``analytic_moments(p, t).n``.
-    """
-    require_resonant(p)
-    return math.sinh(p.zeta * p.pulse.area(t)) ** 2
+    x = p.zeta * p.pulse.area(t)
+    return MomentState(math.sinh(x) ** 2, -0.5j * math.sinh(2.0 * x))

@@ -15,7 +15,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .dynamics import DriveParams, MomentState, require_resonant
+from .dynamics import DriveParams, MomentState, analytic_moments, require_resonant
 from .pulses import Gaussian, UnsupportedPulseError
 from .specfun import Accuracy, arcsinh, brentq, erf, erfinv, lambert_w0
 
@@ -81,14 +81,14 @@ def _require_gaussian(p: DriveParams, what: str) -> Gaussian:
 
 
 def stored_energy(p: DriveParams, t: float) -> float:
-    """Energy omega_b sinh^2(zeta A(t)) held by the battery at time t.
+    """Energy omega_b sinh^2(zeta A(t)) held by the battery at time t:
+    omega_b times the population of :func:`analytic_moments`.
 
     For the Gaussian envelope this reads
     omega_b sinh^2((zeta/2) [1 + erf(t / sqrt(2) tau)]); other shapes go
     through their cumulative area, the delta limit through the unit step.
     """
-    require_resonant(p)
-    return p.omega_b * math.sinh(p.zeta * p.pulse.area(t)) ** 2
+    return p.omega_b * analytic_moments(p, t).n
 
 
 def instantaneous_power(p: DriveParams, t: float) -> float:
@@ -237,18 +237,18 @@ def average_power_fwhm(p: DriveParams) -> float:
 def quadrature_variances(p: DriveParams, t: float, theta: float) -> QuadratureReport:
     """Lab-frame variances of the twisted quadratures at time t.
 
-    With r = 2 zeta A(t):
+    From the moments n, s of :func:`analytic_moments`, with r = 2 zeta A(t):
 
-        var_x = 1/2 + sinh^2(r/2) - sin(2 omega_b t + theta) sinh(r) / 2,
+        var_x = 1/2 + n - sin(2 omega_b t + theta) |s|
+              = 1/2 + sinh^2(r/2) - sin(2 omega_b t + theta) sinh(r) / 2,
         var_p = the same with the opposite sign,
 
     and the product of standard deviations touches the 1/2 floor exactly
     where sin(2 omega_b t + theta) = ±1.
     """
-    require_resonant(p)
-    r = 2.0 * p.zeta * p.pulse.area(t)
-    base = 0.5 + math.sinh(0.5 * r) ** 2
-    split = 0.5 * math.sin(2.0 * p.omega_b * t + theta) * math.sinh(r)
+    m = analytic_moments(p, t)
+    base = 0.5 + m.n
+    split = math.sin(2.0 * p.omega_b * t + theta) * abs(m.s)
     var_x = base - split
     var_p = base + split
     return QuadratureReport(

@@ -37,8 +37,6 @@ __all__ = [
     "PulseShape",
     "Sech",
     "UnsupportedPulseError",
-    "cumulative_area",
-    "envelope_value",
     "from_name",
 ]
 
@@ -203,7 +201,7 @@ class DeltaLimit(PulseShape):
     def value(self, t: float) -> float:
         raise UnsupportedPulseError(
             "the delta-limit pulse has no pointwise envelope value; "
-            "only cumulative_area is defined"
+            "only its cumulative area (area) is defined"
         )
 
     def area(self, t: float) -> float:
@@ -215,16 +213,6 @@ class DeltaLimit(PulseShape):
         if t > 0.0:
             return 1.0
         return 0.5
-
-
-def envelope_value(shape: PulseShape, t: float) -> float:
-    """Envelope value f(t) of ``shape``; errors on the delta limit."""
-    return shape.value(t)
-
-
-def cumulative_area(shape: PulseShape, t: float) -> float:
-    """Cumulative area A(t) of ``shape``; +-inf map to 0 and 1."""
-    return shape.area(t)
 
 
 _FINITE_SHAPES = {

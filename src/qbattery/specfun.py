@@ -120,12 +120,7 @@ def lambert_w0(x: float) -> float:
     if x == 0.0:
         return 0.0
 
-    if x > math.e:
-        l1 = math.log(x)
-        l2 = math.log(l1)
-        w = l1 - l2 + l2 / l1
-    else:
-        w = math.log1p(x)
+    w = debruijn_w_approx(x) if x > math.e else math.log1p(x)
     for _ in range(50):
         ew = math.exp(w)
         f = w * ew - x

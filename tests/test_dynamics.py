@@ -10,10 +10,7 @@ from qbattery.dynamics import (
     DriveParams,
     MomentState,
     analytic_moments,
-    area_law_energy,
-    dissipative_moment_rhs,
     integrate_moments,
-    moment_rhs,
 )
 from qbattery.pulses import (
     Algebraic,
@@ -33,6 +30,13 @@ SINH1_SQ = math.sinh(1.0) ** 2
 
 def gauss_params(zeta, tau=1.0, omega_b=1.0):
     return DriveParams(omega_b=omega_b, zeta=zeta, pulse=Gaussian(tau))
+
+
+def rate(p, t, state, kappa=0.0, h=1e-7):
+    """(dn/dt, ds/dt) at ``t`` from ``state``: the forward difference
+    over one short :func:`integrate_moments` window of length ``h``."""
+    traj = integrate_moments(p, t, t + h, TIGHT, kappa=kappa, initial=state, times=[t + h])
+    return MomentState((traj.n[-1] - state.n) / h, (traj.s[-1] - state.s) / h)
 
 
 class TestDriveParams:
@@ -61,16 +65,19 @@ class TestDriveParams:
 
 
 class TestMomentRhs:
+    """The right-hand side of :func:`integrate_moments`, read off one
+    short step."""
+
     def test_vacuum_is_driven_through_s_first(self):
         # dn/dt = 0, ds/dt = -i zeta f(t) at the vacuum
         p = gauss_params(2.0)
-        d = moment_rhs(VACUUM, 0.5, p)
-        assert d.n == 0.0
-        assert d.s == pytest.approx(-1j * 2.0 * p.pulse.value(0.5))
+        d = rate(p, 0.5, VACUUM)
+        assert d.n == pytest.approx(0.0, abs=1e-6)
+        assert d.s == pytest.approx(-1j * 2.0 * p.pulse.value(0.5), rel=1e-6)
 
     def test_zero_drive(self):
         p = gauss_params(0.0)
-        d = moment_rhs(MomentState(3.0, 1.0 + 2.0j), 0.0, p)
+        d = rate(p, 0.0, MomentState(3.0, 1.0 + 2.0j))
         assert d.n == 0.0 and d.s == 0.0
 
     def test_hand_evaluated_case(self):
@@ -78,34 +85,37 @@ class TestMomentRhs:
         # n = 1, s = i/2  ->  dn/dt = -1, ds/dt = -3i
         p = gauss_params(1.0, tau=1.0 / math.sqrt(2.0 * math.pi))
         assert p.pulse.value(0.0) == pytest.approx(1.0, rel=1e-15)
-        d = moment_rhs(MomentState(1.0, 0.5j), 0.0, p)
-        assert d.n == pytest.approx(-1.0, rel=1e-12)
-        assert d.s == pytest.approx(-3.0j, rel=1e-12)
+        d = rate(p, 0.0, MomentState(1.0, 0.5j))
+        assert d.n == pytest.approx(-1.0, rel=1e-6)
+        assert d.s == pytest.approx(-3.0j, rel=1e-6)
 
     def test_rejects_detuned_and_delta(self):
-        with pytest.raises(ValueError):
-            moment_rhs(VACUUM, 0.0, DriveParams(1.0, 1.0, Gaussian(1.0), omega_d=2.0))
+        # the equations hold on resonance for a pulse of finite width
+        with pytest.raises(ValueError, match="resonance"):
+            rate(DriveParams(1.0, 1.0, Gaussian(1.0), omega_d=2.0), 0.0, VACUUM)
         with pytest.raises(UnsupportedPulseError):
-            moment_rhs(VACUUM, 0.0, DriveParams(1.0, 1.0, DeltaLimit()))
+            rate(DriveParams(1.0, 1.0, DeltaLimit()), 0.0, VACUUM)
 
 
 class TestDissipativeRhs:
     def test_reduces_to_closed_rhs_at_zero_loss(self):
+        # the lossless equations conserve (n + 1/2)^2 - |s|^2 from any
+        # start; loss breaks that
         rng = np.random.default_rng(7)
         p = gauss_params(1.3)
-        for _ in range(20):
+        for _ in range(5):
             state = MomentState(float(rng.uniform(0, 5)), complex(*rng.normal(size=2)))
-            t = float(rng.uniform(-3, 3))
-            base = moment_rhs(state, t, p)
-            lossy = dissipative_moment_rhs(state, t, p, 0.0)
-            assert lossy.n == base.n and lossy.s == base.s
+            closed = integrate_moments(p, -3.0, 3.0, TIGHT, kappa=0.0, initial=state)
+            assert np.max(np.abs(closed.invariant_residual() - state.invariant_residual)) < 1e-8
+            lossy = integrate_moments(p, -3.0, 3.0, TIGHT, kappa=0.1, initial=state)
+            assert abs(lossy.invariant_residual()[-1] - state.invariant_residual) > 1e-2
 
     def test_damping_terms(self):
         p = gauss_params(0.0)
         state = MomentState(2.0, 1.0 - 0.5j)
-        d = dissipative_moment_rhs(state, 0.0, p, 0.3)
-        assert d.n == pytest.approx(-0.3 * 2.0)
-        assert d.s == pytest.approx(-0.3 * (1.0 - 0.5j))
+        d = rate(p, 0.0, state, kappa=0.3)
+        assert d.n == pytest.approx(-0.3 * 2.0, rel=1e-6)
+        assert d.s == pytest.approx(-0.3 * (1.0 - 0.5j), rel=1e-6)
 
     def test_pure_exponential_decay(self):
         # zeta = 0, n(0) = 1: n(t) = e^(-kappa t)
@@ -131,8 +141,6 @@ class TestDissipativeRhs:
         assert traj.n[2] == pytest.approx(0.7090319, abs=1e-6)
 
     def test_rejects_negative_kappa(self):
-        with pytest.raises(ValueError):
-            dissipative_moment_rhs(VACUUM, 0.0, gauss_params(1.0), -0.1)
         with pytest.raises(ValueError):
             integrate_moments(gauss_params(1.0), -8.0, 6.0, kappa=-1.0)
 
@@ -163,9 +171,18 @@ class TestAnalyticMoments:
         assert analytic_moments(p, 1.0).n == pytest.approx(math.sinh(1.5) ** 2, rel=1e-14)
         assert analytic_moments(p, 0.0).n == pytest.approx(math.sinh(0.75) ** 2, rel=1e-14)
 
-    def test_unsupported_pulse(self):
-        with pytest.raises(UnsupportedPulseError):
-            analytic_moments(DriveParams(1.0, 1.0, Sech(1.0)), 0.0)
+    def test_sech_matches_the_ode(self):
+        # the area law holds for every unit-area envelope, not only the
+        # Gaussian; A(-40 tau) ~ 3e-18 for the sech, so the vacuum start
+        # is exact to double precision
+        p = DriveParams(1.0, 1.2, Sech(1.0))
+        grid = np.linspace(-6.0, 6.0, 25)
+        traj = integrate_moments(p, -40.0, 6.0, TIGHT, times=grid)
+        exact = [analytic_moments(p, float(t)) for t in grid]
+        n = np.array([m.n for m in exact])
+        s = np.array([m.s for m in exact])
+        assert np.max(np.abs(traj.n - n) / (1.0 + n)) < 1e-8
+        assert np.max(np.abs(traj.s - s) / (1.0 + n)) < 1e-8
 
     def test_monotone_in_time(self):
         p = gauss_params(2.5)
@@ -231,26 +248,27 @@ class TestIntegrateMoments:
 
 class TestAreaLaw:
     def test_matches_analytic_for_gaussian(self):
+        # r = zeta (1 + erf(t / sqrt(2) tau)): n = sinh^2(r/2), s = -(i/2) sinh(r)
         rng = np.random.default_rng(11)
         for _ in range(1000):
             zeta = float(rng.uniform(0.05, 3.0))
             tau = float(rng.uniform(0.2, 3.0))
             t = float(rng.uniform(-8.0, 8.0))
-            p = gauss_params(zeta, tau=tau)
-            assert area_law_energy(p, t) == pytest.approx(
-                analytic_moments(p, t).n, rel=1e-12, abs=1e-300
-            )
+            r = zeta * (1.0 + math.erf(t / (math.sqrt(2.0) * tau)))
+            m = analytic_moments(gauss_params(zeta, tau=tau), t)
+            assert m.n == pytest.approx(math.sinh(0.5 * r) ** 2, rel=1e-12, abs=1e-300)
+            assert m.s == pytest.approx(-0.5j * math.sinh(r), rel=1e-12, abs=1e-300)
 
     @pytest.mark.parametrize(
         "pulse", [Gaussian(1.0), Sech(1.0), Lorentzian(1.0), PoschlTeller(1.0), Algebraic(1.0)]
     )
     def test_asymptote_is_shape_independent(self, pulse):
         p = DriveParams(1.0, 1.0, pulse)
-        assert area_law_energy(p, math.inf) == pytest.approx(SINH1_SQ, rel=1e-14)
+        assert analytic_moments(p, math.inf).n == pytest.approx(SINH1_SQ, rel=1e-14)
 
     def test_lorentzian_midpoint_against_ode(self):
         # A(0) = 1/2 exactly; the integrator must reproduce sinh^2(zeta/2)
         p = DriveParams(1.0, 1.0, Lorentzian(1.0))
         traj = integrate_moments(p, -1.5e6, 0.0, times=[0.0])
         assert abs(traj.n[-1] - math.sinh(0.5) ** 2) < 1e-6
-        assert area_law_energy(p, 0.0) == pytest.approx(math.sinh(0.5) ** 2, rel=1e-14)
+        assert analytic_moments(p, 0.0).n == pytest.approx(math.sinh(0.5) ** 2, rel=1e-14)

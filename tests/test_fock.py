@@ -3,12 +3,13 @@
 import math
 import time
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
 
 from qbattery import fock
-from qbattery.dynamics import DriveParams, analytic_moments, integrate_moments
+from qbattery.dynamics import DriveParams, IntegrationError, analytic_moments, integrate_moments
 from qbattery.fock import (
     FockDensity,
     FockVector,
@@ -340,6 +341,32 @@ def test_every_integration_looks_up_solve_ivp_when_it_runs(monkeypatch):
     evolve_full(p, 20, grid)
     evolve_lindblad(p, 0.1, 20, grid)
     assert len(calls) == 4
+
+
+@pytest.mark.parametrize(
+    "run, label",
+    [
+        (lambda p, grid: integrate_moments(p, -8.0, 6.0), "moment integration failed on [-8, 6]"),
+        (lambda p, grid: evolve_rwa(p, 20, grid), "rotating-frame evolution failed"),
+        (lambda p, grid: evolve_full(p, 20, grid), "carrier-resolved evolution failed"),
+        (lambda p, grid: evolve_lindblad(p, 0.1, 20, grid), "lossy evolution failed"),
+    ],
+    ids=["moments", "rwa", "full", "lindblad"],
+)
+def test_solver_failure_names_the_integration(monkeypatch, run, label):
+    # a solver that gives up surfaces as IntegrationError, its message
+    # naming which integration failed and quoting the solver's reason
+    import scipy.integrate
+
+    reason = "Required step size is less than spacing between numbers."
+
+    def giving_up(*args, **kwargs):
+        return types.SimpleNamespace(success=False, message=reason)
+
+    monkeypatch.setattr(scipy.integrate, "solve_ivp", giving_up)
+    with pytest.raises(IntegrationError) as err:
+        run(gauss_params(0.3), np.linspace(-6.0, 4.0, 5))
+    assert str(err.value) == f"{label}: {reason}"
 
 
 class TestErgotropy:

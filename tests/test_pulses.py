@@ -15,8 +15,6 @@ from qbattery.pulses import (
     PoschlTeller,
     Sech,
     UnsupportedPulseError,
-    cumulative_area,
-    envelope_value,
     from_name,
 )
 
@@ -149,12 +147,7 @@ class TestConstruction:
     def test_registry_covers_all_names(self):
         for name in PULSE_NAMES:
             shape = from_name(name, None if name == "delta" else 1.0)
-            assert cumulative_area(shape, math.inf) == 1.0
-
-    def test_module_level_helpers(self):
-        shape = Gaussian(1.0)
-        assert envelope_value(shape, 0.3) == shape.value(0.3)
-        assert cumulative_area(shape, 0.3) == shape.area(0.3)
+            assert shape.area(math.inf) == 1.0
 
     def test_value_rejects_nonfinite_t(self):
         with pytest.raises(ValueError):
