@@ -24,6 +24,7 @@ from .fock import (
     FockDensity,
     FockTrajectory,
     FockVector,
+    LINDBLAD_ACCURACY,
     TruncationError,
     choose_truncation,
     ergotropy,
@@ -76,6 +77,7 @@ __all__ = [
     "FockVector",
     "Gaussian",
     "IntegrationError",
+    "LINDBLAD_ACCURACY",
     "Lorentzian",
     "MomentState",
     "MomentTrajectory",

@@ -256,7 +256,8 @@ def cmd_fock_check(args: argparse.Namespace) -> int:
                 "ladder size"
             )
         traj = evolve_rwa(p, dim, times)
-        n_ref = [analytic_moments(p, float(t)).n for t in times]
+        # the engine starts from the vacuum at the first grid point, not at -inf
+        n_ref = [analytic_moments(p, float(t), float(times[0])).n for t in times]
     else:
         traj = evolve_lindblad(p, kappa, dim, times)
         ref = integrate_moments(

@@ -295,14 +295,19 @@ def integrate_moments(
     return MomentTrajectory(times=t_all, n=y_all[0], s=y_all[1] + 1j * y_all[2])
 
 
-def analytic_moments(p: DriveParams, t: float) -> MomentState:
+def analytic_moments(p: DriveParams, t: float, t_start: float = -math.inf) -> MomentState:
     """Closed-form moments from the vacuum for any unit-area envelope.
 
-    The area law: with x = zeta A(t), the state is a squeezed vacuum of
-    squeeze parameter 2 x, so n = sinh^2(x) and s = -(i/2) sinh(2 x).
-    ``t`` may be +-inf; in the delta limit A is the unit step with
+    The area law: with x = zeta (A(t) - A(t_start)), the state that was
+    the vacuum at ``t_start`` is a squeezed vacuum of squeeze parameter
+    2 x, so n = sinh^2(x) and s = -(i/2) sinh(2 x). The default start,
+    t -> -inf, where A vanishes, is the vacuum boundary condition of the
+    paper. ``t`` may be +-inf; in the delta limit A is the unit step with
     A(0) = 1/2.
     """
     require_resonant(p)
-    x = p.zeta * p.pulse.area(t)
+    area = p.pulse.area(t)
+    if t_start != -math.inf:
+        area -= p.pulse.area(t_start)
+    x = p.zeta * area
     return MomentState(math.sinh(x) ** 2, -0.5j * math.sinh(2.0 * x))

@@ -23,19 +23,21 @@ as a transcription check, and the top four ladder levels are watched as
 a truncation alarm.
 
 The density-matrix engine steps only the entries that can be nonzero,
-in a frame where they are real. Write sigma = e^(i pi n/4) rho
-e^(-i pi n/4), so rho_jk = e^(-i pi (j-k)/4) sigma_jk. There the drive
-becomes h [A, sigma] with A real, antisymmetric and tridiagonal on each
-parity class, and both loss terms keep real, positive weights, so the
-generator has real coefficients. The drive moves one index by two and
-loss moves both indices by one, so the parity blocks of sigma (row
-parity, column parity) evolve as two decoupled pairs, {ee, oo} and
-{eo, oe}; a pair that is zero at the start stays exactly zero and is
-not stored. From the vacuum that leaves half of the dim^2 entries, held
-in float64; a state whose rotated form is complex is held in
-complex128. Before allocating, the engine compares the bytes the run
-needs with the smaller of physical RAM and the RLIMIT_AS soft limit and
-fails at once if they do not fit.
+as real numbers. Write sigma = e^(i pi n/4) rho e^(-i pi n/4), so
+rho_jk = e^(-i pi (j-k)/4) sigma_jk. There the drive becomes
+h [A, sigma] with A real, antisymmetric and tridiagonal on each parity
+class, and both loss terms keep real, positive weights, so the
+generator has real coefficients. sigma is Hermitian; its symmetric real
+part S and antisymmetric imaginary part T therefore evolve apart, and
+since the drive moves one index by two and loss moves both by one, each
+keeps the parity of j - k. The engine stores the lower triangles (j >= k
+for S, j > k for T) as float64, diagonal by diagonal, one class per
+(part, parity) that is nonzero at the start; a class that starts at
+zero stays exactly zero. From the vacuum that is the even diagonals of
+S alone, about a quarter of the dim^2 entries, and any state takes at
+most dim^2 reals. Before allocating, the engine compares the bytes the
+run needs with the smaller of physical RAM and the RLIMIT_AS soft limit
+and fails at once if they do not fit.
 """
 from __future__ import annotations
 
@@ -65,6 +67,7 @@ __all__ = [
     "FockDensity",
     "FockTrajectory",
     "FockVector",
+    "LINDBLAD_ACCURACY",
     "TruncationError",
     "choose_truncation",
     "ergotropy",
@@ -81,6 +84,14 @@ _SQRT2 = math.sqrt(2.0)
 # amplitudes, and the floor is what their norm error accumulates from.
 FOCK_ACCURACY = Accuracy(abs_tol=1e-12, rel_tol=1e-10)
 
+# The Lindblad engine's default. Its absolute floor applies to every
+# stored entry of the state, and the integration noise in the lowest
+# eigenvalue of the final state follows it: at zeta 2, dim 454, a 1e-12
+# floor left that eigenvalue at -1.8e-10, past ergotropy's -1e-10
+# rejection threshold; 1e-13 puts it at -1.7e-12 for 12% more
+# right-hand-side calls.
+LINDBLAD_ACCURACY = Accuracy(abs_tol=1e-13, rel_tol=1e-10)
+
 # How many top ladder levels count as the truncation alarm zone.
 _TAIL_LEVELS = 4
 
@@ -88,22 +99,35 @@ _TAIL_LEVELS = 4
 _TRUNCATION_TERMS = 10_000_000
 
 # e^(i pi m / 4) for m = 0..7, exact at the multiples of pi/2 so that the
-# frame rotation leaves populations and the {ee, oo} blocks unrounded.
+# frame rotation leaves populations and the even diagonals unrounded.
 _C8 = math.sqrt(0.5)
 _EIGHTH_TURNS = np.array(
     [1.0, _C8 + _C8 * 1j, 1j, -_C8 + _C8 * 1j, -1.0, -_C8 - _C8 * 1j, -1j, _C8 - _C8 * 1j]
 )
 
+# The two parts of the rotated Lindblad state: S = Re sigma, T = Im sigma.
+_S, _T = 0, 1
+
 # Arrays the size of the stored Lindblad state that can be alive at once
-# besides the samples. While RK45 steps: its seven stages, y, y_old and
-# f, a stage's increment and trial state, the error-norm temporaries,
-# the four-column dense-output matrix and its evaluation, the RHS
-# temporaries and the damping and jump weights. After it: the complex
-# rho (four copies of a real state holding half the entries) with the
-# temporaries of its Hermiticity check and of eigvalsh. tracemalloc
-# peaks at dims 60-200 came to 17-27 copies; the tests hold this bound
-# against them.
-_WORK_COPIES = 32
+# besides the samples and the stencil. While the stencil is built: the
+# entry coordinates and one neighbour's index, weight and mask arrays.
+# While RK45 steps: its seven stages, y, y_old and f, a stage's
+# increment and trial state, the error-norm temporaries, the four-column
+# dense-output matrix and its evaluation, and the right-hand side's
+# temporaries. tracemalloc peaks at dims 60-454, from the vacuum and from
+# a complex state, came to 23.5-25.6 copies with the stencil; the tests
+# hold this bound against them.
+_WORK_COPIES = 24
+
+# The stencil: the drive's four weights per entry, their int32 column
+# indices and row pointers, the jump weights and the damping rates.
+_STENCIL_COPIES = 9
+
+# Arrays of dim^2 complex numbers alive at once after the run: rho, the
+# FockDensity copy, the conjugate, difference and modulus of its
+# Hermiticity check, then eigvalsh's copy. tracemalloc measured 4.0-4.8
+# at dims 100-454.
+_FINAL_COPIES = 5
 
 
 class TruncationError(RuntimeError):
@@ -465,14 +489,32 @@ def evolve_full(
     )
 
 
-def _lindblad_bytes(entries: int, itemsize: int, samples: int) -> int:
-    """Upper bound on the bytes :func:`evolve_lindblad` holds at once for a
-    stored state of ``entries`` numbers of ``itemsize`` bytes each.
+def _class_diagonals(dim: int, part: int, parity: int) -> range:
+    """The diagonals d = j - k a class stores: those of its parity, from
+    d = 0 in S and from d = 1 in T, which is zero on the main diagonal."""
+    return range(2 if (part, parity) == (_T, 0) else parity, dim, 2)
 
-    Samples count twice: ``solve_ivp`` keeps one array per sample and
-    stacks them into ``sol.y`` when the run ends.
+
+def _class_size(dim: int, part: int, parity: int) -> int:
+    """Stored entries of one class: the lengths dim - d of its diagonals."""
+    diagonals = _class_diagonals(dim, part, parity)
+    return len(diagonals) * (dim - diagonals.start - len(diagonals) + 1)
+
+
+def _lindblad_bytes(dim: int, entries: int, samples: int) -> int:
+    """Upper bound on the bytes :func:`evolve_lindblad` holds at once for
+    ``entries`` stored float64 numbers on ``dim`` levels.
+
+    While RK45 steps: the work arrays and the stencil, plus the samples
+    twice, since ``solve_ivp`` keeps one array per sample and stacks them
+    into ``sol.y`` when the run ends. After it: the complex rho with the
+    temporaries of its Hermiticity check and of ``eigvalsh``, on top of
+    the work arrays and the stencil, which the solver's reference cycle
+    can keep alive until the garbage collector runs.
     """
-    return entries * itemsize * (_WORK_COPIES + 2 * samples)
+    stepping = 8 * entries * (_WORK_COPIES + _STENCIL_COPIES + 2 * samples)
+    final = 8 * entries * (_WORK_COPIES + _STENCIL_COPIES) + 16 * dim * dim * _FINAL_COPIES
+    return max(stepping, final)
 
 
 def _memory_budget() -> int:
@@ -483,25 +525,68 @@ def _memory_budget() -> int:
     return ram if soft == resource.RLIM_INFINITY else min(ram, soft)
 
 
-def _parity_blocks(dim: int, both_pairs: bool) -> list[tuple[int, int, slice, tuple[int, int]]]:
-    """(row parity, column parity, flat slice, shape) of each stored
-    block of the rotated state, {ee, oo} first, then {eo, oe}."""
-    sizes = ((dim + 1) // 2, dim // 2)
-    blocks = []
-    start = 0
-    for r, c in ((0, 0), (1, 1), (0, 1), (1, 0))[: 4 if both_pairs else 2]:
-        size = sizes[r] * sizes[c]
-        blocks.append((r, c, slice(start, start + size), (sizes[r], sizes[c])))
-        start += size
-    return blocks
+def _rotated_diagonals(initial: FockDensity | FockVector, dim: int):
+    """sigma[k + d, k] = e^(i pi d/4) rho[k + d, k] of the initial state,
+    one diagonal d = 0 .. dim - 1 at a time, so that no dim^2 array is
+    formed."""
+    for d in range(dim):
+        if isinstance(initial, FockVector):
+            rho_d = initial.amp[d:] * np.conj(initial.amp[: dim - d])
+        else:
+            rho_d = np.diagonal(initial.matrix, -d)
+        yield d, _EIGHTH_TURNS[d % 8] * rho_d
 
 
-def _frame_phase(r: int, c: int, shape: tuple[int, int]) -> np.ndarray:
-    """e^(i pi (j - k) / 4) over the rows j = r, r+2, ... and columns
-    k = c, c+2, ... of one parity block."""
-    a = np.arange(shape[0])[:, None]
-    b = np.arange(shape[1])[None, :]
-    return _EIGHTH_TURNS[(r - c + 2 * (a - b)) % 8]
+def _lindblad_stencil(dim: int, start: np.ndarray, classes, kappa: float):
+    """The right-hand side on the stored entries, built once.
+
+    Returns the drive as a sparse matrix G, with row i holding the flat
+    indices and weights of the four neighbours (J + 2, K), (J - 2, K),
+    (J, K - 2) and (J, K + 2) of stored entry i = (J, K) under [A, .];
+    the loss weights of the jump sources (J + 1, K + 1), each the next
+    stored entry of its diagonal; and the damping rates. A neighbour
+    above the diagonal is read from its mirror image, with sign +1 in S
+    and -1 in T; a neighbour off the ladder, or on the diagonal of T,
+    has weight 0. The right-hand side is then
+    damp * y + h * (G @ y) + jump * y[i + 1].
+    """
+    from scipy.sparse import csr_matrix
+
+    idx, weight, jump, damp = [], [], [], []
+    for part, parity in classes:
+        diagonals = np.asarray(_class_diagonals(dim, part, parity))
+        lengths = dim - diagonals
+        d = np.repeat(diagonals, lengths)
+        k = np.arange(d.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+        j = k + d
+        lowest = 0 if part == _S else 1
+        mirror = 1.0 if part == _S else -1.0
+        class_idx = np.zeros((d.size, 4), dtype=np.intp)
+        class_weight = np.zeros((d.size, 4))
+        for col, (a, b, coeff) in enumerate(
+            (
+                (j + 2, k, -np.sqrt((j + 1.0) * (j + 2.0))),
+                (j - 2, k, np.sqrt(j * (j - 1.0))),
+                (j, k - 2, np.sqrt(k * (k - 1.0))),
+                (j, k + 2, -np.sqrt((k + 1.0) * (k + 2.0))),
+            )
+        ):
+            lo = np.minimum(a, b)
+            off = np.abs(a - b)
+            ok = (lo >= 0) & (lo + off < dim) & (off >= lowest)
+            class_idx[ok, col] = start[part, off[ok]] + lo[ok]
+            class_weight[ok, col] = np.where(a >= b, coeff, mirror * coeff)[ok]
+        idx.append(class_idx)
+        weight.append(class_weight)
+        jump.append(np.where(j + 1 < dim, kappa * np.sqrt((j + 1.0) * (k + 1.0)), 0.0))
+        damp.append(-0.5 * kappa * (j + k))
+    idx = np.concatenate(idx).ravel()
+    entries = idx.size // 4
+    drive = csr_matrix(
+        (np.concatenate(weight).ravel(), idx, np.arange(0, idx.size + 1, 4)),
+        shape=(entries, entries),
+    )
+    return drive, np.concatenate(jump)[:-1], np.concatenate(damp)
 
 
 def evolve_lindblad(
@@ -521,26 +606,28 @@ def evolve_lindblad(
     Defaults to the vacuum; ``initial`` admits any valid state. Trace
     drift is reported in ``norm_drift``. Positivity is monitored, not
     enforced: integration noise puts the lowest eigenvalue of the final
-    state at roughly the relative tolerance below zero, so the default
-    rejection threshold scales with it, max(1e-8, 100 rel_tol).
+    state slightly below zero, so the default rejection threshold scales
+    with the relative tolerance, max(1e-8, 100 rel_tol). ``acc`` defaults
+    to :data:`LINDBLAD_ACCURACY`.
 
     The state is stepped as sigma = e^(i pi n/4) rho e^(-i pi n/4), in
     which the drive is h [A, sigma] with A real and antisymmetric and
     every loss weight is real, so the generator has real coefficients.
-    sigma is stored as its parity blocks (row parity, column parity):
-    the drive keeps each block and loss couples ee with oo and eo with
-    oe, so the {eo, oe} pair is stored only when the initial state has
-    entries there (never for the vacuum). The state is real (float64)
-    when the rotated initial state is, the vacuum included, and complex
-    otherwise. Observables are read off the block diagonals; the full
-    complex rho is rebuilt only for ``final_state``.
+    sigma is Hermitian, and its symmetric real part S and antisymmetric
+    imaginary part T evolve apart, each keeping the parity of j - k.
+    Only the lower triangles are stored (j >= k for S, j > k for T), as
+    float64, one class per (part, parity) that is nonzero at the start:
+    from the vacuum, the even diagonals of S alone; a complex state at
+    most dim^2 reals. Nothing is stepped in complex arithmetic. The
+    right-hand side is one gather stencil built once
+    (:func:`_lindblad_stencil`). Observables are read off the stored
+    diagonals; the full complex rho is built only for ``final_state``.
 
-    Before anything of size dim^2 is allocated, the bytes the run needs
-    (stored entries x item size x (RK45 work arrays + twice the samples))
-    are compared with what the process can allocate, the smaller of
-    physical RAM and a finite RLIMIT_AS soft limit; a run that cannot
-    fit raises :class:`MemoryError` naming both byte counts. An explicit
-    ``initial`` state is budgeted at complex width.
+    Before anything of size dim^2 or of the stored size is allocated,
+    the bytes the run needs (:func:`_lindblad_bytes`) are compared with
+    what the process can allocate, the smaller of physical RAM and a
+    finite RLIMIT_AS soft limit; a run that cannot fit raises
+    :class:`MemoryError` naming both byte counts.
     """
     require_resonant(p)
     if kappa < 0.0:
@@ -548,28 +635,28 @@ def evolve_lindblad(
     dim = _check_dim(dim)
     times = _validate_times(times)
     if acc is None:
-        acc = FOCK_ACCURACY
+        acc = LINDBLAD_ACCURACY
     if positivity_tol is None:
         positivity_tol = max(1e-8, 100.0 * acc.rel_tol)
 
     if initial is None:
-        both_pairs, itemsize = False, 8
-    elif isinstance(initial, FockVector):
+        nonzero = {(_S, 0)}
+    elif isinstance(initial, (FockVector, FockDensity)):
         if initial.dim != dim:
             raise ValueError(f"initial state has dim {initial.dim}, expected {dim}")
-        amp = initial.amp
-        both_pairs, itemsize = bool(np.any(amp[0::2]) and np.any(amp[1::2])), 16
-    elif isinstance(initial, FockDensity):
-        if initial.dim != dim:
-            raise ValueError(f"initial state has dim {initial.dim}, expected {dim}")
-        m = initial.matrix
-        both_pairs, itemsize = bool(np.any(m[0::2, 1::2]) or np.any(m[1::2, 0::2])), 16
+        nonzero = set()
+        for d, sigma_d in _rotated_diagonals(initial, dim):
+            if np.any(sigma_d.real):
+                nonzero.add((_S, d % 2))
+            if d and np.any(sigma_d.imag):
+                nonzero.add((_T, d % 2))
     else:
         raise TypeError("initial must be a FockVector or FockDensity")
+    # S even holds the diagonal, so it is always stored, and first
+    classes = [c for c in ((_S, 0), (_S, 1), (_T, 0), (_T, 1)) if c in nonzero]
 
-    blocks = _parity_blocks(dim, both_pairs)
-    entries = blocks[-1][2].stop
-    need = _lindblad_bytes(entries, itemsize, times.size)
+    entries = sum(_class_size(dim, part, parity) for part, parity in classes)
+    need = _lindblad_bytes(dim, entries, times.size)
     budget = _memory_budget()
     if need > budget:
         raise MemoryError(
@@ -579,92 +666,66 @@ def evolve_lindblad(
             "or the number of samples"
         )
 
+    # start[part, d]: flat index of sigma[d, 0] in that part, -1 if not stored
+    start = np.full((2, dim + 2), -1, dtype=np.intp)
+    offset = 0
+    for part, parity in classes:
+        for d in _class_diagonals(dim, part, parity):
+            start[part, d] = offset
+            offset += dim - d
+
+    y0 = np.zeros(entries)
     if initial is None:
-        y0 = np.zeros(entries)
         y0[0] = 1.0
     else:
-        parts = []
-        for r, c, _, shape in blocks:
-            if isinstance(initial, FockVector):
-                rho_rc = np.outer(amp[r::2], np.conj(amp[c::2]))
-            else:
-                rho_rc = m[r::2, c::2]
-            parts.append((rho_rc * _frame_phase(r, c, shape)).ravel())
-        y0 = np.concatenate(parts)
-        if not np.any(y0.imag):
-            y0 = y0.real.copy()
+        for d, sigma_d in _rotated_diagonals(initial, dim):
+            for part, values in ((_S, sigma_d.real), (_T, sigma_d.imag)):
+                if start[part, d] >= 0:
+                    y0[start[part, d] : start[part, d] + dim - d] = values
 
-    lower, _ = _pair_coeffs(dim)
-    levels = np.arange(dim, dtype=float)
-    root = np.sqrt(levels + 1.0)
-    ops = []
-    for i, (r, c, sl, shape) in enumerate(blocks):
-        _, _, src, src_shape = blocks[i ^ 1]  # the loss partner: ee <-> oo, eo <-> oe
-        # sigma[j+1, k+1] sits at offset (r, c) of the partner block
-        rows, cols = src_shape[0] - r, src_shape[1] - c
-        ops.append(
-            (
-                sl,
-                shape,
-                lower[r::2][: shape[0] - 1, None],
-                lower[c::2][None, : shape[1] - 1],
-                -0.5 * kappa * np.add.outer(levels[r::2], levels[c::2]),
-                src,
-                src_shape,
-                (slice(r, r + rows), slice(c, c + cols)),
-                kappa * np.outer(root[r::2][:rows], root[c::2][:cols]),
-            )
-        )
+    drive, jump, damp = _lindblad_stencil(dim, start, classes, kappa)
     half_zeta = 0.5 * p.zeta
     value = p.pulse.value
 
     def rhs(t, y):
-        out = np.empty_like(y)
+        out = damp * y
         h = half_zeta * value(t)
-        for sl, shape, lr, lc, damp, src, src_shape, shift, jump in ops:
-            s = y[sl].reshape(shape)
-            o = out[sl].reshape(shape)
-            np.multiply(damp, s, out=o)
-            if h != 0.0:
-                # h (A s - s A); A raises a level by two with weight
-                # lower and lowers it by two with weight -lower
-                hr = h * lr
-                hc = h * lc
-                o[1:] += hr * s[:-1]
-                o[:-1] -= hr * s[1:]
-                o[:, 1:] += s[:, :-1] * hc
-                o[:, :-1] -= s[:, 1:] * hc
-            if kappa != 0.0:
-                o[: jump.shape[0], : jump.shape[1]] += jump * y[src].reshape(src_shape)[shift]
+        if h != 0.0:
+            flow = drive @ y
+            flow *= h
+            out += flow
+        if kappa != 0.0:
+            out[:-1] += jump * y[1:]
         return out
 
     span = (times[0], times[-1])
     max_step = 0.5 * _pulse_width(p)
-    sol = _rk45(rhs, span, y0, acc, max_step, "lossy evolution failed", t_eval=times)
+    y = _rk45(rhs, span, y0, acc, max_step, "lossy evolution failed", t_eval=times).y
 
-    def diagonal(block, offset):
-        # flat indices of sigma[a + offset, a] in a square block
-        _, _, sl, (size, _) = block
-        a = np.arange(size - offset)
-        return sl.start + (a + offset) * size + a
-
-    ee, oo = blocks[0], blocks[1]
-    pops = np.empty((dim, times.size))
-    pops[0::2] = sol.y[diagonal(ee, 0)].real
-    pops[1::2] = sol.y[diagonal(oo, 0)].real
+    pops = y[:dim].copy()
     # <bb> = sum_j lower[j] rho[j+2, j], and rho[j+2, j] = -i sigma[j+2, j]
-    s = -1j * (
-        lower[0::2][: ee[3][0] - 1] @ sol.y[diagonal(ee, 1)]
-        + lower[1::2][: oo[3][0] - 1] @ sol.y[diagonal(oo, 1)]
-    )
+    lower = _pair_coeffs(dim)[0][: dim - 2]
+    s = -1j * (lower @ y[start[_S, 2] : start[_S, 2] + dim - 2])
+    if start[_T, 2] >= 0:
+        s += lower @ y[start[_T, 2] : start[_T, 2] + dim - 2]
+    last = y[:, -1].copy()
+    del y
 
     def final_state(_traces) -> FockDensity:
-        last = sol.y[:, -1]
         final = np.zeros((dim, dim), dtype=complex)
-        for r, c, sl, shape in blocks:
-            final[r::2, c::2] = last[sl].reshape(shape) * np.conj(_frame_phase(r, c, shape))
+        flat = final.reshape(-1)
+        for d in range(dim):
+            # rho[k + d, k] below the diagonal, its conjugate above
+            below = flat[d * dim :: dim + 1][: dim - d]
+            for part, view in ((_S, below.real), (_T, below.imag)):
+                if start[part, d] >= 0:
+                    view[:] = last[start[part, d] : start[part, d] + dim - d]
+            below *= _EIGHTH_TURNS[-d % 8]
+            if d:
+                flat[d :: dim + 1][: dim - d] = below.conj()
         final /= np.trace(final).real
         rho = FockDensity(final)
+        del final, flat, below
         min_eig = rho.min_eigenvalue()
         if min_eig < -positivity_tol:
             raise IntegrationError(

@@ -127,18 +127,20 @@ def test_fock_check_schema(tmp_path):
 
 
 def test_fock_check_takes_any_unit_area_pulse(tmp_path):
-    # the reference column is the area law n = sinh^2(zeta A(t)) for
-    # every envelope, not only the Gaussian
-    from qbattery.pulses import Sech
+    # the reference column is the area law for every envelope, counted
+    # from the vacuum at the first grid point as the engine is:
+    # n = sinh^2(zeta (A(t) - A(-8 tau))); by -8 tau the sech has
+    # delivered 2e-4 of its area and the Lorentzian 4e-2
+    from qbattery.pulses import from_name
 
-    out = tmp_path / "sech.csv"
-    assert main(["fock-check", "--pulse", "sech", "--zeta", "0.5", "--out", str(out)]) == 0
-    header, rows = read_csv(out)
-    n_ref = rows[:, header.index("n_ref")]
-    assert n_ref.tolist() == [math.sinh(0.5 * Sech(1.0).area(t)) ** 2 for t in rows[:, 0]]
-    # the engine starts from the vacuum at -8 tau, where the sech has
-    # already delivered 2e-4 of its area
-    assert np.max(rows[:, header.index("abs_err")] / (1.0 + n_ref)) < 1e-3
+    for name in ("sech", "lorentzian"):
+        out = tmp_path / f"{name}.csv"
+        assert main(["fock-check", "--pulse", name, "--zeta", "0.5", "--out", str(out)]) == 0
+        header, rows = read_csv(out)
+        n_ref = rows[:, header.index("n_ref")]
+        area = from_name(name, 1.0).area
+        assert n_ref.tolist() == [math.sinh(0.5 * (area(t) - area(-8.0))) ** 2 for t in rows[:, 0]]
+        assert np.max(rows[:, header.index("abs_err")] / (1.0 + n_ref)) < 1e-6, name
 
 
 def test_fock_check_pure_ergotropy_needs_no_density_matrix(tmp_path, monkeypatch):

@@ -250,6 +250,15 @@ class TestEvolveLindblad:
         traj = evolve_lindblad(p, 0.2, choose_truncation(0.5, 1e-8), grid)
         assert traj.final_state.min_eigenvalue() > -1e-10
 
+    def test_positivity_margin_at_the_default_accuracy(self):
+        # the lowest eigenvalue of the final state is integration noise of
+        # the size of the absolute floor; it must stay well inside
+        # ergotropy's -1e-10 rejection threshold
+        p = gauss_params(1.9)
+        traj = evolve_lindblad(p, 0.1, choose_truncation(0.95, 1e-8), GRID)
+        assert traj.final_state.dim == 372
+        assert traj.final_state.min_eigenvalue() >= -2.5e-11
+
     @pytest.mark.parametrize(
         "zeta, kappa, dim, initial",
         [
@@ -258,11 +267,14 @@ class TestEvolveLindblad:
             (0.4, 0.5, 12, "one"),
             (0.5, 0.2, 14, "plus"),
             (0.5, 0.15, 40, "random"),
+            # odd ladders, where the triangles' diagonals end unevenly
+            (0.5, 0.2, 13, "plus"),
+            (0.5, 0.15, 15, "random"),
         ],
     )
     def test_matches_dense_reference(self, zeta, kappa, dim, initial):
-        # (|0> + |1>)/sqrt(2) fills the {eo, oe} pair; the random state
-        # is complex in the rotated frame
+        # (|0> + |1>)/sqrt(2) fills the odd diagonals; the random state
+        # fills both parts of the rotated state, S and T, at both parities
         if initial == "random":
             rng = np.random.default_rng(11)
             x = rng.normal(size=(dim, dim // 2)) + 1j * rng.normal(size=(dim, dim // 2))
@@ -285,21 +297,38 @@ class TestEvolveLindblad:
         assert abs(traj.norm_drift - ref["norm_drift"]) < 1e-9
         assert np.max(np.abs(traj.final_state.matrix - ref["final"])) < 1e-9
 
-    def test_memory_estimate_bounds_peak(self):
-        # from the vacuum only the {ee, oo} pair is stored, in float64
-        dim, grid = 200, np.linspace(-6.0, 6.0, 15)
-        bound = fock._lindblad_bytes(2 * (dim // 2) ** 2, 8, grid.size)
-        tracemalloc.start()
-        try:
-            evolve_lindblad(gauss_params(1.0), 0.1, dim, grid)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= bound
+    def test_memory_estimate_bounds_peak(self, monkeypatch):
+        # from the vacuum only the even diagonals of S = Re sigma are
+        # stored, (dim/2)(dim/2 + 1) entries; a complex state fills both
+        # parts at both parities, dim^2 entries; all of them float64
+        rk45 = fock._rk45
+        stepped = []
+
+        def spying(rhs, span, y0, *args, **kwargs):
+            stepped.append(y0)
+            return rk45(rhs, span, y0, *args, **kwargs)
+
+        monkeypatch.setattr(fock, "_rk45", spying)
+        grid = np.linspace(-6.0, 6.0, 15)
+        evolve_lindblad(gauss_params(0.3), 0.1, 8, grid[:2])  # load scipy first
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(120, 60)) + 1j * rng.normal(size=(120, 60))
+        rho0 = x @ x.conj().T
+        random = FockDensity(0.5 * (rho0 + rho0.conj().T) / np.trace(rho0).real)
+        for dim, state, entries in ((200, None, 100 * 101), (120, random, 120**2)):
+            bound = fock._lindblad_bytes(dim, entries, grid.size)
+            tracemalloc.start()
+            try:
+                evolve_lindblad(gauss_params(1.0), 0.1, dim, grid, initial=state, tail_guard=1.0)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert stepped[-1].dtype == np.float64 and stepped[-1].size == entries
+            assert peak <= bound, dim
 
     def test_preflight_refuses_before_allocating(self):
         dim, grid = 200_000, np.linspace(-6.0, 6.0, 15)
-        need = fock._lindblad_bytes(2 * (dim // 2) ** 2, 8, grid.size)
+        need = fock._lindblad_bytes(dim, (dim // 2) * (dim // 2 + 1), grid.size)
         tracemalloc.start()
         try:
             with pytest.raises(MemoryError) as err:
