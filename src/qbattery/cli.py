@@ -20,8 +20,6 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .dynamics import DriveParams, _csv_text, analytic_moments, integrate_moments
 from .fock import choose_truncation, ergotropy, evolve_lindblad, evolve_rwa
 from .merit import (
@@ -162,12 +160,28 @@ def _float_list(text: str, name: str) -> list[float]:
     return values
 
 
-def _grid(cfg: dict) -> np.ndarray:
+def _linspace(start: float, stop: float, num: int, endpoint: bool = True) -> list[float]:
+    """``numpy.linspace(start, stop, num, endpoint=endpoint)`` as a list of
+    floats, bit for bit, for num >= 2: the same step, the same rounding of
+    i * step + start, and ``stop`` itself as the last point."""
+    div = num - 1 if endpoint else num
+    delta = stop - start
+    step = delta / div
+    if step == 0.0:  # numpy's order for a step that underflows
+        points = [i / div * delta + start for i in range(num)]
+    else:
+        points = [i * step + start for i in range(num)]
+    if endpoint:
+        points[-1] = stop
+    return points
+
+
+def _grid(cfg: dict) -> list[float]:
     if cfg["steps"] < 2:
         raise ValueError("the time grid needs at least 2 points")
     if not cfg["t_min"] < cfg["t_max"]:
         raise ValueError("need t_min < t_max")
-    return np.linspace(cfg["t_min"] * cfg["tau"], cfg["t_max"] * cfg["tau"], cfg["steps"])
+    return _linspace(cfg["t_min"] * cfg["tau"], cfg["t_max"] * cfg["tau"], cfg["steps"])
 
 
 def _write_table(columns: list[str], rows: list[list[float]], cfg: dict) -> None:
@@ -228,8 +242,8 @@ def cmd_quadratures(args: argparse.Namespace) -> int:
         raise ValueError("--theta-steps must be at least 2")
     t = cfg["time"] * cfg["tau"]
     rows = []
-    for theta in np.linspace(0.0, 2.0 * math.pi, cfg["theta_steps"], endpoint=False):
-        report = quadrature_variances(p, t, float(theta))
+    for theta in _linspace(0.0, 2.0 * math.pi, cfg["theta_steps"], endpoint=False):
+        report = quadrature_variances(p, t, theta)
         rows.append([report.theta, report.var_x, report.var_p, report.std_product])
     _write_table(["theta", "var_x", "var_p", "std_product"], rows, cfg)
     return 0
@@ -257,12 +271,10 @@ def cmd_fock_check(args: argparse.Namespace) -> int:
             )
         traj = evolve_rwa(p, dim, times)
         # the engine starts from the vacuum at the first grid point, not at -inf
-        n_ref = [analytic_moments(p, float(t), float(times[0])).n for t in times]
+        n_ref = [analytic_moments(p, t, times[0]).n for t in times]
     else:
         traj = evolve_lindblad(p, kappa, dim, times)
-        ref = integrate_moments(
-            p, float(times[0]), float(times[-1]), kappa=kappa, times=times
-        )
+        ref = integrate_moments(p, times[0], times[-1], kappa=kappa, times=times)
         n_ref = list(ref.n)
     columns = ["t", "n", "re_s", "im_s", "var_x_min", "tail_mass", "n_ref", "abs_err"]
     ratio = None
@@ -333,45 +345,43 @@ def cmd_fig(args: argparse.Namespace) -> int:
         raise ValueError("--steps must be at least 2")
 
     if panel == "2a":
-        xs = np.linspace(-4.0, 4.0, steps)
         params = [_norm_drive(z) for z in zetas]
         columns = ["t_over_tau"] + [f"zeta_{z:g}" for z in zetas] + ["delta_limit"]
         rows = []
-        for x in xs:
+        for x in _linspace(-4.0, 4.0, steps):
             row = [x]
-            row.extend(
-                stored_energy(p, float(x)) / (math.sinh(p.zeta) ** 2) for p in params
-            )
+            row.extend(stored_energy(p, x) / (math.sinh(p.zeta) ** 2) for p in params)
             row.append(0.5 if x == 0.0 else float(x > 0.0))
             rows.append(row)
     elif panel == "2b":
-        alphas = np.linspace(0.005, 0.995, steps)
         params = [_norm_drive(z) for z in zetas]
         columns = ["alpha"] + [f"zeta_{z:g}" for z in zetas]
         rows = [
-            [a] + [charging_time(p, float(a)).t_alpha for p in params] for a in alphas
+            [a] + [charging_time(p, a).t_alpha for p in params]
+            for a in _linspace(0.005, 0.995, steps)
         ]
     elif panel == "2c":
         p = _norm_drive(cfg["zeta"])
         columns = ["theta", "var_x", "var_p", "std_product"]
         rows = []
-        for theta in np.linspace(0.0, 2.0 * math.pi, cfg["theta_steps"], endpoint=False):
-            report = quadrature_variances(p, 0.0, float(theta))
+        for theta in _linspace(0.0, 2.0 * math.pi, cfg["theta_steps"], endpoint=False):
+            report = quadrature_variances(p, 0.0, theta)
             rows.append([report.theta, report.var_x, report.var_p, report.std_product])
     elif panel == "3a":
-        xs = np.linspace(-4.0, 4.0, steps)
         params = [_norm_drive(z) for z in zetas]
         columns = ["t_over_tau"] + [f"zeta_{z:g}" for z in zetas]
         rows = []
-        for x in xs:
+        for x in _linspace(-4.0, 4.0, steps):
             row = [x]
             row.extend(
-                instantaneous_power(p, float(x)) / (p.zeta * math.sinh(2.0 * p.zeta))
+                instantaneous_power(p, x) / (p.zeta * math.sinh(2.0 * p.zeta))
                 for p in params
             )
             rows.append(row)
     elif panel == "3b":
-        zgrid = np.logspace(-2.0, 2.0, steps)
+        # libm's pow, not np.logspace: numpy's power is misrounded at 19
+        # of the 401 default points against a decimal reference, libm at 1
+        zgrid = [10.0**x for x in _linspace(-2.0, 2.0, steps)]
         weak = peak_power_delay_weak_limit()
         columns = ["zeta", "t_p_over_tau", "lambert_asymptote", "debruijn_approx", "weak_limit"]
         rows = []
@@ -380,18 +390,17 @@ def cmd_fig(args: argparse.Namespace) -> int:
             rows.append(
                 [
                     z,
-                    peak_power_time(_norm_drive(float(z))),
+                    peak_power_time(_norm_drive(z)),
                     math.sqrt(lambert_w0(u)),
                     math.sqrt(debruijn_w_approx(u)) if u > math.e else math.nan,
                     weak,
                 ]
             )
     elif panel == "3c":
-        zgrid = np.linspace(0.1, 8.0, steps)
         columns = ["zeta", "p_max", "p_max_estimate"]
         rows = []
-        for z in zgrid:
-            p = _norm_drive(float(z))
+        for z in _linspace(0.1, 8.0, steps):
+            p = _norm_drive(z)
             t_p = peak_power_time(p)
             rows.append([z, instantaneous_power(p, t_p), peak_power_estimate(p)])
     else:  # pragma: no cover - argparse restricts the choices

@@ -16,15 +16,21 @@ for every unit-area envelope, the delta limit included; this area law
 is :func:`analytic_moments`. :func:`integrate_moments` is the
 independent numerical route: an adaptive embedded Runge-Kutta pair on
 (n, Re s, Im s), optionally with single-photon loss.
+
+The closed forms run on Python floats. numpy is bound lazily
+(:func:`_lazy`) and loads on the first numerical call, an integration or
+a :class:`MomentTrajectory`; scipy is imported only when an ODE runs
+(:func:`_rk45`). Importing the package therefore loads neither.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import sys
+import types
 from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
 
 from .pulses import DeltaLimit, PulseShape, UnsupportedPulseError
 from .specfun import Accuracy
@@ -40,6 +46,40 @@ __all__ = [
     "integrate_moments",
     "require_resonant",
 ]
+
+
+def _lazy(name: str) -> types.ModuleType:
+    """The module ``name``, executed on its first attribute access.
+
+    The ``importlib.util.LazyLoader`` recipe: the returned object is the
+    module registered in ``sys.modules``, so once loaded it is the very
+    module an ordinary ``import`` returns. A module that cannot be found
+    (not installed, or blocked by a ``None`` entry in ``sys.modules``)
+    raises its ``ModuleNotFoundError`` on first use rather than here.
+    """
+    module = sys.modules.get(name)
+    if module is not None:
+        return module
+    spec = importlib.util.find_spec(name)
+    if spec is None:
+        return _Unavailable(name)
+    loader = importlib.util.LazyLoader(spec.loader)
+    spec.loader = loader
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    loader.exec_module(module)
+    return module
+
+
+class _Unavailable(types.ModuleType):
+    """Stand-in for a module that cannot be imported: every attribute
+    access repeats the import, which raises."""
+
+    def __getattr__(self, attr):
+        return getattr(importlib.import_module(self.__name__), attr)
+
+
+np = _lazy("numpy")
 
 # Integrator defaults; tighter than these rarely pays off for a smooth
 # 3-dimensional system, looser starts to show in conserved quantities.

@@ -38,6 +38,11 @@ S alone, about a quarter of the dim^2 entries, and any state takes at
 most dim^2 reals. Before allocating, the engine compares the bytes the
 run needs with the smaller of physical RAM and the RLIMIT_AS soft limit
 and fails at once if they do not fit.
+
+numpy is bound lazily, as in :mod:`qbattery.dynamics`: importing this
+module runs none of it, and :func:`choose_truncation` is pure Python, so
+sizing a ladder, and refusing one, needs no numpy. It loads on the first
+state or engine call; scipy loads when an engine steps.
 """
 from __future__ import annotations
 
@@ -46,15 +51,15 @@ import functools
 import math
 import os
 import resource
+import sys
 from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
 
 from .dynamics import (
     DriveParams,
     IntegrationError,
     _csv_text,
+    _lazy,
     _rk45,
     require_resonant,
 )
@@ -76,6 +81,8 @@ __all__ = [
     "evolve_rwa",
     "quadrature_variances_from_state",
 ]
+
+np = _lazy("numpy")
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -101,8 +108,9 @@ _TRUNCATION_TERMS = 10_000_000
 # e^(i pi m / 4) for m = 0..7, exact at the multiples of pi/2 so that the
 # frame rotation leaves populations and the even diagonals unrounded.
 _C8 = math.sqrt(0.5)
-_EIGHTH_TURNS = np.array(
-    [1.0, _C8 + _C8 * 1j, 1j, -_C8 + _C8 * 1j, -1.0, -_C8 - _C8 * 1j, -1j, _C8 - _C8 * 1j]
+_EIGHTH_TURNS = (
+    1.0 + 0j, _C8 + _C8 * 1j, 1j, -_C8 + _C8 * 1j,
+    -1.0 + 0j, -_C8 - _C8 * 1j, -1j, _C8 - _C8 * 1j,
 )
 
 # The two parts of the rotated Lindblad state: S = Re sigma, T = Im sigma.
@@ -123,11 +131,15 @@ _WORK_COPIES = 24
 # indices and row pointers, the jump weights and the damping rates.
 _STENCIL_COPIES = 9
 
-# Arrays of dim^2 complex numbers alive at once after the run: rho, the
-# FockDensity copy, the conjugate, difference and modulus of its
-# Hermiticity check, then eigvalsh's copy. tracemalloc measured 4.0-4.8
-# at dims 100-454.
-_FINAL_COPIES = 5
+# Rows per block of FockDensity's Hermiticity check, which holds three
+# temporaries the size of one block.
+_HERMITICITY_ROWS = 32
+
+# Arrays of dim^2 complex numbers alive at once after the run: rho and
+# the FockDensity copy with the row blocks of its Hermiticity check, then
+# that copy and eigvalsh's. tracemalloc measured 2.2-3.0 at dims 100-454,
+# falling with dim as the 32-row blocks shrink against the matrix.
+_FINAL_COPIES = 3
 
 
 class TruncationError(RuntimeError):
@@ -192,7 +204,11 @@ class FockDensity:
         tr = float(np.trace(m).real)
         if abs(tr - 1.0) > 1e-10:
             raise ValueError(f"trace deviates from 1 by {tr - 1.0:.3e}")
-        herm = float(np.max(np.abs(m - m.conj().T)))
+        # a block of rows at a time, so that the conjugate transpose, the
+        # difference and its modulus stay far smaller than the matrix
+        k = _HERMITICITY_ROWS
+        blocks = (m[i : i + k] - m[:, i : i + k].conj().T for i in range(0, m.shape[0], k))
+        herm = float(np.max([np.max(np.abs(block)) for block in blocks]))
         if herm > 1e-12:
             raise ValueError(f"Hermiticity residual {herm:.3e} exceeds 1e-12")
 
@@ -258,7 +274,7 @@ def choose_truncation(zeta: float, tail_tol: float) -> int:
     )
     q = th2 * (2 * cap + 1) / (2 * cap + 2)
     beyond = max(math.exp(log_p_cap) * q / (1.0 - q), 1.0 - (cap + 1) * math.exp(log_p0))
-    if beyond > tail_tol + cap * np.finfo(float).eps:
+    if beyond > tail_tol + cap * sys.float_info.epsilon:
         raise RuntimeError(
             f"truncation search did not converge: more than {beyond:.2e} of the "
             f"squeezed-vacuum mass (r = {r:g}) lies beyond {2 * cap} levels, "

@@ -275,6 +275,64 @@ def test_import_loads_no_scipy():
     assert json.loads(proc.stdout) == []
 
 
+def test_closed_form_path_loads_no_numpy():
+    # numpy is bound lazily: the import runs none of it, and with numpy
+    # blocked every closed-form command still runs, as does fock-check's
+    # refusal of a ladder above the level limit, which steps nothing; a
+    # run that needs numpy exits 1 naming it
+    proc = run_python(
+        "import json, sys\n"
+        "import qbattery.cli\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('numpy.'))))"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
+    proc = run_python(
+        "import io, json, sys\n"
+        "from contextlib import redirect_stderr, redirect_stdout\n"
+        "sys.modules['numpy'] = None\n"
+        "from qbattery.cli import main\n"
+        "codes = []\n"
+        f"for argv in {CLOSED_FORM_COMMANDS!r}:\n"
+        "    with redirect_stdout(io.StringIO()):\n"
+        "        codes.append(main(argv))\n"
+        "runs = []\n"
+        "for zeta in ('4', '1'):\n"
+        "    err = io.StringIO()\n"
+        "    with redirect_stdout(io.StringIO()), redirect_stderr(err):\n"
+        "        runs.append([main(['fock-check', '--zeta', zeta, '--tail-tol', '1e-8']), err.getvalue()])\n"
+        "print(json.dumps([codes, runs]))"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    codes, [refused, needs_numpy] = json.loads(proc.stdout)
+    assert codes == [0] * len(CLOSED_FORM_COMMANDS)
+    assert refused[0] == 1 and "10000-level limit" in refused[1]
+    assert needs_numpy[0] == 1 and "numpy" in needs_numpy[1]
+
+
+@pytest.mark.parametrize(
+    "start, stop, num, endpoint",
+    [
+        (-4.0, 4.0, 201, True),
+        (-4.0, 4.0, 401, True),
+        (0.005, 0.995, 401, True),
+        (0.0, 2.0 * math.pi, 512, False),
+        (0.1, 8.0, 401, True),
+        (-8.0, 6.0, 57, True),
+        (-4.0, 4.0, 2, True),
+        (0.0, 2.0 * math.pi, 2, False),
+        (0.0, 5e-324, 57, True),  # a step that underflows to zero
+    ],
+)
+def test_linspace_matches_numpy_bit_for_bit(start, stop, num, endpoint):
+    from qbattery.cli import _linspace
+
+    ours = _linspace(start, stop, num, endpoint=endpoint)
+    theirs = np.linspace(start, stop, num, endpoint=endpoint)
+    assert [x.hex() for x in ours] == [float(x).hex() for x in theirs]
+
+
 def test_closed_form_commands_run_without_scipy():
     # with scipy blocked, any import of it (at load or while running)
     # fails, and main() turns that into exit 1 with a message

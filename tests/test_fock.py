@@ -56,6 +56,11 @@ class TestStateContainers:
         lopsided[0, 1] = 0.1
         with pytest.raises(ValueError):
             FockDensity(lopsided)  # not Hermitian
+        # checked a block of rows at a time: a pair inside the last block
+        wide = np.diag(np.full(300, 1.0 / 300)).astype(complex)
+        wide[299, 250] = 1e-9
+        with pytest.raises(ValueError, match="Hermiticity"):
+            FockDensity(wide)
 
     def test_density_spectrum_is_computed_once_and_frozen(self):
         source = np.diag([0.1, 0.6, 0.3]).astype(complex)
