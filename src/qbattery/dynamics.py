@@ -25,6 +25,7 @@ a :class:`MomentTrajectory`; scipy is imported only when an ODE runs
 
 from __future__ import annotations
 
+import functools
 import importlib.util
 import math
 import sys
@@ -90,7 +91,9 @@ class IntegrationError(RuntimeError):
     """Adaptive integration failed (step-size underflow or solver breakdown)."""
 
 
-def _rk45(rhs, t_span, y0, acc: Accuracy, max_step: float, label: str, **options):
+def _rk45(
+    rhs, t_span, y0, acc: Accuracy, max_step: float, label: str, *, observe=None, **options
+):
     """Integrate ``rhs`` over ``t_span`` with scipy's RK45 pair at the
     tolerances of ``acc``; ``options`` go to ``solve_ivp`` unchanged.
 
@@ -99,6 +102,13 @@ def _rk45(rhs, t_span, y0, acc: Accuracy, max_step: float, label: str, **options
     never loads scipy, and whatever ``scipy.integrate.solve_ivp`` is bound
     to at that moment is what runs.
 
+    ``observe(t, Y)``, when given, reduces each block of ``t_eval``
+    samples, one column of ``Y`` per instant of ``t``, to what the caller
+    keeps, and ``sol.y`` stacks only what it returns. It rides inside the
+    same ``solve_ivp`` call (:func:`_observing_rk45`), so the steps, the
+    right-hand-side calls and the interpolated samples are the ones the
+    plain call makes.
+
     Raises
     ------
     IntegrationError
@@ -106,11 +116,15 @@ def _rk45(rhs, t_span, y0, acc: Accuracy, max_step: float, label: str, **options
     """
     from scipy.integrate import solve_ivp
 
+    method = "RK45"
+    if observe is not None:
+        method = _observing_rk45()
+        options["observe"] = observe
     sol = solve_ivp(
         rhs,
         t_span,
         y0,
-        method="RK45",
+        method=method,
         rtol=acc.rel_tol,
         atol=acc.abs_tol,
         max_step=max_step,
@@ -119,6 +133,32 @@ def _rk45(rhs, t_span, y0, acc: Accuracy, max_step: float, label: str, **options
     if not sol.success:
         raise IntegrationError(f"{label}: {sol.message}")
     return sol
+
+
+@functools.cache
+def _observing_rk45() -> type:
+    """scipy's RK45 with its dense output passed through ``observe``.
+
+    ``solve_ivp`` evaluates a step's dense output at the ``t_eval``
+    instants the step passed and keeps what it returns, so with
+    ``observe(t, Y)`` between the two only the observed rows of each
+    sample outlive the step. ``observe`` arrives as a solver option, which
+    ``solve_ivp`` hands to the solver class it is given as ``method``.
+    Built on first use, since scipy loads only when an ODE runs.
+    """
+    from scipy.integrate import RK45
+
+    class ObservingRK45(RK45):
+        def __init__(self, fun, t0, y0, t_bound, *, observe, **options):
+            super().__init__(fun, t0, y0, t_bound, **options)
+            self.observe = observe
+
+        def dense_output(self):
+            dense = super().dense_output()
+            observe = self.observe
+            return lambda t: observe(t, dense(t))
+
+    return ObservingRK45
 
 
 def _csv_text(columns: list[str], rows) -> str:

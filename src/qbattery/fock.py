@@ -117,14 +117,16 @@ _EIGHTH_TURNS = (
 _S, _T = 0, 1
 
 # Arrays the size of the stored Lindblad state that can be alive at once
-# besides the samples and the stencil. While the stencil is built: the
-# entry coordinates and one neighbour's index, weight and mask arrays.
-# While RK45 steps: its seven stages, y, y_old and f, a stage's
-# increment and trial state, the error-norm temporaries, the four-column
-# dense-output matrix and its evaluation, and the right-hand side's
-# temporaries. tracemalloc peaks at dims 60-454, from the vacuum and from
-# a complex state, came to 23.5-25.6 copies with the stencil; the tests
-# hold this bound against them.
+# besides the stencil, the kept final sample and one step's interpolated
+# samples. While the stencil is built: the entry coordinates and one
+# neighbour's index, weight and mask arrays. While RK45 steps: its seven
+# stages, y, y_old and f, a stage's increment and trial state, the
+# error-norm temporaries, the four-column dense-output matrix and the
+# right-hand side's temporaries. tracemalloc peaks at dims 60-454 on the
+# 57-point fock-check grid, from the vacuum and from a complex state,
+# less those named above and the observed rows, came to 12.6-17.1
+# copies; the rest is headroom for other numpy and scipy versions, and
+# the tests hold the bound against the measured peaks.
 _WORK_COPIES = 24
 
 # The stencil: the drive's four weights per entry, their int32 column
@@ -158,7 +160,7 @@ class FockVector:
             raise ValueError("amp must be a nonempty 1-D complex array")
         object.__setattr__(self, "amp", amp)
         err = self.norm_error
-        if abs(err) > 1e-10:
+        if not abs(err) <= 1e-10:  # NaN fails too
             raise ValueError(f"state norm deviates from 1 by {err:.3e}")
 
     @property
@@ -202,14 +204,14 @@ class FockDensity:
             raise ValueError("matrix must be square and nonempty")
         object.__setattr__(self, "matrix", m)
         tr = float(np.trace(m).real)
-        if abs(tr - 1.0) > 1e-10:
+        if not abs(tr - 1.0) <= 1e-10:  # NaN fails too
             raise ValueError(f"trace deviates from 1 by {tr - 1.0:.3e}")
         # a block of rows at a time, so that the conjugate transpose, the
         # difference and its modulus stay far smaller than the matrix
         k = _HERMITICITY_ROWS
         blocks = (m[i : i + k] - m[:, i : i + k].conj().T for i in range(0, m.shape[0], k))
         herm = float(np.max([np.max(np.abs(block)) for block in blocks]))
-        if herm > 1e-12:
+        if not herm <= 1e-12:
             raise ValueError(f"Hermiticity residual {herm:.3e} exceeds 1e-12")
 
     @property
@@ -473,8 +475,9 @@ def evolve_full(
         i da/dt = zeta cos(2 omega_d t) f(t)
                   [e^(2 i omega_b t) b†b† + e^(-2 i omega_b t) bb] a
 
-    to resolve, so the step size is capped at a fortieth of the carrier
-    period. The reported n and s live in the same rotating frame as
+    to resolve, so the step size is capped at 2 pi / (40 omega_d), a
+    twentieth of the period pi / omega_d of cos(2 omega_d t). The
+    reported n and s live in the same rotating frame as
     :func:`evolve_rwa` and converge to it as omega_b tau grows.
     """
     dim = _check_dim(dim)
@@ -517,20 +520,35 @@ def _class_size(dim: int, part: int, parity: int) -> int:
     return len(diagonals) * (dim - diagonals.start - len(diagonals) + 1)
 
 
-def _lindblad_bytes(dim: int, entries: int, samples: int) -> int:
+def _lindblad_bytes(dim: int, entries: int, samples: int, per_step: int) -> int:
     """Upper bound on the bytes :func:`evolve_lindblad` holds at once for
-    ``entries`` stored float64 numbers on ``dim`` levels.
+    ``entries`` stored float64 numbers on ``dim`` levels, sampled at
+    ``samples`` instants of which one step interpolates at most
+    ``per_step``.
 
-    While RK45 steps: the work arrays and the stencil, plus the samples
-    twice, since ``solve_ivp`` keeps one array per sample and stacks them
-    into ``sol.y`` when the run ends. After it: the complex rho with the
+    While RK45 steps: the work arrays, the stencil and the sample kept
+    whole for the final state; one step's samples twice, the dense-output
+    product and its scaled copy; and the observed rows of every sample
+    (at most 3 dim of them) twice, since ``solve_ivp`` keeps one block
+    per step and stacks them when the run ends. No full-state sample
+    outlives its step. After the run: the complex rho with the
     temporaries of its Hermiticity check and of ``eigvalsh``, on top of
-    the work arrays and the stencil, which the solver's reference cycle
-    can keep alive until the garbage collector runs.
+    the observed rows and of the work arrays and the stencil, which the
+    solver's reference cycle can keep alive until the garbage collector
+    runs.
     """
-    stepping = 8 * entries * (_WORK_COPIES + _STENCIL_COPIES + 2 * samples)
-    final = 8 * entries * (_WORK_COPIES + _STENCIL_COPIES) + 16 * dim * dim * _FINAL_COPIES
+    state = 8 * entries * (_WORK_COPIES + _STENCIL_COPIES + 1)
+    rows = 8 * 3 * dim * samples
+    stepping = state + 16 * entries * per_step + 2 * rows
+    final = state + rows + 16 * dim * dim * _FINAL_COPIES
     return max(stepping, final)
+
+
+def _samples_per_step(times: np.ndarray, max_step: float) -> int:
+    """The most instants of ``times`` a step of at most ``max_step`` can
+    interpolate: those in any closed window of that length."""
+    ends = np.searchsorted(times, times + max_step, side="right")
+    return int(np.max(ends - np.arange(times.size)))
 
 
 def _memory_budget() -> int:
@@ -637,7 +655,9 @@ def evolve_lindblad(
     most dim^2 reals. Nothing is stepped in complex arithmetic. The
     right-hand side is one gather stencil built once
     (:func:`_lindblad_stencil`). Observables are read off the stored
-    diagonals; the full complex rho is built only for ``final_state``.
+    diagonals: inside the solver's step, each sample is cut down to the
+    populations and the d = 2 diagonals, and only the last one is kept
+    whole. The full complex rho is built only for ``final_state``.
 
     Before anything of size dim^2 or of the stored size is allocated,
     the bytes the run needs (:func:`_lindblad_bytes`) are compared with
@@ -672,7 +692,9 @@ def evolve_lindblad(
     classes = [c for c in ((_S, 0), (_S, 1), (_T, 0), (_T, 1)) if c in nonzero]
 
     entries = sum(_class_size(dim, part, parity) for part, parity in classes)
-    need = _lindblad_bytes(dim, entries, times.size)
+    max_step = 0.5 * _pulse_width(p)
+    per_step = _samples_per_step(times, max_step)
+    need = _lindblad_bytes(dim, entries, times.size, per_step)
     budget = _memory_budget()
     if need > budget:
         raise MemoryError(
@@ -714,18 +736,30 @@ def evolve_lindblad(
             out[:-1] += jump * y[1:]
         return out
 
-    span = (times[0], times[-1])
-    max_step = 0.5 * _pulse_width(p)
-    y = _rk45(rhs, span, y0, acc, max_step, "lossy evolution failed", t_eval=times).y
+    # the rows the trajectory reads: the populations, which are the d = 0
+    # diagonal of S, and the d = 2 diagonals of S and, when stored, of T;
+    # the sample at times[-1] is kept whole for the final state
+    read = [slice(0, dim), slice(start[_S, 2], start[_S, 2] + dim - 2)]
+    if start[_T, 2] >= 0:
+        read.append(slice(start[_T, 2], start[_T, 2] + dim - 2))
+    kept = []
 
-    pops = y[:dim].copy()
+    def observe(t, y):
+        if t[-1] == times[-1]:
+            kept.append(y[:, -1].copy())
+        return np.concatenate([y[rows] for rows in read])
+
+    span = (times[0], times[-1])
+    label = "lossy evolution failed"
+    y = _rk45(rhs, span, y0, acc, max_step, label, t_eval=times, observe=observe).y
+    (last,) = kept
+
+    pops, pairs = y[:dim], y[dim:]
     # <bb> = sum_j lower[j] rho[j+2, j], and rho[j+2, j] = -i sigma[j+2, j]
     lower = _pair_coeffs(dim)[0][: dim - 2]
-    s = -1j * (lower @ y[start[_S, 2] : start[_S, 2] + dim - 2])
+    s = -1j * (lower @ pairs[: dim - 2])
     if start[_T, 2] >= 0:
-        s += lower @ y[start[_T, 2] : start[_T, 2] + dim - 2]
-    last = y[:, -1].copy()
-    del y
+        s += lower @ pairs[dim - 2 :]
 
     def final_state(_traces) -> FockDensity:
         final = np.zeros((dim, dim), dtype=complex)

@@ -1,6 +1,7 @@
 """Moment equations: right-hand side, exact solution, integrator, area law."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from qbattery.dynamics import (
     VACUUM,
     DriveParams,
     MomentState,
+    _rk45,
     analytic_moments,
     integrate_moments,
 )
@@ -244,6 +246,34 @@ class TestIntegrateMoments:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "t,n,re_s,im_s,invariant_residual"
         assert len(lines) == 6
+
+
+def test_observer_keeps_the_plain_rows_and_steps():
+    # an observer that keeps two rows of every sample rides on the plain
+    # call's steps and interpolant: the same rows, bit for bit, and the
+    # same right-hand-side calls; scipy only warns about a solver option
+    # it ignores, so warnings are errors here
+    rng = np.random.default_rng(7)
+    a = rng.normal(size=(6, 6))
+    y0 = rng.normal(size=6)
+    grid = np.linspace(0.0, 5.0, 23)
+    seen = []
+
+    def rhs(t, y):
+        return math.cos(3.0 * t) * (a @ y)
+
+    def observe(t, y):
+        seen.append(t)
+        return y[[1, 4]]
+
+    plain = _rk45(rhs, (0.0, 5.0), y0, TIGHT, np.inf, "test", t_eval=grid)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        observed = _rk45(rhs, (0.0, 5.0), y0, TIGHT, np.inf, "test", t_eval=grid, observe=observe)
+    assert plain.nfev > 100
+    assert observed.nfev == plain.nfev
+    assert np.array_equal(observed.t, grid) and np.array_equal(np.concatenate(seen), grid)
+    assert np.array_equal(observed.y, plain.y[[1, 4]])
 
 
 class TestAreaLaw:

@@ -4,6 +4,7 @@ import math
 import time
 import tracemalloc
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -39,6 +40,8 @@ class TestStateContainers:
     def test_vector_validation(self):
         with pytest.raises(ValueError):
             FockVector(np.array([1.0, 1.0], dtype=complex))  # norm 2
+        with pytest.raises(ValueError):
+            FockVector(np.array([math.nan, 0.0], dtype=complex))
         vec = FockVector(np.array([1.0] + [0.0] * 7, dtype=complex))
         assert vec.dim == 8
         assert vec.tail_mass() == 0.0
@@ -61,6 +64,13 @@ class TestStateContainers:
         wide[299, 250] = 1e-9
         with pytest.raises(ValueError, match="Hermiticity"):
             FockDensity(wide)
+        # NaN fails both checks: in the trace, and off the diagonal alone
+        with pytest.raises(ValueError, match="trace"):
+            FockDensity(np.full((3, 3), math.nan, dtype=complex))
+        holed = np.diag([0.2, 0.3, 0.5]).astype(complex)
+        holed[2, 0] = math.nan
+        with pytest.raises(ValueError, match="Hermiticity"):
+            FockDensity(holed)
 
     def test_density_spectrum_is_computed_once_and_frozen(self):
         source = np.diag([0.1, 0.6, 0.3]).astype(complex)
@@ -314,14 +324,18 @@ class TestEvolveLindblad:
             return rk45(rhs, span, y0, *args, **kwargs)
 
         monkeypatch.setattr(fock, "_rk45", spying)
-        grid = np.linspace(-6.0, 6.0, 15)
+        # the CLI's grid: 57 full samples would overrun the bound
+        grid = np.linspace(-8.0, 6.0, 57)
         evolve_lindblad(gauss_params(0.3), 0.1, 8, grid[:2])  # load scipy first
         rng = np.random.default_rng(5)
         x = rng.normal(size=(120, 60)) + 1j * rng.normal(size=(120, 60))
         rho0 = x @ x.conj().T
         random = FockDensity(0.5 * (rho0 + rho0.conj().T) / np.trace(rho0).real)
+        # steps of at most tau / 2 interpolate at most three 0.25-spaced samples
+        per_step = fock._samples_per_step(grid, 0.5)
+        assert per_step == 3
         for dim, state, entries in ((200, None, 100 * 101), (120, random, 120**2)):
-            bound = fock._lindblad_bytes(dim, entries, grid.size)
+            bound = fock._lindblad_bytes(dim, entries, grid.size, per_step)
             tracemalloc.start()
             try:
                 evolve_lindblad(gauss_params(1.0), 0.1, dim, grid, initial=state, tail_guard=1.0)
@@ -331,9 +345,18 @@ class TestEvolveLindblad:
             assert stepped[-1].dtype == np.float64 and stepped[-1].size == entries
             assert peak <= bound, dim
 
+    def test_emits_no_warning(self):
+        # scipy only warns about a solver option it ignores, so every
+        # option the engine passes must reach the solver without one
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = evolve_lindblad(gauss_params(0.5), 0.1, 20, GRID)
+        assert traj.n.shape == GRID.shape
+
     def test_preflight_refuses_before_allocating(self):
         dim, grid = 200_000, np.linspace(-6.0, 6.0, 15)
-        need = fock._lindblad_bytes(dim, (dim // 2) * (dim // 2 + 1), grid.size)
+        per_step = fock._samples_per_step(grid, 0.5)
+        need = fock._lindblad_bytes(dim, (dim // 2) * (dim // 2 + 1), grid.size, per_step)
         tracemalloc.start()
         try:
             with pytest.raises(MemoryError) as err:
