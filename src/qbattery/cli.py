@@ -336,6 +336,14 @@ def _norm_drive(zeta: float) -> DriveParams:
     return DriveParams(omega_b=1.0, zeta=zeta, pulse=from_name("gaussian", 1.0))
 
 
+def _legend_drives(zetas: list[float]) -> list[DriveParams]:
+    # each series is normalized by a quantity that vanishes at zeta = 0
+    for z in zetas:
+        if not z > 0.0:
+            raise ValueError(f"--zetas values must be positive for this panel, got {z:g}")
+    return [_norm_drive(z) for z in zetas]
+
+
 def cmd_fig(args: argparse.Namespace) -> int:
     cfg = _resolve(args, "fig")
     panel = args.panel
@@ -345,7 +353,7 @@ def cmd_fig(args: argparse.Namespace) -> int:
         raise ValueError("--steps must be at least 2")
 
     if panel == "2a":
-        params = [_norm_drive(z) for z in zetas]
+        params = _legend_drives(zetas)
         columns = ["t_over_tau"] + [f"zeta_{z:g}" for z in zetas] + ["delta_limit"]
         rows = []
         for x in _linspace(-4.0, 4.0, steps):
@@ -354,13 +362,15 @@ def cmd_fig(args: argparse.Namespace) -> int:
             row.append(0.5 if x == 0.0 else float(x > 0.0))
             rows.append(row)
     elif panel == "2b":
-        params = [_norm_drive(z) for z in zetas]
+        params = _legend_drives(zetas)
         columns = ["alpha"] + [f"zeta_{z:g}" for z in zetas]
         rows = [
             [a] + [charging_time(p, a).t_alpha for p in params]
             for a in _linspace(0.005, 0.995, steps)
         ]
     elif panel == "2c":
+        if cfg["theta_steps"] < 2:
+            raise ValueError("--theta-steps must be at least 2")
         p = _norm_drive(cfg["zeta"])
         columns = ["theta", "var_x", "var_p", "std_product"]
         rows = []
@@ -368,7 +378,7 @@ def cmd_fig(args: argparse.Namespace) -> int:
             report = quadrature_variances(p, 0.0, theta)
             rows.append([report.theta, report.var_x, report.var_p, report.std_product])
     elif panel == "3a":
-        params = [_norm_drive(z) for z in zetas]
+        params = _legend_drives(zetas)
         columns = ["t_over_tau"] + [f"zeta_{z:g}" for z in zetas]
         rows = []
         for x in _linspace(-4.0, 4.0, steps):

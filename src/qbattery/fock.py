@@ -51,7 +51,6 @@ import functools
 import math
 import os
 import resource
-import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -102,8 +101,14 @@ LINDBLAD_ACCURACY = Accuracy(abs_tol=1e-13, rel_tol=1e-10)
 # How many top ladder levels count as the truncation alarm zone.
 _TAIL_LEVELS = 4
 
-# Most terms choose_truncation sums before giving up.
+# Largest pair number choose_truncation sizes a ladder for: it refuses
+# a squeezed vacuum that needs more than 2 * 10^7 + 6 levels.
 _TRUNCATION_TERMS = 10_000_000
+
+# Convergence threshold of _pair_tail's continued fraction, and the floor
+# that keeps its modified-Lentz recurrence off zero divisors.
+_LENTZ_EPS = math.ulp(1.0)
+_LENTZ_TINY = 1e-300
 
 # e^(i pi m / 4) for m = 0..7, exact at the multiples of pi/2 so that the
 # frame rotation leaves populations and the even diagonals unrounded.
@@ -235,63 +240,67 @@ class FockDensity:
         return float(np.arange(self.dim) @ self.populations())
 
 
+def _pair_tail(m: int, r: float) -> float:
+    """Mass of a squeezed vacuum (squeeze parameter r) in levels 2m and up.
+
+    Its pair number is negative binomial, NB(1/2, x) with x = tanh^2 r,
+    so the mass is the regularized incomplete beta I_x(m, 1/2): the
+    continued fraction of Numerical Recipes (3rd ed., sec. 6.4) by
+    modified Lentz, and 1 - I_(1-x)(1/2, m) once x >= (m + 1)/(m + 2.5).
+    """
+    x = math.tanh(r) ** 2
+    log_y = 2.0 * (math.log(2.0) - r - math.log1p(math.exp(-2.0 * r)))  # 1 - x = cosh^-2 r
+    swap = x >= (m + 1) / (m + 2.5)
+    a, b, z = (0.5, m, math.exp(log_y)) if swap else (m, 0.5, x)
+    c, d = 1.0, 1.0 - (a + b) * z / (a + 1.0)
+    h = d = 1.0 / (d if abs(d) > _LENTZ_TINY else _LENTZ_TINY)
+    for k in range(1, 10_000):
+        for aa in (
+            k * (b - k) * z / ((a + 2 * k - 1) * (a + 2 * k)),
+            -(a + k) * (a + b + k) * z / ((a + 2 * k) * (a + 2 * k + 1)),
+        ):
+            d = 1.0 + aa * d
+            d = 1.0 / (d if abs(d) > _LENTZ_TINY else _LENTZ_TINY)
+            c = 1.0 + aa / c
+            c = c if abs(c) > _LENTZ_TINY else _LENTZ_TINY
+            h *= d * c
+        if abs(d * c - 1.0) <= _LENTZ_EPS:
+            break
+    # x^m stays outside the log, so that x = 0 gives a zero tail
+    log_bt = math.lgamma(m + 0.5) - math.lgamma(m) - math.lgamma(0.5) + 0.5 * log_y
+    frac = x**m * math.exp(log_bt) * h / a
+    return 1.0 - frac if swap else frac
+
+
 def choose_truncation(zeta: float, tail_tol: float) -> int:
     """Ladder size that holds a squeezed vacuum of squeeze parameter 2 zeta.
 
-    Sizes the space so a squeezed vacuum with squeeze parameter
-    r = 2 zeta keeps less than ``tail_tol`` of its mass in the alarm
-    zone. A unit-area pulse of drive strength zeta reaches at most
-    r = zeta from the vacuum, so a caller sizing for the state the pulse
-    actually produces passes half the drive strength, ``0.5 * zeta``, as
-    ``fock-check`` does; passing zeta itself buys headroom for twice
-    that squeeze, at a cost that grows exponentially. The distribution
-    populates even levels only, with
-
-        P(2m) = [(2m)! / (2^(2m) (m!)^2)] tanh^(2m)(r) / cosh(r),
-
-    summed here by its term-to-term recurrence for at most 10^7 terms.
-    The ratio of consecutive terms rises with m and stays below 1, so
-    the mass beyond term M is at least P(2M) q / (1 - q), with
-    q = tanh^2(r) (2M + 1) / (2M + 2), and at least 1 - (M + 1) P(0).
-    When either bound at the cap exceeds ``tail_tol`` by more than the
-    summation's rounding, the search cannot succeed and
-    :class:`RuntimeError` is raised at once.
+    Returns the smallest size whose top four levels, together with all
+    the levels it leaves out, hold less than ``tail_tol`` of the mass of
+    a squeezed vacuum with r = 2 zeta. A unit-area pulse of drive strength zeta
+    reaches at most r = zeta from the vacuum, so a caller sizing for the
+    state the pulse produces passes ``0.5 * zeta``, as ``fock-check``
+    does. The tail is exact (a regularized incomplete beta), and the
+    size is found by bisection; :class:`RuntimeError` is raised at once
+    when even 2 * 10^7 + 2 levels leave ``tail_tol`` or more beyond them.
     """
     if not (math.isfinite(zeta) and zeta >= 0.0):
         raise ValueError(f"zeta must be nonnegative and finite, got {zeta!r}")
     if not 0.0 < tail_tol < 1.0:
         raise ValueError(f"tail_tol must lie in (0, 1), got {tail_tol!r}")
     r = 2.0 * zeta
-    if r == 0.0:
-        return 6
-    th = math.tanh(r)
-    th2 = th**2
-    cap = _TRUNCATION_TERMS
-    log_p0 = math.log(2.0) - r - math.log1p(math.exp(-2.0 * r))  # -log cosh r
-    log_p_cap = (
-        math.lgamma(2 * cap + 1)
-        - 2 * math.lgamma(cap + 1)
-        + 2 * cap * math.log(0.5 * th)
-        + log_p0
-    )
-    q = th2 * (2 * cap + 1) / (2 * cap + 2)
-    beyond = max(math.exp(log_p_cap) * q / (1.0 - q), 1.0 - (cap + 1) * math.exp(log_p0))
-    if beyond > tail_tol + cap * sys.float_info.epsilon:
+    lo, hi = 0, _TRUNCATION_TERMS + 1
+    beyond = _pair_tail(hi, r)
+    if beyond >= tail_tol:
         raise RuntimeError(
-            f"truncation search did not converge: more than {beyond:.2e} of the "
-            f"squeezed-vacuum mass (r = {r:g}) lies beyond {2 * cap} levels, "
-            f"above tail_tol {tail_tol:g}"
+            f"truncation search did not converge: {beyond:.2e} of the squeezed-vacuum "
+            f"mass (r = {r:g}) lies beyond {2 * hi} levels, above tail_tol {tail_tol:g}"
         )
-    term = 1.0 / math.cosh(r)
-    total = term
-    m = 0
-    while total < 1.0 - tail_tol:
-        term *= th2 * (2 * m + 1) / (2 * m + 2)
-        m += 1
-        total += term
-        if m > cap:
-            raise RuntimeError("truncation search did not converge")
-    return 2 * m + 2 + _TAIL_LEVELS
+    # tail(lo) >= tail_tol > tail(hi), and the tail falls with m
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if _pair_tail(mid, r) < tail_tol else (mid, hi)
+    return 2 * hi + _TAIL_LEVELS
 
 
 def _pair_coeffs(dim: int) -> tuple[np.ndarray, np.ndarray]:

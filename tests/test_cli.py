@@ -192,17 +192,18 @@ def _refuse_vector_step(*args, **kwargs):
     raise AssertionError("the vector engine must not run")
 
 
-def test_fock_check_refuses_an_oversized_vector_ladder_at_once(capsys, monkeypatch):
+@pytest.mark.parametrize("zeta, levels", [("4", 24480), ("7", 9873764)])
+def test_fock_check_refuses_an_oversized_vector_ladder_at_once(capsys, monkeypatch, zeta, levels):
     from qbattery import cli
 
     monkeypatch.setattr(cli, "evolve_rwa", _refuse_vector_step)
     start = time.perf_counter()
-    assert main(["fock-check", "--zeta", "4", "--tail-tol", "1e-8"]) == 1
+    assert main(["fock-check", "--zeta", zeta, "--tail-tol", "1e-8"]) == 1
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
-    assert "24480 levels" in err
+    assert f"{levels} levels" in err
     assert f"{cli.VECTOR_LEVEL_LIMIT}-level limit" in err
-    assert "zeta 4" in err and "--tail-tol 1e-08" in err
+    assert f"zeta {zeta}" in err and "--tail-tol 1e-08" in err
 
 
 def test_fock_check_refuses_an_explicit_vector_ladder_above_the_limit(capsys, monkeypatch):
@@ -411,10 +412,24 @@ def test_config_rejects_unknown_key(tmp_path, capsys):
     assert "widget" in capsys.readouterr().err
 
 
-def test_domain_failure_exits_one(capsys):
-    assert main(["charge-time", "--alpha", "1.5"]) == 1
-    err = capsys.readouterr().err
-    assert "alpha" in err
+THETA_STEPS = "--theta-steps must be at least 2"
+
+
+@pytest.mark.parametrize(
+    "argv, fragment",
+    [
+        pytest.param(["charge-time", "--alpha", "1.5"], "alpha", id="alpha"),
+        pytest.param(["fig", "2c", "--theta-steps", "-1"], THETA_STEPS, id="theta-steps-negative"),
+        pytest.param(["fig", "2c", "--theta-steps", "0"], THETA_STEPS, id="theta-steps-zero"),
+        pytest.param(["fig", "2a", "--zetas", "0,1"], "--zetas", id="fig-2a-zero-zeta"),
+        pytest.param(["fig", "3a", "--zetas", "0,1"], "--zetas", id="fig-3a-zero-zeta"),
+    ],
+)
+def test_domain_failure_exits_one(capsys, argv, fragment):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert fragment in captured.err
+    assert captured.out == ""
 
 
 def test_delta_pulse_power_fails_cleanly(capsys):

@@ -105,15 +105,39 @@ class TestChooseTruncation:
         assert 100 < n < 1000  # a few hundred levels
 
     def test_against_distribution_oracle(self):
-        for zeta, tol in ((0.5, 1e-8), (1.0, 1e-8), (1.0, 1e-4)):
+        # the last three lie below the rounding of a term-by-term sum
+        for zeta, tol in (
+            (0.5, 1e-8), (1.0, 1e-8), (1.0, 1e-4), (1.87, 1.2e-14), (2.0, 1e-15), (1.0, 1e-14)
+        ):
             n = choose_truncation(zeta, tol)
             probs = squeezed_vacuum_distribution(2.0 * zeta, 2 * n)
             assert sum(probs[n - 4 :]) < tol
             # minimality up to the even-headroom rounding
             assert sum(probs[max(0, n - 8) :]) > tol or n == 6
 
+    def test_near_cap_size_is_found_at_once(self):
+        start = time.perf_counter()
+        assert choose_truncation(3.5, 1e-8) == 9_873_764
+        assert time.perf_counter() - start < 0.1
+
+    def test_pair_tail_matches_scipy_betainc(self):
+        # 1 - x from 1/30 to 30 times its value at the branch switch
+        # x = (m + 1)/(m + 2.5), so both branches and the switch are hit
+        from scipy.special import betainc
+
+        branches = []
+        for m in np.geomspace(1, 2e7, 40).astype(int).tolist():
+            for u in np.linspace(-1.5, 1.5, 7):
+                y = min(1.5 / (m + 2.5) * 10**u, 0.9999)
+                r = min(max(math.acosh(1.0 / math.sqrt(y)), 0.01), 8.5)
+                x = math.tanh(r) ** 2
+                branches.append(x >= (m + 1) / (m + 2.5))
+                ref = float(betainc(m, 0.5, x))
+                assert fock._pair_tail(m, r) == pytest.approx(ref, rel=1e-6), (m, r)
+        assert 100 < sum(branches) < len(branches) - 100
+
     def test_hopeless_arguments_fail_at_once(self):
-        # r = 8 puts 2.7e-3 of the mass beyond the 10^7-term search cap;
+        # r = 8 puts 2.7e-3 of the mass beyond the 2 * 10^7-level size cap;
         # r = 2000 overflows cosh(r) if evaluated directly
         for zeta, tol in ((4.0, 1e-8), (10.0, 1e-4), (1000.0, 1e-8)):
             start = time.perf_counter()
