@@ -7,9 +7,9 @@ units of the pulse width tau; emitted time columns are absolute. The
 zeta sinh(2 zeta) scale, times over tau).
 
 Exit status: 0 on success, 1 with a diagnostic on standard error for
-numerical or domain failures, 2 for unusable flags. Output is
-deterministic for identical configurations: full double precision,
-fixed row order.
+numerical or domain failures, 2 for unusable flags, a ``--config``
+value its flag would refuse included. Output is deterministic for
+identical configurations: full double precision, fixed row order.
 """
 
 from __future__ import annotations
@@ -48,75 +48,14 @@ FIG_ZETAS = "0.1,0.5,1,2,4"
 # about 85 s.
 VECTOR_LEVEL_LIMIT = 10_000
 
-_DRIVE_DEFAULTS = {
-    "zeta": 1.0,
-    "tau": 1.0,
-    "omega_b": 1.0,
-    "omega_d": None,
-    "pulse": "gaussian",
-}
-_OUT_DEFAULTS = {"fmt": "csv", "out": None}
-_GRID_DEFAULTS = {"t_min": -4.0, "t_max": 4.0, "steps": 201}
-
-_DEFAULTS = {
-    "energy": {**_DRIVE_DEFAULTS, **_GRID_DEFAULTS, **_OUT_DEFAULTS},
-    "power": {**_DRIVE_DEFAULTS, **_GRID_DEFAULTS, **_OUT_DEFAULTS},
-    "charge-time": {**_DRIVE_DEFAULTS, "alpha": "0.1,0.5,0.9", **_OUT_DEFAULTS},
-    "peak-power": {**_DRIVE_DEFAULTS, **_OUT_DEFAULTS},
-    "quadratures": {**_DRIVE_DEFAULTS, "time": 0.0, "theta_steps": 512, **_OUT_DEFAULTS},
-    "fock-check": {
-        **_DRIVE_DEFAULTS,
-        "kappa": 0.0,
-        "t_min": -8.0,
-        "t_max": 6.0,
-        "steps": 57,
-        "tail_tol": 1e-8,
-        "fock_dim": None,
-        "ergotropy": False,
-        **_OUT_DEFAULTS,
-    },
-    "sweep": {
-        "zetas": "0.5,1,2,4",
-        "alpha": "0.9",
-        "tau": 1.0,
-        "omega_b": 1.0,
-        "threads": 1,
-        **_OUT_DEFAULTS,
-    },
-    "fig": {
-        "zetas": FIG_ZETAS,
-        "zeta": 2.0,
-        "steps": 401,
-        "theta_steps": 512,
-        **_OUT_DEFAULTS,
-    },
-}
-
-_COERCE = {
-    "zeta": float,
-    "tau": float,
-    "omega_b": float,
-    "omega_d": float,
-    "pulse": str,
-    "kappa": float,
-    "t_min": float,
-    "t_max": float,
-    "steps": int,
-    "alpha": str,
-    "time": float,
-    "theta_steps": int,
-    "tail_tol": float,
-    "fock_dim": int,
-    "ergotropy": lambda s: s.strip().lower() in ("1", "true", "yes", "on"),
-    "fmt": str,
-    "out": str,
-    "threads": int,
-    "zetas": str,
-}
+# What every command returns: column names and rows, written by _write_table.
+Table = tuple[list[str], list[list[float]]]
 
 
-def _load_config(path: str) -> dict[str, str]:
-    entries: dict[str, str] = {}
+def _config_flags(path: str) -> dict[str, str]:
+    """Each ``key = value`` line of a config file as ``--key=value``,
+    mapped to the key it came from."""
+    flags: dict[str, str] = {}
     for raw in Path(path).read_text(encoding="utf-8").splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -124,30 +63,13 @@ def _load_config(path: str) -> dict[str, str]:
         if "=" not in line:
             raise ValueError(f"config line {raw!r} is not of the form key=value")
         key, value = (part.strip() for part in line.split("=", 1))
-        entries[key.replace("-", "_")] = value
-    return entries
+        flags[f"--{key.replace('_', '-')}={value}"] = key
+    return flags
 
 
-def _resolve(args: argparse.Namespace, command: str) -> dict:
-    """Defaults, overridden by the config file, overridden by flags."""
-    merged = dict(_DEFAULTS[command])
-    if getattr(args, "config", None):
-        for key, raw in _load_config(args.config).items():
-            if key not in merged:
-                raise ValueError(f"config key {key!r} is not used by {command!r}")
-            merged[key] = _COERCE[key](raw)
-    for key in merged:
-        value = getattr(args, key, None)
-        if value is not None:
-            merged[key] = value
-    return merged
-
-
-def _drive(cfg: dict) -> DriveParams:
-    pulse = from_name(cfg["pulse"], None if cfg["pulse"] == "delta" else cfg["tau"])
-    return DriveParams(
-        omega_b=cfg["omega_b"], zeta=cfg["zeta"], pulse=pulse, omega_d=cfg["omega_d"]
-    )
+def _drive(args: argparse.Namespace) -> DriveParams:
+    pulse = from_name(args.pulse, None if args.pulse == "delta" else args.tau)
+    return DriveParams(omega_b=args.omega_b, zeta=args.zeta, pulse=pulse, omega_d=args.omega_d)
 
 
 def _float_list(text: str, name: str) -> list[float]:
@@ -176,96 +98,85 @@ def _linspace(start: float, stop: float, num: int, endpoint: bool = True) -> lis
     return points
 
 
-def _grid(cfg: dict) -> list[float]:
-    if cfg["steps"] < 2:
+def _grid(args: argparse.Namespace) -> list[float]:
+    if args.steps < 2:
         raise ValueError("the time grid needs at least 2 points")
-    if not cfg["t_min"] < cfg["t_max"]:
+    if not args.t_min < args.t_max:
         raise ValueError("need t_min < t_max")
-    return _linspace(cfg["t_min"] * cfg["tau"], cfg["t_max"] * cfg["tau"], cfg["steps"])
+    return _linspace(args.t_min * args.tau, args.t_max * args.tau, args.steps)
 
 
-def _write_table(columns: list[str], rows: list[list[float]], cfg: dict) -> None:
-    if cfg["fmt"] == "json":
+def _write_table(columns: list[str], rows: list[list[float]], args: argparse.Namespace) -> None:
+    if args.format == "json":
         payload = {"columns": columns, "rows": [[float(v) for v in row] for row in rows]}
         text = json.dumps(payload, separators=(",", ":")) + "\n"
     else:
         text = _csv_text(columns, rows)
-    if cfg["out"] in (None, "-"):
+    if args.out in (None, "-"):
         sys.stdout.write(text)
     else:
-        Path(cfg["out"]).write_text(text, encoding="utf-8", newline="")
+        Path(args.out).write_text(text, encoding="utf-8", newline="")
 
 
-def cmd_energy(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, "energy")
-    p = _drive(cfg)
+def _theta_table(p: DriveParams, t: float, theta_steps: int) -> Table:
+    if theta_steps < 2:
+        raise ValueError("--theta-steps must be at least 2")
+    rows = []
+    for theta in _linspace(0.0, 2.0 * math.pi, theta_steps, endpoint=False):
+        report = quadrature_variances(p, t, theta)
+        rows.append([report.theta, report.var_x, report.var_p, report.std_product])
+    return ["theta", "var_x", "var_p", "std_product"], rows
+
+
+def cmd_energy(args: argparse.Namespace) -> Table:
+    p = _drive(args)
     e_max = p.omega_b * math.sinh(p.zeta) ** 2
     if e_max == 0.0:
         raise ValueError("zeta = 0 stores no energy; nothing to normalize")
-    rows = [[t, stored_energy(p, t) / e_max] for t in _grid(cfg)]
-    _write_table(["t", "E_over_Emax"], rows, cfg)
-    return 0
+    return ["t", "E_over_Emax"], [[t, stored_energy(p, t) / e_max] for t in _grid(args)]
 
 
-def cmd_power(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, "power")
-    p = _drive(cfg)
-    rows = [[t, instantaneous_power(p, t)] for t in _grid(cfg)]
-    _write_table(["t", "P"], rows, cfg)
-    return 0
+def cmd_power(args: argparse.Namespace) -> Table:
+    p = _drive(args)
+    return ["t", "P"], [[t, instantaneous_power(p, t)] for t in _grid(args)]
 
 
-def cmd_charge_time(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, "charge-time")
-    p = _drive(cfg)
+def cmd_charge_time(args: argparse.Namespace) -> Table:
+    p = _drive(args)
     rows = []
-    for alpha in _float_list(cfg["alpha"], "--alpha"):
+    for alpha in _float_list(args.alpha, "--alpha"):
         report = charging_time(p, alpha)
-        rows.append([alpha, report.t_alpha, report.t_alpha / cfg["tau"], report.e_max])
-    _write_table(["alpha", "t_alpha", "t_alpha_over_tau", "e_max"], rows, cfg)
-    return 0
+        rows.append([alpha, report.t_alpha, report.t_alpha / args.tau, report.e_max])
+    return ["alpha", "t_alpha", "t_alpha_over_tau", "e_max"], rows
 
 
-def cmd_peak_power(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, "peak-power")
-    p = _drive(cfg)
+def cmd_peak_power(args: argparse.Namespace) -> Table:
+    p = _drive(args)
     t_p = peak_power_time(p)
-    rows = [[cfg["zeta"], t_p, t_p / cfg["tau"], instantaneous_power(p, t_p), peak_power_estimate(p)]]
-    _write_table(["zeta", "t_p", "t_p_over_tau", "p_max", "p_max_estimate"], rows, cfg)
-    return 0
+    rows = [[args.zeta, t_p, t_p / args.tau, instantaneous_power(p, t_p), peak_power_estimate(p)]]
+    return ["zeta", "t_p", "t_p_over_tau", "p_max", "p_max_estimate"], rows
 
 
-def cmd_quadratures(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, "quadratures")
-    p = _drive(cfg)
-    if cfg["theta_steps"] < 2:
-        raise ValueError("--theta-steps must be at least 2")
-    t = cfg["time"] * cfg["tau"]
-    rows = []
-    for theta in _linspace(0.0, 2.0 * math.pi, cfg["theta_steps"], endpoint=False):
-        report = quadrature_variances(p, t, theta)
-        rows.append([report.theta, report.var_x, report.var_p, report.std_product])
-    _write_table(["theta", "var_x", "var_p", "std_product"], rows, cfg)
-    return 0
+def cmd_quadratures(args: argparse.Namespace) -> Table:
+    return _theta_table(_drive(args), args.time * args.tau, args.theta_steps)
 
 
-def cmd_fock_check(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, "fock-check")
-    p = _drive(cfg)
-    kappa = cfg["kappa"]
+def cmd_fock_check(args: argparse.Namespace) -> Table:
+    p = _drive(args)
+    kappa = args.kappa
     if kappa < 0.0:
         raise ValueError(f"kappa must be >= 0, got {kappa!r}")
-    times = _grid(cfg)
+    times = _grid(args)
     # both engines hold the state the pulse actually reaches from the
     # vacuum, a squeezed vacuum of squeeze parameter at most zeta
-    dim = cfg["fock_dim"]
+    dim = args.fock_dim
     if dim is None:
-        dim = choose_truncation(0.5 * cfg["zeta"], cfg["tail_tol"])
+        dim = choose_truncation(0.5 * args.zeta, args.tail_tol)
     if kappa == 0.0:
         if dim > VECTOR_LEVEL_LIMIT:
             raise ValueError(
-                f"the vector ladder needs {dim} levels (zeta {cfg['zeta']:g}, "
-                f"--tail-tol {cfg['tail_tol']:g}), above the {VECTOR_LEVEL_LIMIT}-level "
+                f"the vector ladder needs {dim} levels (zeta {args.zeta:g}, "
+                f"--tail-tol {args.tail_tol:g}), above the {VECTOR_LEVEL_LIMIT}-level "
                 "limit of the lossless engine, whose work grows as the square of the "
                 "ladder size"
             )
@@ -278,7 +189,7 @@ def cmd_fock_check(args: argparse.Namespace) -> int:
         n_ref = list(ref.n)
     columns = ["t", "n", "re_s", "im_s", "var_x_min", "tail_mass", "n_ref", "abs_err"]
     ratio = None
-    if cfg["ergotropy"]:
+    if args.ergotropy:
         final = traj.final_state
         ratio = ergotropy(final, p.omega_b) / (p.omega_b * final.mean_population())
         columns.append("ergotropy_ratio")
@@ -297,8 +208,7 @@ def cmd_fock_check(args: argparse.Namespace) -> int:
         if ratio is not None:
             row.append(ratio)
         rows.append(row)
-    _write_table(columns, rows, cfg)
-    return 0
+    return columns, rows
 
 
 def _sweep_row(zeta: float, tau: float, omega_b: float, alpha: float) -> list[float]:
@@ -315,129 +225,124 @@ def _sweep_row(zeta: float, tau: float, omega_b: float, alpha: float) -> list[fl
     ]
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, "sweep")
-    zetas = _float_list(cfg["zetas"], "--zetas")
-    alphas = _float_list(cfg["alpha"], "--alpha")
+def cmd_sweep(args: argparse.Namespace) -> Table:
+    zetas = _float_list(args.zetas, "--zetas")
+    alphas = _float_list(args.alpha, "--alpha")
     if len(alphas) != 1:
         raise ValueError("sweep takes a single --alpha")
-    if cfg["threads"] < 1:
+    if args.threads < 1:
         raise ValueError("--threads must be at least 1")
-    rows = [_sweep_row(z, cfg["tau"], cfg["omega_b"], alphas[0]) for z in zetas]
-    _write_table(
-        ["zeta", "e_max", "t_alpha", "t_p", "p_max", "p_max_estimate", "p_avg_fwhm"],
-        rows,
-        cfg,
-    )
-    return 0
+    rows = [_sweep_row(z, args.tau, args.omega_b, alphas[0]) for z in zetas]
+    return ["zeta", "e_max", "t_alpha", "t_p", "p_max", "p_max_estimate", "p_avg_fwhm"], rows
 
 
 def _norm_drive(zeta: float) -> DriveParams:
     return DriveParams(omega_b=1.0, zeta=zeta, pulse=from_name("gaussian", 1.0))
 
 
-def _legend_drives(zetas: list[float]) -> list[DriveParams]:
+def _steps(args: argparse.Namespace) -> int:
+    if args.steps < 2:
+        raise ValueError("--steps must be at least 2")
+    return args.steps
+
+
+def _legend(args: argparse.Namespace) -> tuple[list[float], list[DriveParams]]:
+    zetas = _float_list(args.zetas, "--zetas")
     # each series is normalized by a quantity that vanishes at zeta = 0
     for z in zetas:
         if not z > 0.0:
             raise ValueError(f"--zetas values must be positive for this panel, got {z:g}")
-    return [_norm_drive(z) for z in zetas]
+    return zetas, [_norm_drive(z) for z in zetas]
 
 
-def cmd_fig(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, "fig")
-    panel = args.panel
-    zetas = _float_list(cfg["zetas"], "--zetas")
-    steps = cfg["steps"]
-    if steps < 2:
-        raise ValueError("--steps must be at least 2")
+def fig_2a(args: argparse.Namespace) -> Table:
+    zetas, params = _legend(args)
+    rows = []
+    for x in _linspace(-4.0, 4.0, _steps(args)):
+        row = [x]
+        row.extend(stored_energy(p, x) / (math.sinh(p.zeta) ** 2) for p in params)
+        row.append(0.5 if x == 0.0 else float(x > 0.0))
+        rows.append(row)
+    return ["t_over_tau"] + [f"zeta_{z:g}" for z in zetas] + ["delta_limit"], rows
 
-    if panel == "2a":
-        params = _legend_drives(zetas)
-        columns = ["t_over_tau"] + [f"zeta_{z:g}" for z in zetas] + ["delta_limit"]
-        rows = []
-        for x in _linspace(-4.0, 4.0, steps):
-            row = [x]
-            row.extend(stored_energy(p, x) / (math.sinh(p.zeta) ** 2) for p in params)
-            row.append(0.5 if x == 0.0 else float(x > 0.0))
-            rows.append(row)
-    elif panel == "2b":
-        params = _legend_drives(zetas)
-        columns = ["alpha"] + [f"zeta_{z:g}" for z in zetas]
-        rows = [
-            [a] + [charging_time(p, a).t_alpha for p in params]
-            for a in _linspace(0.005, 0.995, steps)
-        ]
-    elif panel == "2c":
-        if cfg["theta_steps"] < 2:
-            raise ValueError("--theta-steps must be at least 2")
-        p = _norm_drive(cfg["zeta"])
-        columns = ["theta", "var_x", "var_p", "std_product"]
-        rows = []
-        for theta in _linspace(0.0, 2.0 * math.pi, cfg["theta_steps"], endpoint=False):
-            report = quadrature_variances(p, 0.0, theta)
-            rows.append([report.theta, report.var_x, report.var_p, report.std_product])
-    elif panel == "3a":
-        params = _legend_drives(zetas)
-        columns = ["t_over_tau"] + [f"zeta_{z:g}" for z in zetas]
-        rows = []
-        for x in _linspace(-4.0, 4.0, steps):
-            row = [x]
-            row.extend(
-                instantaneous_power(p, x) / (p.zeta * math.sinh(2.0 * p.zeta))
-                for p in params
-            )
-            rows.append(row)
-    elif panel == "3b":
-        # libm's pow, not np.logspace: numpy's power is misrounded at 19
-        # of the 401 default points against a decimal reference, libm at 1
-        zgrid = [10.0**x for x in _linspace(-2.0, 2.0, steps)]
-        weak = peak_power_delay_weak_limit()
-        columns = ["zeta", "t_p_over_tau", "lambert_asymptote", "debruijn_approx", "weak_limit"]
-        rows = []
-        for z in zgrid:
-            u = 2.0 * z * z / math.pi
-            rows.append(
-                [
-                    z,
-                    peak_power_time(_norm_drive(z)),
-                    math.sqrt(lambert_w0(u)),
-                    math.sqrt(debruijn_w_approx(u)) if u > math.e else math.nan,
-                    weak,
-                ]
-            )
-    elif panel == "3c":
-        columns = ["zeta", "p_max", "p_max_estimate"]
-        rows = []
-        for z in _linspace(0.1, 8.0, steps):
-            p = _norm_drive(z)
-            t_p = peak_power_time(p)
-            rows.append([z, instantaneous_power(p, t_p), peak_power_estimate(p)])
-    else:  # pragma: no cover - argparse restricts the choices
-        raise ValueError(f"unknown panel {panel!r}")
 
-    _write_table(columns, rows, cfg)
-    return 0
+def fig_2b(args: argparse.Namespace) -> Table:
+    zetas, params = _legend(args)
+    rows = [
+        [a] + [charging_time(p, a).t_alpha for p in params]
+        for a in _linspace(0.005, 0.995, _steps(args))
+    ]
+    return ["alpha"] + [f"zeta_{z:g}" for z in zetas], rows
+
+
+def fig_2c(args: argparse.Namespace) -> Table:
+    return _theta_table(_norm_drive(args.zeta), 0.0, args.theta_steps)
+
+
+def fig_3a(args: argparse.Namespace) -> Table:
+    zetas, params = _legend(args)
+    rows = []
+    for x in _linspace(-4.0, 4.0, _steps(args)):
+        row = [x]
+        row.extend(instantaneous_power(p, x) / (p.zeta * math.sinh(2.0 * p.zeta)) for p in params)
+        rows.append(row)
+    return ["t_over_tau"] + [f"zeta_{z:g}" for z in zetas], rows
+
+
+def fig_3b(args: argparse.Namespace) -> Table:
+    # libm's pow, not np.logspace: numpy's power is misrounded at 19
+    # of the 401 default points against a decimal reference, libm at 1
+    zgrid = [10.0**x for x in _linspace(-2.0, 2.0, _steps(args))]
+    weak = peak_power_delay_weak_limit()
+    rows = []
+    for z in zgrid:
+        u = 2.0 * z * z / math.pi
+        rows.append(
+            [
+                z,
+                peak_power_time(_norm_drive(z)),
+                math.sqrt(lambert_w0(u)),
+                math.sqrt(debruijn_w_approx(u)) if u > math.e else math.nan,
+                weak,
+            ]
+        )
+    return ["zeta", "t_p_over_tau", "lambert_asymptote", "debruijn_approx", "weak_limit"], rows
+
+
+def fig_3c(args: argparse.Namespace) -> Table:
+    rows = []
+    for z in _linspace(0.1, 8.0, _steps(args)):
+        p = _norm_drive(z)
+        t_p = peak_power_time(p)
+        rows.append([z, instantaneous_power(p, t_p), peak_power_estimate(p)])
+    return ["zeta", "p_max", "p_max_estimate"], rows
 
 
 def _add_out_args(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--format", dest="fmt", choices=("csv", "json"), default=None)
+    sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.add_argument("--out", default=None, help="output path (default: stdout)")
-    sp.add_argument("--config", default=None, help="flat key=value file with defaults; flags win")
+    sp.add_argument("--config", default=None, help="flat key=value file read as --key=value flags before the command line's own, which win")
 
 
 def _add_drive_args(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--zeta", type=float, default=None, help="dimensionless drive strength")
-    sp.add_argument("--tau", type=float, default=None, help="pulse width")
-    sp.add_argument("--omega-b", dest="omega_b", type=float, default=None, help="battery level spacing")
-    sp.add_argument("--omega-d", dest="omega_d", type=float, default=None, help="half the carrier frequency (default: omega_b)")
-    sp.add_argument("--pulse", choices=PULSE_NAMES, default=None)
+    sp.add_argument("--zeta", type=float, default=1.0, help="dimensionless drive strength")
+    sp.add_argument("--tau", type=float, default=1.0, help="pulse width")
+    sp.add_argument("--omega-b", type=float, default=1.0, help="battery level spacing")
+    sp.add_argument("--omega-d", type=float, default=None, help="half the carrier frequency (default: omega_b)")
+    sp.add_argument("--pulse", choices=PULSE_NAMES, default="gaussian")
 
 
-def _add_grid_args(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--t-min", dest="t_min", type=float, default=None, help="grid start, units of tau")
-    sp.add_argument("--t-max", dest="t_max", type=float, default=None, help="grid end, units of tau")
-    sp.add_argument("--steps", type=int, default=None, help="number of grid points")
+def _add_grid_args(sp: argparse.ArgumentParser, t_min: float, t_max: float, steps: int) -> None:
+    sp.add_argument("--t-min", type=float, default=t_min, help="grid start, units of tau")
+    sp.add_argument("--t-max", type=float, default=t_max, help="grid end, units of tau")
+    sp.add_argument("--steps", type=int, default=steps, help="number of grid points")
+
+
+def _true_or_false(text: str) -> bool:
+    value = text.strip().lower()
+    if value not in ("true", "false"):
+        raise argparse.ArgumentTypeError(f"expected true or false, got {text!r}")
+    return value == "true"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -445,78 +350,103 @@ def build_parser() -> argparse.ArgumentParser:
         prog="qbattery",
         description="Two-photon charging of a bosonic quantum battery: "
         "energies, powers, charging times, squeezing and Fock-space checks.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("energy", help="normalized stored energy on a time grid")
-    _add_drive_args(sp)
-    _add_grid_args(sp)
-    _add_out_args(sp)
-    sp.set_defaults(func=cmd_energy)
+    def command(subparsers, name: str, func, what: str, drive: bool = False):
+        sp = subparsers.add_parser(name, help=what, allow_abbrev=False)
+        if drive:
+            _add_drive_args(sp)
+        sp.set_defaults(func=func)
+        return sp
 
-    sp = sub.add_parser("power", help="instantaneous charging power on a time grid")
-    _add_drive_args(sp)
-    _add_grid_args(sp)
+    sp = command(sub, "energy", cmd_energy, "normalized stored energy on a time grid", drive=True)
+    _add_grid_args(sp, -4.0, 4.0, 201)
     _add_out_args(sp)
-    sp.set_defaults(func=cmd_power)
 
-    sp = sub.add_parser("charge-time", help="times at which given charge fractions are reached")
-    _add_drive_args(sp)
-    sp.add_argument("--alpha", default=None, help="comma-separated fractions in (0, 1)")
+    sp = command(sub, "power", cmd_power, "instantaneous charging power on a time grid", drive=True)
+    _add_grid_args(sp, -4.0, 4.0, 201)
     _add_out_args(sp)
-    sp.set_defaults(func=cmd_charge_time)
 
-    sp = sub.add_parser("peak-power", help="delay and height of the power maximum")
-    _add_drive_args(sp)
+    sp = command(sub, "charge-time", cmd_charge_time, "times at which given charge fractions are reached", drive=True)
+    sp.add_argument("--alpha", default="0.1,0.5,0.9", help="comma-separated fractions in (0, 1)")
     _add_out_args(sp)
-    sp.set_defaults(func=cmd_peak_power)
 
-    sp = sub.add_parser("quadratures", help="twisted quadrature variances at one instant")
-    _add_drive_args(sp)
-    sp.add_argument("--time", type=float, default=None, help="snapshot instant, units of tau")
-    sp.add_argument("--theta-steps", dest="theta_steps", type=int, default=None)
+    sp = command(sub, "peak-power", cmd_peak_power, "delay and height of the power maximum", drive=True)
     _add_out_args(sp)
-    sp.set_defaults(func=cmd_quadratures)
 
-    sp = sub.add_parser("fock-check", help="Fock-ladder evolution against the closed form")
-    _add_drive_args(sp)
-    _add_grid_args(sp)
-    sp.add_argument("--kappa", type=float, default=None, help="photon-loss rate; > 0 switches to the lossy engine")
-    sp.add_argument("--tail-tol", dest="tail_tol", type=float, default=None, help="tail mass budget of the squeezed vacuum the pulse reaches (squeeze parameter zeta), used to size the ladder")
-    sp.add_argument("--fock-dim", dest="fock_dim", type=int, default=None, help=f"explicit ladder size (overrides --tail-tol); without --kappa at most {VECTOR_LEVEL_LIMIT}")
-    sp.add_argument("--ergotropy", action="store_true", default=None, help="append the extractable-work ratio of the final state")
+    sp = command(sub, "quadratures", cmd_quadratures, "twisted quadrature variances at one instant", drive=True)
+    sp.add_argument("--time", type=float, default=0.0, help="snapshot instant, units of tau")
+    sp.add_argument("--theta-steps", type=int, default=512)
     _add_out_args(sp)
-    sp.set_defaults(func=cmd_fock_check)
 
-    sp = sub.add_parser("sweep", help="summary figures of merit over a list of drive strengths")
-    sp.add_argument("--zetas", default=None, help="comma-separated drive strengths")
-    sp.add_argument("--alpha", default=None, help="charge fraction for the charging-time column")
-    sp.add_argument("--tau", type=float, default=None)
-    sp.add_argument("--omega-b", dest="omega_b", type=float, default=None)
-    sp.add_argument("--threads", type=int, default=None, help="must be >= 1; has no effect (the rows are GIL-bound and computed in order)")
+    sp = command(sub, "fock-check", cmd_fock_check, "Fock-ladder evolution against the closed form", drive=True)
+    _add_grid_args(sp, -8.0, 6.0, 57)
+    sp.add_argument("--kappa", type=float, default=0.0, help="photon-loss rate; > 0 switches to the lossy engine")
+    sp.add_argument("--tail-tol", type=float, default=1e-8, help="tail mass budget of the squeezed vacuum the pulse reaches (squeeze parameter zeta), used to size the ladder")
+    sp.add_argument("--fock-dim", type=int, default=None, help=f"explicit ladder size (overrides --tail-tol); without --kappa at most {VECTOR_LEVEL_LIMIT}")
+    sp.add_argument("--ergotropy", nargs="?", type=_true_or_false, const=True, default=False, metavar="true|false", help="append the extractable-work ratio of the final state")
     _add_out_args(sp)
-    sp.set_defaults(func=cmd_sweep)
 
-    sp = sub.add_parser("fig", help="figure-panel data in normalized units")
-    sp.add_argument("panel", choices=("2a", "2b", "2c", "3a", "3b", "3c"))
-    sp.add_argument("--zetas", default=None, help="legend values for the multi-series panels")
-    sp.add_argument("--zeta", type=float, default=None, help="drive strength for panel 2c")
-    sp.add_argument("--steps", type=int, default=None)
-    sp.add_argument("--theta-steps", dest="theta_steps", type=int, default=None)
+    sp = command(sub, "sweep", cmd_sweep, "summary figures of merit over a list of drive strengths")
+    sp.add_argument("--zetas", default="0.5,1,2,4", help="comma-separated drive strengths")
+    sp.add_argument("--alpha", default="0.9", help="charge fraction for the charging-time column")
+    sp.add_argument("--tau", type=float, default=1.0)
+    sp.add_argument("--omega-b", type=float, default=1.0)
+    sp.add_argument("--threads", type=int, default=1, help="must be >= 1; has no effect (the rows are GIL-bound and computed in order)")
     _add_out_args(sp)
-    sp.set_defaults(func=cmd_fig)
+
+    fig = sub.add_parser("fig", help="figure-panel data in normalized units", allow_abbrev=False)
+    panels = fig.add_subparsers(dest="panel", required=True)
+    for name, func, what in (
+        ("2a", fig_2a, "normalized stored energy against time, one series per zeta"),
+        ("2b", fig_2b, "charging time against charge fraction, one series per zeta"),
+        ("2c", fig_2c, "quadrature variances at the pulse peak"),
+        ("3a", fig_3a, "normalized power against time, one series per zeta"),
+        ("3b", fig_3b, "peak-power delay against zeta, with its asymptotes"),
+        ("3c", fig_3c, "peak power against zeta, with its estimate"),
+    ):
+        sp = command(panels, name, func, what)
+        if name in ("2a", "2b", "3a"):
+            sp.add_argument("--zetas", default=FIG_ZETAS, help="comma-separated legend values")
+        if name == "2c":
+            sp.add_argument("--zeta", type=float, default=2.0, help="drive strength")
+            sp.add_argument("--theta-steps", type=int, default=512)
+        else:
+            sp.add_argument("--steps", type=int, default=401, help="number of grid points")
+        _add_out_args(sp)
 
     return parser
 
 
+def _apply_config(
+    parser: argparse.ArgumentParser, argv: list[str], args: argparse.Namespace
+) -> argparse.Namespace:
+    """Parse again with the config file's flags after the command words
+    and before the user's flags, so that argparse checks each config
+    value as it checks its flag and the user's flags win."""
+    flags = _config_flags(args.config)
+    head = 2 if args.command == "fig" else 1
+    args, unused = parser.parse_known_args(argv[:head] + list(flags) + argv[head:])
+    if unused:
+        command = " ".join(argv[:head])
+        raise ValueError(f"config key {flags.get(unused[0], unused[0])!r} is not used by {command!r}")
+    return args
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        if args.config is not None:
+            args = _apply_config(parser, argv, args)
+        _write_table(*args.func(args), args)
     except Exception as exc:
         print(f"qbattery: error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

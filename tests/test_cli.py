@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -389,27 +390,59 @@ def test_json_format(tmp_path):
 
 def test_config_file_precedence(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("zeta = 2\nsteps = 10\n# comment\nt-max = 3\n")
-    out_cfg = tmp_path / "from_cfg.csv"
+    cfg.write_text("zeta = 2\nsteps = 10\n# comment\nt-max = 3\nformat = json\n")
+    out_cfg = tmp_path / "from_cfg.json"
     assert main(["energy", "--config", str(cfg), "--out", str(out_cfg)]) == 0
-    _, rows = read_csv(out_cfg)
-    assert rows.shape[0] == 10
-    assert rows[-1, 0] == 3.0
+    payload = json.loads(out_cfg.read_text())
+    assert payload["columns"] == ["t", "E_over_Emax"]
+    assert len(payload["rows"]) == 10
+    assert payload["rows"][-1][0] == 3.0
 
-    # explicit flag beats the config value
+    # explicit flags beat the config values
     out_flag = tmp_path / "flag_wins.csv"
     assert main(
-        ["energy", "--config", str(cfg), "--steps", "4", "--out", str(out_flag)]
+        ["energy", "--config", str(cfg), "--steps", "4", "--format", "csv", "--out", str(out_flag)]
     ) == 0
     _, rows = read_csv(out_flag)
     assert rows.shape[0] == 4
 
 
-def test_config_rejects_unknown_key(tmp_path, capsys):
+def exit_code(argv):
+    """main()'s exit status, argparse's usage errors (SystemExit) included."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize(
+    "text, argv, code, fragment",
+    [
+        pytest.param("zeta=1\nwidget=3\n", ["energy"], 1, "'widget'", id="unknown-key"),
+        pytest.param("fmt = xml\n", ["energy"], 1, "'fmt'", id="fmt-is-no-key"),
+        pytest.param("format = xml\n", ["energy"], 2, "--format", id="format-xml"),
+        pytest.param("ergotropy = maybe\n", ["fock-check"], 2, "--ergotropy", id="ergotropy-maybe"),
+        # no abbreviation: zeta is not read as panel 2a's --zetas
+        pytest.param("zeta = 3\n", ["fig", "2a"], 1, "'zeta'", id="no-abbreviation"),
+    ],
+)
+def test_config_rejects_bad_entries(tmp_path, capsys, text, argv, code, fragment):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("zeta=1\nwidget=3\n")
-    assert main(["energy", "--config", str(cfg)]) == 1
-    assert "widget" in capsys.readouterr().err
+    cfg.write_text(text)
+    assert exit_code(argv + ["--config", str(cfg)]) == code
+    captured = capsys.readouterr()
+    assert fragment in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("value", ["true", "false"])
+def test_config_sets_ergotropy(tmp_path, value):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"zeta = 0.4\nsteps = 3\nergotropy = {value}\n")
+    out = tmp_path / "fock.csv"
+    assert main(["fock-check", "--config", str(cfg), "--out", str(out)]) == 0
+    header, _ = read_csv(out)
+    assert ("ergotropy_ratio" in header) == (value == "true")
 
 
 THETA_STEPS = "--theta-steps must be at least 2"
@@ -437,16 +470,58 @@ def test_delta_pulse_power_fails_cleanly(capsys):
     assert "delta" in capsys.readouterr().err.lower()
 
 
-def test_usage_error_exits_two():
+@pytest.mark.parametrize(
+    "argv, fragment",
+    [
+        pytest.param(["energy", "--no-such-flag"], "--no-such-flag", id="unknown-flag"),
+        pytest.param(["fig", "9z"], "'9z'", id="unknown-panel"),
+        # each panel takes only the flags it reads
+        pytest.param(["fig", "3b", "--zetas", "0"], "--zetas", id="fig-3b-zetas"),
+        pytest.param(["fig", "2c", "--steps", "1"], "--steps", id="fig-2c-steps"),
+        pytest.param(["fig", "2a", "--zeta", "1"], "--zeta", id="fig-2a-zeta"),
+        pytest.param(["fock-check", "--ergotropy", "maybe"], "--ergotropy", id="ergotropy-maybe"),
+    ],
+)
+def test_usage_error_exits_two(capsys, argv, fragment):
     with pytest.raises(SystemExit) as exc:
-        main(["energy", "--no-such-flag"])
+        main(argv)
     assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["fig", "9z"])
-    assert exc.value.code == 2
+    assert fragment in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("panel", ["2a", "2b", "2c", "3a", "3b", "3c"])
+FIG_PANELS = ["2a", "2b", "2c", "3a", "3b", "3c"]
+COMMANDS = ["energy", "power", "charge-time", "peak-power", "quadratures", "fock-check", "sweep", "fig"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[]] + [[c] for c in COMMANDS] + [["fig", p] for p in FIG_PANELS],
+    ids=lambda argv: "-".join(["qbattery", *argv]),
+)
+def test_help_renders(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.strip()
+
+
+def test_readme_command_line_runs(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("qbattery ")]
+    assert len(lines) >= 9
+    for i, line in enumerate(lines):
+        argv = shlex.split(line, comments=True)[1:]
+        out = tmp_path / f"{i}.out"
+        if "--out" in argv:
+            argv[argv.index("--out") + 1] = str(out)
+        else:
+            argv += ["--out", str(out)]
+        assert main(argv) == 0, line
+        assert out.read_text(), line
+
+
+@pytest.mark.parametrize("panel", FIG_PANELS)
 def test_fig_panels_emit_and_are_fast(tmp_path, panel):
     out = tmp_path / f"fig{panel}.csv"
     start = time.perf_counter()
