@@ -358,7 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp = subparsers.add_parser(name, help=what, allow_abbrev=False)
         if drive:
             _add_drive_args(sp)
-        sp.set_defaults(func=func)
+        # main reports a flag this parser refuses with its usage line
+        sp.set_defaults(func=func, parser=sp)
         return sp
 
     sp = command(sub, "energy", cmd_energy, "normalized stored energy on a time grid", drive=True)
@@ -438,7 +439,9 @@ def _apply_config(
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = parser.parse_args(argv)
+    args, unknown = parser.parse_known_args(argv)
+    if unknown:
+        args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         if args.config is not None:
             args = _apply_config(parser, argv, args)

@@ -91,9 +91,7 @@ class IntegrationError(RuntimeError):
     """Adaptive integration failed (step-size underflow or solver breakdown)."""
 
 
-def _rk45(
-    rhs, t_span, y0, acc: Accuracy, max_step: float, label: str, *, observe=None, **options
-):
+def _rk45(rhs, t_span, y0, acc: Accuracy, max_step: float, label: str, *, rows=None, **options):
     """Integrate ``rhs`` over ``t_span`` with scipy's RK45 pair at the
     tolerances of ``acc``; ``options`` go to ``solve_ivp`` unchanged.
 
@@ -102,12 +100,12 @@ def _rk45(
     never loads scipy, and whatever ``scipy.integrate.solve_ivp`` is bound
     to at that moment is what runs.
 
-    ``observe(t, Y)``, when given, reduces each block of ``t_eval``
-    samples, one column of ``Y`` per instant of ``t``, to what the caller
-    keeps, and ``sol.y`` stacks only what it returns. It rides inside the
-    same ``solve_ivp`` call (:func:`_observing_rk45`), so the steps, the
-    right-hand-side calls and the interpolated samples are the ones the
-    plain call makes.
+    ``rows``, given with ``t_eval``, indexes the rows of the state that
+    are sampled: each step's interpolant is evaluated on those rows alone,
+    ``sol.y`` stacks only them, and ``sol.y_end`` is the whole state at
+    the end of ``t_span``. It rides inside the same ``solve_ivp`` call
+    (:func:`_row_rk45`), so the steps and the right-hand-side calls are
+    the ones the plain call makes.
 
     Raises
     ------
@@ -116,10 +114,10 @@ def _rk45(
     """
     from scipy.integrate import solve_ivp
 
-    method = "RK45"
-    if observe is not None:
-        method = _observing_rk45()
-        options["observe"] = observe
+    method, end = "RK45", []
+    if rows is not None:
+        method = _row_rk45()
+        options.update(rows=rows, end=end)
     sol = solve_ivp(
         rhs,
         t_span,
@@ -132,33 +130,45 @@ def _rk45(
     )
     if not sol.success:
         raise IntegrationError(f"{label}: {sol.message}")
+    if rows is not None:
+        (sol.y_end,) = end
     return sol
 
 
 @functools.cache
-def _observing_rk45() -> type:
-    """scipy's RK45 with its dense output passed through ``observe``.
+def _row_rk45() -> type:
+    """scipy's RK45 with its dense output cut to ``rows``.
 
     ``solve_ivp`` evaluates a step's dense output at the ``t_eval``
-    instants the step passed and keeps what it returns, so with
-    ``observe(t, Y)`` between the two only the observed rows of each
-    sample outlive the step. ``observe`` arrives as a solver option, which
-    ``solve_ivp`` hands to the solver class it is given as ``method``.
-    Built on first use, since scipy loads only when an ODE runs.
+    instants the step passed and keeps what it returns. Here the
+    interpolant is scipy's own, built from the ``rows`` columns of the
+    stage derivatives alone, so a step interpolates no more than it keeps.
+    The solver's state after its last step is appended to ``end``. Both
+    arrive as solver options, which ``solve_ivp`` hands to the solver
+    class it is given as ``method``. Built on first use, since scipy
+    loads only when an ODE runs.
     """
     from scipy.integrate import RK45
+    from scipy.integrate._ivp.rk import RkDenseOutput
 
-    class ObservingRK45(RK45):
-        def __init__(self, fun, t0, y0, t_bound, *, observe, **options):
+    class RowRK45(RK45):
+        def __init__(self, fun, t0, y0, t_bound, *, rows, end, **options):
             super().__init__(fun, t0, y0, t_bound, **options)
-            self.observe = observe
+            self.rows = rows
+            self.end = end
 
-        def dense_output(self):
-            dense = super().dense_output()
-            observe = self.observe
-            return lambda t: observe(t, dense(t))
+        def step(self):
+            message = super().step()
+            if self.status == "finished":
+                self.end.append(self.y)
+            return message
 
-    return ObservingRK45
+        def _dense_output_impl(self):
+            rows = self.rows
+            Q = self.K[:, rows].T.dot(self.P)
+            return RkDenseOutput(self.t_old, self.t, self.y_old[rows], Q)
+
+    return RowRK45
 
 
 def _csv_text(columns: list[str], rows) -> str:

@@ -35,9 +35,14 @@ for S, j > k for T) as float64, diagonal by diagonal, one class per
 (part, parity) that is nonzero at the start; a class that starts at
 zero stays exactly zero. From the vacuum that is the even diagonals of
 S alone, about a quarter of the dim^2 entries, and any state takes at
-most dim^2 reals. Before allocating, the engine compares the bytes the
-run needs with the smaller of physical RAM and the RLIMIT_AS soft limit
-and fails at once if they do not fit.
+most dim^2 reals. Only the rows the observables read are interpolated
+at the sample instants. Once stepping ends the solver and the stencil
+are freed, and the complex rho is built for the final state; its
+spectrum, which sigma shares, comes from sigma's two blocks of even and
+of odd levels whenever only even diagonals are stored. Before
+allocating, the engine compares the bytes the run needs with the
+smaller of physical RAM and the RLIMIT_AS soft limit and fails at once
+if they do not fit.
 
 numpy is bound lazily, as in :mod:`qbattery.dynamics`: importing this
 module runs none of it, and :func:`choose_truncation` is pure Python, so
@@ -48,6 +53,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import gc
 import math
 import os
 import resource
@@ -122,17 +128,19 @@ _EIGHTH_TURNS = (
 _S, _T = 0, 1
 
 # Arrays the size of the stored Lindblad state that can be alive at once
-# besides the stencil, the kept final sample and one step's interpolated
-# samples. While the stencil is built: the entry coordinates and one
-# neighbour's index, weight and mask arrays. While RK45 steps: its seven
-# stages, y, y_old and f, a stage's increment and trial state, the
-# error-norm temporaries, the four-column dense-output matrix and the
-# right-hand side's temporaries. tracemalloc peaks at dims 60-454 on the
+# besides the stencil, the observed rows and one step's interpolated rows.
+# While the stencil is built: the initial state, the entry coordinates,
+# one neighbour's index, weight and mask arrays, and the intp columns
+# with their int32 copy. While RK45 steps: its seven stages, y, y_old and
+# f, a stage's increment and trial state, the error-norm temporaries and
+# the right-hand side's temporaries; the dense output takes the stages of
+# the observed rows alone. tracemalloc peaks at dims 60-454 on the
 # 57-point fock-check grid, from the vacuum and from a complex state,
-# less those named above and the observed rows, came to 12.6-17.1
-# copies; the rest is headroom for other numpy and scipy versions, and
-# the tests hold the bound against the measured peaks.
-_WORK_COPIES = 24
+# less those named above, came to 9.2-16.5 copies while stepping and at
+# most 13.7 while the stencil is built; the rest is headroom for other
+# numpy and scipy versions, and the tests hold the bound against the
+# measured peaks.
+_WORK_COPIES = 20
 
 # The stencil: the drive's four weights per entry, their int32 column
 # indices and row pointers, the jump weights and the damping rates.
@@ -142,11 +150,15 @@ _STENCIL_COPIES = 9
 # temporaries the size of one block.
 _HERMITICITY_ROWS = 32
 
-# Arrays of dim^2 complex numbers alive at once after the run: rho and
-# the FockDensity copy with the row blocks of its Hermiticity check, then
-# that copy and eigvalsh's. tracemalloc measured 2.2-3.0 at dims 100-454,
-# falling with dim as the 32-row blocks shrink against the matrix.
-_FINAL_COPIES = 3
+# Arrays of dim^2 complex numbers alive at once after the run, once the
+# solver and the stencil are freed: rho with the row blocks of its
+# Hermiticity check, then rho and eigvalsh's copy of it, which numpy
+# allocates where tracemalloc does not look. From the vacuum eigvalsh
+# sees two parity blocks of a quarter of the entries, real, instead.
+# tracemalloc measured 1.2-1.5 at dims 200-454 from the vacuum, and
+# 1.4-1.7 at dims 200-300 from a complex state before eigvalsh's copy;
+# the Hermiticity blocks shrink against the matrix as dim grows.
+_FINAL_COPIES = 2
 
 
 class TruncationError(RuntimeError):
@@ -203,7 +215,23 @@ class FockDensity:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        m = np.array(self.matrix, dtype=complex, order="C")
+        self._check(np.array(self.matrix, dtype=complex, order="C"))
+
+    @classmethod
+    def _adopt(cls, matrix: np.ndarray, eigenvalues: np.ndarray | None = None) -> "FockDensity":
+        """The density on ``matrix``, a fresh C-ordered complex array that
+        the caller gives up, checked as the constructor checks it but not
+        copied; ``eigenvalues``, when given, is its spectrum in ascending
+        order and seeds :attr:`eigenvalues`."""
+        rho = cls.__new__(cls)
+        rho._check(matrix)
+        if eigenvalues is not None:
+            eigenvalues.flags.writeable = False
+            rho.__dict__["eigenvalues"] = eigenvalues
+        return rho
+
+    def _check(self, m: np.ndarray) -> None:
+        """Freeze ``m`` as the matrix; check its shape, trace and Hermiticity."""
         m.flags.writeable = False
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise ValueError("matrix must be square and nonempty")
@@ -535,21 +563,18 @@ def _lindblad_bytes(dim: int, entries: int, samples: int, per_step: int) -> int:
     ``samples`` instants of which one step interpolates at most
     ``per_step``.
 
-    While RK45 steps: the work arrays, the stencil and the sample kept
-    whole for the final state; one step's samples twice, the dense-output
+    While RK45 steps: the work arrays and the stencil; one step's
+    interpolated rows (at most 3 dim per sample) twice, the dense-output
     product and its scaled copy; and the observed rows of every sample
-    (at most 3 dim of them) twice, since ``solve_ivp`` keeps one block
-    per step and stacks them when the run ends. No full-state sample
-    outlives its step. After the run: the complex rho with the
-    temporaries of its Hermiticity check and of ``eigvalsh``, on top of
-    the observed rows and of the work arrays and the stencil, which the
-    solver's reference cycle can keep alive until the garbage collector
-    runs.
+    twice, since ``solve_ivp`` keeps one block per step and stacks them
+    when the run ends. No full-state sample is ever interpolated. After
+    the run, once the solver and the stencil are freed: the observed rows,
+    the solver's last state, and the complex rho with the temporaries of
+    its Hermiticity check and of ``eigvalsh``.
     """
-    state = 8 * entries * (_WORK_COPIES + _STENCIL_COPIES + 1)
     rows = 8 * 3 * dim * samples
-    stepping = state + 16 * entries * per_step + 2 * rows
-    final = state + rows + 16 * dim * dim * _FINAL_COPIES
+    stepping = 8 * entries * (_WORK_COPIES + _STENCIL_COPIES) + 16 * 3 * dim * per_step + 2 * rows
+    final = rows + 8 * entries + 16 * dim * dim * _FINAL_COPIES
     return max(stepping, final)
 
 
@@ -592,44 +617,86 @@ def _lindblad_stencil(dim: int, start: np.ndarray, classes, kappa: float):
     and -1 in T; a neighbour off the ladder, or on the diagonal of T,
     has weight 0. The right-hand side is then
     damp * y + h * (G @ y) + jump * y[i + 1].
+
+    Each class is written straight into the (entries, 4) blocks G is made
+    of: the weights as float64, which G adopts uncopied, and the columns
+    as intp, which G keeps as an int32 copy. The intp block is freed on
+    return, before RK45 steps, and on glibc that matters: freeing a block
+    that large raises malloc's mmap and trim thresholds above the size of
+    the state, which keeps the solver's state-sized temporaries on the heap.
+    Built in int32 directly, at dim 454, every such temporary came back
+    from the kernel: 930 000 page faults doubled the stepping time.
     """
     from scipy.sparse import csr_matrix
 
-    idx, weight, jump, damp = [], [], [], []
+    entries = sum(_class_size(dim, part, parity) for part, parity in classes)
+    cols = np.zeros((entries, 4), dtype=np.intp)
+    weights = np.zeros((entries, 4))
+    jump = np.empty(entries)
+    damp = np.empty(entries)
+    first = 0
     for part, parity in classes:
         diagonals = np.asarray(_class_diagonals(dim, part, parity))
         lengths = dim - diagonals
-        d = np.repeat(diagonals, lengths)
-        k = np.arange(d.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-        j = k + d
+        size = int(lengths.sum())
+        rows = slice(first, first + size)
+        first += size
+        k = np.arange(size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+        j = k + np.repeat(diagonals, lengths)
         lowest = 0 if part == _S else 1
-        mirror = 1.0 if part == _S else -1.0
-        class_idx = np.zeros((d.size, 4), dtype=np.intp)
-        class_weight = np.zeros((d.size, 4))
-        for col, (a, b, coeff) in enumerate(
-            (
-                (j + 2, k, -np.sqrt((j + 1.0) * (j + 2.0))),
-                (j - 2, k, np.sqrt(j * (j - 1.0))),
-                (j, k - 2, np.sqrt(k * (k - 1.0))),
-                (j, k + 2, -np.sqrt((k + 1.0) * (k + 2.0))),
-            )
-        ):
+        class_cols, class_weights = cols[rows], weights[rows]
+        for col, (a, b, coeff) in enumerate(_drive_neighbours(j, k)):
             lo = np.minimum(a, b)
             off = np.abs(a - b)
             ok = (lo >= 0) & (lo + off < dim) & (off >= lowest)
-            class_idx[ok, col] = start[part, off[ok]] + lo[ok]
-            class_weight[ok, col] = np.where(a >= b, coeff, mirror * coeff)[ok]
-        idx.append(class_idx)
-        weight.append(class_weight)
-        jump.append(np.where(j + 1 < dim, kappa * np.sqrt((j + 1.0) * (k + 1.0)), 0.0))
-        damp.append(-0.5 * kappa * (j + k))
-    idx = np.concatenate(idx).ravel()
-    entries = idx.size // 4
+            class_cols[ok, col] = start[part, off[ok]] + lo[ok]
+            if part == _T:
+                np.negative(coeff, out=coeff, where=a < b)
+            class_weights[ok, col] = coeff[ok]
+        jump[rows] = np.where(j + 1 < dim, kappa * np.sqrt((j + 1.0) * (k + 1.0)), 0.0)
+        damp[rows] = -0.5 * kappa * (j + k)
     drive = csr_matrix(
-        (np.concatenate(weight).ravel(), idx, np.arange(0, idx.size + 1, 4)),
+        (weights.reshape(-1), cols.reshape(-1), np.arange(0, 4 * entries + 1, 4)),
         shape=(entries, entries),
+        copy=False,
     )
-    return drive, np.concatenate(jump)[:-1], np.concatenate(damp)
+    return drive, jump[:-1], damp
+
+
+def _drive_neighbours(j: np.ndarray, k: np.ndarray):
+    """The neighbours (J + 2, K), (J - 2, K), (J, K - 2), (J, K + 2) of
+    the entries (J, K) under [A, .], with their weights, one at a time."""
+    yield j + 2, k, -np.sqrt((j + 1.0) * (j + 2.0))
+    yield j - 2, k, np.sqrt(j * (j - 1.0))
+    yield j, k - 2, np.sqrt(k * (k - 1.0))
+    yield j, k + 2, -np.sqrt((k + 1.0) * (k + 2.0))
+
+
+def _parity_block_spectrum(last: np.ndarray, start: np.ndarray, dim: int) -> np.ndarray:
+    """Eigenvalues, ascending, of the stored sigma when only its even
+    diagonals are stored.
+
+    sigma[j, k] then vanishes unless j - k is even, so the levels of each
+    parity form a block of their own, and the spectrum is that of the two
+    blocks. Only their lower triangles are written, since ``eigvalsh``
+    reads no more; the blocks are real unless T is stored.
+    """
+    dtype = complex if np.any(start[_T] >= 0) else float
+    spectra = []
+    for first in (0, 1):
+        size = (dim + 1 - first) // 2
+        block = np.zeros((size, size), dtype=dtype)
+        flat = block.reshape(-1)
+        for m in range(size):
+            # sigma[k + 2m, k] for k of this parity: diagonal m of the block
+            below = flat[m * size :: size + 1]
+            d = 2 * m
+            if start[_S, d] >= 0:
+                below.real = last[start[_S, d] + first : start[_S, d] + dim - d : 2]
+            if start[_T, d] >= 0:
+                below.imag = last[start[_T, d] + first : start[_T, d] + dim - d : 2]
+        spectra.append(np.linalg.eigvalsh(block))
+    return np.sort(np.concatenate(spectra))
 
 
 def evolve_lindblad(
@@ -664,9 +731,13 @@ def evolve_lindblad(
     most dim^2 reals. Nothing is stepped in complex arithmetic. The
     right-hand side is one gather stencil built once
     (:func:`_lindblad_stencil`). Observables are read off the stored
-    diagonals: inside the solver's step, each sample is cut down to the
-    populations and the d = 2 diagonals, and only the last one is kept
-    whole. The full complex rho is built only for ``final_state``.
+    diagonals: each step's interpolant is evaluated on the populations
+    and the d = 2 diagonals alone, and the solver's last state is kept
+    whole. The solver and the stencil are freed before the full complex
+    rho is built for ``final_state``. rho's spectrum is sigma's, and when
+    only even diagonals are stored, as from the vacuum, sigma splits into
+    the levels of even and of odd j, so the spectrum comes from two blocks
+    of a quarter of the entries each (:func:`_parity_block_spectrum`).
 
     Before anything of size dim^2 or of the stored size is allocated,
     the bytes the run needs (:func:`_lindblad_bytes`) are compared with
@@ -746,22 +817,19 @@ def evolve_lindblad(
         return out
 
     # the rows the trajectory reads: the populations, which are the d = 0
-    # diagonal of S, and the d = 2 diagonals of S and, when stored, of T;
-    # the sample at times[-1] is kept whole for the final state
-    read = [slice(0, dim), slice(start[_S, 2], start[_S, 2] + dim - 2)]
+    # diagonal of S, and the d = 2 diagonals of S and, when stored, of T
+    read = [np.arange(dim), np.arange(start[_S, 2], start[_S, 2] + dim - 2)]
     if start[_T, 2] >= 0:
-        read.append(slice(start[_T, 2], start[_T, 2] + dim - 2))
-    kept = []
-
-    def observe(t, y):
-        if t[-1] == times[-1]:
-            kept.append(y[:, -1].copy())
-        return np.concatenate([y[rows] for rows in read])
+        read.append(np.arange(start[_T, 2], start[_T, 2] + dim - 2))
 
     span = (times[0], times[-1])
     label = "lossy evolution failed"
-    y = _rk45(rhs, span, y0, acc, max_step, label, t_eval=times, observe=observe).y
-    (last,) = kept
+    sol = _rk45(rhs, span, y0, acc, max_step, label, t_eval=times, rows=np.concatenate(read))
+    y, last = sol.y, sol.y_end
+    # scipy's solver holds its work arrays, and through rhs the stencil, in
+    # a reference cycle; free them before the final state is built on top
+    del sol, rhs, drive, jump, damp, y0
+    gc.collect()
 
     pops, pairs = y[:dim], y[dim:]
     # <bb> = sum_j lower[j] rho[j+2, j], and rho[j+2, j] = -i sigma[j+2, j]
@@ -769,6 +837,9 @@ def evolve_lindblad(
     s = -1j * (lower @ pairs[: dim - 2])
     if start[_T, 2] >= 0:
         s += lower @ pairs[dim - 2 :]
+    # sigma = e^(i pi n/4) rho e^(-i pi n/4) has rho's spectrum; with only
+    # its even diagonals stored, as from the vacuum, it splits in two
+    even = all(parity == 0 for _, parity in classes)
 
     def final_state(_traces) -> FockDensity:
         final = np.zeros((dim, dim), dtype=complex)
@@ -782,9 +853,10 @@ def evolve_lindblad(
             below *= _EIGHTH_TURNS[-d % 8]
             if d:
                 flat[d :: dim + 1][: dim - d] = below.conj()
-        final /= np.trace(final).real
-        rho = FockDensity(final)
-        del final, flat, below
+        trace = np.trace(final).real
+        final /= trace
+        spectrum = _parity_block_spectrum(last, start, dim) / trace if even else None
+        rho = FockDensity._adopt(final, spectrum)
         min_eig = rho.min_eigenvalue()
         if min_eig < -positivity_tol:
             raise IntegrationError(

@@ -249,31 +249,28 @@ class TestIntegrateMoments:
 
 
 def test_observer_keeps_the_plain_rows_and_steps():
-    # an observer that keeps two rows of every sample rides on the plain
-    # call's steps and interpolant: the same rows, bit for bit, and the
-    # same right-hand-side calls; scipy only warns about a solver option
-    # it ignores, so warnings are errors here
+    # sampling two rows rides on the plain call's steps and interpolant:
+    # the same rows, bit for bit, and the same right-hand-side calls; the
+    # whole state at the end is the plain solver's last one; scipy only
+    # warns about a solver option it ignores, so warnings are errors here
     rng = np.random.default_rng(7)
     a = rng.normal(size=(6, 6))
     y0 = rng.normal(size=6)
     grid = np.linspace(0.0, 5.0, 23)
-    seen = []
 
     def rhs(t, y):
         return math.cos(3.0 * t) * (a @ y)
 
-    def observe(t, y):
-        seen.append(t)
-        return y[[1, 4]]
-
     plain = _rk45(rhs, (0.0, 5.0), y0, TIGHT, np.inf, "test", t_eval=grid)
+    steps = _rk45(rhs, (0.0, 5.0), y0, TIGHT, np.inf, "test")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        observed = _rk45(rhs, (0.0, 5.0), y0, TIGHT, np.inf, "test", t_eval=grid, observe=observe)
+        observed = _rk45(rhs, (0.0, 5.0), y0, TIGHT, np.inf, "test", t_eval=grid, rows=[1, 4])
     assert plain.nfev > 100
     assert observed.nfev == plain.nfev
-    assert np.array_equal(observed.t, grid) and np.array_equal(np.concatenate(seen), grid)
+    assert np.array_equal(observed.t, grid)
     assert np.array_equal(observed.y, plain.y[[1, 4]])
+    assert np.array_equal(observed.y_end, steps.y[:, -1])
 
 
 class TestAreaLaw:

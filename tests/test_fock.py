@@ -1,5 +1,6 @@
 """Fock-ladder engines against the closed forms and against each other."""
 
+import gc
 import math
 import time
 import tracemalloc
@@ -355,19 +356,96 @@ class TestEvolveLindblad:
         x = rng.normal(size=(120, 60)) + 1j * rng.normal(size=(120, 60))
         rho0 = x @ x.conj().T
         random = FockDensity(0.5 * (rho0 + rho0.conj().T) / np.trace(rho0).real)
-        # steps of at most tau / 2 interpolate at most three 0.25-spaced samples
-        per_step = fock._samples_per_step(grid, 0.5)
-        assert per_step == 3
-        for dim, state, entries in ((200, None, 100 * 101), (120, random, 120**2)):
-            bound = fock._lindblad_bytes(dim, entries, grid.size, per_step)
+        # steps of at most tau / 2 interpolate at most three 0.25-spaced
+        # samples; with 31 more packed into [0, tau / 100], which one step
+        # spans, a step that interpolated whole samples before cutting
+        # them down would overrun the bound
+        assert fock._samples_per_step(grid, 0.5) == 3
+        packed = np.union1d(grid, np.linspace(0.0, 0.01, 31))
+        assert fock._samples_per_step(packed, 0.5) == 33
+        for times, dim, state, entries in (
+            (grid, 200, None, 100 * 101),
+            (grid, 120, random, 120**2),
+            (packed, 200, None, 100 * 101),
+        ):
+            per_step = fock._samples_per_step(times, 0.5)
+            bound = fock._lindblad_bytes(dim, entries, times.size, per_step)
             tracemalloc.start()
             try:
-                evolve_lindblad(gauss_params(1.0), 0.1, dim, grid, initial=state, tail_guard=1.0)
+                evolve_lindblad(gauss_params(1.0), 0.1, dim, times, initial=state, tail_guard=1.0)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
             assert stepped[-1].dtype == np.float64 and stepped[-1].size == entries
             assert peak <= bound, dim
+
+    @pytest.mark.parametrize(
+        "zeta, dim, initial, blocks",
+        [
+            (0.5, 26, "vacuum", True),
+            (2.0, 454, "vacuum", True),
+            # an odd ladder from the vacuum: blocks of 8 and 7 levels
+            (0.5, 15, "vacuum", True),
+            # odd diagonals: no parity blocks, the full matrix instead
+            (0.5, 13, "plus", False),
+            (1.0, 120, "random", False),
+        ],
+    )
+    def test_final_spectrum_matches_the_full_matrix(self, monkeypatch, zeta, dim, initial, blocks):
+        # rho's spectrum is that of the rotated state; from its parity
+        # blocks it matches eigvalsh on the final matrix
+        if initial == "random":
+            rng = np.random.default_rng(5)
+            x = rng.normal(size=(dim, dim // 2)) + 1j * rng.normal(size=(dim, dim // 2))
+            rho0 = x @ x.conj().T
+            state = FockDensity(0.5 * (rho0 + rho0.conj().T) / np.trace(rho0).real)
+        elif initial == "plus":
+            amp = np.zeros(dim, dtype=complex)
+            amp[:2] = 1.0 / math.sqrt(2.0)
+            state = FockVector(amp)
+        else:
+            state = None
+        eigvalsh = np.linalg.eigvalsh
+        shapes = []
+
+        def counting(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        traj = evolve_lindblad(gauss_params(zeta), 0.1, dim, GRID, initial=state, tail_guard=1.0)
+        rho = traj.final_state
+        lam = rho.eigenvalues
+        if blocks:
+            assert sorted(shapes) == [(dim // 2, dim // 2), ((dim + 1) // 2, (dim + 1) // 2)]
+        else:
+            assert shapes == [(dim, dim)]
+        full = eigvalsh(rho.matrix)
+        assert np.max(np.abs(lam - full)) <= 1e-13
+        assert abs(ergotropy(rho, 1.0) - ergotropy(FockDensity(rho.matrix), 1.0)) <= 1e-12
+
+    def test_no_solver_array_outlives_the_run(self):
+        # with automatic collection off, what is still traced after the
+        # run returns is the trajectory and its final state: the solver's
+        # work arrays and the stencil are freed before the final phase
+        grid = np.linspace(-8.0, 6.0, 57)
+        evolve_lindblad(gauss_params(0.3), 0.1, 8, grid[:2])  # load scipy first
+        gc.collect()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            traj = evolve_lindblad(gauss_params(1.0), 0.1, 200, grid)
+            alive = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        kept = sum(
+            getattr(traj, name).nbytes
+            for name in ("times", "n", "s", "var_x_min", "tail_mass", "odd_mass")
+        )
+        kept += traj.final_state.matrix.nbytes + traj.final_state.eigenvalues.nbytes
+        assert alive <= kept + (64 << 10)
 
     def test_emits_no_warning(self):
         # scipy only warns about a solver option it ignores, so every
