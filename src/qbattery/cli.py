@@ -103,7 +103,13 @@ def _grid(args: argparse.Namespace) -> list[float]:
         raise ValueError("the time grid needs at least 2 points")
     if not args.t_min < args.t_max:
         raise ValueError("need t_min < t_max")
-    return _linspace(args.t_min * args.tau, args.t_max * args.tau, args.steps)
+    grid = _linspace(args.t_min * args.tau, args.t_max * args.tau, args.steps)
+    if not all(math.isfinite(t) for t in grid):
+        raise ValueError(
+            f"--t-min {args.t_min:g} and --t-max {args.t_max:g} (units of tau = "
+            f"{args.tau:g}) do not give a finite time grid"
+        )
+    return grid
 
 
 def _write_table(columns: list[str], rows: list[list[float]], args: argparse.Namespace) -> None:
@@ -164,8 +170,6 @@ def cmd_quadratures(args: argparse.Namespace) -> Table:
 def cmd_fock_check(args: argparse.Namespace) -> Table:
     p = _drive(args)
     kappa = args.kappa
-    if kappa < 0.0:
-        raise ValueError(f"kappa must be >= 0, got {kappa!r}")
     times = _grid(args)
     # both engines hold the state the pulse actually reaches from the
     # vacuum, a squeezed vacuum of squeeze parameter at most zeta

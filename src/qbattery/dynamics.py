@@ -325,8 +325,8 @@ def integrate_moments(
         )
     if not t_start < t_end:
         raise ValueError(f"need t_start < t_end, got [{t_start!r}, {t_end!r}]")
-    if kappa < 0.0:
-        raise ValueError(f"kappa must be >= 0, got {kappa!r}")
+    if not (math.isfinite(kappa) and kappa >= 0.0):
+        raise ValueError(f"kappa must be nonnegative and finite, got {kappa!r}")
     if acc is None:
         acc = ODE_ACCURACY
 

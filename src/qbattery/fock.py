@@ -37,12 +37,13 @@ zero stays exactly zero. From the vacuum that is the even diagonals of
 S alone, about a quarter of the dim^2 entries, and any state takes at
 most dim^2 reals. Only the rows the observables read are interpolated
 at the sample instants. Once stepping ends the solver and the stencil
-are freed, and the complex rho is built for the final state; its
-spectrum, which sigma shares, comes from sigma's two blocks of even and
-of odd levels whenever only even diagonals are stored. Before
-allocating, the engine compares the bytes the run needs with the
-smaller of physical RAM and the RLIMIT_AS soft limit and fails at once
-if they do not fit.
+are freed, and the complex rho is built for the final state. Neither
+the drive nor loss couples an even level to an odd one, so from the
+vacuum rho is the direct sum of its even-level and odd-level blocks,
+and :class:`FockDensity` takes the spectrum of any such matrix from the
+two blocks. Before allocating, the engine compares the bytes the run
+needs with the smaller of physical RAM and the RLIMIT_AS soft limit and
+fails at once if they do not fit.
 
 numpy is bound lazily, as in :mod:`qbattery.dynamics`: importing this
 module runs none of it, and :func:`choose_truncation` is pure Python, so
@@ -153,11 +154,12 @@ _HERMITICITY_ROWS = 32
 # Arrays of dim^2 complex numbers alive at once after the run, once the
 # solver and the stencil are freed: rho with the row blocks of its
 # Hermiticity check, then rho and eigvalsh's copy of it, which numpy
-# allocates where tracemalloc does not look. From the vacuum eigvalsh
-# sees two parity blocks of a quarter of the entries, real, instead.
-# tracemalloc measured 1.2-1.5 at dims 200-454 from the vacuum, and
-# 1.4-1.7 at dims 200-300 from a complex state before eigvalsh's copy;
-# the Hermiticity blocks shrink against the matrix as dim grows.
+# allocates where tracemalloc does not look. From the vacuum rho has no
+# entry between an even and an odd level, and eigvalsh copies one parity
+# block of a quarter of the entries at a time instead. tracemalloc
+# measured 1.2-1.5 at dims 200-454 from the vacuum, and 1.4-1.7 at dims
+# 200-300 from a complex state before eigvalsh's copy; the Hermiticity
+# blocks shrink against the matrix as dim grows.
 _FINAL_COPIES = 2
 
 
@@ -218,16 +220,12 @@ class FockDensity:
         self._check(np.array(self.matrix, dtype=complex, order="C"))
 
     @classmethod
-    def _adopt(cls, matrix: np.ndarray, eigenvalues: np.ndarray | None = None) -> "FockDensity":
+    def _adopt(cls, matrix: np.ndarray) -> "FockDensity":
         """The density on ``matrix``, a fresh C-ordered complex array that
         the caller gives up, checked as the constructor checks it but not
-        copied; ``eigenvalues``, when given, is its spectrum in ascending
-        order and seeds :attr:`eigenvalues`."""
+        copied."""
         rho = cls.__new__(cls)
         rho._check(matrix)
-        if eigenvalues is not None:
-            eigenvalues.flags.writeable = False
-            rho.__dict__["eigenvalues"] = eigenvalues
         return rho
 
     def _check(self, m: np.ndarray) -> None:
@@ -256,8 +254,20 @@ class FockDensity:
 
     @functools.cached_property
     def eigenvalues(self) -> np.ndarray:
-        """Eigenvalues in ascending order (read-only)."""
-        lam = np.linalg.eigvalsh(self.matrix)
+        """Eigenvalues in ascending order (read-only).
+
+        A matrix with no entry between an even and an odd level, as every
+        state the pair drive and loss reach from the vacuum, is the direct
+        sum of its even-level and odd-level blocks, so its spectrum is
+        theirs: two calls on a quarter of the entries each instead of one
+        on the whole matrix.
+        """
+        m = self.matrix
+        if self.dim > 1 and not (np.any(m[1::2, ::2]) or np.any(m[::2, 1::2])):
+            blocks = [np.linalg.eigvalsh(m[first::2, first::2]) for first in (0, 1)]
+            lam = np.sort(np.concatenate(blocks))
+        else:
+            lam = np.linalg.eigvalsh(m)
         lam.flags.writeable = False
         return lam
 
@@ -345,6 +355,8 @@ def _validate_times(times) -> np.ndarray:
     arr = np.asarray(times, dtype=float)
     if arr.ndim != 1 or arr.size < 2:
         raise ValueError("times must be a 1-D grid with at least two points")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("times must be finite")
     if np.any(np.diff(arr) <= 0.0):
         raise ValueError("times must be strictly increasing")
     return arr
@@ -672,33 +684,6 @@ def _drive_neighbours(j: np.ndarray, k: np.ndarray):
     yield j, k + 2, -np.sqrt((k + 1.0) * (k + 2.0))
 
 
-def _parity_block_spectrum(last: np.ndarray, start: np.ndarray, dim: int) -> np.ndarray:
-    """Eigenvalues, ascending, of the stored sigma when only its even
-    diagonals are stored.
-
-    sigma[j, k] then vanishes unless j - k is even, so the levels of each
-    parity form a block of their own, and the spectrum is that of the two
-    blocks. Only their lower triangles are written, since ``eigvalsh``
-    reads no more; the blocks are real unless T is stored.
-    """
-    dtype = complex if np.any(start[_T] >= 0) else float
-    spectra = []
-    for first in (0, 1):
-        size = (dim + 1 - first) // 2
-        block = np.zeros((size, size), dtype=dtype)
-        flat = block.reshape(-1)
-        for m in range(size):
-            # sigma[k + 2m, k] for k of this parity: diagonal m of the block
-            below = flat[m * size :: size + 1]
-            d = 2 * m
-            if start[_S, d] >= 0:
-                below.real = last[start[_S, d] + first : start[_S, d] + dim - d : 2]
-            if start[_T, d] >= 0:
-                below.imag = last[start[_T, d] + first : start[_T, d] + dim - d : 2]
-        spectra.append(np.linalg.eigvalsh(block))
-    return np.sort(np.concatenate(spectra))
-
-
 def evolve_lindblad(
     p: DriveParams,
     kappa: float,
@@ -708,7 +693,6 @@ def evolve_lindblad(
     *,
     initial: FockDensity | FockVector | None = None,
     tail_guard: float = 1e-6,
-    positivity_tol: float | None = None,
 ) -> FockTrajectory:
     """Evolve a density matrix under the rotating-frame generator plus
     the zero-temperature loss dissipator kappa (b rho b† - {b†b, rho}/2).
@@ -716,9 +700,10 @@ def evolve_lindblad(
     Defaults to the vacuum; ``initial`` admits any valid state. Trace
     drift is reported in ``norm_drift``. Positivity is monitored, not
     enforced: integration noise puts the lowest eigenvalue of the final
-    state slightly below zero, so the default rejection threshold scales
-    with the relative tolerance, max(1e-8, 100 rel_tol). ``acc`` defaults
-    to :data:`LINDBLAD_ACCURACY`.
+    state slightly below zero, so the rejection threshold scales with the
+    relative tolerance, max(1e-8, 100 rel_tol), and
+    :class:`IntegrationError` is raised below it. ``acc`` defaults to
+    :data:`LINDBLAD_ACCURACY`.
 
     The state is stepped as sigma = e^(i pi n/4) rho e^(-i pi n/4), in
     which the drive is h [A, sigma] with A real and antisymmetric and
@@ -734,10 +719,11 @@ def evolve_lindblad(
     diagonals: each step's interpolant is evaluated on the populations
     and the d = 2 diagonals alone, and the solver's last state is kept
     whole. The solver and the stencil are freed before the full complex
-    rho is built for ``final_state``. rho's spectrum is sigma's, and when
-    only even diagonals are stored, as from the vacuum, sigma splits into
-    the levels of even and of odd j, so the spectrum comes from two blocks
-    of a quarter of the entries each (:func:`_parity_block_spectrum`).
+    rho is built for ``final_state``, normalized to unit trace and handed
+    to :class:`FockDensity` uncopied. When only even diagonals are stored,
+    as from the vacuum, rho couples no even level to an odd one, and
+    :attr:`FockDensity.eigenvalues` takes its spectrum from the two parity
+    blocks.
 
     Before anything of size dim^2 or of the stored size is allocated,
     the bytes the run needs (:func:`_lindblad_bytes`) are compared with
@@ -746,14 +732,12 @@ def evolve_lindblad(
     :class:`MemoryError` naming both byte counts.
     """
     require_resonant(p)
-    if kappa < 0.0:
-        raise ValueError(f"kappa must be >= 0, got {kappa!r}")
+    if not (math.isfinite(kappa) and kappa >= 0.0):
+        raise ValueError(f"kappa must be nonnegative and finite, got {kappa!r}")
     dim = _check_dim(dim)
     times = _validate_times(times)
     if acc is None:
         acc = LINDBLAD_ACCURACY
-    if positivity_tol is None:
-        positivity_tol = max(1e-8, 100.0 * acc.rel_tol)
 
     if initial is None:
         nonzero = {(_S, 0)}
@@ -837,9 +821,6 @@ def evolve_lindblad(
     s = -1j * (lower @ pairs[: dim - 2])
     if start[_T, 2] >= 0:
         s += lower @ pairs[dim - 2 :]
-    # sigma = e^(i pi n/4) rho e^(-i pi n/4) has rho's spectrum; with only
-    # its even diagonals stored, as from the vacuum, it splits in two
-    even = all(parity == 0 for _, parity in classes)
 
     def final_state(_traces) -> FockDensity:
         final = np.zeros((dim, dim), dtype=complex)
@@ -853,12 +834,10 @@ def evolve_lindblad(
             below *= _EIGHTH_TURNS[-d % 8]
             if d:
                 flat[d :: dim + 1][: dim - d] = below.conj()
-        trace = np.trace(final).real
-        final /= trace
-        spectrum = _parity_block_spectrum(last, start, dim) / trace if even else None
-        rho = FockDensity._adopt(final, spectrum)
+        final /= np.trace(final).real
+        rho = FockDensity._adopt(final)
         min_eig = rho.min_eigenvalue()
-        if min_eig < -positivity_tol:
+        if min_eig < -max(1e-8, 100.0 * acc.rel_tol):
             raise IntegrationError(
                 f"final state lost positivity (min eigenvalue {min_eig:.3e}); "
                 "tighten the accuracy or enlarge the ladder"

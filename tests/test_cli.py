@@ -461,12 +461,20 @@ THETA_STEPS = "--theta-steps must be at least 2"
         pytest.param(["fig", "2c", "--theta-steps", "0"], THETA_STEPS, id="theta-steps-zero"),
         pytest.param(["fig", "2a", "--zetas", "0,1"], "--zetas", id="fig-2a-zero-zeta"),
         pytest.param(["fig", "3a", "--zetas", "0,1"], "--zetas", id="fig-3a-zero-zeta"),
+        pytest.param(["fock-check", "--kappa", "-0.1"], "kappa", id="kappa-negative"),
+        pytest.param(["fock-check", "--kappa", "nan"], "kappa", id="kappa-nan"),
+        pytest.param(["fock-check", "--kappa", "inf"], "kappa", id="kappa-inf"),
+        pytest.param(["fock-check", "--t-max", "inf"], "--t-max", id="t-max-inf"),
+        pytest.param(["energy", "--t-min=-1e308", "--t-max=1e308"], "--t-min", id="grid-overflow"),
     ],
 )
 def test_domain_failure_exits_one(capsys, argv, fragment):
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert fragment in captured.err
+    # one diagnostic line, no warning from a computation run on bad input
+    assert captured.err.startswith("qbattery: error:")
+    assert captured.err.count("\n") == 1
     assert captured.out == ""
 
 

@@ -143,8 +143,9 @@ class TestDissipativeRhs:
         assert traj.n[2] == pytest.approx(0.7090319, abs=1e-6)
 
     def test_rejects_negative_kappa(self):
-        with pytest.raises(ValueError):
-            integrate_moments(gauss_params(1.0), -8.0, 6.0, kappa=-1.0)
+        for kappa in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="kappa"):
+                integrate_moments(gauss_params(1.0), -8.0, 6.0, kappa=kappa)
 
 
 class TestAnalyticMoments:

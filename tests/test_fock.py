@@ -89,6 +89,43 @@ class TestStateContainers:
         source[0, 0] = 0.5
         assert rho.matrix[0, 0] == 0.1
 
+    @pytest.mark.parametrize("state", ["even-vector", "odd-amplitude", "even-mixed"])
+    def test_density_spectrum_from_parity_blocks(self, monkeypatch, state):
+        # a matrix with no entry between an even and an odd level is
+        # decomposed block by block, and one odd amplitude on an even
+        # state couples the parities, so the whole matrix is decomposed
+        rng = np.random.default_rng(11)
+        dim = 41
+        if state == "even-mixed":
+            m = np.zeros((dim, dim), dtype=complex)
+            for first in (0, 1):
+                size = (dim + 1 - first) // 2
+                x = rng.normal(size=(size, 3)) + 1j * rng.normal(size=(size, 3))
+                m[first::2, first::2] = x @ x.conj().T
+            m = 0.5 * (m + m.conj().T)
+            rho = FockDensity(m / np.trace(m).real)
+        else:
+            amp = np.zeros(dim, dtype=complex)
+            amp[::2] = rng.normal(size=21) + 1j * rng.normal(size=21)
+            if state == "odd-amplitude":
+                amp[5] = 0.3
+            rho = FockVector(amp / np.linalg.norm(amp)).to_density()
+        eigvalsh = np.linalg.eigvalsh
+        shapes = []
+
+        def counting(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        lam = rho.eigenvalues
+        if state == "odd-amplitude":
+            assert shapes == [(dim, dim)]
+        else:
+            assert shapes == [(21, 21), (20, 20)]
+        assert np.all(np.diff(lam) >= 0.0)
+        assert np.max(np.abs(lam - eigvalsh(rho.matrix))) <= 1e-13
+
     def test_vector_to_density(self):
         amp = np.zeros(6, dtype=complex)
         amp[0] = amp[2] = 1.0 / math.sqrt(2.0)
@@ -472,8 +509,9 @@ class TestEvolveLindblad:
 
     def test_rejects_negative_kappa_and_bad_initial(self):
         p = gauss_params(0.5)
-        with pytest.raises(ValueError):
-            evolve_lindblad(p, -0.1, 16, np.linspace(-6, 6, 5))
+        for kappa in (-0.1, math.nan, math.inf):
+            with pytest.raises(ValueError, match="kappa"):
+                evolve_lindblad(p, kappa, 16, np.linspace(-6, 6, 5))
         amp = np.zeros(8, dtype=complex)
         amp[0] = 1.0
         with pytest.raises(ValueError):
@@ -500,6 +538,25 @@ def test_every_integration_looks_up_solve_ivp_when_it_runs(monkeypatch):
     evolve_full(p, 20, grid)
     evolve_lindblad(p, 0.1, 20, grid)
     assert len(calls) == 4
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda times: evolve_rwa(gauss_params(0.5), 16, times),
+        lambda times: evolve_full(gauss_params(0.5), 16, times),
+        lambda times: evolve_lindblad(gauss_params(0.5), 0.1, 16, times),
+    ],
+    ids=["rwa", "full", "lindblad"],
+)
+def test_engines_refuse_nonfinite_times(run):
+    # a NaN passes the increasing-grid check, and an infinite end
+    # would have the solver step without end
+    start = time.perf_counter()
+    for times in ([-8.0, math.nan], [math.nan, 0.0], [-8.0, math.inf], [-math.inf, 0.0]):
+        with pytest.raises(ValueError, match="times must be finite"):
+            run(times)
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize(
