@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .pulses import DeltaLimit, PulseShape, UnsupportedPulseError
-from .specfun import Accuracy
+from .specfun import Accuracy, _require_finite
 
 __all__ = [
     "ODE_ACCURACY",
@@ -91,21 +91,21 @@ class IntegrationError(RuntimeError):
     """Adaptive integration failed (step-size underflow or solver breakdown)."""
 
 
-def _rk45(rhs, t_span, y0, acc: Accuracy, max_step: float, label: str, *, rows=None, **options):
+def _rk45(
+    rhs, t_span, y0, acc: Accuracy, max_step: float, label: str, times=None, rows=slice(None)
+):
     """Integrate ``rhs`` over ``t_span`` with scipy's RK45 pair at the
-    tolerances of ``acc``; ``options`` go to ``solve_ivp`` unchanged.
+    tolerances of ``acc``, in steps of at most ``max_step``.
 
-    Every ODE in the package goes through here. ``solve_ivp`` is imported
-    on each call, so importing the package (and running the closed forms)
-    never loads scipy, and whatever ``scipy.integrate.solve_ivp`` is bound
-    to at that moment is what runs.
+    Every ODE in the package goes through here: one ``solve_ivp`` call,
+    one solver class (:func:`_row_rk45`), one set of keywords. It is
+    imported on each call, so importing the package never loads scipy,
+    and whatever ``scipy.integrate.solve_ivp`` is bound to then runs.
 
-    ``rows``, given with ``t_eval``, indexes the rows of the state that
-    are sampled: each step's interpolant is evaluated on those rows alone,
-    ``sol.y`` stacks only them, and ``sol.y_end`` is the whole state at
-    the end of ``t_span``. It rides inside the same ``solve_ivp`` call
-    (:func:`_row_rk45`), so the steps and the right-hand-side calls are
-    the ones the plain call makes.
+    Without ``times``, ``sol.t`` and ``sol.y`` are the accepted steps.
+    With ``times`` (``t_eval``), each step's interpolant is evaluated at
+    the instants it passed, on the ``rows`` of the state alone, and
+    ``sol.y`` stacks those rows. ``sol.y_end`` is the whole final state.
 
     Raises
     ------
@@ -114,24 +114,22 @@ def _rk45(rhs, t_span, y0, acc: Accuracy, max_step: float, label: str, *, rows=N
     """
     from scipy.integrate import solve_ivp
 
-    method, end = "RK45", []
-    if rows is not None:
-        method = _row_rk45()
-        options.update(rows=rows, end=end)
+    end = []
     sol = solve_ivp(
         rhs,
         t_span,
         y0,
-        method=method,
+        method=_row_rk45(),
+        t_eval=times,
         rtol=acc.rel_tol,
         atol=acc.abs_tol,
         max_step=max_step,
-        **options,
+        rows=rows,
+        end=end,
     )
     if not sol.success:
         raise IntegrationError(f"{label}: {sol.message}")
-    if rows is not None:
-        (sol.y_end,) = end
+    (sol.y_end,) = end
     return sol
 
 
@@ -142,11 +140,12 @@ def _row_rk45() -> type:
     ``solve_ivp`` evaluates a step's dense output at the ``t_eval``
     instants the step passed and keeps what it returns. Here the
     interpolant is scipy's own, built from the ``rows`` columns of the
-    stage derivatives alone, so a step interpolates no more than it keeps.
-    The solver's state after its last step is appended to ``end``. Both
-    arrive as solver options, which ``solve_ivp`` hands to the solver
-    class it is given as ``method``. Built on first use, since scipy
-    loads only when an ODE runs.
+    stage derivatives alone (all rows: scipy's ``K.T.dot(P)`` exactly),
+    so a step interpolates no more than it keeps. The solver's state
+    after its last step is appended to ``end``. Both arrive as solver
+    options, which ``solve_ivp`` hands to the solver class it is given
+    as ``method``. Built on first use, since scipy loads only when an
+    ODE runs.
     """
     from scipy.integrate import RK45
     from scipy.integrate._ivp.rk import RkDenseOutput
@@ -169,6 +168,19 @@ def _row_rk45() -> type:
             return RkDenseOutput(self.t_old, self.t, self.y_old[rows], Q)
 
     return RowRK45
+
+
+def _validate_times(times, min_points: int) -> np.ndarray:
+    """``times`` as a float array, refused unless it is a finite,
+    strictly increasing 1-D grid of at least ``min_points`` instants."""
+    arr = np.asarray(times, dtype=float)
+    if arr.ndim != 1 or arr.size < min_points:
+        raise ValueError(f"times must be a 1-D grid with at least {min_points} point(s)")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("times must be finite")
+    if np.any(np.diff(arr) <= 0.0):
+        raise ValueError("times must be strictly increasing")
+    return arr
 
 
 def _csv_text(columns: list[str], rows) -> str:
@@ -258,13 +270,11 @@ class MomentTrajectory:
     s: np.ndarray
 
     def __post_init__(self) -> None:
-        times = np.asarray(self.times, dtype=float)
+        times = _validate_times(self.times, 1)
         n = np.asarray(self.n, dtype=float)
         s = np.asarray(self.s, dtype=complex)
         if not (times.size == n.size == s.size):
             raise ValueError("times, n and s must have equal length")
-        if times.size > 1 and np.any(np.diff(times) <= 0.0):
-            raise ValueError("times must be strictly increasing")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "s", s)
@@ -307,14 +317,17 @@ def integrate_moments(
     for the Gaussian envelope (heavier-tailed shapes need an earlier
     start, proportionally to their leftover area).
 
-    ``times``, when given, selects the sample instants (must lie inside
-    the window); otherwise the solver's own accepted steps are returned.
-    The window is split at +-8 tau and the step size is capped inside,
-    so windows reaching deep into the quiet tails cannot step across the
-    pulse.
+    ``times``, when given, selects the sample instants (a finite,
+    increasing grid inside the window); otherwise the solver's own
+    accepted steps are returned. The window is split at +-8 tau and the
+    step size is capped inside, so windows reaching deep into the quiet
+    tails cannot step across the pulse; each part samples the instants
+    it holds and starts from the state the part before it ended in.
 
     Raises
     ------
+    ValueError
+        If ``t_start`` or ``t_end`` is not finite, or ``times`` is no such grid.
     IntegrationError
         If the adaptive solver gives up (e.g. step-size underflow).
     """
@@ -323,6 +336,8 @@ def integrate_moments(
         raise UnsupportedPulseError(
             "the delta-limit pulse has no finite-time envelope; use analytic_moments"
         )
+    t_start = _require_finite("t_start", t_start)
+    t_end = _require_finite("t_end", t_end)
     if not t_start < t_end:
         raise ValueError(f"need t_start < t_end, got [{t_start!r}, {t_end!r}]")
     if not (math.isfinite(kappa) and kappa >= 0.0):
@@ -331,11 +346,7 @@ def integrate_moments(
         acc = ODE_ACCURACY
 
     if times is not None:
-        times = np.asarray(times, dtype=float)
-        if times.ndim != 1 or times.size == 0:
-            raise ValueError("times must be a nonempty 1-D array")
-        if times.size > 1 and np.any(np.diff(times) <= 0.0):
-            raise ValueError("times must be strictly increasing")
+        times = _validate_times(times, 1)
         if times[0] < t_start or times[-1] > t_end:
             raise ValueError("requested times fall outside the integration window")
 
@@ -352,13 +363,16 @@ def integrate_moments(
 
     tau = p.pulse.tau
     hot = 8.0 * tau
-    cuts = sorted({float(t_start), float(t_end), *(b for b in (-hot, hot) if t_start < b < t_end)})
+    cuts = sorted({t_start, t_end, *(b for b in (-hot, hot) if t_start < b < t_end)})
 
     t_parts: list[np.ndarray] = []
     y_parts: list[np.ndarray] = []
     y = np.array([initial.n, initial.s.real, initial.s.imag], dtype=float)
     for a, b in zip(cuts[:-1], cuts[1:]):
         inside_pulse = a < hot and b > -hot
+        window = None
+        if times is not None:
+            window = times[(times >= a) & ((times <= b) if b == cuts[-1] else (times < b))]
         sol = _rk45(
             rhs,
             (a, b),
@@ -366,19 +380,13 @@ def integrate_moments(
             acc,
             0.5 * tau if inside_pulse else np.inf,
             f"moment integration failed on [{a:g}, {b:g}]",
-            dense_output=times is not None,
+            window,
         )
-        if times is None:
-            keep = slice(1, None) if t_parts else slice(None)
+        if len(sol.t):
+            keep = slice(1, None) if t_parts and times is None else slice(None)
             t_parts.append(sol.t[keep])
             y_parts.append(sol.y[:, keep])
-        else:
-            last = b == cuts[-1]
-            sel = (times >= a) & ((times <= b) if last else (times < b))
-            if np.any(sel):
-                t_parts.append(times[sel])
-                y_parts.append(sol.sol(times[sel]))
-        y = sol.y[:, -1]
+        y = sol.y_end
 
     t_all = np.concatenate(t_parts)
     y_all = np.concatenate(y_parts, axis=1)

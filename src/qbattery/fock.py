@@ -56,6 +56,7 @@ import cmath
 import functools
 import gc
 import math
+import operator
 import os
 import resource
 from dataclasses import dataclass
@@ -67,6 +68,7 @@ from .dynamics import (
     _csv_text,
     _lazy,
     _rk45,
+    _validate_times,
     require_resonant,
 )
 from .merit import QuadratureReport
@@ -351,17 +353,6 @@ def _pair_coeffs(dim: int) -> tuple[np.ndarray, np.ndarray]:
     return np.sqrt((n + 1.0) * (n + 2.0)), np.sqrt(n * (n - 1.0))
 
 
-def _validate_times(times) -> np.ndarray:
-    arr = np.asarray(times, dtype=float)
-    if arr.ndim != 1 or arr.size < 2:
-        raise ValueError("times must be a 1-D grid with at least two points")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("times must be finite")
-    if np.any(np.diff(arr) <= 0.0):
-        raise ValueError("times must be strictly increasing")
-    return arr
-
-
 def _pulse_width(p: DriveParams) -> float:
     if isinstance(p.pulse, DeltaLimit):
         raise UnsupportedPulseError(
@@ -433,11 +424,15 @@ def _trajectory(
     )
 
 
-def _check_dim(dim: int) -> int:
-    dim = int(dim)
-    if dim < 6:
-        raise ValueError(f"the Fock dimension must be at least 6, got {dim}")
-    return dim
+def _check_run(dim: int, times, tail_guard: float) -> tuple[int, np.ndarray]:
+    """An engine's ladder size, at least 6 levels, and its sample grid,
+    at least two instants; ``tail_guard`` must be positive."""
+    levels = operator.index(dim)
+    if levels < 6:
+        raise ValueError(f"the Fock dimension must be at least 6, got {dim!r}")
+    if not tail_guard > 0.0:
+        raise ValueError(f"tail_guard must be positive, got {tail_guard!r}")
+    return levels, _validate_times(times, 2)
 
 
 def _evolve_vacuum(
@@ -456,7 +451,7 @@ def _evolve_vacuum(
     psi0[0] = 1.0
     if acc is None:
         acc = FOCK_ACCURACY
-    Y = _rk45(rhs, (times[0], times[-1]), psi0, acc, max_step, label, t_eval=times).y
+    Y = _rk45(rhs, (times[0], times[-1]), psi0, acc, max_step, label, times).y
     lower, _ = _pair_coeffs(dim)
     s = (lower[: dim - 2, None] * np.conj(Y[:-2]) * Y[2:]).sum(axis=0)
     return _trajectory(
@@ -484,8 +479,7 @@ def evolve_rwa(
     ``tail_guard``.
     """
     require_resonant(p)
-    dim = _check_dim(dim)
-    times = _validate_times(times)
+    dim, times = _check_run(dim, times, tail_guard)
 
     lower, raise_ = _pair_coeffs(dim)
     lc = lower[: dim - 2]
@@ -529,8 +523,7 @@ def evolve_full(
     reported n and s live in the same rotating frame as
     :func:`evolve_rwa` and converge to it as omega_b tau grows.
     """
-    dim = _check_dim(dim)
-    times = _validate_times(times)
+    dim, times = _check_run(dim, times, tail_guard)
 
     lower, raise_ = _pair_coeffs(dim)
     lc = lower[: dim - 2]
@@ -734,8 +727,7 @@ def evolve_lindblad(
     require_resonant(p)
     if not (math.isfinite(kappa) and kappa >= 0.0):
         raise ValueError(f"kappa must be nonnegative and finite, got {kappa!r}")
-    dim = _check_dim(dim)
-    times = _validate_times(times)
+    dim, times = _check_run(dim, times, tail_guard)
     if acc is None:
         acc = LINDBLAD_ACCURACY
 
@@ -808,7 +800,7 @@ def evolve_lindblad(
 
     span = (times[0], times[-1])
     label = "lossy evolution failed"
-    sol = _rk45(rhs, span, y0, acc, max_step, label, t_eval=times, rows=np.concatenate(read))
+    sol = _rk45(rhs, span, y0, acc, max_step, label, times, np.concatenate(read))
     y, last = sol.y, sol.y_end
     # scipy's solver holds its work arrays, and through rhs the stencil, in
     # a reference cycle; free them before the final state is built on top

@@ -237,20 +237,23 @@ def average_power_fwhm(p: DriveParams) -> float:
 def quadrature_variances(p: DriveParams, t: float, theta: float) -> QuadratureReport:
     """Lab-frame variances of the twisted quadratures at time t.
 
-    From the moments n, s of :func:`analytic_moments`, with r = 2 zeta A(t):
+    From the moments n, s of :func:`analytic_moments`, with r = 2 zeta A(t)
+    and phi = 2 omega_b t + theta:
 
-        var_x = 1/2 + n - sin(2 omega_b t + theta) |s|
-              = 1/2 + sinh^2(r/2) - sin(2 omega_b t + theta) sinh(r) / 2,
-        var_p = the same with the opposite sign,
+        var_x = 1/2 + n - sin(phi) |s|
+              = [e^r (1 - sin phi) + e^(-r) (1 + sin phi)] / 4,
+        var_p = the same with the sign of sin(phi) flipped,
 
-    and the product of standard deviations touches the 1/2 floor exactly
-    where sin(2 omega_b t + theta) = ±1.
+    summed in the second form, whose terms are nonnegative, so a variance
+    of order e^(-r) is not lost to cancellation at large r. The product of
+    standard deviations touches the 1/2 floor exactly where sin(phi) = ±1.
     """
-    m = analytic_moments(p, t)
-    base = 0.5 + m.n
-    split = math.sin(2.0 * p.omega_b * t + theta) * abs(m.s)
-    var_x = base - split
-    var_p = base + split
+    require_resonant(p)
+    r = 2.0 * p.zeta * p.pulse.area(t)
+    sin_phi = math.sin(2.0 * p.omega_b * t + theta)
+    grow, shrink = math.exp(r), math.exp(-r)
+    var_x = 0.25 * (grow * (1.0 - sin_phi) + shrink * (1.0 + sin_phi))
+    var_p = 0.25 * (grow * (1.0 + sin_phi) + shrink * (1.0 - sin_phi))
     return QuadratureReport(
         theta=theta, var_x=var_x, var_p=var_p, std_product=math.sqrt(var_x * var_p)
     )

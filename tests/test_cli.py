@@ -107,6 +107,21 @@ def test_quadratures_respect_floor(tmp_path):
     assert rows[:, 1].min() < 0.5  # squeezing visible
 
 
+@pytest.mark.parametrize(
+    "argv, zeta",
+    [(["fig", "2c"], 8.0), (["quadratures", "--time", "0"], 20.0)],
+    ids=["fig-2c", "quadratures"],
+)
+def test_strong_squeezing_stays_on_the_floor(tmp_path, argv, zeta):
+    # a squeezed variance of e^-zeta / 2 comes out whole, not as the
+    # cancellation noise of 1/2 + n - |s| below the uncertainty floor
+    out = tmp_path / "quad.csv"
+    assert main([*argv, "--zeta", str(zeta), "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    assert rows[:, 1].min() == pytest.approx(0.5 * math.exp(-zeta), rel=1e-12)
+    assert np.all(rows[:, 3] >= 0.5 - 1e-12)
+
+
 def test_fock_check_schema(tmp_path):
     out = tmp_path / "fock.csv"
     assert main(
@@ -535,6 +550,18 @@ def test_readme_command_line_runs(tmp_path):
             argv += ["--out", str(out)]
         assert main(argv) == 0, line
         assert out.read_text(), line
+
+
+def test_readme_python_api_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Python API", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    names: dict = {}
+    exec(compile(block, "README.md", "exec"), names)
+    assert len(names["traj"]) == 100
+    at_end = names["analytic_moments"](names["p"], 6.0)
+    assert names["traj"].n[-1] == pytest.approx(at_end.n, rel=1e-6)
+    assert names["quad"].var_x == pytest.approx(0.5 * math.exp(-1.0), rel=1e-12)
+    assert names["work"] == pytest.approx(names["fock"].n[-1], rel=1e-6)
 
 
 @pytest.mark.parametrize("panel", FIG_PANELS)

@@ -240,6 +240,26 @@ class TestIntegrateMoments:
         with pytest.raises(UnsupportedPulseError):
             integrate_moments(DriveParams(1.0, 1.0, DeltaLimit()), -1.0, 1.0)
 
+    def test_refuses_nonfinite_window(self):
+        p = gauss_params(1.0)
+        for t_start, t_end, name in (
+            (-8.0, math.inf, "t_end"),
+            (-8.0, math.nan, "t_end"),
+            (-math.inf, 6.0, "t_start"),
+            (math.nan, 6.0, "t_start"),
+        ):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                integrate_moments(p, t_start, t_end)
+        with pytest.raises(ValueError, match="times must be finite"):
+            integrate_moments(p, -8.0, 6.0, times=[math.nan])
+
+    def test_unsampled_windows_still_step(self):
+        # [-12, -8] and [-8, 8] hold no sample; the last window starts
+        # from where they ended
+        traj = integrate_moments(gauss_params(1.0), -12.0, 12.0, TIGHT, times=[10.0])
+        assert traj.times.tolist() == [10.0]
+        assert abs(traj.n[0] - SINH1_SQ) < 1e-8
+
     def test_csv_export(self, tmp_path):
         traj = integrate_moments(gauss_params(1.0), -8.0, 2.0, times=np.linspace(-2, 2, 5))
         out = tmp_path / "traj.csv"
@@ -250,28 +270,41 @@ class TestIntegrateMoments:
 
 
 def test_observer_keeps_the_plain_rows_and_steps():
-    # sampling two rows rides on the plain call's steps and interpolant:
-    # the same rows, bit for bit, and the same right-hand-side calls; the
-    # whole state at the end is the plain solver's last one; scipy only
-    # warns about a solver option it ignores, so warnings are errors here
-    rng = np.random.default_rng(7)
-    a = rng.normal(size=(6, 6))
-    y0 = rng.normal(size=6)
+    # every run goes through the row-cut solver; with all rows it is
+    # scipy's RK45 bit for bit (steps, samples, right-hand-side calls),
+    # two rows are those rows of the same samples, and the whole state at
+    # the end is scipy's last step, for a real and a complex state; scipy
+    # only warns about a solver option it ignores, so warnings are errors
+    from scipy.integrate import solve_ivp
+
     grid = np.linspace(0.0, 5.0, 23)
 
-    def rhs(t, y):
-        return math.cos(3.0 * t) * (a @ y)
+    def check(a, y0):
+        def rhs(t, y):
+            return math.cos(3.0 * t) * (a @ y)
 
-    plain = _rk45(rhs, (0.0, 5.0), y0, TIGHT, np.inf, "test", t_eval=grid)
-    steps = _rk45(rhs, (0.0, 5.0), y0, TIGHT, np.inf, "test")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        observed = _rk45(rhs, (0.0, 5.0), y0, TIGHT, np.inf, "test", t_eval=grid, rows=[1, 4])
-    assert plain.nfev > 100
-    assert observed.nfev == plain.nfev
-    assert np.array_equal(observed.t, grid)
-    assert np.array_equal(observed.y, plain.y[[1, 4]])
-    assert np.array_equal(observed.y_end, steps.y[:, -1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            steps = _rk45(rhs, (0.0, 5.0), y0, TIGHT, np.inf, "test")
+            sampled = _rk45(rhs, (0.0, 5.0), y0, TIGHT, np.inf, "test", grid)
+            observed = _rk45(rhs, (0.0, 5.0), y0, TIGHT, np.inf, "test", grid, [1, 4])
+        plain = solve_ivp(rhs, (0.0, 5.0), y0, "RK45", rtol=1e-12, atol=1e-12)
+        at_grid = solve_ivp(rhs, (0.0, 5.0), y0, "RK45", grid, rtol=1e-12, atol=1e-12)
+        for ours, theirs in ((steps, plain), (sampled, at_grid)):
+            assert ours.y.dtype == y0.dtype
+            assert np.array_equal(ours.t, theirs.t)
+            assert np.array_equal(ours.y, theirs.y)
+            assert ours.nfev == theirs.nfev > 100
+        for run in (steps, sampled, observed):
+            assert np.array_equal(run.y_end, plain.y[:, -1])
+        assert observed.nfev == sampled.nfev
+        assert np.array_equal(observed.t, grid)
+        assert np.array_equal(observed.y, sampled.y[[1, 4]])
+
+    rng = np.random.default_rng(7)
+    a, y0 = rng.normal(size=(6, 6)), rng.normal(size=6)
+    check(a, y0)
+    check(a + 1j * rng.normal(size=(6, 6)), y0 + 1j * rng.normal(size=6))
 
 
 class TestAreaLaw:

@@ -11,7 +11,13 @@ import numpy as np
 import pytest
 
 from qbattery import fock
-from qbattery.dynamics import DriveParams, IntegrationError, analytic_moments, integrate_moments
+from qbattery.dynamics import (
+    DriveParams,
+    IntegrationError,
+    MomentTrajectory,
+    analytic_moments,
+    integrate_moments,
+)
 from qbattery.fock import (
     FockDensity,
     FockVector,
@@ -540,14 +546,67 @@ def test_every_integration_looks_up_solve_ivp_when_it_runs(monkeypatch):
     assert len(calls) == 4
 
 
+def test_every_integration_makes_the_same_solve_ivp_call(monkeypatch):
+    # one sampling contract: every ODE run, sampled on its own steps or
+    # on a grid, passes solve_ivp the same keywords, and none asks for a
+    # dense OdeSolution
+    import scipy.integrate
+
+    solve_ivp = scipy.integrate.solve_ivp
+    keywords = []
+
+    def spying(*args, **kwargs):
+        keywords.append(frozenset(kwargs))
+        return solve_ivp(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.integrate, "solve_ivp", spying)
+    p = gauss_params(0.3)
+    grid = np.linspace(-6.0, 4.0, 5)
+    integrate_moments(p, -12.0, 12.0)
+    integrate_moments(p, -12.0, 12.0, times=grid)
+    evolve_rwa(p, 20, grid)
+    evolve_full(p, 20, grid)
+    evolve_lindblad(p, 0.1, 20, grid)
+    assert len(keywords) == 9
+    assert len(set(keywords)) == 1
+    assert "dense_output" not in keywords[0]
+
+
+@pytest.mark.parametrize(
+    "engine",
+    [
+        evolve_rwa,
+        evolve_full,
+        lambda p, dim, times, **kw: evolve_lindblad(p, 0.1, dim, times, **kw),
+    ],
+    ids=["rwa", "full", "lindblad"],
+)
+def test_engines_refuse_bad_dim_and_tail_guard(engine):
+    # a ladder size must be an integer, not a float cut down or a bool
+    # read as 1; a tail guard that is not positive (NaN included) would
+    # switch the truncation alarm off
+    p = gauss_params(0.5)
+    grid = np.linspace(-6.0, 6.0, 5)
+    with pytest.raises(TypeError):
+        engine(p, 6.5, grid)
+    with pytest.raises(ValueError, match="got True"):
+        engine(p, True, grid)
+    for guard in (math.nan, 0.0, -1e-6):
+        with pytest.raises(ValueError, match="tail_guard must be positive"):
+            engine(p, 16, grid, tail_guard=guard)
+    assert len(engine(p, np.int64(20), grid, tail_guard=1.0).n) == 5
+
+
 @pytest.mark.parametrize(
     "run",
     [
         lambda times: evolve_rwa(gauss_params(0.5), 16, times),
         lambda times: evolve_full(gauss_params(0.5), 16, times),
         lambda times: evolve_lindblad(gauss_params(0.5), 0.1, 16, times),
+        lambda times: integrate_moments(gauss_params(0.5), -8.0, 6.0, times=times),
+        lambda times: MomentTrajectory(times, np.zeros(2), np.zeros(2)),
     ],
-    ids=["rwa", "full", "lindblad"],
+    ids=["rwa", "full", "lindblad", "moments", "trajectory"],
 )
 def test_engines_refuse_nonfinite_times(run):
     # a NaN passes the increasing-grid check, and an infinite end

@@ -267,6 +267,16 @@ class TestQuadratures:
             math.exp(-2.0) / 2.0, abs=1e-15
         )
 
+    @pytest.mark.parametrize("zeta", [8.0, 20.0, 100.0])
+    def test_strong_squeezing_keeps_the_floor(self, zeta):
+        # at t = 0 and sin(theta) = 1, var_x = e^-zeta / 2 exactly; the sum
+        # 1/2 + n - |s| would cancel it to rounding noise of size e^zeta eps
+        p = gauss_params(zeta)
+        report = quadrature_variances(p, 0.0, math.pi / 2.0)
+        assert report.var_x == min_quadrature_variance(p, 0.0) == 0.5 * math.exp(-zeta)
+        assert report.var_p == 0.5 * math.exp(zeta)
+        assert report.std_product == pytest.approx(0.5, rel=1e-15)
+
     def test_moment_route_agrees_with_closed_form(self):
         p = gauss_params(1.8, omega_b=2.0)
         for t in (-0.7, 0.0, 0.9):
