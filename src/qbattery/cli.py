@@ -68,7 +68,7 @@ def _config_flags(path: str) -> dict[str, str]:
 
 
 def _drive(args: argparse.Namespace) -> DriveParams:
-    pulse = from_name(args.pulse, None if args.pulse == "delta" else args.tau)
+    pulse = from_name(args.pulse, args.tau)
     return DriveParams(omega_b=args.omega_b, zeta=args.zeta, pulse=pulse, omega_d=args.omega_d)
 
 
@@ -450,6 +450,13 @@ def main(argv: list[str] | None = None) -> int:
         if args.config is not None:
             args = _apply_config(parser, argv, args)
         _write_table(*args.func(args), args)
+    except OverflowError:
+        print(
+            "qbattery: error: a result passed the largest double (about 1.8e308); "
+            "the stored energy sinh^2(zeta) passes it beyond zeta = 355.6",
+            file=sys.stderr,
+        )
+        return 1
     except Exception as exc:
         print(f"qbattery: error: {exc}", file=sys.stderr)
         return 1

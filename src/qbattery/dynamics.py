@@ -33,7 +33,7 @@ import types
 from dataclasses import dataclass
 from pathlib import Path
 
-from .pulses import DeltaLimit, PulseShape, UnsupportedPulseError
+from .pulses import PulseShape
 from .specfun import Accuracy, _require_finite
 
 __all__ = [
@@ -328,14 +328,12 @@ def integrate_moments(
     ------
     ValueError
         If ``t_start`` or ``t_end`` is not finite, or ``times`` is no such grid.
+    UnsupportedPulseError
+        For the delta-limit pulse, which has no width to step across.
     IntegrationError
         If the adaptive solver gives up (e.g. step-size underflow).
     """
     require_resonant(p)
-    if isinstance(p.pulse, DeltaLimit):
-        raise UnsupportedPulseError(
-            "the delta-limit pulse has no finite-time envelope; use analytic_moments"
-        )
     t_start = _require_finite("t_start", t_start)
     t_end = _require_finite("t_end", t_end)
     if not t_start < t_end:

@@ -72,7 +72,6 @@ from .dynamics import (
     require_resonant,
 )
 from .merit import QuadratureReport
-from .pulses import DeltaLimit, UnsupportedPulseError
 from .specfun import Accuracy
 
 __all__ = [
@@ -353,14 +352,6 @@ def _pair_coeffs(dim: int) -> tuple[np.ndarray, np.ndarray]:
     return np.sqrt((n + 1.0) * (n + 2.0)), np.sqrt(n * (n - 1.0))
 
 
-def _pulse_width(p: DriveParams) -> float:
-    if isinstance(p.pulse, DeltaLimit):
-        raise UnsupportedPulseError(
-            "the delta-limit pulse cannot be time stepped; use analytic_moments"
-        )
-    return p.pulse.tau
-
-
 @dataclass(frozen=True)
 class FockTrajectory:
     """Expectation values sampled along a Fock-space evolution.
@@ -497,7 +488,7 @@ def evolve_rwa(
         return out
 
     return _evolve_vacuum(
-        rhs, dim, times, acc, 0.5 * _pulse_width(p), "rotating-frame evolution failed", tail_guard
+        rhs, dim, times, acc, 0.5 * p.pulse.tau, "rotating-frame evolution failed", tail_guard
     )
 
 
@@ -544,7 +535,7 @@ def evolve_full(
         out *= -1j * v
         return out
 
-    max_step = min(0.5 * _pulse_width(p), 2.0 * math.pi / (40.0 * omega_d))
+    max_step = min(0.5 * p.pulse.tau, 2.0 * math.pi / (40.0 * omega_d))
     return _evolve_vacuum(
         rhs, dim, times, acc, max_step, "carrier-resolved evolution failed", tail_guard
     )
@@ -748,7 +739,7 @@ def evolve_lindblad(
     classes = [c for c in ((_S, 0), (_S, 1), (_T, 0), (_T, 1)) if c in nonzero]
 
     entries = sum(_class_size(dim, part, parity) for part, parity in classes)
-    max_step = 0.5 * _pulse_width(p)
+    max_step = 0.5 * p.pulse.tau
     per_step = _samples_per_step(times, max_step)
     need = _lindblad_bytes(dim, entries, times.size, per_step)
     budget = _memory_budget()
@@ -910,6 +901,4 @@ def quadrature_variances_from_state(
 
     var_x = _variance(x_amp)
     var_p = _variance(p_amp)
-    return QuadratureReport(
-        theta=theta, var_x=var_x, var_p=var_p, std_product=math.sqrt(var_x * var_p)
-    )
+    return QuadratureReport(theta=theta, var_x=var_x, var_p=var_p)

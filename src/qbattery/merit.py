@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .dynamics import DriveParams, MomentState, analytic_moments, require_resonant
 from .pulses import Gaussian, UnsupportedPulseError
@@ -44,18 +44,29 @@ _FWHM_HALF = math.sqrt(2.0 * math.log(2.0))
 
 @dataclass(frozen=True)
 class QuadratureReport:
-    """Variances of the twisted quadratures X_theta, P_theta at one instant."""
+    """Variances of the twisted quadratures X_theta, P_theta at one instant.
+
+    ``std_product`` = sigma_X sigma_P is derived, not passed: the square
+    root of the product while that is finite, else the product of the
+    square roots, so variances near 1e170 and beyond do not report inf.
+    """
 
     theta: float
     var_x: float
     var_p: float
-    std_product: float
+    std_product: float = field(init=False)
 
     def __post_init__(self) -> None:
         if not (self.var_x > 0.0 and self.var_p > 0.0):
             raise ValueError(
                 f"variances must be positive, got ({self.var_x!r}, {self.var_p!r})"
             )
+        product = self.var_x * self.var_p
+        if math.isinf(product):
+            std = math.sqrt(self.var_x) * math.sqrt(self.var_p)
+        else:
+            std = math.sqrt(product)
+        object.__setattr__(self, "std_product", std)
         if self.std_product < 0.5 - 1e-12:
             raise ValueError(
                 f"sigma_X sigma_P = {self.std_product!r} sits below the uncertainty floor 1/2"
@@ -254,9 +265,7 @@ def quadrature_variances(p: DriveParams, t: float, theta: float) -> QuadratureRe
     grow, shrink = math.exp(r), math.exp(-r)
     var_x = 0.25 * (grow * (1.0 - sin_phi) + shrink * (1.0 + sin_phi))
     var_p = 0.25 * (grow * (1.0 + sin_phi) + shrink * (1.0 - sin_phi))
-    return QuadratureReport(
-        theta=theta, var_x=var_x, var_p=var_p, std_product=math.sqrt(var_x * var_p)
-    )
+    return QuadratureReport(theta=theta, var_x=var_x, var_p=var_p)
 
 
 def quadrature_variances_from_moments(
@@ -265,13 +274,20 @@ def quadrature_variances_from_moments(
     """The same report built from arbitrary rotating-frame moments:
 
     var_x = 1/2 + n + Re(e^(-i (2 omega_b t + theta)) s), var_p with -Re.
+
+    The sum cancels at strong squeezing, but the loss is already in the
+    inputs: n and s carry rounding of about eps n, and a shift d in var_x
+    moves sigma_X sigma_P by about e^r d / 2 at the extremal phase. From
+    the closed-form moments at zeta 8, t = 0 (n about 745) that is about
+    2.5e-10, past the report's 1e-12 margin, so the report refuses them.
+    Reading r and phi off n and s, as :func:`quadrature_variances` uses
+    them, would assume a pure state (|s|^2 = n (n + 1)); lossy moments
+    are mixed and would give wrong variances.
     """
     corr = (cmath.exp(-1j * (2.0 * omega_b * t + theta)) * state.s).real
     var_x = 0.5 + state.n + corr
     var_p = 0.5 + state.n - corr
-    return QuadratureReport(
-        theta=theta, var_x=var_x, var_p=var_p, std_product=math.sqrt(var_x * var_p)
-    )
+    return QuadratureReport(theta=theta, var_x=var_x, var_p=var_p)
 
 
 def min_quadrature_variance(p: DriveParams, t: float) -> float:

@@ -6,6 +6,19 @@ value and the area; the latter is what feeds the exact energy formula.
 Shapes are immutable dataclasses, and :func:`from_name` maps the
 command-line spellings onto constructors.
 
+The contract lives in two base classes, so a shape states only its two
+formulas, ``_value(t)`` and ``_area(t)``, on a finite float t:
+
+* :class:`PulseShape` owns the public methods. ``value`` refuses a
+  non-finite t; ``area`` refuses NaN and maps the -inf/+inf sentinels
+  to 0/1 before the formula sees t.
+* Every finite shape inherits its one field, the width ``tau``, and the
+  single check on it, from one frozen-dataclass base.
+* :class:`DeltaLimit` has no width: reading its ``tau`` raises
+  :class:`UnsupportedPulseError`. Every time stepper reads the width
+  of the pulse it steps, so each refuses the delta limit there and
+  points to the closed form, ``analytic_moments``.
+
 The catalog:
 
 ======================  =========================================  =====================================
@@ -25,7 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .specfun import erf
+from .specfun import _require_finite, erf
 
 __all__ = [
     "PULSE_NAMES",
@@ -47,78 +60,66 @@ class UnsupportedPulseError(ValueError):
     """Raised when an operation is undefined for the given pulse shape."""
 
 
-def _check_tau(tau: float) -> None:
-    if not (isinstance(tau, (int, float)) and math.isfinite(tau) and tau > 0.0):
-        raise ValueError(f"tau must be a positive finite number, got {tau!r}")
-
-
-def _finite_t(t: float) -> float:
-    t = float(t)
-    if not math.isfinite(t):
-        raise ValueError(f"t must be finite, got {t!r}")
-    return t
-
-
-def _area_sentinel(t: float) -> float | None:
-    """Map the +-inf sentinels to the area limits, reject NaN."""
-    t = float(t)
-    if math.isinf(t):
-        return 0.0 if t < 0.0 else 1.0
-    if math.isnan(t):
-        raise ValueError("t must not be NaN")
-    return None
-
-
 class PulseShape:
-    """Base class for drive envelopes."""
+    """Base class for drive envelopes; the module docstring states the contract."""
 
     def value(self, t: float) -> float:
         """Envelope value f(t), in units of inverse time."""
-        raise NotImplementedError
+        return self._value(_require_finite("t", t))
 
     def area(self, t: float) -> float:
         """Cumulative area A(t) in [0, 1]; accepts +-inf sentinels."""
+        t = float(t)
+        if math.isnan(t):
+            raise ValueError("t must not be NaN")
+        if math.isinf(t):
+            return 0.0 if t < 0.0 else 1.0
+        return self._area(t)
+
+    def _value(self, t: float) -> float:
+        raise NotImplementedError
+
+    def _area(self, t: float) -> float:
         raise NotImplementedError
 
 
 @dataclass(frozen=True)
-class Gaussian(PulseShape):
-    """Gaussian envelope of width ``tau`` (FWHM 2 sqrt(2 ln 2) tau)."""
+class _FinitePulse(PulseShape):
+    """A shape of width ``tau``: a positive finite real, not a bool, stored as a float."""
 
     tau: float
 
     def __post_init__(self) -> None:
-        _check_tau(self.tau)
+        tau = self.tau
+        try:  # math takes what converts to a real number, numpy scalars included
+            ok = not isinstance(tau, bool) and math.isfinite(tau) and tau > 0.0
+        except TypeError:
+            ok = False
+        if not ok:
+            raise ValueError(f"tau must be a positive finite number, got {tau!r}")
+        object.__setattr__(self, "tau", float(tau))
 
-    def value(self, t: float) -> float:
-        z = _finite_t(t) / self.tau
+
+class Gaussian(_FinitePulse):
+    """Gaussian envelope of width ``tau`` (FWHM 2 sqrt(2 ln 2) tau)."""
+
+    def _value(self, t: float) -> float:
+        z = t / self.tau
         return math.exp(-0.5 * z * z) / (self.tau * math.sqrt(2.0 * math.pi))
 
-    def area(self, t: float) -> float:
-        lim = _area_sentinel(t)
-        if lim is not None:
-            return lim
+    def _area(self, t: float) -> float:
         return 0.5 * (1.0 + erf(t / (_SQRT2 * self.tau)))
 
 
-@dataclass(frozen=True)
-class Sech(PulseShape):
+class Sech(_FinitePulse):
     """Hyperbolic-secant envelope."""
 
-    tau: float
-
-    def __post_init__(self) -> None:
-        _check_tau(self.tau)
-
-    def value(self, t: float) -> float:
-        z = abs(_finite_t(t)) / self.tau
+    def _value(self, t: float) -> float:
+        z = abs(t) / self.tau
         e = math.exp(-z)
         return (2.0 * e / (1.0 + e * e)) / (math.pi * self.tau)
 
-    def area(self, t: float) -> float:
-        lim = _area_sentinel(t)
-        if lim is not None:
-            return lim
+    def _area(self, t: float) -> float:
         z = t / self.tau
         # atan(exp(z)) via the reflected form for z > 0 keeps exp bounded
         if z <= 0.0:
@@ -126,65 +127,38 @@ class Sech(PulseShape):
         return 1.0 - (2.0 / math.pi) * math.atan(math.exp(-z))
 
 
-@dataclass(frozen=True)
-class Lorentzian(PulseShape):
+class Lorentzian(_FinitePulse):
     """Lorentzian envelope; note the heavy 1/t^2 tails."""
 
-    tau: float
-
-    def __post_init__(self) -> None:
-        _check_tau(self.tau)
-
-    def value(self, t: float) -> float:
-        z = _finite_t(t) / self.tau
+    def _value(self, t: float) -> float:
+        z = t / self.tau
         return 1.0 / (math.pi * self.tau * (1.0 + z * z))
 
-    def area(self, t: float) -> float:
-        lim = _area_sentinel(t)
-        if lim is not None:
-            return lim
+    def _area(self, t: float) -> float:
         return 0.5 + math.atan(t / self.tau) / math.pi
 
 
-@dataclass(frozen=True)
-class PoschlTeller(PulseShape):
+class PoschlTeller(_FinitePulse):
     """Squared hyperbolic-secant envelope."""
 
-    tau: float
-
-    def __post_init__(self) -> None:
-        _check_tau(self.tau)
-
-    def value(self, t: float) -> float:
-        z = abs(_finite_t(t)) / self.tau
+    def _value(self, t: float) -> float:
+        z = abs(t) / self.tau
         e = math.exp(-z)
         sech = 2.0 * e / (1.0 + e * e)
         return sech * sech / (2.0 * self.tau)
 
-    def area(self, t: float) -> float:
-        lim = _area_sentinel(t)
-        if lim is not None:
-            return lim
+    def _area(self, t: float) -> float:
         return 0.5 * (1.0 + math.tanh(t / self.tau))
 
 
-@dataclass(frozen=True)
-class Algebraic(PulseShape):
+class Algebraic(_FinitePulse):
     """Power-law envelope with 1/t^3 tails."""
 
-    tau: float
-
-    def __post_init__(self) -> None:
-        _check_tau(self.tau)
-
-    def value(self, t: float) -> float:
-        z = _finite_t(t) / self.tau
+    def _value(self, t: float) -> float:
+        z = t / self.tau
         return 0.5 / (self.tau * (1.0 + z * z) ** 1.5)
 
-    def area(self, t: float) -> float:
-        lim = _area_sentinel(t)
-        if lim is not None:
-            return lim
+    def _area(self, t: float) -> float:
         z = t / self.tau
         return 0.5 * (1.0 + z / math.hypot(1.0, z))
 
@@ -195,19 +169,24 @@ class DeltaLimit(PulseShape):
 
     Only the cumulative area survives the limit: a unit step with the
     midpoint convention A(0) = 1/2, which is the pointwise tau -> 0
-    limit of the Gaussian area at t = 0.
+    limit of the Gaussian area at t = 0. It has no width, so every
+    time stepper, which reads ``tau``, refuses it there.
     """
 
-    def value(self, t: float) -> float:
+    @property
+    def tau(self) -> float:
+        raise UnsupportedPulseError(
+            "the delta-limit pulse has no width and cannot be time stepped; "
+            "use analytic_moments"
+        )
+
+    def _value(self, t: float) -> float:
         raise UnsupportedPulseError(
             "the delta-limit pulse has no pointwise envelope value; "
             "only its cumulative area (area) is defined"
         )
 
-    def area(self, t: float) -> float:
-        lim = _area_sentinel(t)
-        if lim is not None:
-            return lim
+    def _area(self, t: float) -> float:
         if t < 0.0:
             return 0.0
         if t > 0.0:
@@ -227,7 +206,7 @@ PULSE_NAMES = ("gaussian", "delta", "sech", "lorentzian", "poschl-teller", "alge
 
 
 def from_name(name: str, tau: float | None = None) -> PulseShape:
-    """Build a pulse shape from its command-line spelling."""
+    """Build a pulse shape from its command-line spelling; ``delta`` ignores ``tau``."""
     key = name.strip().lower()
     if key == "delta":
         return DeltaLimit()

@@ -466,6 +466,7 @@ def test_config_sets_ergotropy(tmp_path, value):
 
 
 THETA_STEPS = "--theta-steps must be at least 2"
+LARGEST_DOUBLE = "passed the largest double (about 1.8e308)"
 
 
 @pytest.mark.parametrize(
@@ -481,6 +482,18 @@ THETA_STEPS = "--theta-steps must be at least 2"
         pytest.param(["fock-check", "--kappa", "inf"], "kappa", id="kappa-inf"),
         pytest.param(["fock-check", "--t-max", "inf"], "--t-max", id="t-max-inf"),
         pytest.param(["energy", "--t-min=-1e308", "--t-max=1e308"], "--t-min", id="grid-overflow"),
+        *(
+            pytest.param([*argv, "400"], LARGEST_DOUBLE, id="overflow-" + "-".join(a for a in argv if a[0] != "-"))
+            for argv in (
+                ["energy", "--zeta"],
+                ["charge-time", "--zeta"],
+                ["sweep", "--zetas"],
+                ["fig", "2a", "--zetas"],
+                ["power", "--zeta"],
+                ["peak-power", "--zeta"],
+                ["quadratures", "--time", "3", "--zeta"],
+            )
+        ),
     ],
 )
 def test_domain_failure_exits_one(capsys, argv, fragment):

@@ -26,6 +26,7 @@ from qbattery.pulses import (
 from qbattery.specfun import Accuracy
 
 TIGHT = Accuracy(1e-12, 1e-12)
+DELTA_REFUSAL = "the delta-limit pulse has no width and cannot be time stepped; use analytic_moments"
 
 SINH1_SQ = math.sinh(1.0) ** 2
 
@@ -237,7 +238,7 @@ class TestIntegrateMoments:
             integrate_moments(p, 5.0, -5.0)
         with pytest.raises(ValueError):
             integrate_moments(p, -8.0, 6.0, times=[7.0])
-        with pytest.raises(UnsupportedPulseError):
+        with pytest.raises(UnsupportedPulseError, match=DELTA_REFUSAL):
             integrate_moments(DriveParams(1.0, 1.0, DeltaLimit()), -1.0, 1.0)
 
     def test_refuses_nonfinite_window(self):

@@ -41,6 +41,7 @@ def gauss_params(zeta, tau=1.0, omega_b=1.0, omega_d=None):
 
 
 GRID = np.linspace(-8.0, 6.0, 29)
+DELTA_REFUSAL = "the delta-limit pulse has no width and cannot be time stepped; use analytic_moments"
 
 
 class TestStateContainers:
@@ -259,8 +260,13 @@ class TestEvolveRwa:
         from qbattery.pulses import DeltaLimit, UnsupportedPulseError
 
         p = DriveParams(omega_b=1.0, zeta=1.0, pulse=DeltaLimit())
-        with pytest.raises(UnsupportedPulseError):
-            evolve_rwa(p, 64, GRID)
+        for run in (
+            lambda: evolve_rwa(p, 64, GRID),
+            lambda: evolve_full(p, 64, GRID),
+            lambda: evolve_lindblad(p, 0.1, 64, GRID),
+        ):
+            with pytest.raises(UnsupportedPulseError, match=DELTA_REFUSAL):
+                run()
 
     def test_csv_export(self, tmp_path):
         traj = evolve_rwa(gauss_params(0.5), choose_truncation(0.5, 1e-8), GRID)

@@ -289,6 +289,13 @@ class TestQuadratures:
 
     def test_report_validation(self):
         with pytest.raises(ValueError):
-            QuadratureReport(theta=0.0, var_x=-0.1, var_p=0.5, std_product=0.5)
+            QuadratureReport(theta=0.0, var_x=-0.1, var_p=0.5)
         with pytest.raises(ValueError):
-            QuadratureReport(theta=0.0, var_x=0.4, var_p=0.4, std_product=0.4)
+            QuadratureReport(theta=0.0, var_x=0.4, var_p=0.4)
+        # std_product is derived; a product past the largest double is
+        # taken as the product of the square roots instead of reading inf
+        assert QuadratureReport(theta=0.0, var_x=0.25, var_p=4.0).std_product == 1.0
+        assert QuadratureReport(theta=0.0, var_x=1e200, var_p=4e200).std_product == 2e200
+        wide = quadrature_variances(gauss_params(400.0), 0.0, 0.0)
+        assert wide.var_x == wide.var_p > 1e173
+        assert wide.std_product == pytest.approx(wide.var_x, rel=1e-15)

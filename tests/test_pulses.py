@@ -130,10 +130,14 @@ def test_algebraic_area_far_out():
 
 class TestConstruction:
     @pytest.mark.parametrize("cls", FINITE_SHAPES)
-    @pytest.mark.parametrize("tau", [0.0, -1.0, math.inf, math.nan])
+    @pytest.mark.parametrize("tau", [0.0, -1.0, math.inf, math.nan, True])
     def test_tau_validation(self, cls, tau):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="tau must be a positive finite number"):
             cls(tau)
+        # a bool is refused although it is an int; any other real is a
+        # width, stored as a float
+        shape = cls(np.int64(2))
+        assert shape.tau == 2.0 and type(shape.tau) is float
 
     def test_from_name(self):
         assert isinstance(from_name("gaussian", 1.0), Gaussian)
@@ -150,7 +154,13 @@ class TestConstruction:
             assert shape.area(math.inf) == 1.0
 
     def test_value_rejects_nonfinite_t(self):
-        with pytest.raises(ValueError):
-            Gaussian(1.0).value(math.inf)
-        with pytest.raises(ValueError):
-            Lorentzian(1.0).area(math.nan)
+        # the contract lives in the base class, so it holds for every shape
+        for name in PULSE_NAMES:
+            shape = from_name(name, 1.0)
+            for t in (math.inf, -math.inf, math.nan):
+                with pytest.raises(ValueError, match="t must be finite"):
+                    shape.value(t)
+            with pytest.raises(ValueError, match="t must not be NaN"):
+                shape.area(math.nan)
+            assert shape.area(-math.inf) == 0.0
+            assert shape.area(math.inf) == 1.0
