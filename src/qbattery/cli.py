@@ -69,7 +69,7 @@ def _config_flags(path: str) -> dict[str, str]:
 
 def _drive(args: argparse.Namespace) -> DriveParams:
     pulse = from_name(args.pulse, args.tau)
-    return DriveParams(omega_b=args.omega_b, zeta=args.zeta, pulse=pulse, omega_d=args.omega_d)
+    return DriveParams(omega_b=args.omega_b, zeta=args.zeta, pulse=pulse)
 
 
 def _float_list(text: str, name: str) -> list[float]:
@@ -175,7 +175,7 @@ def cmd_fock_check(args: argparse.Namespace) -> Table:
     # vacuum, a squeezed vacuum of squeeze parameter at most zeta
     dim = args.fock_dim
     if dim is None:
-        dim = choose_truncation(0.5 * args.zeta, args.tail_tol)
+        dim = choose_truncation(args.zeta, args.tail_tol)
     if kappa == 0.0:
         if dim > VECTOR_LEVEL_LIMIT:
             raise ValueError(
@@ -195,7 +195,10 @@ def cmd_fock_check(args: argparse.Namespace) -> Table:
     ratio = None
     if args.ergotropy:
         final = traj.final_state
-        ratio = ergotropy(final, p.omega_b) / (p.omega_b * final.mean_population())
+        stored = p.omega_b * final.mean_population()
+        if stored == 0.0:
+            raise ValueError(f"zeta = {args.zeta:g} stores no energy; the ergotropy ratio is undefined")
+        ratio = ergotropy(final, p.omega_b) / stored
         columns.append("ergotropy_ratio")
     rows = []
     for i, t in enumerate(times):
@@ -332,7 +335,6 @@ def _add_drive_args(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--zeta", type=float, default=1.0, help="dimensionless drive strength")
     sp.add_argument("--tau", type=float, default=1.0, help="pulse width")
     sp.add_argument("--omega-b", type=float, default=1.0, help="battery level spacing")
-    sp.add_argument("--omega-d", type=float, default=None, help="half the carrier frequency (default: omega_b)")
     sp.add_argument("--pulse", choices=PULSE_NAMES, default="gaussian")
 
 

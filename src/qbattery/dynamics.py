@@ -7,8 +7,8 @@ n = <b†b> and the pair correlator s = <bb> close on themselves:
     dn/dt = -2 zeta f(t) Im(s),        ds/dt = -i zeta f(t) (2 n + 1),
 
 with <b†b†> pinned structurally to conj(s). Started from the vacuum the
-solution is a squeezed vacuum whose squeeze parameter is twice the drive
-strength times the accumulated pulse area,
+solution is a squeezed vacuum of squeeze parameter r = zeta A(t), the
+drive strength times the accumulated pulse area,
 
     n(t) = sinh^2(zeta A(t)),          s(t) = -(i/2) sinh(2 zeta A(t)),
 
@@ -45,7 +45,6 @@ __all__ = [
     "MomentTrajectory",
     "analytic_moments",
     "integrate_moments",
-    "require_resonant",
 ]
 
 
@@ -202,16 +201,13 @@ class DriveParams:
     zeta : float
         Dimensionless drive strength, >= 0.
     pulse : PulseShape
-        Envelope of the drive.
-    omega_d : float, optional
-        Half the carrier frequency. Defaults to ``omega_b`` (resonance),
-        which is what every closed-form result assumes.
+        Envelope of the drive, on the resonant carrier cos(2 omega_b t);
+        only :func:`qbattery.fock.evolve_full` takes a detuned one.
     """
 
     omega_b: float
     zeta: float
     pulse: PulseShape
-    omega_d: float | None = None
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.omega_b) and self.omega_b > 0.0):
@@ -220,23 +216,6 @@ class DriveParams:
             raise ValueError(f"zeta must be nonnegative and finite, got {self.zeta!r}")
         if not isinstance(self.pulse, PulseShape):
             raise TypeError(f"pulse must be a PulseShape, got {type(self.pulse).__name__}")
-        if self.omega_d is None:
-            object.__setattr__(self, "omega_d", float(self.omega_b))
-        elif not (math.isfinite(self.omega_d) and self.omega_d > 0.0):
-            raise ValueError(f"omega_d must be positive and finite, got {self.omega_d!r}")
-
-    @property
-    def resonant(self) -> bool:
-        return self.omega_d == self.omega_b
-
-
-def require_resonant(p: DriveParams) -> None:
-    """Reject detuned parameters wherever a closed-form branch is used."""
-    if not p.resonant:
-        raise ValueError(
-            "the reduced moment equations hold at driving resonance only "
-            "(omega_d == omega_b); use fock.evolve_full for a detuned carrier"
-        )
 
 
 @dataclass(frozen=True)
@@ -333,7 +312,6 @@ def integrate_moments(
     IntegrationError
         If the adaptive solver gives up (e.g. step-size underflow).
     """
-    require_resonant(p)
     t_start = _require_finite("t_start", t_start)
     t_end = _require_finite("t_end", t_end)
     if not t_start < t_end:
@@ -396,12 +374,11 @@ def analytic_moments(p: DriveParams, t: float, t_start: float = -math.inf) -> Mo
 
     The area law: with x = zeta (A(t) - A(t_start)), the state that was
     the vacuum at ``t_start`` is a squeezed vacuum of squeeze parameter
-    2 x, so n = sinh^2(x) and s = -(i/2) sinh(2 x). The default start,
+    x, so n = sinh^2(x) and s = -(i/2) sinh(2 x). The default start,
     t -> -inf, where A vanishes, is the vacuum boundary condition of the
-    paper. ``t`` may be +-inf; in the delta limit A is the unit step with
-    A(0) = 1/2.
+    paper, and gives the squeeze parameter r = zeta A(t). ``t`` may be
+    +-inf; in the delta limit A is the unit step with A(0) = 1/2.
     """
-    require_resonant(p)
     area = p.pulse.area(t)
     if t_start != -math.inf:
         area -= p.pulse.area(t_start)

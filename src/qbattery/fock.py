@@ -12,7 +12,7 @@ above 10 000 levels. Three engines share that machinery:
 
 * :func:`evolve_rwa` - resonant rotating-frame Schrodinger evolution,
 * :func:`evolve_full` - carrier-resolving evolution with the
-  counter-rotating terms kept (any detuning),
+  counter-rotating terms kept, the package's only off-resonance run,
 * :func:`evolve_lindblad` - rotating-frame density-matrix evolution with
   zero-temperature single-photon loss.
 
@@ -69,7 +69,6 @@ from .dynamics import (
     _lazy,
     _rk45,
     _validate_times,
-    require_resonant,
 )
 from .merit import QuadratureReport
 from .specfun import Accuracy
@@ -311,23 +310,21 @@ def _pair_tail(m: int, r: float) -> float:
     return 1.0 - frac if swap else frac
 
 
-def choose_truncation(zeta: float, tail_tol: float) -> int:
-    """Ladder size that holds a squeezed vacuum of squeeze parameter 2 zeta.
+def choose_truncation(r: float, tail_tol: float) -> int:
+    """Ladder size that holds a squeezed vacuum of squeeze parameter r.
 
     Returns the smallest size whose top four levels, together with all
     the levels it leaves out, hold less than ``tail_tol`` of the mass of
-    a squeezed vacuum with r = 2 zeta. A unit-area pulse of drive strength zeta
-    reaches at most r = zeta from the vacuum, so a caller sizing for the
-    state the pulse produces passes ``0.5 * zeta``, as ``fock-check``
-    does. The tail is exact (a regularized incomplete beta), and the
-    size is found by bisection; :class:`RuntimeError` is raised at once
-    when even 2 * 10^7 + 2 levels leave ``tail_tol`` or more beyond them.
+    that state (mean population sinh^2 r). A pulse of drive strength
+    zeta reaches at most r = zeta from the vacuum, which ``fock-check``
+    sizes for. The tail is exact (a regularized incomplete beta), and
+    the size is found by bisection; :class:`RuntimeError` is raised at
+    once when even 2 * 10^7 + 2 levels leave ``tail_tol`` or more beyond them.
     """
-    if not (math.isfinite(zeta) and zeta >= 0.0):
-        raise ValueError(f"zeta must be nonnegative and finite, got {zeta!r}")
+    if not (math.isfinite(r) and r >= 0.0):
+        raise ValueError(f"r must be nonnegative and finite, got {r!r}")
     if not 0.0 < tail_tol < 1.0:
         raise ValueError(f"tail_tol must lie in (0, 1), got {tail_tol!r}")
-    r = 2.0 * zeta
     lo, hi = 0, _TRUNCATION_TERMS + 1
     beyond = _pair_tail(hi, r)
     if beyond >= tail_tol:
@@ -469,7 +466,6 @@ def evolve_rwa(
     Raises :class:`TruncationError` if the alarm-zone mass ever exceeds
     ``tail_guard``.
     """
-    require_resonant(p)
     dim, times = _check_run(dim, times, tail_guard)
 
     lower, raise_ = _pair_coeffs(dim)
@@ -498,10 +494,12 @@ def evolve_full(
     times,
     acc: Accuracy | None = None,
     *,
+    omega_d: float | None = None,
     tail_guard: float = 1e-6,
 ) -> FockTrajectory:
     """Evolve |0> under the full carrier-resolved Hamiltonian
-    omega_b b†b + zeta cos(2 omega_d t) f(t) (b†b† + bb).
+    omega_b b†b + zeta cos(2 omega_d t) f(t) (b†b† + bb), the package's
+    only off-resonance run; ``omega_d`` defaults to ``p.omega_b``.
 
     Integrates in the interaction picture of the bare ladder, which is
     exact (nothing is dropped) but leaves only the carrier phases
@@ -512,8 +510,11 @@ def evolve_full(
     to resolve, so the step size is capped at 2 pi / (40 omega_d), a
     twentieth of the period pi / omega_d of cos(2 omega_d t). The
     reported n and s live in the same rotating frame as
-    :func:`evolve_rwa` and converge to it as omega_b tau grows.
+    :func:`evolve_rwa` and, on resonance, converge to it as omega_b tau grows.
     """
+    omega_d = float(p.omega_b) if omega_d is None else omega_d
+    if not (math.isfinite(omega_d) and omega_d > 0.0):
+        raise ValueError(f"omega_d must be positive and finite, got {omega_d!r}")
     dim, times = _check_run(dim, times, tail_guard)
 
     lower, raise_ = _pair_coeffs(dim)
@@ -521,7 +522,6 @@ def evolve_full(
     rc = raise_[2:]
     zeta = p.zeta
     omega_b = p.omega_b
-    omega_d = p.omega_d
     value = p.pulse.value
 
     def rhs(t, psi):
@@ -715,7 +715,6 @@ def evolve_lindblad(
     finite RLIMIT_AS soft limit; a run that cannot fit raises
     :class:`MemoryError` naming both byte counts.
     """
-    require_resonant(p)
     if not (math.isfinite(kappa) and kappa >= 0.0):
         raise ValueError(f"kappa must be nonnegative and finite, got {kappa!r}")
     dim, times = _check_run(dim, times, tail_guard)

@@ -15,7 +15,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 
-from .dynamics import DriveParams, MomentState, analytic_moments, require_resonant
+from .dynamics import DriveParams, MomentState, analytic_moments
 from .pulses import Gaussian, UnsupportedPulseError
 from .specfun import Accuracy, arcsinh, brentq, erf, erfinv, lambert_w0
 
@@ -110,7 +110,6 @@ def instantaneous_power(p: DriveParams, t: float) -> float:
     (omega_b/tau) (zeta / sqrt(2 pi)) sinh(zeta [1 + erf(t / sqrt(2) tau)])
     exp(-t^2 / 2 tau^2), nonnegative and vanishing at both ends.
     """
-    require_resonant(p)
     return p.omega_b * p.zeta * p.pulse.value(t) * math.sinh(2.0 * p.zeta * p.pulse.area(t))
 
 
@@ -119,7 +118,6 @@ def charging_time(p: DriveParams, alpha: float) -> ChargingReport:
 
     t_alpha = sqrt(2) tau erfinv((2/zeta) arcsinh(sqrt(alpha) sinh(zeta)) - 1).
     """
-    require_resonant(p)
     pulse = _require_gaussian(p, "charging_time")
     if not 0.0 < alpha < 1.0:
         raise ValueError(
@@ -174,7 +172,6 @@ def peak_power_time(p: DriveParams, acc: Accuracy | None = None) -> float:
     polished by :func:`qbattery.specfun.brentq`, the package's port of
     scipy's Brent solver (same iterates, same float).
     """
-    require_resonant(p)
     pulse = _require_gaussian(p, "peak_power_time")
     if p.zeta <= 0.0:
         raise ValueError("peak_power_time needs zeta > 0")
@@ -234,7 +231,6 @@ def average_power_fwhm(p: DriveParams) -> float:
 
     identical to [E(t+) - E(t-)] / (t+ - t-) with t± = ±sqrt(2 ln 2) tau.
     """
-    require_resonant(p)
     pulse = _require_gaussian(p, "average_power_fwhm")
     e = erf(math.sqrt(math.log(2.0)))
     return (
@@ -259,7 +255,6 @@ def quadrature_variances(p: DriveParams, t: float, theta: float) -> QuadratureRe
     of order e^(-r) is not lost to cancellation at large r. The product of
     standard deviations touches the 1/2 floor exactly where sin(phi) = ±1.
     """
-    require_resonant(p)
     r = 2.0 * p.zeta * p.pulse.area(t)
     sin_phi = math.sin(2.0 * p.omega_b * t + theta)
     grow, shrink = math.exp(r), math.exp(-r)
@@ -292,5 +287,4 @@ def quadrature_variances_from_moments(
 
 def min_quadrature_variance(p: DriveParams, t: float) -> float:
     """Minimum over theta of var_x at fixed t: exp(-2 zeta A(t)) / 2."""
-    require_resonant(p)
     return 0.5 * math.exp(-2.0 * p.zeta * p.pulse.area(t))

@@ -206,9 +206,11 @@ PULSE_NAMES = ("gaussian", "delta", "sech", "lorentzian", "poschl-teller", "alge
 
 
 def from_name(name: str, tau: float | None = None) -> PulseShape:
-    """Build a pulse shape from its command-line spelling; ``delta`` ignores ``tau``."""
+    """Build a pulse shape from its command-line spelling; ``delta`` drops a valid ``tau``."""
     key = name.strip().lower()
     if key == "delta":
+        if tau is not None:
+            _FinitePulse(tau)  # the width check of every shape
         return DeltaLimit()
     try:
         cls = _FINITE_SHAPES[key]

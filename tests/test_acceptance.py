@@ -46,8 +46,8 @@ def gate(number: int, name: str, ok: bool, detail: str) -> None:
     assert ok, f"criterion {number} ({name}): {detail}"
 
 
-def gauss_params(zeta, tau=1.0, omega_b=1.0, omega_d=None):
-    return DriveParams(omega_b=omega_b, zeta=zeta, pulse=Gaussian(tau), omega_d=omega_d)
+def gauss_params(zeta, tau=1.0, omega_b=1.0):
+    return DriveParams(omega_b=omega_b, zeta=zeta, pulse=Gaussian(tau))
 
 
 @pytest.fixture(scope="module")
@@ -77,7 +77,7 @@ def test_criterion_02_fock_verification():
     worst_n, worst_odd = 0.0, 0.0
     for zeta in (0.5, 1.0, 1.5):
         p = gauss_params(zeta)
-        dim = choose_truncation(zeta, 1e-8)
+        dim = choose_truncation(2.0 * zeta, 1e-8)
         traj = evolve_rwa(p, dim, grid)
         worst_n = max(worst_n, abs(float(traj.n[-1]) - analytic_moments(p, 6.0).n))
         worst_odd = max(worst_odd, float(np.max(traj.odd_mass)))
@@ -174,7 +174,7 @@ def test_criterion_06_squeezing_diagnostics():
         )
         floor_ok &= report.std_product >= 0.5 - 1e-12
 
-    dim = choose_truncation(2.0, 1e-8)
+    dim = choose_truncation(4.0, 1e-8)
     traj = evolve_rwa(p, dim, np.linspace(-8.0, 0.0, 17))
     final = traj.final_state
     worst_fock = 0.0
@@ -204,7 +204,7 @@ def test_criterion_07_conserved_quantity(closed_runs):
 
 def test_criterion_08_ergotropy():
     p = gauss_params(1.0)
-    traj = evolve_rwa(p, choose_truncation(1.0, 1e-8), np.linspace(-8.0, 6.0, 15))
+    traj = evolve_rwa(p, choose_truncation(2.0, 1e-8), np.linspace(-8.0, 6.0, 15))
     final = traj.final_state
     ratio = ergotropy(final.to_density(), p.omega_b) / (p.omega_b * final.mean_population())
     ok = abs(ratio - 1.0) < 1e-8
@@ -267,7 +267,7 @@ def test_criterion_10_dissipation_robustness():
 
 def test_criterion_11_rwa_validity():
     start = time.perf_counter()
-    dim = choose_truncation(1.0, 1e-8)
+    dim = choose_truncation(2.0, 1e-8)
     grid = np.linspace(-8.0, 6.0, 15)
     rel = {}
     for wb in (50.0, 200.0):

@@ -391,7 +391,7 @@ def test_lossy_ergotropy_decomposes_the_final_state_once(tmp_path, monkeypatch):
     # from the vacuum the rotated state has only even diagonals, so its
     # spectrum comes from one call per parity block and none on the full
     # matrix; a second decomposition would add calls
-    dim = choose_truncation(0.25, 1e-8)
+    dim = choose_truncation(0.5, 1e-8)
     assert sorted(calls) == [(dim // 2, dim // 2), ((dim + 1) // 2, (dim + 1) // 2)]
     header, rows = read_csv(out)
     assert 0.0 < rows[0, header.index("ergotropy_ratio")] <= 1.0
@@ -444,6 +444,10 @@ def exit_code(argv):
         pytest.param("ergotropy = maybe\n", ["fock-check"], 2, "--ergotropy", id="ergotropy-maybe"),
         # no abbreviation: zeta is not read as panel 2a's --zetas
         pytest.param("zeta = 3\n", ["fig", "2a"], 1, "'zeta'", id="no-abbreviation"),
+        # the carrier is resonant everywhere the CLI reaches
+        pytest.param(
+            "omega_d = 1\n", ["energy"], 1, "config key 'omega_d' is not used", id="omega-d-key"
+        ),
     ],
 )
 def test_config_rejects_bad_entries(tmp_path, capsys, text, argv, code, fragment):
@@ -467,6 +471,8 @@ def test_config_sets_ergotropy(tmp_path, value):
 
 THETA_STEPS = "--theta-steps must be at least 2"
 LARGEST_DOUBLE = "passed the largest double (about 1.8e308)"
+BAD_TAU = "tau must be a positive finite number"
+NO_ENERGY = "stores no energy; the ergotropy ratio is undefined"
 
 
 @pytest.mark.parametrize(
@@ -482,6 +488,20 @@ LARGEST_DOUBLE = "passed the largest double (about 1.8e308)"
         pytest.param(["fock-check", "--kappa", "inf"], "kappa", id="kappa-inf"),
         pytest.param(["fock-check", "--t-max", "inf"], "--t-max", id="t-max-inf"),
         pytest.param(["energy", "--t-min=-1e308", "--t-max=1e308"], "--t-min", id="grid-overflow"),
+        # the grid and --time are in units of tau, so the delta pulse checks it too
+        pytest.param(
+            ["energy", "--pulse", "delta", "--tau", "-1", "--steps", "3"], BAD_TAU, id="delta-tau-negative"
+        ),
+        pytest.param(
+            ["energy", "--pulse", "delta", "--tau", "0", "--steps", "3"], BAD_TAU, id="delta-tau-zero"
+        ),
+        pytest.param(
+            ["quadratures", "--pulse", "delta", "--tau", "-1", "--time", "1"], BAD_TAU, id="delta-tau-time"
+        ),
+        pytest.param(["fock-check", "--zeta", "0", "--ergotropy"], NO_ENERGY, id="ergotropy-zeta-zero"),
+        pytest.param(
+            ["fock-check", "--zeta", "0", "--kappa", "0.1", "--ergotropy"], NO_ENERGY, id="ergotropy-zeta-zero-lossy"
+        ),
         *(
             pytest.param([*argv, "400"], LARGEST_DOUBLE, id="overflow-" + "-".join(a for a in argv if a[0] != "-"))
             for argv in (
@@ -515,6 +535,7 @@ def test_delta_pulse_power_fails_cleanly(capsys):
     "argv, fragment, usage",
     [
         pytest.param(["energy", "--no-such-flag"], "--no-such-flag", "energy", id="unknown-flag"),
+        pytest.param(["energy", "--omega-d", "1"], "--omega-d", "energy", id="omega-d"),
         pytest.param(["fig", "9z"], "'9z'", "fig", id="unknown-panel"),
         # each panel takes only the flags it reads
         pytest.param(["fig", "3b", "--zetas", "0"], "--zetas", "fig 3b", id="fig-3b-zetas"),

@@ -14,6 +14,7 @@ from qbattery.dynamics import (
     analytic_moments,
     integrate_moments,
 )
+from qbattery.fock import choose_truncation, evolve_full
 from qbattery.pulses import (
     Algebraic,
     DeltaLimit,
@@ -44,13 +45,20 @@ def rate(p, t, state, kappa=0.0, h=1e-7):
 
 class TestDriveParams:
     def test_defaults_to_resonance(self):
-        p = gauss_params(1.0)
-        assert p.omega_d == p.omega_b
-        assert p.resonant
+        # the one run that takes a carrier drives on resonance unless told otherwise
+        p = gauss_params(0.5, omega_b=2.0)
+        dim, grid = choose_truncation(0.5, 1e-8), np.linspace(-8.0, 6.0, 5)
+        default = evolve_full(p, dim, grid)
+        explicit = evolve_full(p, dim, grid, omega_d=p.omega_b)
+        for name in ("n", "s", "var_x_min", "tail_mass", "odd_mass"):
+            assert np.array_equal(getattr(default, name), getattr(explicit, name))
+        assert default.norm_drift == explicit.norm_drift
+        assert np.array_equal(default.final_state.amp, explicit.final_state.amp)
 
     def test_detuned(self):
-        p = DriveParams(omega_b=1.0, zeta=1.0, pulse=Gaussian(1.0), omega_d=1.1)
-        assert not p.resonant
+        # a detuned carrier is evolve_full's argument, not a drive parameter
+        with pytest.raises(TypeError, match="omega_d"):
+            DriveParams(omega_b=1.0, zeta=1.0, pulse=Gaussian(1.0), omega_d=1.1)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -59,7 +67,6 @@ class TestDriveParams:
             dict(omega_b=-2.0, zeta=1.0),
             dict(omega_b=1.0, zeta=-0.5),
             dict(omega_b=1.0, zeta=math.nan),
-            dict(omega_b=1.0, zeta=1.0, omega_d=-1.0),
         ],
     )
     def test_validation(self, kwargs):
@@ -93,8 +100,9 @@ class TestMomentRhs:
         assert d.s == pytest.approx(-3.0j, rel=1e-6)
 
     def test_rejects_detuned_and_delta(self):
-        # the equations hold on resonance for a pulse of finite width
-        with pytest.raises(ValueError, match="resonance"):
+        # the equations hold on resonance, the only carrier a drive has,
+        # for a pulse of finite width
+        with pytest.raises(TypeError, match="omega_d"):
             rate(DriveParams(1.0, 1.0, Gaussian(1.0), omega_d=2.0), 0.0, VACUUM)
         with pytest.raises(UnsupportedPulseError):
             rate(DriveParams(1.0, 1.0, DeltaLimit()), 0.0, VACUUM)

@@ -36,8 +36,8 @@ from qbattery.specfun import Accuracy
 from oracles import lindblad_dense, squeezed_vacuum_distribution
 
 
-def gauss_params(zeta, tau=1.0, omega_b=1.0, omega_d=None):
-    return DriveParams(omega_b=omega_b, zeta=zeta, pulse=Gaussian(tau), omega_d=omega_d)
+def gauss_params(zeta, tau=1.0, omega_b=1.0):
+    return DriveParams(omega_b=omega_b, zeta=zeta, pulse=Gaussian(tau))
 
 
 GRID = np.linspace(-8.0, 6.0, 29)
@@ -146,23 +146,23 @@ class TestChooseTruncation:
         assert choose_truncation(0.0, 1e-8) == 6
 
     def test_order_of_magnitude(self):
-        n = choose_truncation(1.0, 1e-8)
+        n = choose_truncation(2.0, 1e-8)
         assert 100 < n < 1000  # a few hundred levels
 
     def test_against_distribution_oracle(self):
         # the last three lie below the rounding of a term-by-term sum
-        for zeta, tol in (
-            (0.5, 1e-8), (1.0, 1e-8), (1.0, 1e-4), (1.87, 1.2e-14), (2.0, 1e-15), (1.0, 1e-14)
+        for r, tol in (
+            (1.0, 1e-8), (2.0, 1e-8), (2.0, 1e-4), (3.74, 1.2e-14), (4.0, 1e-15), (2.0, 1e-14)
         ):
-            n = choose_truncation(zeta, tol)
-            probs = squeezed_vacuum_distribution(2.0 * zeta, 2 * n)
+            n = choose_truncation(r, tol)
+            probs = squeezed_vacuum_distribution(r, 2 * n)
             assert sum(probs[n - 4 :]) < tol
             # minimality up to the even-headroom rounding
             assert sum(probs[max(0, n - 8) :]) > tol or n == 6
 
     def test_near_cap_size_is_found_at_once(self):
         start = time.perf_counter()
-        assert choose_truncation(3.5, 1e-8) == 9_873_764
+        assert choose_truncation(7.0, 1e-8) == 9_873_764
         assert time.perf_counter() - start < 0.1
 
     def test_pair_tail_matches_scipy_betainc(self):
@@ -184,10 +184,10 @@ class TestChooseTruncation:
     def test_hopeless_arguments_fail_at_once(self):
         # r = 8 puts 2.7e-3 of the mass beyond the 2 * 10^7-level size cap;
         # r = 2000 overflows cosh(r) if evaluated directly
-        for zeta, tol in ((4.0, 1e-8), (10.0, 1e-4), (1000.0, 1e-8)):
+        for r, tol in ((8.0, 1e-8), (20.0, 1e-4), (2000.0, 1e-8)):
             start = time.perf_counter()
             with pytest.raises(RuntimeError, match="did not converge"):
-                choose_truncation(zeta, tol)
+                choose_truncation(r, tol)
             assert time.perf_counter() - start < 0.1
 
     def test_early_refusal_only_when_the_cap_is_out_of_reach(self, monkeypatch):
@@ -202,7 +202,7 @@ class TestChooseTruncation:
                 probs = squeezed_vacuum_distribution(2.0 * zeta, 2 * terms + 1)
                 beyond = 1.0 - math.fsum(probs)
                 try:
-                    choose_truncation(float(zeta), tol)
+                    choose_truncation(2.0 * float(zeta), tol)
                 except RuntimeError as exc:
                     assert beyond > tol
                     early += "lies beyond" in str(exc)
@@ -212,11 +212,14 @@ class TestChooseTruncation:
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            choose_truncation(-1.0, 1e-8)
+            choose_truncation(-2.0, 1e-8)
         with pytest.raises(ValueError):
-            choose_truncation(1.0, 0.0)
+            choose_truncation(2.0, 0.0)
         with pytest.raises(ValueError):
-            choose_truncation(1.0, 1.0)
+            choose_truncation(2.0, 1.0)
+        # the argument is the squeeze parameter r, no longer half of it
+        with pytest.raises(TypeError):
+            choose_truncation(zeta=1.0, tail_tol=1e-8)
 
 
 class TestEvolveRwa:
@@ -227,19 +230,19 @@ class TestEvolveRwa:
 
     def test_reproduces_analytic_endpoint(self):
         p = gauss_params(1.0)
-        traj = evolve_rwa(p, choose_truncation(1.0, 1e-8), GRID)
+        traj = evolve_rwa(p, choose_truncation(2.0, 1e-8), GRID)
         want = analytic_moments(p, 6.0)
         assert abs(traj.n[-1] - want.n) < 1e-4
         assert abs(traj.s[-1] - want.s) < 1e-4
 
     def test_cross_engine_trajectory_agreement(self):
         p = gauss_params(1.0)
-        traj = evolve_rwa(p, choose_truncation(1.0, 1e-8), GRID)
+        traj = evolve_rwa(p, choose_truncation(2.0, 1e-8), GRID)
         exact = np.array([analytic_moments(p, float(t)).n for t in GRID])
         assert np.max(np.abs(traj.n - exact)) < 1e-4
 
     def test_parity_and_norm(self):
-        traj = evolve_rwa(gauss_params(1.0), choose_truncation(1.0, 1e-8), GRID)
+        traj = evolve_rwa(gauss_params(1.0), choose_truncation(2.0, 1e-8), GRID)
         assert np.max(traj.odd_mass) < 1e-12
         assert traj.norm_drift < 1e-9
 
@@ -269,7 +272,7 @@ class TestEvolveRwa:
                 run()
 
     def test_csv_export(self, tmp_path):
-        traj = evolve_rwa(gauss_params(0.5), choose_truncation(0.5, 1e-8), GRID)
+        traj = evolve_rwa(gauss_params(0.5), choose_truncation(1.0, 1e-8), GRID)
         out = tmp_path / "fock.csv"
         traj.write_csv(out, ergotropy_ratio=1.0)
         lines = out.read_text().strip().splitlines()
@@ -284,7 +287,7 @@ class TestEvolveFull:
 
     def test_approaches_rwa_with_carrier_separation(self):
         grid = np.linspace(-8.0, 6.0, 8)
-        dim = choose_truncation(0.5, 1e-8)
+        dim = choose_truncation(1.0, 1e-8)
         rel = {}
         for wb in (20.0, 80.0):
             p = gauss_params(0.5, omega_b=wb)
@@ -298,16 +301,21 @@ class TestEvolveFull:
     def test_detuned_carrier_charges_less(self):
         # off resonance the pair drive is no longer phase matched
         grid = np.linspace(-8.0, 6.0, 8)
-        dim = choose_truncation(0.5, 1e-8)
+        dim = choose_truncation(1.0, 1e-8)
         res = evolve_full(gauss_params(0.5, omega_b=40.0), dim, grid)
-        det = evolve_full(gauss_params(0.5, omega_b=40.0, omega_d=44.0), dim, grid)
+        det = evolve_full(gauss_params(0.5, omega_b=40.0), dim, grid, omega_d=44.0)
         assert det.n[-1] < 0.5 * res.n[-1]
+
+    @pytest.mark.parametrize("omega_d", [-1.0, 0.0, math.nan, math.inf])
+    def test_rejects_bad_carrier(self, omega_d):
+        with pytest.raises(ValueError, match="omega_d must be positive and finite"):
+            evolve_full(gauss_params(0.5), 8, np.linspace(-8.0, 6.0, 8), omega_d=omega_d)
 
 
 class TestEvolveLindblad:
     def test_lossless_matches_rwa(self):
         p = gauss_params(0.5)
-        dim = choose_truncation(0.5, 1e-8)
+        dim = choose_truncation(1.0, 1e-8)
         grid = np.linspace(-8.0, 6.0, 15)
         lind = evolve_lindblad(p, 0.0, dim, grid)
         rwa = evolve_rwa(p, dim, grid)
@@ -324,7 +332,7 @@ class TestEvolveLindblad:
 
     def test_matches_dissipative_moment_ode(self):
         p = gauss_params(1.0)
-        dim = choose_truncation(1.0, 1e-8)
+        dim = choose_truncation(2.0, 1e-8)
         grid = np.linspace(-6.0, 6.0, 13)
         lind = evolve_lindblad(p, 0.1, dim, grid, Accuracy(1e-10, 1e-8))
         mom = integrate_moments(
@@ -336,7 +344,7 @@ class TestEvolveLindblad:
     def test_positivity_of_final_state(self):
         p = gauss_params(0.5)
         grid = np.linspace(-6.0, 6.0, 7)
-        traj = evolve_lindblad(p, 0.2, choose_truncation(0.5, 1e-8), grid)
+        traj = evolve_lindblad(p, 0.2, choose_truncation(1.0, 1e-8), grid)
         assert traj.final_state.min_eigenvalue() > -1e-10
 
     def test_positivity_margin_at_the_default_accuracy(self):
@@ -344,7 +352,7 @@ class TestEvolveLindblad:
         # the size of the absolute floor; it must stay well inside
         # ergotropy's -1e-10 rejection threshold
         p = gauss_params(1.9)
-        traj = evolve_lindblad(p, 0.1, choose_truncation(0.95, 1e-8), GRID)
+        traj = evolve_lindblad(p, 0.1, choose_truncation(1.9, 1e-8), GRID)
         assert traj.final_state.dim == 372
         assert traj.final_state.min_eigenvalue() >= -2.5e-11
 
@@ -683,7 +691,7 @@ class TestErgotropy:
 
     def test_charged_battery_is_fully_extractable(self):
         p = gauss_params(1.0)
-        traj = evolve_rwa(p, choose_truncation(1.0, 1e-8), GRID)
+        traj = evolve_rwa(p, choose_truncation(2.0, 1e-8), GRID)
         final = traj.final_state
         ratio = ergotropy(final.to_density(), 1.0) / final.mean_population()
         assert ratio == pytest.approx(1.0, abs=1e-8)
@@ -699,7 +707,7 @@ class TestQuadratureFromState:
 
     def test_matches_closed_form_after_evolution(self):
         p = gauss_params(0.8, omega_b=1.7)
-        traj = evolve_rwa(p, choose_truncation(0.8, 1e-8), GRID)
+        traj = evolve_rwa(p, choose_truncation(1.6, 1e-8), GRID)
         final = traj.final_state
         t_end = float(GRID[-1])
         for theta in np.linspace(0.0, 2.0 * math.pi, 9):
