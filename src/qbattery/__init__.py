@@ -9,112 +9,21 @@ truncated Fock-space verification engine (unitary, carrier-resolved and
 lossy), and a CLI that emits all of it as machine-readable tables.
 """
 
-from .dynamics import (
-    ODE_ACCURACY,
-    VACUUM,
-    DriveParams,
-    IntegrationError,
-    MomentState,
-    MomentTrajectory,
-    analytic_moments,
-    integrate_moments,
-)
-from .fock import (
-    FOCK_ACCURACY,
-    FockDensity,
-    FockTrajectory,
-    FockVector,
-    LINDBLAD_ACCURACY,
-    TruncationError,
-    choose_truncation,
-    ergotropy,
-    evolve_full,
-    evolve_lindblad,
-    evolve_rwa,
-    quadrature_variances_from_state,
-)
-from .merit import (
-    ChargingReport,
-    QuadratureReport,
-    average_power_fwhm,
-    charging_time,
-    charging_time_large_zeta,
-    charging_time_small_zeta,
-    instantaneous_power,
-    min_quadrature_variance,
-    peak_power_delay_weak_limit,
-    peak_power_estimate,
-    peak_power_time,
-    quadrature_variances,
-    quadrature_variances_from_moments,
-    stored_energy,
-)
-from .pulses import (
-    PULSE_NAMES,
-    Algebraic,
-    DeltaLimit,
-    Gaussian,
-    Lorentzian,
-    PoschlTeller,
-    PulseShape,
-    Sech,
-    UnsupportedPulseError,
-    from_name,
-)
-from .specfun import Accuracy, arcsinh, debruijn_w_approx, erf, erfinv, lambert_w0
+from . import dynamics, fock, merit, pulses, specfun
+from .dynamics import *
+from .fock import *
+from .merit import *
+from .pulses import *
+from .specfun import *
 
 __version__ = "0.1.0"
 
+# each public name is listed once, in the __all__ of the module defining it
 __all__ = [
-    "Accuracy",
-    "Algebraic",
-    "ChargingReport",
-    "DeltaLimit",
-    "DriveParams",
-    "FOCK_ACCURACY",
-    "FockDensity",
-    "FockTrajectory",
-    "FockVector",
-    "Gaussian",
-    "IntegrationError",
-    "LINDBLAD_ACCURACY",
-    "Lorentzian",
-    "MomentState",
-    "MomentTrajectory",
-    "ODE_ACCURACY",
-    "PULSE_NAMES",
-    "PoschlTeller",
-    "PulseShape",
-    "QuadratureReport",
-    "Sech",
-    "TruncationError",
-    "UnsupportedPulseError",
-    "VACUUM",
-    "analytic_moments",
-    "arcsinh",
-    "average_power_fwhm",
-    "charging_time",
-    "charging_time_large_zeta",
-    "charging_time_small_zeta",
-    "choose_truncation",
-    "debruijn_w_approx",
-    "erf",
-    "erfinv",
-    "ergotropy",
-    "evolve_full",
-    "evolve_lindblad",
-    "evolve_rwa",
-    "from_name",
-    "instantaneous_power",
-    "integrate_moments",
-    "lambert_w0",
-    "min_quadrature_variance",
-    "peak_power_delay_weak_limit",
-    "peak_power_estimate",
-    "peak_power_time",
-    "quadrature_variances",
-    "quadrature_variances_from_moments",
-    "quadrature_variances_from_state",
-    "stored_energy",
+    *dynamics.__all__,
+    *fock.__all__,
+    *merit.__all__,
+    *pulses.__all__,
+    *specfun.__all__,
     "__version__",
 ]

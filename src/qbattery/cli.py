@@ -15,12 +15,11 @@ identical configurations: full double precision, fixed row order.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from pathlib import Path
 
-from .dynamics import DriveParams, _csv_text, analytic_moments, integrate_moments
+from .dynamics import DriveParams, _write_table, analytic_moments, integrate_moments
 from .fock import choose_truncation, ergotropy, evolve_lindblad, evolve_rwa
 from .merit import (
     average_power_fwhm,
@@ -112,18 +111,6 @@ def _grid(args: argparse.Namespace) -> list[float]:
     return grid
 
 
-def _write_table(columns: list[str], rows: list[list[float]], args: argparse.Namespace) -> None:
-    if args.format == "json":
-        payload = {"columns": columns, "rows": [[float(v) for v in row] for row in rows]}
-        text = json.dumps(payload, separators=(",", ":")) + "\n"
-    else:
-        text = _csv_text(columns, rows)
-    if args.out in (None, "-"):
-        sys.stdout.write(text)
-    else:
-        Path(args.out).write_text(text, encoding="utf-8", newline="")
-
-
 def _theta_table(p: DriveParams, t: float, theta_steps: int) -> Table:
     if theta_steps < 2:
         raise ValueError("--theta-steps must be at least 2")
@@ -191,8 +178,10 @@ def cmd_fock_check(args: argparse.Namespace) -> Table:
         traj = evolve_lindblad(p, kappa, dim, times)
         ref = integrate_moments(p, times[0], times[-1], kappa=kappa, times=times)
         n_ref = list(ref.n)
-    columns = ["t", "n", "re_s", "im_s", "var_x_min", "tail_mass", "n_ref", "abs_err"]
-    ratio = None
+    columns, rows = traj.table()
+    columns += ["n_ref", "abs_err"]
+    for row, ref in zip(rows, n_ref):
+        row += [ref, abs(row[1] - ref)]
     if args.ergotropy:
         final = traj.final_state
         stored = p.omega_b * final.mean_population()
@@ -200,21 +189,8 @@ def cmd_fock_check(args: argparse.Namespace) -> Table:
             raise ValueError(f"zeta = {args.zeta:g} stores no energy; the ergotropy ratio is undefined")
         ratio = ergotropy(final, p.omega_b) / stored
         columns.append("ergotropy_ratio")
-    rows = []
-    for i, t in enumerate(times):
-        row = [
-            t,
-            traj.n[i],
-            traj.s[i].real,
-            traj.s[i].imag,
-            traj.var_x_min[i],
-            traj.tail_mass[i],
-            n_ref[i],
-            abs(traj.n[i] - n_ref[i]),
-        ]
-        if ratio is not None:
+        for row in rows:
             row.append(ratio)
-        rows.append(row)
     return columns, rows
 
 
@@ -451,7 +427,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.config is not None:
             args = _apply_config(parser, argv, args)
-        _write_table(*args.func(args), args)
+        _write_table(*args.func(args), args.out, args.format)
     except OverflowError:
         print(
             "qbattery: error: a result passed the largest double (about 1.8e308); "

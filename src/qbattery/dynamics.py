@@ -21,12 +21,16 @@ The closed forms run on Python floats. numpy is bound lazily
 (:func:`_lazy`) and loads on the first numerical call, an integration or
 a :class:`MomentTrajectory`; scipy is imported only when an ODE runs
 (:func:`_rk45`). Importing the package therefore loads neither.
+
+Every table the package writes, the CLI's and both trajectories'
+``write_csv``, goes through :func:`_write_table`.
 """
 
 from __future__ import annotations
 
 import functools
 import importlib.util
+import json
 import math
 import sys
 import types
@@ -184,10 +188,28 @@ def _validate_times(times, min_points: int) -> np.ndarray:
 
 def _csv_text(columns: list[str], rows) -> str:
     """A header line and one line per row, every value at full double
-    precision; the one table format of the package."""
+    precision; the CSV format of :func:`_write_table`."""
     lines = [",".join(columns)]
     lines.extend(",".join(format(float(v), ".17g") for v in row) for row in rows)
     return "\n".join(lines) + "\n"
+
+
+def _write_table(columns: list[str], rows, out=None, fmt: str = "csv") -> None:
+    """The one table writer: ``columns`` and ``rows`` as CSV
+    (:func:`_csv_text`) or, with ``fmt="json"``, as compact JSON
+    ``{"columns": [...], "rows": [[...], ...]}``. The text goes to
+    stdout when ``out`` is None or the string ``"-"``, else to the file
+    ``out`` (a ``Path("-")`` is a file) with LF line ends on every
+    platform."""
+    if fmt == "json":
+        payload = {"columns": columns, "rows": [[float(v) for v in row] for row in rows]}
+        text = json.dumps(payload, separators=(",", ":")) + "\n"
+    else:
+        text = _csv_text(columns, rows)
+    if out is None or out == "-":
+        sys.stdout.write(text)
+    else:
+        Path(out).write_text(text, encoding="utf-8", newline="")
 
 
 @dataclass(frozen=True)
@@ -271,8 +293,7 @@ class MomentTrajectory:
     def write_csv(self, path: str | Path) -> None:
         """Columns: t, n, re_s, im_s, invariant_residual."""
         rows = zip(self.times, self.n, self.s.real, self.s.imag, self.invariant_residual())
-        text = _csv_text(["t", "n", "re_s", "im_s", "invariant_residual"], rows)
-        Path(path).write_text(text, encoding="utf-8")
+        _write_table(["t", "n", "re_s", "im_s", "invariant_residual"], rows, Path(path))
 
 
 def integrate_moments(

@@ -259,6 +259,33 @@ def test_fock_check_lossy_engine(tmp_path):
     assert rows[-1, 1] < math.sinh(0.6) ** 2
 
 
+@pytest.mark.parametrize("engine, flags", [("evolve_rwa", []), ("evolve_lindblad", ["--kappa", "0.1"])])
+def test_fock_check_columns_are_the_trajectory_table(tmp_path, monkeypatch, engine, flags):
+    # the first six columns, in CSV and in JSON, are FockTrajectory.table()
+    # of the engine call the command made, bit for bit
+    from qbattery import cli
+
+    runs = []
+    real = getattr(cli, engine)
+
+    def recording(*args, **kwargs):
+        runs.append(real(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(cli, engine, recording)
+    argv = ["fock-check", "--zeta", "0.5", "--steps", "9", *flags]
+    csv_out, json_out = tmp_path / "fock.csv", tmp_path / "fock.json"
+    assert main([*argv, "--out", str(csv_out)]) == 0
+    assert main([*argv, "--format", "json", "--out", str(json_out)]) == 0
+    assert len(runs) == 2
+    payload = json.loads(json_out.read_text())
+    header, rows = read_csv(csv_out)
+    for traj, columns, values in ((runs[0], header, rows.tolist()), (runs[1], payload["columns"], payload["rows"])):
+        table_columns, table_rows = traj.table()
+        assert columns[:6] == table_columns
+        assert [row[:6] for row in values] == table_rows
+
+
 def test_sweep_threads_keep_order(tmp_path):
     serial, parallel = tmp_path / "s.csv", tmp_path / "p.csv"
     zetas = "2,0.5,1,4"
@@ -291,6 +318,20 @@ def test_import_loads_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == []
+
+
+def test_package_exports_each_module_name_once():
+    import qbattery
+    from qbattery import dynamics, fock, merit, pulses, specfun
+
+    modules = (dynamics, fock, merit, pulses, specfun)
+    expected = [name for mod in modules for name in mod.__all__] + ["__version__"]
+    assert qbattery.__all__ == expected
+    assert len(set(expected)) == len(expected)
+    for mod in modules:
+        for name in mod.__all__:
+            assert getattr(qbattery, name) is getattr(mod, name), name
+    assert qbattery.brentq is specfun.brentq
 
 
 def test_closed_form_path_loads_no_numpy():

@@ -277,6 +277,14 @@ class TestIntegrateMoments:
         assert lines[0] == "t,n,re_s,im_s,invariant_residual"
         assert len(lines) == 6
 
+    def test_csv_export_writes_lf_lines_to_a_file_even_named_dash(self, tmp_path, monkeypatch, capsys):
+        traj = integrate_moments(gauss_params(1.0), -8.0, 2.0, times=np.linspace(-2, 2, 5))
+        monkeypatch.chdir(tmp_path)
+        traj.write_csv("-")
+        assert capsys.readouterr().out == ""
+        raw = (tmp_path / "-").read_bytes()
+        assert b"\r" not in raw and raw.count(b"\n") == 6
+
 
 def test_observer_keeps_the_plain_rows_and_steps():
     # every run goes through the row-cut solver; with all rows it is

@@ -56,6 +56,16 @@ class TestStateContainers:
         assert vec.odd_mass() == 0.0
         assert vec.mean_population() == 0.0
 
+    def test_vector_owns_a_read_only_copy(self):
+        a = np.zeros(4, dtype=complex)
+        a[0] = 1.0
+        vec = FockVector(a)
+        a[0] = 5.0
+        assert vec.amp[0] == 1.0
+        assert vec.norm_error == 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            vec.amp[0] = 5.0
+
     def test_density_validation(self):
         good = np.diag([0.6, 0.4]).astype(complex)
         rho = FockDensity(good)
@@ -278,6 +288,16 @@ class TestEvolveRwa:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "t,n,re_s,im_s,var_x_min,tail_mass,ergotropy_ratio"
         assert len(lines) == GRID.size + 1
+
+    def test_csv_export_writes_lf_lines_to_a_file_even_named_dash(self, tmp_path, monkeypatch, capsys):
+        traj = evolve_rwa(gauss_params(0.5), choose_truncation(1.0, 1e-8), GRID)
+        monkeypatch.chdir(tmp_path)
+        traj.write_csv("-")
+        assert capsys.readouterr().out == ""
+        raw = (tmp_path / "-").read_bytes()
+        assert b"\r" not in raw and raw.count(b"\n") == GRID.size + 1
+        columns, rows = traj.table()
+        assert raw.decode().splitlines()[0] == ",".join(columns)
 
 
 class TestEvolveFull:
