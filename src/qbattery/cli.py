@@ -20,7 +20,13 @@ import sys
 from pathlib import Path
 
 from .dynamics import DriveParams, _write_table, analytic_moments, integrate_moments
-from .fock import choose_truncation, ergotropy, evolve_lindblad, evolve_rwa
+from .fock import (
+    choose_truncation,
+    ergotropy,
+    evolve_lindblad,
+    evolve_rwa,
+    gaussian_truncation,
+)
 from .merit import (
     average_power_fwhm,
     charging_time,
@@ -46,6 +52,13 @@ FIG_ZETAS = "0.1,0.5,1,2,4"
 # (zeta 3) take 1-3 s, 9010 (zeta 3.5) about 10 s and 24480 (zeta 4)
 # about 85 s.
 VECTOR_LEVEL_LIMIT = 10_000
+
+# Largest density-matrix ladder fock-check steps. The Lindblad run steps
+# about dim^2 / 4 entries, and RK45's step count grows with the level
+# count too, so its work grows as the cube of the ladder size. As whole
+# processes on a 2-core host, --kappa 0.1 --ergotropy took 20 s at 835
+# levels (zeta 2.5), 44 s at 1100 and 63 s at 1200.
+LINDBLAD_LEVEL_LIMIT = 1100
 
 # What every command returns: column names and rows, written by _write_table.
 Table = tuple[list[str], list[list[float]]]
@@ -158,12 +171,12 @@ def cmd_fock_check(args: argparse.Namespace) -> Table:
     p = _drive(args)
     kappa = args.kappa
     times = _grid(args)
-    # both engines hold the state the pulse actually reaches from the
-    # vacuum, a squeezed vacuum of squeeze parameter at most zeta
     dim = args.fock_dim
-    if dim is None:
-        dim = choose_truncation(args.zeta, args.tail_tol)
     if kappa == 0.0:
+        # the pulse takes the vacuum to a squeezed vacuum of squeeze
+        # parameter at most zeta, which sizes the ladder
+        if dim is None:
+            dim = choose_truncation(args.zeta, args.tail_tol)
         if dim > VECTOR_LEVEL_LIMIT:
             raise ValueError(
                 f"the vector ladder needs {dim} levels (zeta {args.zeta:g}, "
@@ -175,8 +188,21 @@ def cmd_fock_check(args: argparse.Namespace) -> Table:
         # the engine starts from the vacuum at the first grid point, not at -inf
         n_ref = [analytic_moments(p, t, times[0]).n for t in times]
     else:
-        traj = evolve_lindblad(p, kappa, dim, times)
+        # the moments come first: with loss the state stays a zero-mean
+        # Gaussian, far thinner-tailed than the lossless squeezed vacuum,
+        # and its exact photon distribution at every sample sizes the ladder
         ref = integrate_moments(p, times[0], times[-1], kappa=kappa, times=times)
+        if dim is None:
+            dim = gaussian_truncation(ref.n, ref.s, args.tail_tol, LINDBLAD_LEVEL_LIMIT)
+        if dim is None or dim > LINDBLAD_LEVEL_LIMIT:
+            needs = f"more than {LINDBLAD_LEVEL_LIMIT}" if dim is None else dim
+            raise ValueError(
+                f"the density-matrix ladder needs {needs} levels (zeta {args.zeta:g}, "
+                f"--kappa {kappa:g}, --tail-tol {args.tail_tol:g}), above the "
+                f"{LINDBLAD_LEVEL_LIMIT}-level limit of the lossy engine, whose work "
+                "grows as the cube of the ladder size"
+            )
+        traj = evolve_lindblad(p, kappa, dim, times)
         n_ref = list(ref.n)
     columns, rows = traj.table()
     columns += ["n_ref", "abs_err"]
@@ -367,8 +393,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = command(sub, "fock-check", cmd_fock_check, "Fock-ladder evolution against the closed form", drive=True)
     _add_grid_args(sp, -8.0, 6.0, 57)
     sp.add_argument("--kappa", type=float, default=0.0, help="photon-loss rate; > 0 switches to the lossy engine")
-    sp.add_argument("--tail-tol", type=float, default=1e-8, help="tail mass budget of the squeezed vacuum the pulse reaches (squeeze parameter zeta), used to size the ladder")
-    sp.add_argument("--fock-dim", type=int, default=None, help=f"explicit ladder size (overrides --tail-tol); without --kappa at most {VECTOR_LEVEL_LIMIT}")
+    sp.add_argument("--tail-tol", type=float, default=1e-8, help="tail mass budget used to size the ladder: of the squeezed vacuum the pulse reaches (squeeze parameter zeta), or with --kappa of the lossy Gaussian state at every grid point")
+    sp.add_argument("--fock-dim", type=int, default=None, help=f"explicit ladder size (overrides --tail-tol); at most {VECTOR_LEVEL_LIMIT} without --kappa, {LINDBLAD_LEVEL_LIMIT} with it")
     sp.add_argument("--ergotropy", nargs="?", type=_true_or_false, const=True, default=False, metavar="true|false", help="append the extractable-work ratio of the final state")
     _add_out_args(sp)
 

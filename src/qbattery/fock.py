@@ -45,10 +45,17 @@ two blocks. Before allocating, the engine compares the bytes the run
 needs with the smaller of physical RAM and the RLIMIT_AS soft limit and
 fails at once if they do not fit.
 
+The lossless ladder is sized for the squeezed vacuum the pulse reaches
+(:func:`choose_truncation`). With loss the state stays a zero-mean
+Gaussian with a much thinner tail, and :func:`gaussian_truncation` sizes
+the ladder from its exact photon distribution
+(:func:`gaussian_photon_distribution`) at every sample.
+
 numpy is bound lazily, as in :mod:`qbattery.dynamics`: importing this
 module runs none of it, and :func:`choose_truncation` is pure Python, so
-sizing a ladder, and refusing one, needs no numpy. It loads on the first
-state or engine call; scipy loads when an engine steps.
+sizing a lossless ladder, and refusing one, needs no numpy. It loads on
+the first state, engine or Gaussian sizing call; scipy loads when an
+engine steps.
 """
 from __future__ import annotations
 
@@ -85,6 +92,8 @@ __all__ = [
     "evolve_full",
     "evolve_lindblad",
     "evolve_rwa",
+    "gaussian_photon_distribution",
+    "gaussian_truncation",
     "quadrature_variances_from_state",
 ]
 
@@ -107,6 +116,9 @@ LINDBLAD_ACCURACY = Accuracy(abs_tol=1e-13, rel_tol=1e-10)
 
 # How many top ladder levels count as the truncation alarm zone.
 _TAIL_LEVELS = 4
+
+# Fewest levels an engine steps.
+_MIN_LEVELS = 6
 
 # Largest pair number choose_truncation sizes a ladder for: it refuses
 # a squeezed vacuum that needs more than 2 * 10^7 + 6 levels.
@@ -315,13 +327,15 @@ def _pair_tail(m: int, r: float) -> float:
 def choose_truncation(r: float, tail_tol: float) -> int:
     """Ladder size that holds a squeezed vacuum of squeeze parameter r.
 
-    Returns the smallest size whose top four levels, together with all
-    the levels it leaves out, hold less than ``tail_tol`` of the mass of
-    that state (mean population sinh^2 r). A pulse of drive strength
+    Returns the smallest even size whose top four levels, together with
+    all the levels it leaves out, hold less than ``tail_tol`` of the mass
+    of that state (mean population sinh^2 r). A pulse of drive strength
     zeta reaches at most r = zeta from the vacuum, which ``fock-check``
-    sizes for. The tail is exact (a regularized incomplete beta), and
-    the size is found by bisection; :class:`RuntimeError` is raised at
-    once when even 2 * 10^7 + 2 levels leave ``tail_tol`` or more beyond them.
+    sizes the lossless engine for; with loss it sizes the Lindblad
+    engine by :func:`gaussian_truncation` instead. The tail is exact (a
+    regularized incomplete beta), and the size is found by bisection
+    over whole pairs; :class:`RuntimeError` is raised at once when even
+    2 * 10^7 + 2 levels leave ``tail_tol`` or more beyond them.
     """
     if not (math.isfinite(r) and r >= 0.0):
         raise ValueError(f"r must be nonnegative and finite, got {r!r}")
@@ -339,6 +353,75 @@ def choose_truncation(r: float, tail_tol: float) -> int:
         mid = (lo + hi) // 2
         lo, hi = (lo, mid) if _pair_tail(mid, r) < tail_tol else (mid, hi)
     return 2 * hi + _TAIL_LEVELS
+
+
+def _gaussian_terms(n, s):
+    """P(0), P(1), ... of the zero-mean Gaussian states with <b†b> = n
+    and <bb> = s (broadcast together), one array per level, endlessly."""
+    n = np.asarray(n, dtype=float)
+    s_abs = np.abs(np.asarray(s, dtype=complex))
+    n, s_abs = np.broadcast_arrays(n, s_abs)
+    # the generating function needs 1 + W± > 0; n itself is not checked
+    # for sign, since integrated moments can come out at -1e-16 or so
+    if not np.all(np.isfinite(n) & np.isfinite(s_abs) & (s_abs < n + 1.0)):
+        raise ValueError("need finite n and s with |s| < n + 1 at every sample")
+    w_plus, w_minus = n + s_abs, n - s_abs
+    alpha, beta = w_plus / (1.0 + w_plus), w_minus / (1.0 + w_minus)
+    total, product = alpha + beta, alpha * beta
+    prev, cur = np.zeros_like(n), 1.0 / np.sqrt((1.0 + w_plus) * (1.0 + w_minus))
+    m = 0
+    while True:
+        yield cur
+        prev, cur = cur, (total * (m + 0.5) * cur - product * m * prev) / (m + 1)
+        m += 1
+
+
+def gaussian_photon_distribution(n, s, levels: int) -> np.ndarray:
+    """Photon-number probabilities P(0) .. P(levels - 1) of the zero-mean
+    Gaussian state with <b†b> = n and pair correlator <bb> = s.
+
+    ``n`` and ``s`` broadcast together, one state per sample, and the
+    result has shape (levels, *samples). With loss the state the pulse
+    reaches from the vacuum stays such a Gaussian. Its principal
+    quadratures have excess variances W± = n ± |s|, so its generating
+    function is [(1 + (1 - z) W+)(1 + (1 - z) W-)]^(-1/2) (Loudon &
+    Knight, J. Mod. Opt. 34, 709 (1987), for the pure case). With
+    a = W+/(1 + W+) and b = W-/(1 + W-) that gives
+    P(0) = [(1 + W+)(1 + W-)]^(-1/2) and the recurrence
+    (m + 1) P(m + 1) = (a + b)(m + 1/2) P(m) - a b m P(m - 1). For a
+    squeezed vacuum, b = -a = -tanh r and the pair number is the
+    negative binomial NB(1/2, tanh^2 r) that :func:`choose_truncation`
+    sums.
+    """
+    levels = operator.index(levels)
+    if levels < 1:
+        raise ValueError(f"levels must be at least 1, got {levels!r}")
+    terms = _gaussian_terms(n, s)
+    return np.array([next(terms) for _ in range(levels)])
+
+
+def gaussian_truncation(n, s, tail_tol: float, max_levels: int) -> int | None:
+    """Ladder size that holds the zero-mean Gaussian states (n, s) of
+    :func:`gaussian_photon_distribution` at every sample.
+
+    Returns the smallest size, at least 6, whose top four levels, together
+    with all the levels it leaves out, hold less than ``tail_tol`` of the
+    mass of every state, or None when no size up to ``max_levels`` does.
+    The search steps one level at a time and stops at ``max_levels``, so
+    a ``tail_tol`` below the rounding of 1 - sum P(m) ends there too. For
+    a squeezed vacuum, whose odd levels are empty, the size is one level
+    less than the whole pairs :func:`choose_truncation` sizes in.
+    """
+    if not 0.0 < tail_tol < 1.0:
+        raise ValueError(f"tail_tol must lie in (0, 1), got {tail_tol!r}")
+    held = 0.0  # the mass of the levels below ``level``
+    for level, prob in enumerate(_gaussian_terms(n, s)):
+        size = max(level + _TAIL_LEVELS, _MIN_LEVELS)
+        if size > max_levels:
+            return None
+        if np.all(1.0 - held < tail_tol):
+            return size
+        held = held + prob
 
 
 def _pair_coeffs(dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -424,8 +507,8 @@ def _check_run(dim: int, times, tail_guard: float) -> tuple[int, np.ndarray]:
     """An engine's ladder size, at least 6 levels, and its sample grid,
     at least two instants; ``tail_guard`` must be positive."""
     levels = operator.index(dim)
-    if levels < 6:
-        raise ValueError(f"the Fock dimension must be at least 6, got {dim!r}")
+    if levels < _MIN_LEVELS:
+        raise ValueError(f"the Fock dimension must be at least {_MIN_LEVELS}, got {dim!r}")
     if not tail_guard > 0.0:
         raise ValueError(f"tail_guard must be positive, got {tail_guard!r}")
     return levels, _validate_times(times, 2)

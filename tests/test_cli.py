@@ -13,7 +13,9 @@ import numpy as np
 import pytest
 
 from qbattery.cli import main
-from qbattery.fock import choose_truncation
+from qbattery.dynamics import DriveParams, integrate_moments
+from qbattery.fock import gaussian_truncation
+from qbattery.pulses import Gaussian
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -173,12 +175,77 @@ def test_fock_check_pure_ergotropy_needs_no_density_matrix(tmp_path, monkeypatch
     assert np.all(rows[:, header.index("ergotropy_ratio")] == 1.0)
 
 
-def test_fock_check_lossy_refuses_oversized_ladder(capsys):
-    # zeta = 4 sizes a 24480-level density matrix, far beyond any RAM
+def _refuse_lindblad_step(*args, **kwargs):
+    raise AssertionError("the Lindblad engine must not run")
+
+
+def test_fock_check_lossy_refuses_oversized_ladder(capsys, monkeypatch):
+    # zeta = 4 needs 15 859 levels; the sizing stops at the limit, and
+    # the engine never starts, whatever the host's memory
+    from qbattery import cli
+
+    monkeypatch.setattr(cli, "evolve_lindblad", _refuse_lindblad_step)
+    start = time.perf_counter()
     assert main(["fock-check", "--zeta", "4", "--kappa", "0.1"]) == 1
+    assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
-    assert "bytes, more than the" in err
-    assert "RLIMIT_AS" in err
+    assert f"needs more than {cli.LINDBLAD_LEVEL_LIMIT} levels" in err
+    assert f"{cli.LINDBLAD_LEVEL_LIMIT}-level limit of the lossy engine" in err
+    assert "zeta 4, --kappa 0.1, --tail-tol 1e-08" in err
+
+
+def test_fock_check_refuses_an_explicit_lossy_ladder_above_the_limit(capsys, monkeypatch):
+    from qbattery import cli
+
+    monkeypatch.setattr(cli, "evolve_lindblad", _refuse_lindblad_step)
+    dim = cli.LINDBLAD_LEVEL_LIMIT + 1
+    assert main(["fock-check", "--zeta", "1", "--kappa", "0.1", "--fock-dim", str(dim)]) == 1
+    err = capsys.readouterr().err
+    assert f"needs {dim} levels" in err
+    assert f"{cli.LINDBLAD_LEVEL_LIMIT}-level limit of the lossy engine" in err
+
+
+def test_fock_check_refuses_an_unattainable_lossy_tail_tol_at_once(capsys, monkeypatch):
+    # 1e-16 lies below the rounding of 1 - sum P(m): no ladder meets it,
+    # and the sizing ends at the limit instead of searching on
+    from qbattery import cli
+
+    monkeypatch.setattr(cli, "evolve_lindblad", _refuse_lindblad_step)
+    start = time.perf_counter()
+    assert main(["fock-check", "--kappa", "0.1", "--tail-tol", "1e-16"]) == 1
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert f"needs more than {cli.LINDBLAD_LEVEL_LIMIT} levels" in err
+    assert "--tail-tol 1e-16" in err
+
+
+def test_fock_check_sizes_from_moments_rounded_below_zero(tmp_path):
+    # at --kappa 10 the integrated n dips to about -1e-19 on the rising
+    # edge; the sizing takes it as the vacuum it rounds
+    out = tmp_path / "lossy.csv"
+    assert main(["fock-check", "--kappa", "10", "--out", str(out)]) == 0
+    header, rows = read_csv(out)
+    assert np.min(rows[:, header.index("n_ref")]) < 0.0
+    assert np.max(rows[:, header.index("abs_err")]) < 1e-8
+
+
+def test_fock_check_sizes_the_lossy_ladder_from_the_gaussian_state(monkeypatch):
+    # with loss the state is a zero-mean Gaussian far thinner-tailed than
+    # the lossless squeezed vacuum: 22 / 51 / 318 levels at --tail-tol
+    # 1e-8, against 26 / 66 / 454; an explicit --fock-dim still wins
+    from qbattery import cli
+
+    dims = []
+
+    def recording(p, kappa, dim, times):
+        dims.append(dim)
+        raise RuntimeError("sized; stop before stepping")
+
+    monkeypatch.setattr(cli, "evolve_lindblad", recording)
+    for zeta in ("0.5", "1", "2"):
+        assert main(["fock-check", "--zeta", zeta, "--kappa", "0.1"]) == 1
+    assert main(["fock-check", "--zeta", "2", "--kappa", "0.1", "--fock-dim", "30"]) == 1
+    assert dims == [22, 51, 318, 30]
 
 
 def test_fock_check_sizes_the_vector_ladder_for_the_squeeze_reached(tmp_path, monkeypatch):
@@ -432,7 +499,9 @@ def test_lossy_ergotropy_decomposes_the_final_state_once(tmp_path, monkeypatch):
     # from the vacuum the rotated state has only even diagonals, so its
     # spectrum comes from one call per parity block and none on the full
     # matrix; a second decomposition would add calls
-    dim = choose_truncation(0.5, 1e-8)
+    grid = np.linspace(-6.0, 4.0, 6)
+    ref = integrate_moments(DriveParams(omega_b=1.0, zeta=0.5, pulse=Gaussian(1.0)), grid[0], grid[-1], kappa=0.1, times=grid)
+    dim = gaussian_truncation(ref.n, ref.s, 1e-8, 10_000)
     assert sorted(calls) == [(dim // 2, dim // 2), ((dim + 1) // 2, (dim + 1) // 2)]
     header, rows = read_csv(out)
     assert 0.0 < rows[0, header.index("ergotropy_ratio")] <= 1.0

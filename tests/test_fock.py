@@ -27,6 +27,8 @@ from qbattery.fock import (
     evolve_full,
     evolve_lindblad,
     evolve_rwa,
+    gaussian_photon_distribution,
+    gaussian_truncation,
     quadrature_variances_from_state,
 )
 from qbattery.merit import quadrature_variances
@@ -230,6 +232,106 @@ class TestChooseTruncation:
         # the argument is the squeeze parameter r, no longer half of it
         with pytest.raises(TypeError):
             choose_truncation(zeta=1.0, tail_tol=1e-8)
+
+
+def lossy_moments(zeta, kappa=0.1, grid=np.linspace(-8.0, 6.0, 57)):
+    """The moments on fock-check's default grid, which its lossy path sizes from."""
+    return integrate_moments(gauss_params(zeta), grid[0], grid[-1], kappa=kappa, times=grid)
+
+
+def gaussian_from_variances(w_plus, w_minus):
+    """(n, s) of the Gaussian whose principal excess variances are W+ and W-."""
+    return 0.5 * (w_plus + w_minus), -0.5j * (w_plus - w_minus)
+
+
+class TestGaussianPhotonDistribution:
+    @pytest.mark.parametrize("zeta", [0.5, 1.0, 2.0])
+    def test_sums_to_one_with_mean_n(self, zeta):
+        ref = lossy_moments(zeta)
+        probs = gaussian_photon_distribution(ref.n, ref.s, 4000)
+        assert probs.shape == (4000, 57)
+        assert np.max(np.abs(probs.sum(axis=0) - 1.0)) < 1e-13
+        mean = np.arange(4000) @ probs
+        assert np.max(np.abs(mean - ref.n) / (1.0 + ref.n)) < 1e-13
+        # the moments' rounding can put a nearly pure early sample just
+        # outside the physical |s|^2 <= n (n + 1), and an empty odd level
+        # just below zero
+        assert np.min(probs) > -1e-14
+
+    @pytest.mark.parametrize("w_plus, w_minus", [(3.0, -0.4), (25.0, 0.7), (0.8, 0.0)])
+    def test_matches_the_product_of_two_series(self, w_plus, w_minus):
+        # G(z) = P(0) (1 - a z)^(-1/2) (1 - b z)^(-1/2), each factor the
+        # series sum_j binom(2j, j) (x z / 4)^j
+        levels = 200
+        a, b = w_plus / (1.0 + w_plus), w_minus / (1.0 + w_minus)
+        j = np.arange(levels)
+        central = np.cumprod(np.r_[1.0, (2.0 * j[1:] - 1.0) / (2.0 * j[1:])])
+        direct = np.convolve(central * a**j, central * b**j)[:levels]
+        direct /= math.sqrt((1.0 + w_plus) * (1.0 + w_minus))
+        probs = gaussian_photon_distribution(*gaussian_from_variances(w_plus, w_minus), levels)
+        assert np.max(np.abs(probs - direct) / direct) < 1e-13
+
+    @pytest.mark.parametrize("r", [0.5, 1.0, 2.0])
+    def test_lossless_is_the_squeezed_vacuum(self, r):
+        # NB(1/2, tanh^2 r) in the pair number; the odd levels are empty
+        n, s = math.sinh(r) ** 2, -0.5j * math.sinh(2.0 * r)
+        probs = gaussian_photon_distribution(n, s, 600)
+        assert np.max(np.abs(probs - squeezed_vacuum_distribution(r, 600))) < 1e-12
+        # choose_truncation sizes in whole pairs; the level below its top
+        # pair is empty, so the smallest ladder by the same rule is one less
+        dim = choose_truncation(r, 1e-8)
+        assert gaussian_truncation(n, s, 1e-8, 10_000) == dim - 1
+        assert 1.0 - math.fsum(probs[: dim - 5]) < 1e-8 <= 1.0 - math.fsum(probs[: dim - 6])
+
+    def test_sizes_the_smallest_ladder_at_every_sample(self):
+        for zeta, want in ((0.5, 22), (1.0, 51), (2.0, 318)):
+            ref = lossy_moments(zeta)
+            dim = gaussian_truncation(ref.n, ref.s, 1e-8, 10_000)
+            assert dim == want
+            probs = gaussian_photon_distribution(ref.n, ref.s, dim)
+            # levels dim - 4 and up hold less than tail_tol at every
+            # sample; levels dim - 5 and up do not at some sample
+            assert np.max(1.0 - probs[: dim - 4].sum(axis=0)) < 1e-8
+            assert np.max(1.0 - probs[: dim - 5].sum(axis=0)) >= 1e-8
+        assert gaussian_truncation(0.0, 0.0, 1e-8, 10_000) == 6
+
+    def test_stops_at_the_level_limit(self):
+        ref, weak = lossy_moments(4.0), lossy_moments(1.0)
+        start = time.perf_counter()
+        # zeta 4 needs 15 859 levels; a tail_tol below the rounding of
+        # 1 - sum P(m) is never met, at any size
+        assert gaussian_truncation(ref.n, ref.s, 1e-8, 1100) is None
+        assert gaussian_truncation(weak.n, weak.s, 1e-16, 1100) is None
+        assert time.perf_counter() - start < 1.0
+        assert gaussian_truncation(ref.n, ref.s, 1e-8, 20_000) == 15_859
+        assert gaussian_truncation(0.0, 0.0, 1e-8, 5) is None
+
+    @pytest.mark.parametrize("zeta", [1.0, 2.0])
+    def test_lindblad_populations_match_on_the_sized_ladder(self, zeta):
+        # the bench's fock-check bounds hold on the ladder sized from the
+        # exact distribution, and the engine's final populations are that
+        # distribution up to the truncation floor
+        ref = lossy_moments(zeta)
+        dim = gaussian_truncation(ref.n, ref.s, 1e-8, 10_000)
+        traj = evolve_lindblad(gauss_params(zeta), 0.1, dim, ref.times)
+        assert np.max(np.abs(traj.n - ref.n) / (1.0 + ref.n)) < 1e-6
+        assert np.max(traj.tail_mass) < 1e-7
+        exact = gaussian_photon_distribution(ref.n[-1], ref.s[-1], dim)
+        engine = traj.final_state.populations()
+        tv = 0.5 * (np.sum(np.abs(engine - exact)) + (1.0 - exact.sum()))
+        assert tv < 1e-7
+
+    def test_domain(self):
+        for n, s in ((-1.0, 0.0), (1.0, 2.0), (math.nan, 0.0), (math.inf, 0.0), (1.0, math.nan)):
+            with pytest.raises(ValueError, match=r"\|s\| < n \+ 1"):
+                gaussian_photon_distribution(n, s, 4)
+            with pytest.raises(ValueError, match=r"\|s\| < n \+ 1"):
+                gaussian_truncation(n, s, 1e-8, 100)
+        with pytest.raises(ValueError, match="levels"):
+            gaussian_photon_distribution(1.0, 0.5, 0)
+        for tol in (0.0, 1.0, math.nan):
+            with pytest.raises(ValueError, match="tail_tol"):
+                gaussian_truncation(1.0, 0.5, tol, 100)
 
 
 class TestEvolveRwa:
