@@ -22,28 +22,25 @@ from the vacuum conserves parity exactly, so the odd-sector mass doubles
 as a transcription check, and the top four ladder levels are watched as
 a truncation alarm.
 
-The density-matrix engine steps only the entries that can be nonzero,
-as real numbers. Write sigma = e^(i pi n/4) rho e^(-i pi n/4), so
-rho_jk = e^(-i pi (j-k)/4) sigma_jk. There the drive becomes
+Every engine starts from the vacuum, the empty battery the pulse
+charges. The density-matrix engine steps only the entries that can be
+nonzero, as real numbers. Write sigma = e^(i pi n/4) rho e^(-i pi n/4),
+so rho_jk = e^(-i pi (j-k)/4) sigma_jk. There the drive becomes
 h [A, sigma] with A real, antisymmetric and tridiagonal on each parity
 class, and both loss terms keep real, positive weights, so the
-generator has real coefficients. sigma is Hermitian; its symmetric real
-part S and antisymmetric imaginary part T therefore evolve apart, and
-since the drive moves one index by two and loss moves both by one, each
-keeps the parity of j - k. The engine stores the lower triangles (j >= k
-for S, j > k for T) as float64, diagonal by diagonal, one class per
-(part, parity) that is nonzero at the start; a class that starts at
-zero stays exactly zero. From the vacuum that is the even diagonals of
-S alone, about a quarter of the dim^2 entries, and any state takes at
-most dim^2 reals. Only the rows the observables read are interpolated
-at the sample instants. Once stepping ends the solver and the stencil
-are freed, and the complex rho is built for the final state. Neither
-the drive nor loss couples an even level to an odd one, so from the
-vacuum rho is the direct sum of its even-level and odd-level blocks,
-and :class:`FockDensity` takes the spectrum of any such matrix from the
-two blocks. Before allocating, the engine compares the bytes the run
-needs with the smaller of physical RAM and the RLIMIT_AS soft limit and
-fails at once if they do not fit.
+generator has real coefficients: sigma, real and symmetric at the
+vacuum, stays so. Since the drive moves one index by two and loss moves
+both by one, sigma also keeps the even parity of j - k. The
+engine therefore stores the even diagonals of its lower triangle
+(j >= k) as float64, diagonal by diagonal: about a quarter of the dim^2
+entries. Only the rows the observables read are interpolated at the
+sample instants. Once stepping ends the solver and the stencil are
+freed, and the complex rho is built for the final state. rho couples no
+even level to an odd one, so it is the direct sum of its even-level and
+odd-level blocks, and :class:`FockDensity` takes the spectrum of any
+such matrix from the two blocks. Before allocating, the engine compares
+the bytes the run needs with the smaller of physical RAM and the
+RLIMIT_AS soft limit and fails at once if they do not fit.
 
 The lossless ladder is sized for the squeezed vacuum the pulse reaches
 (:func:`choose_truncation`). With loss the state stays a zero-mean
@@ -114,8 +111,11 @@ FOCK_ACCURACY = Accuracy(abs_tol=1e-12, rel_tol=1e-10)
 # right-hand-side calls.
 LINDBLAD_ACCURACY = Accuracy(abs_tol=1e-13, rel_tol=1e-10)
 
-# How many top ladder levels count as the truncation alarm zone.
+# How many top ladder levels count as the truncation alarm zone, and the
+# mass they may hold at any sample before an engine raises
+# TruncationError.
 _TAIL_LEVELS = 4
+_TAIL_GUARD = 1e-6
 
 # Fewest levels an engine steps.
 _MIN_LEVELS = 6
@@ -129,16 +129,9 @@ _TRUNCATION_TERMS = 10_000_000
 _LENTZ_EPS = math.ulp(1.0)
 _LENTZ_TINY = 1e-300
 
-# e^(i pi m / 4) for m = 0..7, exact at the multiples of pi/2 so that the
-# frame rotation leaves populations and the even diagonals unrounded.
-_C8 = math.sqrt(0.5)
-_EIGHTH_TURNS = (
-    1.0 + 0j, _C8 + _C8 * 1j, 1j, -_C8 + _C8 * 1j,
-    -1.0 + 0j, -_C8 - _C8 * 1j, -1j, _C8 - _C8 * 1j,
-)
-
-# The two parts of the rotated Lindblad state: S = Re sigma, T = Im sigma.
-_S, _T = 0, 1
+# e^(-i pi d/4) = (-i)^(d/2) for even d = 0, 2, 4, 6 (mod 8), exact, so
+# that turning sigma back into rho leaves every stored entry unrounded.
+_QUARTER_TURNS = (1.0 + 0j, -1j, -1.0 + 0j, 1j)
 
 # Arrays the size of the stored Lindblad state that can be alive at once
 # besides the stencil, the observed rows and one step's interpolated rows.
@@ -148,11 +141,10 @@ _S, _T = 0, 1
 # f, a stage's increment and trial state, the error-norm temporaries and
 # the right-hand side's temporaries; the dense output takes the stages of
 # the observed rows alone. tracemalloc peaks at dims 60-454 on the
-# 57-point fock-check grid, from the vacuum and from a complex state,
-# less those named above, came to 9.2-16.5 copies while stepping and at
-# most 13.7 while the stencil is built; the rest is headroom for other
-# numpy and scipy versions, and the tests hold the bound against the
-# measured peaks.
+# 57-point fock-check grid, at zeta 1 and 2, less those named above, came
+# to 8.0-16.5 copies while stepping and at most 13.3 while the stencil is
+# built; the rest is headroom for other numpy and scipy versions, and the
+# tests hold the bound against the measured peaks.
 _WORK_COPIES = 20
 
 # The stencil: the drive's four weights per entry, their int32 column
@@ -165,12 +157,9 @@ _HERMITICITY_ROWS = 32
 
 # Arrays of dim^2 complex numbers alive at once after the run, once the
 # solver and the stencil are freed: rho with the row blocks of its
-# Hermiticity check, then rho and eigvalsh's copy of it, which numpy
-# allocates where tracemalloc does not look. From the vacuum rho has no
-# entry between an even and an odd level, and eigvalsh copies one parity
-# block of a quarter of the entries at a time instead. tracemalloc
-# measured 1.2-1.5 at dims 200-454 from the vacuum, and 1.4-1.7 at dims
-# 200-300 from a complex state before eigvalsh's copy; the Hermiticity
+# Hermiticity check, then rho and eigvalsh's copy of one parity block, a
+# quarter of the entries, which numpy allocates where tracemalloc does
+# not look. tracemalloc measured 1.2-1.5 at dims 200-454; the Hermiticity
 # blocks shrink against the matrix as dim grows.
 _FINAL_COPIES = 2
 
@@ -407,21 +396,31 @@ def gaussian_truncation(n, s, tail_tol: float, max_levels: int) -> int | None:
     Returns the smallest size, at least 6, whose top four levels, together
     with all the levels it leaves out, hold less than ``tail_tol`` of the
     mass of every state, or None when no size up to ``max_levels`` does.
-    The search steps one level at a time and stops at ``max_levels``, so
-    a ``tail_tol`` below the rounding of 1 - sum P(m) ends there too. For
-    a squeezed vacuum, whose odd levels are empty, the size is one level
-    less than the whole pairs :func:`choose_truncation` sizes in.
+    The search steps one level at a time and stops at ``max_levels``. A
+    ``tail_tol`` below the rounding of 1 - sum P(m) is never met: once two
+    levels in a row leave the summed mass of every sample unchanged,
+    :class:`ValueError` names ``tail_tol`` and the remainder it stalled
+    at. For a squeezed vacuum, whose odd levels are empty, the size is
+    one level less than the whole pairs :func:`choose_truncation` sizes in.
     """
     if not 0.0 < tail_tol < 1.0:
         raise ValueError(f"tail_tol must lie in (0, 1), got {tail_tol!r}")
     held = 0.0  # the mass of the levels below ``level``
+    stalled = 0  # levels in a row that left ``held`` unchanged
     for level, prob in enumerate(_gaussian_terms(n, s)):
         size = max(level + _TAIL_LEVELS, _MIN_LEVELS)
         if size > max_levels:
             return None
         if np.all(1.0 - held < tail_tol):
             return size
-        held = held + prob
+        total = held + prob
+        stalled = stalled + 1 if np.all(total == held) else 0
+        if stalled == 2:
+            raise ValueError(
+                f"tail_tol {tail_tol:g} is below the rounding of 1 - sum P(m), which "
+                f"stalls at {np.max(1.0 - held):.2e} by level {level}"
+            )
+        held = total
 
 
 def _pair_coeffs(dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -471,22 +470,20 @@ class FockTrajectory:
         _write_table(columns, rows, Path(path))
 
 
-def _trajectory(
-    times: np.ndarray, pops: np.ndarray, s: np.ndarray, tail_guard: float, final_state
-) -> FockTrajectory:
+def _trajectory(times: np.ndarray, pops: np.ndarray, s: np.ndarray, final_state) -> FockTrajectory:
     """The sampled observables of an evolution, from the level
     populations ``pops`` (levels x samples) and the pair correlator ``s``.
 
-    Raises :class:`TruncationError` if the tail mass ever exceeds
-    ``tail_guard``. Only then is ``final_state(norms)`` called, with the
+    Raises :class:`TruncationError` if the tail mass ever exceeds the
+    1e-6 guard. Only then is ``final_state(norms)`` called, with the
     norm (or trace) at every sample, to build the final state.
     """
     dim = pops.shape[0]
     tail = pops[dim - _TAIL_LEVELS:].sum(axis=0)
     worst_tail = float(tail.max())
-    if worst_tail > tail_guard:
+    if worst_tail > _TAIL_GUARD:
         raise TruncationError(
-            f"tail mass reached {worst_tail:.3e} (guard {tail_guard:.1e}); "
+            f"tail mass reached {worst_tail:.3e} (guard {_TAIL_GUARD:.1e}); "
             f"increase the Fock dimension beyond {dim}"
         )
     n = np.arange(dim) @ pops
@@ -503,14 +500,12 @@ def _trajectory(
     )
 
 
-def _check_run(dim: int, times, tail_guard: float) -> tuple[int, np.ndarray]:
+def _check_run(dim: int, times) -> tuple[int, np.ndarray]:
     """An engine's ladder size, at least 6 levels, and its sample grid,
-    at least two instants; ``tail_guard`` must be positive."""
+    at least two instants."""
     levels = operator.index(dim)
     if levels < _MIN_LEVELS:
         raise ValueError(f"the Fock dimension must be at least {_MIN_LEVELS}, got {dim!r}")
-    if not tail_guard > 0.0:
-        raise ValueError(f"tail_guard must be positive, got {tail_guard!r}")
     return levels, _validate_times(times, 2)
 
 
@@ -521,7 +516,6 @@ def _evolve_vacuum(
     acc: Accuracy | None,
     max_step: float,
     label: str,
-    tail_guard: float,
 ) -> FockTrajectory:
     """Step the state vector |0> on ``dim`` levels with ``rhs`` and
     sample the observables on ``times``; ``label`` opens the message of
@@ -534,30 +528,19 @@ def _evolve_vacuum(
     lower, _ = _pair_coeffs(dim)
     s = (lower[: dim - 2, None] * np.conj(Y[:-2]) * Y[2:]).sum(axis=0)
     return _trajectory(
-        times,
-        np.abs(Y) ** 2,
-        s,
-        tail_guard,
-        lambda norms: FockVector(Y[:, -1] / math.sqrt(norms[-1])),
+        times, np.abs(Y) ** 2, s, lambda norms: FockVector(Y[:, -1] / math.sqrt(norms[-1]))
     )
 
 
-def evolve_rwa(
-    p: DriveParams,
-    dim: int,
-    times,
-    acc: Accuracy | None = None,
-    *,
-    tail_guard: float = 1e-6,
-) -> FockTrajectory:
+def evolve_rwa(p: DriveParams, dim: int, times, acc: Accuracy | None = None) -> FockTrajectory:
     """Evolve |0> under the resonant rotating-frame generator
     (zeta/2) f(t) (b†b† + bb) and sample expectation values on ``times``.
 
     Start the grid at t <= -8 tau so the vacuum boundary condition holds.
-    Raises :class:`TruncationError` if the alarm-zone mass ever exceeds
-    ``tail_guard``.
+    Raises :class:`TruncationError` if the mass in the top four levels
+    ever exceeds 1e-6.
     """
-    dim, times = _check_run(dim, times, tail_guard)
+    dim, times = _check_run(dim, times)
 
     lower, raise_ = _pair_coeffs(dim)
     lc = lower[: dim - 2]
@@ -574,9 +557,7 @@ def evolve_rwa(
         out *= -1j * h
         return out
 
-    return _evolve_vacuum(
-        rhs, dim, times, acc, 0.5 * p.pulse.tau, "rotating-frame evolution failed", tail_guard
-    )
+    return _evolve_vacuum(rhs, dim, times, acc, 0.5 * p.pulse.tau, "rotating-frame evolution failed")
 
 
 def evolve_full(
@@ -586,7 +567,6 @@ def evolve_full(
     acc: Accuracy | None = None,
     *,
     omega_d: float | None = None,
-    tail_guard: float = 1e-6,
 ) -> FockTrajectory:
     """Evolve |0> under the full carrier-resolved Hamiltonian
     omega_b b†b + zeta cos(2 omega_d t) f(t) (b†b† + bb), the package's
@@ -611,7 +591,7 @@ def evolve_full(
     omega_d = float(p.omega_b) if omega_d is None else omega_d
     if not (math.isfinite(omega_d) and omega_d > 0.0):
         raise ValueError(f"omega_d must be positive and finite, got {omega_d!r}")
-    dim, times = _check_run(dim, times, tail_guard)
+    dim, times = _check_run(dim, times)
 
     lower, raise_ = _pair_coeffs(dim)
     lc = lower[: dim - 2]
@@ -632,21 +612,7 @@ def evolve_full(
         return out
 
     max_step = min(0.5 * p.pulse.tau, 2.0 * math.pi / (40.0 * omega_d))
-    return _evolve_vacuum(
-        rhs, dim, times, acc, max_step, "carrier-resolved evolution failed", tail_guard
-    )
-
-
-def _class_diagonals(dim: int, part: int, parity: int) -> range:
-    """The diagonals d = j - k a class stores: those of its parity, from
-    d = 0 in S and from d = 1 in T, which is zero on the main diagonal."""
-    return range(2 if (part, parity) == (_T, 0) else parity, dim, 2)
-
-
-def _class_size(dim: int, part: int, parity: int) -> int:
-    """Stored entries of one class: the lengths dim - d of its diagonals."""
-    diagonals = _class_diagonals(dim, part, parity)
-    return len(diagonals) * (dim - diagonals.start - len(diagonals) + 1)
+    return _evolve_vacuum(rhs, dim, times, acc, max_step, "carrier-resolved evolution failed")
 
 
 def _lindblad_bytes(dim: int, entries: int, samples: int, per_step: int) -> int:
@@ -685,19 +651,7 @@ def _memory_budget() -> int:
     return ram if soft == resource.RLIM_INFINITY else min(ram, soft)
 
 
-def _rotated_diagonals(initial: FockDensity | FockVector, dim: int):
-    """sigma[k + d, k] = e^(i pi d/4) rho[k + d, k] of the initial state,
-    one diagonal d = 0 .. dim - 1 at a time, so that no dim^2 array is
-    formed."""
-    for d in range(dim):
-        if isinstance(initial, FockVector):
-            rho_d = initial.amp[d:] * np.conj(initial.amp[: dim - d])
-        else:
-            rho_d = np.diagonal(initial.matrix, -d)
-        yield d, _EIGHTH_TURNS[d % 8] * rho_d
-
-
-def _lindblad_stencil(dim: int, start: np.ndarray, classes, kappa: float):
+def _lindblad_stencil(dim: int, kappa: float):
     """The right-hand side on the stored entries, built once.
 
     Returns the drive as a sparse matrix G, with row i holding the flat
@@ -705,48 +659,37 @@ def _lindblad_stencil(dim: int, start: np.ndarray, classes, kappa: float):
     (J, K - 2) and (J, K + 2) of stored entry i = (J, K) under [A, .];
     the loss weights of the jump sources (J + 1, K + 1), each the next
     stored entry of its diagonal; and the damping rates. A neighbour
-    above the diagonal is read from its mirror image, with sign +1 in S
-    and -1 in T; a neighbour off the ladder, or on the diagonal of T,
-    has weight 0. The right-hand side is then
-    damp * y + h * (G @ y) + jump * y[i + 1].
+    above the diagonal is read from its mirror image, since sigma is
+    symmetric; a neighbour off the ladder has weight 0. The right-hand
+    side is then damp * y + h * (G @ y) + jump * y[i + 1].
 
-    Each class is written straight into the (entries, 4) blocks G is made
-    of: the weights as float64, which G adopts uncopied, and the columns
-    as intp, which G keeps as an int32 copy. The intp block is freed on
-    return, before RK45 steps, and on glibc that matters: freeing a block
-    that large raises malloc's mmap and trim thresholds above the size of
-    the state, which keeps the solver's state-sized temporaries on the heap.
+    The (entries, 4) blocks G is made of are written directly: the
+    weights as float64, which G adopts uncopied, and the columns as intp,
+    which G keeps as an int32 copy. The intp block is freed on return,
+    before RK45 steps, and on glibc that matters: freeing a block that
+    large raises malloc's mmap and trim thresholds above the size of the
+    state, which keeps the solver's state-sized temporaries on the heap.
     Built in int32 directly, at dim 454, every such temporary came back
     from the kernel: 930 000 page faults doubled the stepping time.
     """
     from scipy.sparse import csr_matrix
 
-    entries = sum(_class_size(dim, part, parity) for part, parity in classes)
+    diagonals = np.arange(0, dim, 2)
+    lengths = dim - diagonals
+    first = np.cumsum(lengths) - lengths  # flat index of sigma[d, 0]
+    entries = int(lengths.sum())
     cols = np.zeros((entries, 4), dtype=np.intp)
     weights = np.zeros((entries, 4))
-    jump = np.empty(entries)
-    damp = np.empty(entries)
-    first = 0
-    for part, parity in classes:
-        diagonals = np.asarray(_class_diagonals(dim, part, parity))
-        lengths = dim - diagonals
-        size = int(lengths.sum())
-        rows = slice(first, first + size)
-        first += size
-        k = np.arange(size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-        j = k + np.repeat(diagonals, lengths)
-        lowest = 0 if part == _S else 1
-        class_cols, class_weights = cols[rows], weights[rows]
-        for col, (a, b, coeff) in enumerate(_drive_neighbours(j, k)):
-            lo = np.minimum(a, b)
-            off = np.abs(a - b)
-            ok = (lo >= 0) & (lo + off < dim) & (off >= lowest)
-            class_cols[ok, col] = start[part, off[ok]] + lo[ok]
-            if part == _T:
-                np.negative(coeff, out=coeff, where=a < b)
-            class_weights[ok, col] = coeff[ok]
-        jump[rows] = np.where(j + 1 < dim, kappa * np.sqrt((j + 1.0) * (k + 1.0)), 0.0)
-        damp[rows] = -0.5 * kappa * (j + k)
+    k = np.arange(entries) - np.repeat(first, lengths)
+    j = k + np.repeat(diagonals, lengths)
+    for col, (a, b, coeff) in enumerate(_drive_neighbours(j, k)):
+        lo = np.minimum(a, b)
+        off = np.abs(a - b)
+        ok = (lo >= 0) & (lo + off < dim)
+        cols[ok, col] = first[off[ok] // 2] + lo[ok]
+        weights[ok, col] = coeff[ok]
+    jump = np.where(j + 1 < dim, kappa * np.sqrt((j + 1.0) * (k + 1.0)), 0.0)
+    damp = -0.5 * kappa * (j + k)
     drive = csr_matrix(
         (weights.reshape(-1), cols.reshape(-1), np.arange(0, 4 * entries + 1, 4)),
         shape=(entries, entries),
@@ -765,45 +708,32 @@ def _drive_neighbours(j: np.ndarray, k: np.ndarray):
 
 
 def evolve_lindblad(
-    p: DriveParams,
-    kappa: float,
-    dim: int,
-    times,
-    acc: Accuracy | None = None,
-    *,
-    initial: FockDensity | FockVector | None = None,
-    tail_guard: float = 1e-6,
+    p: DriveParams, kappa: float, dim: int, times, acc: Accuracy | None = None
 ) -> FockTrajectory:
-    """Evolve a density matrix under the rotating-frame generator plus
-    the zero-temperature loss dissipator kappa (b rho b† - {b†b, rho}/2).
+    """Evolve the vacuum's density matrix under the rotating-frame
+    generator plus the zero-temperature loss dissipator
+    kappa (b rho b† - {b†b, rho}/2).
 
-    Defaults to the vacuum; ``initial`` admits any valid state. Trace
-    drift is reported in ``norm_drift``. Positivity is monitored, not
-    enforced: integration noise puts the lowest eigenvalue of the final
-    state slightly below zero, so the rejection threshold scales with the
-    relative tolerance, max(1e-8, 100 rel_tol), and
-    :class:`IntegrationError` is raised below it. ``acc`` defaults to
-    :data:`LINDBLAD_ACCURACY`.
+    Trace drift is reported in ``norm_drift``, and
+    :class:`TruncationError` is raised as by :func:`evolve_rwa`.
+    Positivity is monitored, not enforced: integration noise puts the
+    lowest eigenvalue of the final state slightly below zero, so the
+    rejection threshold scales with the relative tolerance,
+    max(1e-8, 100 rel_tol), and :class:`IntegrationError` is raised below
+    it. ``acc`` defaults to :data:`LINDBLAD_ACCURACY`.
 
-    The state is stepped as sigma = e^(i pi n/4) rho e^(-i pi n/4), in
-    which the drive is h [A, sigma] with A real and antisymmetric and
-    every loss weight is real, so the generator has real coefficients.
-    sigma is Hermitian, and its symmetric real part S and antisymmetric
-    imaginary part T evolve apart, each keeping the parity of j - k.
-    Only the lower triangles are stored (j >= k for S, j > k for T), as
-    float64, one class per (part, parity) that is nonzero at the start:
-    from the vacuum, the even diagonals of S alone; a complex state at
-    most dim^2 reals. Nothing is stepped in complex arithmetic. The
-    right-hand side is one gather stencil built once
-    (:func:`_lindblad_stencil`). Observables are read off the stored
-    diagonals: each step's interpolant is evaluated on the populations
-    and the d = 2 diagonals alone, and the solver's last state is kept
-    whole. The solver and the stencil are freed before the full complex
-    rho is built for ``final_state``, normalized to unit trace and handed
-    to :class:`FockDensity` uncopied. When only even diagonals are stored,
-    as from the vacuum, rho couples no even level to an odd one, and
-    :attr:`FockDensity.eigenvalues` takes its spectrum from the two parity
-    blocks.
+    The state is stepped as sigma = e^(i pi n/4) rho e^(-i pi n/4), which
+    stays real and symmetric and keeps the even parity of j - k. Only the
+    even diagonals of its lower triangle are stored, as float64:
+    ceil(dim/2) (floor(dim/2) + 1) numbers, none stepped in complex
+    arithmetic. The right-hand side is one gather stencil built once
+    (:func:`_lindblad_stencil`). Each step's interpolant is evaluated on
+    the populations and the d = 2 diagonal alone, and the solver's last
+    state is kept whole. The solver and the stencil are freed before the
+    full complex rho is built for ``final_state``, normalized to unit
+    trace and handed to :class:`FockDensity` uncopied. rho couples no
+    even level to an odd one, so :attr:`FockDensity.eigenvalues` takes its
+    spectrum from the two parity blocks.
 
     Before anything of size dim^2 or of the stored size is allocated,
     the bytes the run needs (:func:`_lindblad_bytes`) are compared with
@@ -813,27 +743,12 @@ def evolve_lindblad(
     """
     if not (math.isfinite(kappa) and kappa >= 0.0):
         raise ValueError(f"kappa must be nonnegative and finite, got {kappa!r}")
-    dim, times = _check_run(dim, times, tail_guard)
+    dim, times = _check_run(dim, times)
     if acc is None:
         acc = LINDBLAD_ACCURACY
 
-    if initial is None:
-        nonzero = {(_S, 0)}
-    elif isinstance(initial, (FockVector, FockDensity)):
-        if initial.dim != dim:
-            raise ValueError(f"initial state has dim {initial.dim}, expected {dim}")
-        nonzero = set()
-        for d, sigma_d in _rotated_diagonals(initial, dim):
-            if np.any(sigma_d.real):
-                nonzero.add((_S, d % 2))
-            if d and np.any(sigma_d.imag):
-                nonzero.add((_T, d % 2))
-    else:
-        raise TypeError("initial must be a FockVector or FockDensity")
-    # S even holds the diagonal, so it is always stored, and first
-    classes = [c for c in ((_S, 0), (_S, 1), (_T, 0), (_T, 1)) if c in nonzero]
-
-    entries = sum(_class_size(dim, part, parity) for part, parity in classes)
+    # the even diagonals d = 0, 2, ... hold dim - d entries each
+    entries = (dim + 1) // 2 * (dim // 2 + 1)
     max_step = 0.5 * p.pulse.tau
     per_step = _samples_per_step(times, max_step)
     need = _lindblad_bytes(dim, entries, times.size, per_step)
@@ -846,24 +761,9 @@ def evolve_lindblad(
             "or the number of samples"
         )
 
-    # start[part, d]: flat index of sigma[d, 0] in that part, -1 if not stored
-    start = np.full((2, dim + 2), -1, dtype=np.intp)
-    offset = 0
-    for part, parity in classes:
-        for d in _class_diagonals(dim, part, parity):
-            start[part, d] = offset
-            offset += dim - d
-
     y0 = np.zeros(entries)
-    if initial is None:
-        y0[0] = 1.0
-    else:
-        for d, sigma_d in _rotated_diagonals(initial, dim):
-            for part, values in ((_S, sigma_d.real), (_T, sigma_d.imag)):
-                if start[part, d] >= 0:
-                    y0[start[part, d] : start[part, d] + dim - d] = values
-
-    drive, jump, damp = _lindblad_stencil(dim, start, classes, kappa)
+    y0[0] = 1.0
+    drive, jump, damp = _lindblad_stencil(dim, kappa)
     half_zeta = 0.5 * p.zeta
     value = p.pulse.value
 
@@ -878,15 +778,11 @@ def evolve_lindblad(
             out[:-1] += jump * y[1:]
         return out
 
-    # the rows the trajectory reads: the populations, which are the d = 0
-    # diagonal of S, and the d = 2 diagonals of S and, when stored, of T
-    read = [np.arange(dim), np.arange(start[_S, 2], start[_S, 2] + dim - 2)]
-    if start[_T, 2] >= 0:
-        read.append(np.arange(start[_T, 2], start[_T, 2] + dim - 2))
-
+    # the rows the trajectory reads are the first two diagonals: the
+    # populations (d = 0) and the pair coherences (d = 2)
     span = (times[0], times[-1])
     label = "lossy evolution failed"
-    sol = _rk45(rhs, span, y0, acc, max_step, label, times, np.concatenate(read))
+    sol = _rk45(rhs, span, y0, acc, max_step, label, times, np.arange(2 * dim - 2))
     y, last = sol.y, sol.y_end
     # scipy's solver holds its work arrays, and through rhs the stencil, in
     # a reference cycle; free them before the final state is built on top
@@ -895,23 +791,20 @@ def evolve_lindblad(
 
     pops, pairs = y[:dim], y[dim:]
     # <bb> = sum_j lower[j] rho[j+2, j], and rho[j+2, j] = -i sigma[j+2, j]
-    lower = _pair_coeffs(dim)[0][: dim - 2]
-    s = -1j * (lower @ pairs[: dim - 2])
-    if start[_T, 2] >= 0:
-        s += lower @ pairs[dim - 2 :]
+    s = -1j * (_pair_coeffs(dim)[0][: dim - 2] @ pairs)
 
     def final_state(_traces) -> FockDensity:
         final = np.zeros((dim, dim), dtype=complex)
         flat = final.reshape(-1)
-        for d in range(dim):
+        start = 0
+        for d in range(0, dim, 2):
             # rho[k + d, k] below the diagonal, its conjugate above
             below = flat[d * dim :: dim + 1][: dim - d]
-            for part, view in ((_S, below.real), (_T, below.imag)):
-                if start[part, d] >= 0:
-                    view[:] = last[start[part, d] : start[part, d] + dim - d]
-            below *= _EIGHTH_TURNS[-d % 8]
+            below.real = last[start : start + dim - d]
+            below *= _QUARTER_TURNS[d // 2 % 4]
             if d:
                 flat[d :: dim + 1][: dim - d] = below.conj()
+            start += dim - d
         final /= np.trace(final).real
         rho = FockDensity._adopt(final)
         min_eig = rho.min_eigenvalue()
@@ -922,7 +815,7 @@ def evolve_lindblad(
             )
         return rho
 
-    return _trajectory(times, pops, s, tail_guard, final_state)
+    return _trajectory(times, pops, s, final_state)
 
 
 def ergotropy(state: FockDensity | FockVector, omega_b: float) -> float:

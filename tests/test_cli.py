@@ -16,6 +16,7 @@ from qbattery.cli import main
 from qbattery.dynamics import DriveParams, integrate_moments
 from qbattery.fock import gaussian_truncation
 from qbattery.pulses import Gaussian
+from qbattery.specfun import Accuracy
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -207,16 +208,18 @@ def test_fock_check_refuses_an_explicit_lossy_ladder_above_the_limit(capsys, mon
 
 def test_fock_check_refuses_an_unattainable_lossy_tail_tol_at_once(capsys, monkeypatch):
     # 1e-16 lies below the rounding of 1 - sum P(m): no ladder meets it,
-    # and the sizing ends at the limit instead of searching on
+    # and the sizing says so once the sum stops moving, at about 40
+    # levels, instead of blaming the level limit
     from qbattery import cli
 
     monkeypatch.setattr(cli, "evolve_lindblad", _refuse_lindblad_step)
     start = time.perf_counter()
-    assert main(["fock-check", "--kappa", "0.1", "--tail-tol", "1e-16"]) == 1
+    assert main(["fock-check", "--zeta", "0.5", "--kappa", "0.1", "--tail-tol", "1e-16"]) == 1
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
-    assert f"needs more than {cli.LINDBLAD_LEVEL_LIMIT} levels" in err
-    assert "--tail-tol 1e-16" in err
+    assert "tail_tol 1e-16 is below the rounding of 1 - sum P(m)" in err
+    assert "stalls at 5.55e-16 by level 39" in err
+    assert "level limit" not in err
 
 
 def test_fock_check_sizes_from_moments_rounded_below_zero(tmp_path):
@@ -324,6 +327,26 @@ def test_fock_check_lossy_engine(tmp_path):
     assert np.max(rows[:, header.index("abs_err")]) < 1e-4
     # loss keeps the final charge below the lossless asymptote
     assert rows[-1, 1] < math.sinh(0.6) ** 2
+
+
+@pytest.mark.parametrize("zeta", ["1", "2"])
+def test_fock_check_lossy_columns_match_the_moment_equations(tmp_path, zeta):
+    # the command checks n against n_ref itself; the pair correlator and
+    # the least quadrature variance, 1/2 + n - |s|, are held here to a
+    # tight moment run (within 4.4e-7 of 1 + n at zeta 2, 318 levels)
+    out = tmp_path / "lossy.csv"
+    assert main(["fock-check", "--zeta", zeta, "--kappa", "0.1", "--out", str(out)]) == 0
+    header, rows = read_csv(out)
+    grid = rows[:, header.index("t")]
+    p = DriveParams(omega_b=1.0, zeta=float(zeta), pulse=Gaussian(1.0))
+    ref = integrate_moments(p, grid[0], grid[-1], Accuracy(1e-14, 1e-13), kappa=0.1, times=grid)
+    bound = 1e-6 * (1.0 + ref.n)
+    for column, exact in (
+        ("re_s", ref.s.real),
+        ("im_s", ref.s.imag),
+        ("var_x_min", 0.5 + ref.n - np.abs(ref.s)),
+    ):
+        assert np.all(np.abs(rows[:, header.index(column)] - exact) <= bound), column
 
 
 @pytest.mark.parametrize("engine, flags", [("evolve_rwa", []), ("evolve_lindblad", ["--kappa", "0.1"])])

@@ -1,0 +1,66 @@
+"""Every module-level name in the package is read somewhere in the package.
+
+A leftover import, constant, function or class that nothing reads any
+more is dead code; names a module exports through ``__all__`` are its
+public interface and exempt. Only the standard library's ``ast`` is
+used, so the check runs wherever the suite does.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "qbattery"
+
+
+def _bound_names(tree):
+    """Module-level names bound by an import, an assignment, a def or a
+    class, except ``from __future__`` imports and dunder names."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Import):
+            names.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names.update(a.asname or a.name for a in node.names if a.name != "*")
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                names.update(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+    return {name for name in names if not (name.startswith("__") and name.endswith("__"))}
+
+
+def _exported(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return {n.value for n in ast.walk(node.value) if isinstance(n, ast.Constant)}
+    return set()
+
+
+def _reads(tree):
+    """Names the module reads itself, and (module, name) pairs it reads
+    from other package modules by import or by attribute."""
+    own, foreign = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            own.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            foreign.add((node.value.id, node.attr))
+        elif isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+            foreign.update((node.module, a.name) for a in node.names)
+    return own, foreign
+
+
+def test_every_module_level_name_is_read_in_the_package():
+    trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(PACKAGE.glob("*.py"))}
+    reads = {module: _reads(tree) for module, tree in trees.items()}
+    foreign = set().union(*(pairs for _, pairs in reads.values()))
+    dead = [
+        f"{module}.{name}"
+        for module, tree in trees.items()
+        for name in sorted(_bound_names(tree) - _exported(tree))
+        if name not in reads[module][0] and (module, name) not in foreign
+    ]
+    assert dead == []
