@@ -423,14 +423,13 @@ def gaussian_truncation(n, s, tail_tol: float, max_levels: int) -> int | None:
         held = total
 
 
-def _pair_coeffs(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Matrix elements of the pair ladder operators.
+def _pair_coeffs(dim: int) -> np.ndarray:
+    """Matrix elements of the pair ladder operators on ``dim`` levels:
 
-    lower[n] = <n| b b |n+2> = sqrt((n+1)(n+2)), and
-    raise_[n] = <n| b† b† |n-2> = sqrt(n (n-1)).
+    c[n] = <n| b b |n+2> = <n+2| b† b† |n> = sqrt((n+1)(n+2)), n < dim - 2.
     """
-    n = np.arange(dim, dtype=float)
-    return np.sqrt((n + 1.0) * (n + 2.0)), np.sqrt(n * (n - 1.0))
+    n = np.arange(dim - 2, dtype=float)
+    return np.sqrt((n + 1.0) * (n + 2.0))
 
 
 @dataclass(frozen=True)
@@ -525,8 +524,7 @@ def _evolve_vacuum(
     if acc is None:
         acc = FOCK_ACCURACY
     Y = _rk45(rhs, (times[0], times[-1]), psi0, acc, max_step, label, times).y
-    lower, _ = _pair_coeffs(dim)
-    s = (lower[: dim - 2, None] * np.conj(Y[:-2]) * Y[2:]).sum(axis=0)
+    s = (_pair_coeffs(dim)[:, None] * np.conj(Y[:-2]) * Y[2:]).sum(axis=0)
     return _trajectory(
         times, np.abs(Y) ** 2, s, lambda norms: FockVector(Y[:, -1] / math.sqrt(norms[-1]))
     )
@@ -542,18 +540,16 @@ def evolve_rwa(p: DriveParams, dim: int, times, acc: Accuracy | None = None) -> 
     """
     dim, times = _check_run(dim, times)
 
-    lower, raise_ = _pair_coeffs(dim)
-    lc = lower[: dim - 2]
-    rc = raise_[2:]
+    pair = _pair_coeffs(dim)
     half_zeta = 0.5 * p.zeta
     value = p.pulse.value
 
     def rhs(t, psi):
         h = half_zeta * value(t)
         out = np.empty_like(psi)
-        out[:-2] = lc * psi[2:]
+        out[:-2] = pair * psi[2:]
         out[-2:] = 0.0
-        out[2:] += rc * psi[:-2]
+        out[2:] += pair * psi[:-2]
         out *= -1j * h
         return out
 
@@ -593,9 +589,7 @@ def evolve_full(
         raise ValueError(f"omega_d must be positive and finite, got {omega_d!r}")
     dim, times = _check_run(dim, times)
 
-    lower, raise_ = _pair_coeffs(dim)
-    lc = lower[: dim - 2]
-    rc = raise_[2:]
+    pair = _pair_coeffs(dim)
     zeta = p.zeta
     omega_b = p.omega_b
     value = p.pulse.value
@@ -604,10 +598,10 @@ def evolve_full(
         v = zeta * math.cos(2.0 * omega_d * t) * value(t)
         ph = cmath.exp(2j * omega_b * t)
         out = np.empty_like(psi)
-        out[:-2] = lc * psi[2:]
+        out[:-2] = pair * psi[2:]
         out[-2:] = 0.0
         out *= ph.conjugate()
-        out[2:] += ph * (rc * psi[:-2])
+        out[2:] += ph * (pair * psi[:-2])
         out *= -1j * v
         return out
 
@@ -622,16 +616,17 @@ def _lindblad_bytes(dim: int, entries: int, samples: int, per_step: int) -> int:
     ``per_step``.
 
     While RK45 steps: the work arrays and the stencil; one step's
-    interpolated rows (at most 3 dim per sample) twice, the dense-output
-    product and its scaled copy; and the observed rows of every sample
-    twice, since ``solve_ivp`` keeps one block per step and stacks them
+    interpolated rows (the 2 dim - 2 observed per sample) twice, the
+    dense-output product and its scaled copy; and the observed rows of
+    every sample twice, since ``solve_ivp`` keeps one block per step and stacks them
     when the run ends. No full-state sample is ever interpolated. After
     the run, once the solver and the stencil are freed: the observed rows,
     the solver's last state, and the complex rho with the temporaries of
     its Hermiticity check and of ``eigvalsh``.
     """
-    rows = 8 * 3 * dim * samples
-    stepping = 8 * entries * (_WORK_COPIES + _STENCIL_COPIES) + 16 * 3 * dim * per_step + 2 * rows
+    observed = 2 * dim - 2
+    rows = 8 * observed * samples
+    stepping = 8 * entries * (_WORK_COPIES + _STENCIL_COPIES) + 16 * observed * per_step + 2 * rows
     final = rows + 8 * entries + 16 * dim * dim * _FINAL_COPIES
     return max(stepping, final)
 
@@ -790,8 +785,8 @@ def evolve_lindblad(
     gc.collect()
 
     pops, pairs = y[:dim], y[dim:]
-    # <bb> = sum_j lower[j] rho[j+2, j], and rho[j+2, j] = -i sigma[j+2, j]
-    s = -1j * (_pair_coeffs(dim)[0][: dim - 2] @ pairs)
+    # <bb> = sum_j c[j] rho[j+2, j], and rho[j+2, j] = -i sigma[j+2, j]
+    s = -1j * (_pair_coeffs(dim) @ pairs)
 
     def final_state(_traces) -> FockDensity:
         final = np.zeros((dim, dim), dtype=complex)

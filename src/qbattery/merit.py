@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, field
 
 from .dynamics import DriveParams, MomentState, analytic_moments
 from .pulses import Gaussian, UnsupportedPulseError
-from .specfun import Accuracy, arcsinh, brentq, erf, erfinv, lambert_w0
+from .specfun import Accuracy, _newton, arcsinh, erf, erfinv, lambert_w0
 
 __all__ = [
     "ChargingReport",
@@ -169,41 +170,61 @@ def peak_power_time(p: DriveParams, acc: Accuracy | None = None) -> float:
     with xi(t) = 1 + erf(t / sqrt(2) tau). The left side falls and the
     right side grows on t > 0, so the root is unique; it is bracketed by
     the strong-drive Lambert-W asymptote plus one tau of slack and
-    polished by :func:`qbattery.specfun.brentq`, the package's port of
-    scipy's Brent solver (same iterates, same float).
+    polished by the package's safeguarded Newton iteration on the
+    analytic slope, seeded near that asymptote, to ``acc.abs_tol`` tau
+    absolute plus max(``acc.rel_tol``, 1e-15) relative.
+
+    Both sides scale with zeta as zeta -> 0, so t_P tends to
+    :func:`peak_power_delay_weak_limit`; below the smallest normal float
+    (``sys.float_info.min``, about 2.2e-308) the equation loses its
+    precision in subnormal arithmetic, and zeta there is refused.
     """
     pulse = _require_gaussian(p, "peak_power_time")
-    if p.zeta <= 0.0:
-        raise ValueError("peak_power_time needs zeta > 0")
+    if not p.zeta >= sys.float_info.min:
+        raise ValueError(
+            f"peak_power_time needs zeta >= sys.float_info.min = {sys.float_info.min:.2g}, "
+            f"got {p.zeta!r}; below it the turning equation loses its precision"
+        )
     if acc is None:
         acc = Accuracy()
     tau = pulse.tau
     c = math.sqrt(2.0 / math.pi) * p.zeta * tau
 
-    def turning(t: float) -> float:
-        xi = 1.0 + erf(t / (_SQRT2 * tau))
-        return c * math.exp(-0.5 * (t / tau) ** 2) - t * math.tanh(p.zeta * xi)
+    def turning(t: float) -> tuple[float, float]:
+        # right side minus left side, rising through its root, and its slope
+        gauss = math.exp(-0.5 * (t / tau) ** 2)
+        th = math.tanh(p.zeta * (1.0 + erf(t / (_SQRT2 * tau))))
+        value = t * th - c * gauss
+        return value, th + (c * t / tau**2) * gauss * (2.0 - th * th)
 
-    hi = tau * (1.0 + math.sqrt(lambert_w0(2.0 * p.zeta**2 / math.pi) + 1.0))
+    w = lambert_w0(2.0 * p.zeta**2 / math.pi)
+    hi = tau * (1.0 + math.sqrt(w + 1.0))
     for _ in range(60):
-        if turning(hi) < 0.0:
+        if turning(hi)[0] > 0.0:
             break
         hi *= 1.5
     else:
         raise RuntimeError(
             f"could not bracket the power maximum for zeta = {p.zeta!r}"
         )
-    return brentq(turning, 0.0, hi, xtol=acc.abs_tol * tau, rtol=max(acc.rel_tol, 1e-15))
+    # Far below the root the Gaussian term dominates and each Newton step
+    # gains only about tau^2 / t, so seed near the root: the strong-drive
+    # asymptote tau sqrt(w), lifted to the weak limit 0.506 tau
+    # (0.506^2 = 0.256) as zeta -> 0.
+    seed = tau * math.sqrt(w + 0.256)
+    return _newton(turning, 0.0, hi, seed, acc.abs_tol * tau, max(acc.rel_tol, 1e-15))
 
 
 def peak_power_delay_weak_limit(tau: float = 1.0) -> float:
     """zeta -> 0 limit of the peak-power delay: tau times the root of
     sqrt(2/pi) exp(-x^2/2) = x (1 + erf(x / sqrt(2))), about 0.506."""
 
-    def g(x: float) -> float:
-        return math.sqrt(2.0 / math.pi) * math.exp(-0.5 * x * x) - x * (1.0 + erf(x / _SQRT2))
+    def g(x: float) -> tuple[float, float]:
+        gauss = math.sqrt(2.0 / math.pi) * math.exp(-0.5 * x * x)
+        xi = 1.0 + erf(x / _SQRT2)
+        return x * xi - gauss, xi + 2.0 * x * gauss
 
-    return tau * brentq(g, 0.0, 2.0, xtol=1e-14, rtol=1e-15)
+    return tau * _newton(g, 0.0, 2.0, 0.5, xtol=1e-14, rtol=1e-15)
 
 
 def peak_power_estimate(p: DriveParams) -> float:

@@ -1,11 +1,13 @@
-"""Scalar special functions and the root finder used throughout the package.
+"""Scalar special functions and the root iteration used throughout the package.
 
 Everything in this module is pure and stateless: plain floats in, plain
 floats out, ``ValueError`` on arguments outside the stated domain. The
 :class:`Accuracy` pair carries tolerance targets around; its defaults
 (1e-12 absolute and relative) are what the rest of the package assumes.
-:func:`brentq` is Brent's bracketed root finder, so the closed-form
-figures of merit need nothing beyond the standard library.
+Every closed-form root (:func:`erfinv`, :func:`lambert_w0` and the
+peak-power delay) is found by one safeguarded Newton iteration,
+``_newton``, so the closed-form figures of merit need nothing beyond the
+standard library.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from dataclasses import dataclass
 __all__ = [
     "Accuracy",
     "arcsinh",
-    "brentq",
     "debruijn_w_approx",
     "erf",
     "erfinv",
@@ -45,6 +46,43 @@ def _require_finite(name: str, x: float) -> float:
     return x
 
 
+# Step cap of the root iteration; every caller converges in a handful.
+_NEWTON_MAXITER = 100
+
+
+def _newton(f, lo: float, hi: float, x0: float, xtol: float, rtol: float) -> float:
+    """Root of ``f`` in the bracket (lo, hi) by Newton's method with a
+    bisection safeguard.
+
+    ``f(x)`` returns the value and the slope at x; the value must be
+    negative at ``lo`` and positive at ``hi``. Each evaluation shrinks
+    the bracket to the side that keeps the sign change. The run starts
+    at ``x0`` (the midpoint if ``x0`` lies outside the bracket) and stops
+    once a Newton step moves x by at most ``xtol + rtol |x|``, or at an
+    exact zero; a step that would leave the bracket bisects it instead,
+    so convergence is unconditional.
+
+    Raises ``ValueError`` if ``f`` returns NaN and ``RuntimeError`` after
+    100 steps.
+    """
+    x = x0 if lo <= x0 <= hi else 0.5 * (lo + hi)
+    for _ in range(_NEWTON_MAXITER):
+        y, slope = f(x)
+        if math.isnan(y):
+            raise ValueError(f"the function value at x = {x!r} is NaN; the search cannot continue")
+        if y == 0.0:
+            return x
+        if y > 0.0:
+            hi = x
+        else:
+            lo = x
+        x_new = x - y / slope
+        if abs(x_new - x) <= xtol + rtol * abs(x):
+            return x_new
+        x = x_new if lo < x_new < hi else 0.5 * (lo + hi)
+    raise RuntimeError(f"the root search did not converge in {_NEWTON_MAXITER} steps")
+
+
 def erf(x: float) -> float:
     """Error function, (2/sqrt(pi)) * integral of exp(-u^2) from 0 to x.
 
@@ -64,8 +102,8 @@ def erfinv(p: float) -> float:
     """Inverse error function on the open interval (-1, 1).
 
     Newton iterations on :func:`erf` from a Winitzki-style seed, with a
-    bisection fallback whenever a step would leave the current bracket,
-    so convergence is unconditional. The forward residual
+    bisection fallback whenever a step would leave the current bracket
+    (``_newton``), so convergence is unconditional. The forward residual
     ``erf(erfinv(p)) - p`` stays well below 1e-10 everywhere.
     """
     p = _require_finite("p", p)
@@ -81,38 +119,26 @@ def erfinv(p: float) -> float:
     c = 2.0 / (math.pi * _ERFINV_A) + 0.5 * ln1mp2
     x = math.copysign(math.sqrt(math.sqrt(c * c - ln1mp2 / _ERFINV_A) - c), p)
 
+    dpdx = 2.0 / math.sqrt(math.pi)
+
+    def residual(x: float) -> tuple[float, float]:
+        return math.erf(x) - p, dpdx * math.exp(-x * x)
+
     # erf saturates to 1.0 in double precision just below 6, so the root
     # of erf(x) = p lies strictly inside this bracket for any valid p.
     lo, hi = (0.0, 6.0) if p > 0.0 else (-6.0, 0.0)
-    if not lo < x < hi:
-        x = 0.5 * (lo + hi)
-    dpdx = 2.0 / math.sqrt(math.pi)
-    for _ in range(100):
-        f = math.erf(x) - p
-        if f == 0.0:
-            break
-        if f > 0.0:
-            hi = x
-        else:
-            lo = x
-        x_new = x - f / (dpdx * math.exp(-x * x))
-        if not lo < x_new < hi:
-            x_new = 0.5 * (lo + hi)
-        if abs(x_new - x) <= 4e-16 * (1.0 + abs(x_new)):
-            x = x_new
-            break
-        x = x_new
-    return x
+    return _newton(residual, lo, hi, x, 4e-16, 4e-16)
 
 
 def lambert_w0(x: float) -> float:
     """Principal branch of the Lambert W function for x >= 0.
 
-    Solves w * exp(w) = x by Halley iteration, seeded with the two-log
-    asymptotic expansion for x > e and with log1p(x) otherwise (exact at
-    0 and within ~35 percent everywhere, plenty for a cubically
-    convergent iteration). The residual satisfies the defining equation
-    to a relative 1e-12 over at least [1e-6, 1e6].
+    Solves w * exp(w) = x by safeguarded Newton iteration (``_newton``)
+    on the bracket [0, max(1, log1p(x))], since W(x) <= log(1 + x),
+    seeded with the two-log asymptotic expansion for x > e and with
+    log1p(x) otherwise (exact at 0 and within ~35 percent everywhere).
+    The residual satisfies the defining equation to a relative 1e-12
+    over at least [1e-6, 1e6].
     """
     x = _require_finite("x", x)
     if x < 0.0:
@@ -121,16 +147,13 @@ def lambert_w0(x: float) -> float:
         return 0.0
 
     w = debruijn_w_approx(x) if x > math.e else math.log1p(x)
-    for _ in range(50):
+
+    def residual(w: float) -> tuple[float, float]:
         ew = math.exp(w)
-        f = w * ew - x
-        wp1 = w + 1.0
-        dw = f / (ew * wp1 - (w + 2.0) * f / (2.0 * wp1))
-        w_new = w - dw
-        if abs(w_new - w) <= 1e-16 * (2.0 + abs(w_new)):
-            return w_new
-        w = w_new
-    return w
+        return w * ew - x, (w + 1.0) * ew
+
+    # W(x) <= log(1 + x), and 1 keeps the bracket open where that is tiny
+    return _newton(residual, 0.0, max(1.0, math.log1p(x)), w, 0.0, 4e-16)
 
 
 def debruijn_w_approx(u: float) -> float:
@@ -151,91 +174,3 @@ def debruijn_w_approx(u: float) -> float:
 def arcsinh(x: float) -> float:
     """Inverse hyperbolic sine, ln(x + sqrt(x^2 + 1))."""
     return math.asinh(_require_finite("x", x))
-
-
-# Smallest relative tolerance brentq accepts: below a few ulp the
-# stopping test can never be met.
-_BRENT_MIN_RTOL = 4.0 * 2.0**-52
-# Iteration cap, scipy's default.
-_BRENT_MAXITER = 100
-
-
-def brentq(f, a: float, b: float, xtol: float, rtol: float) -> float:
-    """Root of ``f`` in the bracket [a, b] by Brent's method.
-
-    R. P. Brent, *Algorithms for Minimization without Derivatives*
-    (1973), ch. 4, transcribed branch for branch from scipy's
-    ``brentq.c`` so that every iterate, and hence the returned float,
-    matches ``scipy.optimize.brentq`` exactly: each step interpolates
-    (secant), extrapolates (inverse quadratic) or bisects, and the run
-    stops once half the bracket is below
-    ``delta = (xtol + rtol |x|) / 2``.
-
-    Exact agreement has been checked on x86_64 against scipy 1.17.1;
-    a scipy build whose compiler fuses multiply-adds (common on ARM)
-    may differ in the last bits.
-
-    Raises ``ValueError`` if ``xtol <= 0``, ``rtol < 4 eps``, f(a) and
-    f(b) carry the same sign, or ``f`` returns NaN; ``RuntimeError`` if
-    scipy's default of 100 iterations does not converge.
-    """
-    if xtol <= 0:
-        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
-    if rtol < _BRENT_MIN_RTOL:
-        raise ValueError(f"rtol too small ({rtol:g} < {_BRENT_MIN_RTOL:g})")
-
-    def fx(x: float) -> float:
-        y = float(f(x))
-        if math.isnan(y):
-            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
-        return y
-
-    xpre, xcur = float(a), float(b)
-    xblk = fblk = spre = scur = 0.0
-    fpre = fx(xpre)
-    fcur = fx(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
-
-    for _ in range(_BRENT_MAXITER):
-        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                # good short step
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = fx(xcur)
-
-    raise RuntimeError(f"Failed to converge after {_BRENT_MAXITER} iterations.")

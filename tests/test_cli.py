@@ -15,6 +15,7 @@ import pytest
 from qbattery.cli import main
 from qbattery.dynamics import DriveParams, integrate_moments
 from qbattery.fock import gaussian_truncation
+from qbattery.merit import peak_power_delay_weak_limit
 from qbattery.pulses import Gaussian
 from qbattery.specfun import Accuracy
 
@@ -85,6 +86,16 @@ def test_peak_power_weak_drive(tmp_path):
     header, rows = read_csv(out)
     t_over_tau = rows[0, header.index("t_p_over_tau")]
     assert abs(t_over_tau - 0.506) <= 1e-3
+
+
+@pytest.mark.parametrize(
+    "args", [["peak-power", "--zeta", "1e-300"], ["sweep", "--zetas", "1e-200,1"]]
+)
+def test_tiny_zeta_runs(args, tmp_path):
+    out = tmp_path / "tiny.csv"
+    assert main(args + ["--out", str(out)]) == 0
+    header, rows = read_csv(out)
+    assert abs(rows[0, header.index("t_p")] - peak_power_delay_weak_limit()) <= 1e-12
 
 
 def test_charge_time_list(tmp_path):
@@ -421,7 +432,6 @@ def test_package_exports_each_module_name_once():
     for mod in modules:
         for name in mod.__all__:
             assert getattr(qbattery, name) is getattr(mod, name), name
-    assert qbattery.brentq is specfun.brentq
 
 
 def test_closed_form_path_loads_no_numpy():

@@ -1,6 +1,7 @@
 """Figures of merit: energies, powers, charging times, quadratures."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -188,6 +189,17 @@ class TestPeakPower:
     def test_needs_positive_zeta(self):
         with pytest.raises(ValueError):
             peak_power_time(gauss_params(0.0))
+
+    @pytest.mark.parametrize("zeta", [1e-108, 1e-200, 1e-300, sys.float_info.min])
+    def test_tiny_zeta_reaches_the_weak_limit(self, zeta):
+        # both sides of the turning equation scale with zeta; products of
+        # three zeta-sized numbers underflow, the equation itself does not
+        assert abs(peak_power_time(gauss_params(zeta)) - peak_power_delay_weak_limit()) <= 1e-12
+
+    @pytest.mark.parametrize("zeta", [1e-310, 5e-324])
+    def test_subnormal_zeta_is_refused(self, zeta):
+        with pytest.raises(ValueError, match="2.2e-308"):
+            peak_power_time(gauss_params(zeta))
 
 
 class TestPeakPowerEstimate:

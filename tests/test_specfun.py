@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from qbattery import merit
+from qbattery import merit, specfun
 from qbattery.dynamics import DriveParams
 from qbattery.pulses import Gaussian
 from qbattery.specfun import (
     Accuracy,
+    _newton,
     arcsinh,
-    brentq,
     debruijn_w_approx,
     erf,
     erfinv,
@@ -187,101 +187,110 @@ class TestArcsinh:
             arcsinh(math.inf)
 
 
-def same_float(x, y):
-    """Equal as IEEE doubles, down to the sign of zero."""
-    return x == y and math.copysign(1.0, x) == math.copysign(1.0, y)
-
-
-def outcome(fn, *args, **kwargs):
-    """(float, root) on success, (exception type, None) on failure."""
-    try:
-        return float, fn(*args, **kwargs)
-    except Exception as exc:
-        return type(exc), None
+def newton_via_scipy(f, lo, hi, x0, xtol, rtol):
+    """A stand-in for ``_newton`` that hands the same equation and
+    bracket to ``scipy.optimize.brentq`` at its tightest tolerance."""
+    return scipy.optimize.brentq(lambda x: f(x)[0], lo, hi, xtol=1e-15, rtol=4.0 * 2.0**-52)
 
 
 class TestBrentq:
-    """The port against scipy.optimize.brentq, compared with exact float
-    equality: same root, same points evaluated, same failures. Exact
-    agreement has been verified on x86_64 against scipy 1.17.1 only."""
+    """The package's roots against ``scipy.optimize.brentq`` run to its
+    tightest tolerance on the same equation and bracket, and the root
+    iteration's NaN refusal."""
 
     @pytest.mark.parametrize(
         "acc", [Accuracy(), Accuracy(1e-8, 1e-8), Accuracy(1e-15, 1e-16)], ids=str
     )
     def test_peak_power_time_matches_scipy(self, acc, monkeypatch):
+        # Newton converges quadratically, so even the 1e-8 request lands
+        # within 1e-12 of the root
         params = [
             DriveParams(omega_b=1.0, zeta=float(z), pulse=Gaussian(1.0))
             for z in np.logspace(-3.0, 2.3, 60)
         ]
         ours = [merit.peak_power_time(p, acc) for p in params]
-        monkeypatch.setattr(merit, "brentq", scipy.optimize.brentq)
+        monkeypatch.setattr(merit, "_newton", newton_via_scipy)
         theirs = [merit.peak_power_time(p, acc) for p in params]
-        assert all(same_float(a, b) for a, b in zip(ours, theirs))
+        for a, b in zip(ours, theirs):
+            assert a == pytest.approx(b, rel=1e-12, abs=0.0)
+
+    def test_strong_drive_matches_scipy(self, monkeypatch):
+        # far below the root each Newton step gains only about tau^2 / t,
+        # so a seed at the bracket midpoint ran out of steps at zeta 1e150
+        params = [
+            DriveParams(omega_b=1.0, zeta=float(z), pulse=Gaussian(tau))
+            for z in np.logspace(2.3, 153.0, 40)
+            for tau in (0.01, 1.0, 30.0)
+        ]
+        ours = [merit.peak_power_time(p) for p in params]
+        monkeypatch.setattr(merit, "_newton", newton_via_scipy)
+        theirs = [merit.peak_power_time(p) for p in params]
+        for a, b in zip(ours, theirs):
+            assert a == pytest.approx(b, rel=1e-12, abs=0.0)
 
     def test_weak_limit_matches_scipy(self, monkeypatch):
         ours = merit.peak_power_delay_weak_limit(1.7)
-        monkeypatch.setattr(merit, "brentq", scipy.optimize.brentq)
-        assert same_float(ours, merit.peak_power_delay_weak_limit(1.7))
-
-    def test_random_odd_power_roots_match_scipy(self):
-        rng = random.Random(20240601)
-        converged = 0
-        for _ in range(3000):
-            power = rng.choice((1, 3, 5, 7, 9))
-            root = rng.uniform(-5.0, 5.0)
-            scale = rng.uniform(0.1, 3.0)
-            if rng.random() < 0.25:
-                # symmetric about the root, so |f(a)| and |f(b)| can tie
-                # and the strict test of the endpoint swap is exercised
-                half = rng.uniform(0.1, 5.0)
-                a, b = root - half, root + half
-            else:
-                a, b = rng.uniform(-10.0, root), rng.uniform(root, 10.0)
-            if rng.random() < 0.5:
-                a, b = b, a
-            xtol = 10.0 ** rng.uniform(-15.0, -2.0)
-            rtol = max(10.0 ** rng.uniform(-16.0, -3.0), 4.0 * np.finfo(float).eps)
-            calls = ([], [])
-
-            def f(x, log):
-                log.append(x)
-                return scale * (x - root) ** power
-
-            got = outcome(brentq, lambda x: f(x, calls[0]), a, b, xtol, rtol)
-            want = outcome(
-                scipy.optimize.brentq,
-                lambda x: f(x, calls[1]), a, b, xtol=xtol, rtol=rtol, maxiter=100,
-            )
-            assert got[0] == want[0]
-            assert got[0] is not float or same_float(got[1], want[1])
-            assert calls[0] == calls[1]
-            converged += got[0] is float
-        # flat high powers under tiny tolerances exhaust the 100
-        # iterations in both (2719 of these 3000 cases converge)
-        assert converged > 2500
-
-    def test_root_on_an_endpoint(self):
-        for a, b in ((0.0, 1.0), (-1.0, 0.0)):
-            want = scipy.optimize.brentq(lambda x: x, a, b, xtol=1e-12, rtol=1e-12)
-            assert same_float(brentq(lambda x: x, a, b, 1e-12, 1e-12), want)
-
-    @pytest.mark.parametrize(
-        "f, a, b, kwargs",
-        [
-            (lambda x: x * x + 1.0, -1.0, 1.0, {}),
-            (lambda x: x - 0.3, 0.0, 1.0, {"rtol": 1e-16}),
-            (lambda x: x - 0.3, 0.0, 1.0, {"xtol": 0.0}),
-            (lambda x: x - 0.3, 0.0, 1.0, {"xtol": -1e-12}),
-        ],
-        ids=["no-sign-change", "rtol-too-small", "xtol-zero", "xtol-negative"],
-    )
-    def test_failures_match_scipy(self, f, a, b, kwargs):
-        args = {"xtol": 1e-12, "rtol": 1e-12, **kwargs}
-        with pytest.raises(Exception) as theirs:
-            scipy.optimize.brentq(f, a, b, **args)
-        with pytest.raises(theirs.type):
-            brentq(f, a, b, **args)
+        monkeypatch.setattr(merit, "_newton", newton_via_scipy)
+        assert ours == pytest.approx(merit.peak_power_delay_weak_limit(1.7), rel=1e-12, abs=0.0)
 
     def test_nan_is_refused(self):
+        def f(x):
+            return (math.nan if x > 0.5 else x - 0.7), 1.0
+
         with pytest.raises(ValueError, match="NaN"):
-            brentq(lambda x: math.nan if x > 0.5 else x - 0.7, 0.0, 1.0, 1e-12, 1e-12)
+            _newton(f, 0.0, 1.0, 0.9, 1e-12, 1e-12)
+
+
+@pytest.fixture
+def evaluations(monkeypatch):
+    """The points at which every function handed to ``_newton`` is
+    evaluated; clear it before a call and read its length after."""
+    counts = []
+
+    def counting(f, *args):
+        def f_counted(x):
+            counts.append(x)
+            return f(x)
+
+        return _newton(f_counted, *args)
+
+    monkeypatch.setattr(specfun, "_newton", counting)
+    monkeypatch.setattr(merit, "_newton", counting)
+    return counts
+
+
+class TestNewton:
+    def test_erfinv_converges_in_a_few_evaluations(self, evaluations):
+        rng = random.Random(20240601)
+        worst = 0
+        for _ in range(10_000):
+            if rng.random() < 0.5:
+                p = 10.0 ** rng.uniform(-16.0, 0.0)
+            else:
+                p = 1.0 - 10.0 ** rng.uniform(-16.0, -1.0)
+            p = math.copysign(p, rng.random() - 0.5)
+            if not -1.0 < p < 1.0:
+                continue
+            evaluations.clear()
+            x = erfinv(p)
+            assert abs(math.erf(x) - p) <= 1e-15
+            worst = max(worst, len(evaluations))
+        assert worst <= 10
+
+    def test_lambert_w0_converges_in_a_few_evaluations(self, evaluations):
+        rng = random.Random(20240601)
+        worst = 0
+        for _ in range(10_000):
+            x = 10.0 ** rng.uniform(-8.0, 8.0)
+            evaluations.clear()
+            w = lambert_w0(x)
+            assert w * math.exp(w) == pytest.approx(x, rel=1e-14)
+            worst = max(worst, len(evaluations))
+        assert worst <= 10
+
+    def test_stops_at_the_step_cap(self):
+        # a step with a near-zero slope: every Newton step leaves the
+        # bracket, the bisections never hit a zero, and a zero tolerance
+        # is never met
+        with pytest.raises(RuntimeError, match="100 steps"):
+            _newton(lambda x: (1.0 if x > 0.1 else -1.0, 1e-300), -1.0, 1.0, 0.9, 0.0, 0.0)
