@@ -37,7 +37,7 @@ from .merit import (
     quadrature_variances,
     stored_energy,
 )
-from .pulses import PULSE_NAMES, from_name
+from .pulses import PULSE_NAMES, DeltaLimit, from_name
 from .specfun import debruijn_w_approx, lambert_w0
 
 __all__ = ["main", "build_parser"]
@@ -266,11 +266,12 @@ def _legend(args: argparse.Namespace) -> tuple[list[float], list[DriveParams]]:
 
 def fig_2a(args: argparse.Namespace) -> Table:
     zetas, params = _legend(args)
+    delta = DeltaLimit()
     rows = []
     for x in _linspace(-4.0, 4.0, _steps(args)):
         row = [x]
         row.extend(stored_energy(p, x) / (math.sinh(p.zeta) ** 2) for p in params)
-        row.append(0.5 if x == 0.0 else float(x > 0.0))
+        row.append(delta.area(x))
         rows.append(row)
     return ["t_over_tau"] + [f"zeta_{z:g}" for z in zetas] + ["delta_limit"], rows
 

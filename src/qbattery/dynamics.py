@@ -186,17 +186,10 @@ def _validate_times(times, min_points: int) -> np.ndarray:
     return arr
 
 
-def _csv_text(columns: list[str], rows) -> str:
-    """A header line and one line per row, every value at full double
-    precision; the CSV format of :func:`_write_table`."""
-    lines = [",".join(columns)]
-    lines.extend(",".join(format(float(v), ".17g") for v in row) for row in rows)
-    return "\n".join(lines) + "\n"
-
-
 def _write_table(columns: list[str], rows, out=None, fmt: str = "csv") -> None:
-    """The one table writer: ``columns`` and ``rows`` as CSV
-    (:func:`_csv_text`) or, with ``fmt="json"``, as compact JSON
+    """The one table writer: ``columns`` and ``rows`` as CSV (a header
+    line and one line per row, every value at full double precision) or,
+    with ``fmt="json"``, as compact JSON
     ``{"columns": [...], "rows": [[...], ...]}``. The text goes to
     stdout when ``out`` is None or the string ``"-"``, else to the file
     ``out`` (a ``Path("-")`` is a file) with LF line ends on every
@@ -205,7 +198,9 @@ def _write_table(columns: list[str], rows, out=None, fmt: str = "csv") -> None:
         payload = {"columns": columns, "rows": [[float(v) for v in row] for row in rows]}
         text = json.dumps(payload, separators=(",", ":")) + "\n"
     else:
-        text = _csv_text(columns, rows)
+        lines = [",".join(columns)]
+        lines.extend(",".join(format(float(v), ".17g") for v in row) for row in rows)
+        text = "\n".join(lines) + "\n"
     if out is None or out == "-":
         sys.stdout.write(text)
     else:

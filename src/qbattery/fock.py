@@ -155,14 +155,6 @@ _STENCIL_COPIES = 9
 # temporaries the size of one block.
 _HERMITICITY_ROWS = 32
 
-# Arrays of dim^2 complex numbers alive at once after the run, once the
-# solver and the stencil are freed: rho with the row blocks of its
-# Hermiticity check, then rho and eigvalsh's copy of one parity block, a
-# quarter of the entries, which numpy allocates where tracemalloc does
-# not look. tracemalloc measured 1.2-1.5 at dims 200-454; the Hermiticity
-# blocks shrink against the matrix as dim grows.
-_FINAL_COPIES = 2
-
 
 class TruncationError(RuntimeError):
     """The state leaked into the top ladder levels; enlarge the space."""
@@ -619,16 +611,17 @@ def _lindblad_bytes(dim: int, entries: int, samples: int, per_step: int) -> int:
     interpolated rows (the 2 dim - 2 observed per sample) twice, the
     dense-output product and its scaled copy; and the observed rows of
     every sample twice, since ``solve_ivp`` keeps one block per step and stacks them
-    when the run ends. No full-state sample is ever interpolated. After
-    the run, once the solver and the stencil are freed: the observed rows,
-    the solver's last state, and the complex rho with the temporaries of
-    its Hermiticity check and of ``eigvalsh``.
+    when the run ends. No full-state sample is ever interpolated. The
+    phase after the run, once the solver and the stencil are freed, holds
+    the observed rows, the solver's last state and complex dim^2 arrays
+    (rho, the temporaries of its Hermiticity check and ``eigvalsh``'s
+    copy of a parity block); since ``entries`` >= dim^2 / 4, it fits in
+    this bound unless it needs more than about 3.5 such arrays, and about
+    2 were measured.
     """
     observed = 2 * dim - 2
     rows = 8 * observed * samples
-    stepping = 8 * entries * (_WORK_COPIES + _STENCIL_COPIES) + 16 * observed * per_step + 2 * rows
-    final = rows + 8 * entries + 16 * dim * dim * _FINAL_COPIES
-    return max(stepping, final)
+    return 8 * entries * (_WORK_COPIES + _STENCIL_COPIES) + 16 * observed * per_step + 2 * rows
 
 
 def _samples_per_step(times: np.ndarray, max_step: float) -> int:
@@ -731,10 +724,11 @@ def evolve_lindblad(
     spectrum from the two parity blocks.
 
     Before anything of size dim^2 or of the stored size is allocated,
-    the bytes the run needs (:func:`_lindblad_bytes`) are compared with
-    what the process can allocate, the smaller of physical RAM and a
-    finite RLIMIT_AS soft limit; a run that cannot fit raises
-    :class:`MemoryError` naming both byte counts.
+    the bytes the stepping needs (:func:`_lindblad_bytes`), which also
+    cover the smaller final phase, are compared with what the process
+    can allocate, the smaller of physical RAM and a finite RLIMIT_AS
+    soft limit; a run that cannot fit raises :class:`MemoryError` naming
+    both byte counts.
     """
     if not (math.isfinite(kappa) and kappa >= 0.0):
         raise ValueError(f"kappa must be nonnegative and finite, got {kappa!r}")

@@ -41,6 +41,8 @@ _SQRT2 = math.sqrt(2.0)
 # Half the Gaussian FWHM in units of tau; the averaging window below is
 # t in [-this, +this] * tau, roughly +-1.18 tau.
 _FWHM_HALF = math.sqrt(2.0 * math.log(2.0))
+# The largest zeta whose 2 zeta^2 is finite; peak_power_time refuses more.
+_ZETA_MAX = math.sqrt(sys.float_info.max / 2.0)
 
 
 @dataclass(frozen=True)
@@ -168,22 +170,33 @@ def peak_power_time(p: DriveParams, acc: Accuracy | None = None) -> float:
         sqrt(2/pi) zeta tau exp(-t^2 / 2 tau^2) = t tanh(zeta xi(t)),
 
     with xi(t) = 1 + erf(t / sqrt(2) tau). The left side falls and the
-    right side grows on t > 0, so the root is unique; it is bracketed by
-    the strong-drive Lambert-W asymptote plus one tau of slack and
-    polished by the package's safeguarded Newton iteration on the
-    analytic slope, seeded near that asymptote, to ``acc.abs_tol`` tau
-    absolute plus max(``acc.rel_tol``, 1e-15) relative.
+    right side grows on t > 0, so the root is unique. It lies below
+    hi = tau (1 + sqrt(W + 1)), W = W(2 zeta^2 / pi), one tau past the
+    strong-drive asymptote tau sqrt(W): as e^(-W) = pi W / (2 zeta^2),
+    the left side at hi is at most tau sqrt(W) e^(-2), less than the
+    right side's hi tanh(zeta). A RuntimeError naming zeta guards that
+    bracket. The root is polished by the package's safeguarded Newton
+    iteration on the analytic slope, seeded near that asymptote, to
+    ``acc.abs_tol`` tau absolute plus max(``acc.rel_tol``, 1e-15)
+    relative.
 
     Both sides scale with zeta as zeta -> 0, so t_P tends to
     :func:`peak_power_delay_weak_limit`; below the smallest normal float
     (``sys.float_info.min``, about 2.2e-308) the equation loses its
-    precision in subnormal arithmetic, and zeta there is refused.
+    precision in subnormal arithmetic, and zeta there is refused. So is
+    zeta above sqrt(``sys.float_info.max`` / 2), about 9.48e153, where
+    2 zeta^2 overflows.
     """
     pulse = _require_gaussian(p, "peak_power_time")
     if not p.zeta >= sys.float_info.min:
         raise ValueError(
             f"peak_power_time needs zeta >= sys.float_info.min = {sys.float_info.min:.2g}, "
             f"got {p.zeta!r}; below it the turning equation loses its precision"
+        )
+    if not p.zeta <= _ZETA_MAX:
+        raise ValueError(
+            f"peak_power_time needs zeta <= sqrt(sys.float_info.max / 2) = {_ZETA_MAX:.3g}, "
+            f"got {p.zeta!r}; above it 2 zeta^2 overflows"
         )
     if acc is None:
         acc = Accuracy()
@@ -199,14 +212,8 @@ def peak_power_time(p: DriveParams, acc: Accuracy | None = None) -> float:
 
     w = lambert_w0(2.0 * p.zeta**2 / math.pi)
     hi = tau * (1.0 + math.sqrt(w + 1.0))
-    for _ in range(60):
-        if turning(hi)[0] > 0.0:
-            break
-        hi *= 1.5
-    else:
-        raise RuntimeError(
-            f"could not bracket the power maximum for zeta = {p.zeta!r}"
-        )
+    if not turning(hi)[0] > 0.0:
+        raise RuntimeError(f"could not bracket the power maximum for zeta = {p.zeta!r}")
     # Far below the root the Gaussian term dominates and each Newton step
     # gains only about tau^2 / t, so seed near the root: the strong-drive
     # asymptote tau sqrt(w), lifted to the weak limit 0.506 tau

@@ -98,6 +98,11 @@ def test_tiny_zeta_runs(args, tmp_path):
     assert abs(rows[0, header.index("t_p")] - peak_power_delay_weak_limit()) <= 1e-12
 
 
+def test_zeta_past_the_overflow_of_its_square_exits_naming_the_bound(capsys):
+    assert main(["peak-power", "--zeta", "1e154"]) == 1
+    assert "zeta <= sqrt(sys.float_info.max / 2) = 9.48e+153" in capsys.readouterr().err
+
+
 def test_charge_time_list(tmp_path):
     out = tmp_path / "ct.csv"
     assert main(

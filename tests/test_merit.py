@@ -201,6 +201,25 @@ class TestPeakPower:
         with pytest.raises(ValueError, match="2.2e-308"):
             peak_power_time(gauss_params(zeta))
 
+    @pytest.mark.parametrize("zeta", [1e154, 1e200])
+    def test_zeta_past_the_overflow_of_its_square_is_refused(self, zeta):
+        with pytest.raises(ValueError, match=r"sqrt\(sys.float_info.max / 2\) = 9.48e\+153"):
+            peak_power_time(gauss_params(zeta))
+
+    def test_largest_accepted_zeta_has_a_finite_delay(self):
+        zeta = math.sqrt(sys.float_info.max / 2.0)
+        assert zeta == 9.480751908109176e153
+        assert math.isinf(2.0 * math.nextafter(zeta, math.inf) ** 2)
+        assert peak_power_time(gauss_params(zeta)) == pytest.approx(26.497, abs=1e-3)
+
+    def test_unbracketed_root_is_reported(self, monkeypatch):
+        # with W = 0 the bracket ends at 2 tau, short of the root near 2.6 tau
+        from qbattery import merit
+
+        monkeypatch.setattr(merit, "lambert_w0", lambda x: 0.0)
+        with pytest.raises(RuntimeError, match="zeta = 100.0"):
+            peak_power_time(gauss_params(100.0))
+
 
 class TestPeakPowerEstimate:
     def test_factor_accuracy(self):
