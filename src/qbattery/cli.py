@@ -25,7 +25,7 @@ from .fock import (
     ergotropy,
     evolve_lindblad,
     evolve_rwa,
-    gaussian_truncation,
+    frame_truncation,
 )
 from .merit import (
     average_power_fwhm,
@@ -53,12 +53,13 @@ FIG_ZETAS = "0.1,0.5,1,2,4"
 # about 85 s.
 VECTOR_LEVEL_LIMIT = 10_000
 
-# Largest density-matrix ladder fock-check steps. The Lindblad run steps
-# about dim^2 / 4 entries, and RK45's step count grows with the level
-# count too, so its work grows as the cube of the ladder size. As whole
-# processes on a 2-core host, --kappa 0.1 --ergotropy took 20 s at 835
-# levels (zeta 2.5), 44 s at 1100 and 63 s at 1200.
-LINDBLAD_LEVEL_LIMIT = 1100
+# Largest frame ladder fock-check steps. The Lindblad run steps a dense
+# dim^2 state, and RK45's step count grows with the level count too, so
+# its work grows as the cube of the ladder size. As whole processes on a
+# shared 2-core host, --kappa 0.1 --ergotropy took 1.3-2.7 s at 84 levels
+# (zeta 3), 3.2-4.9 s at 106 (zeta 3.25), 5.3-15 s at 134 (zeta 3.5) and
+# 25 s at 170 (zeta 3.75); zeta 4's 216 levels took 36 s in process.
+LINDBLAD_LEVEL_LIMIT = 150
 
 # What every command returns: column names and rows, written by _write_table.
 Table = tuple[list[str], list[list[float]]]
@@ -189,15 +190,14 @@ def cmd_fock_check(args: argparse.Namespace) -> Table:
         n_ref = [analytic_moments(p, t, times[0]).n for t in times]
     else:
         # the moments come first: with loss the state stays a zero-mean
-        # Gaussian, far thinner-tailed than the lossless squeezed vacuum,
-        # and its exact photon distribution at every sample sizes the ladder
+        # Gaussian, thermal in its own squeezed frame, and its largest
+        # thermal population on the grid sizes the frame ladder
         ref = integrate_moments(p, times[0], times[-1], kappa=kappa, times=times)
         if dim is None:
-            dim = gaussian_truncation(ref.n, ref.s, args.tail_tol, LINDBLAD_LEVEL_LIMIT)
-        if dim is None or dim > LINDBLAD_LEVEL_LIMIT:
-            needs = f"more than {LINDBLAD_LEVEL_LIMIT}" if dim is None else dim
+            dim = frame_truncation(ref.n, ref.s, args.tail_tol)
+        if dim > LINDBLAD_LEVEL_LIMIT:
             raise ValueError(
-                f"the density-matrix ladder needs {needs} levels (zeta {args.zeta:g}, "
+                f"the frame ladder needs {dim} levels (zeta {args.zeta:g}, "
                 f"--kappa {kappa:g}, --tail-tol {args.tail_tol:g}), above the "
                 f"{LINDBLAD_LEVEL_LIMIT}-level limit of the lossy engine, whose work "
                 "grows as the cube of the ladder size"
@@ -394,8 +394,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = command(sub, "fock-check", cmd_fock_check, "Fock-ladder evolution against the closed form", drive=True)
     _add_grid_args(sp, -8.0, 6.0, 57)
     sp.add_argument("--kappa", type=float, default=0.0, help="photon-loss rate; > 0 switches to the lossy engine")
-    sp.add_argument("--tail-tol", type=float, default=1e-8, help="tail mass budget used to size the ladder: of the squeezed vacuum the pulse reaches (squeeze parameter zeta), or with --kappa of the lossy Gaussian state at every grid point")
-    sp.add_argument("--fock-dim", type=int, default=None, help=f"explicit ladder size (overrides --tail-tol); at most {VECTOR_LEVEL_LIMIT} without --kappa, {LINDBLAD_LEVEL_LIMIT} with it")
+    sp.add_argument("--tail-tol", type=float, default=1e-8, help="tail mass budget used to size the ladder: of the squeezed vacuum the pulse reaches (squeeze parameter zeta), or with --kappa of the frame ladder, which holds the lossy state in its own squeezed frame, at every grid point")
+    sp.add_argument("--fock-dim", type=int, default=None, help=f"explicit ladder size (overrides --tail-tol); at most {VECTOR_LEVEL_LIMIT} without --kappa, a frame ladder of at most {LINDBLAD_LEVEL_LIMIT} with it")
     sp.add_argument("--ergotropy", nargs="?", type=_true_or_false, const=True, default=False, metavar="true|false", help="append the extractable-work ratio of the final state")
     _add_out_args(sp)
 

@@ -23,36 +23,30 @@ as a transcription check, and the top four ladder levels are watched as
 a truncation alarm.
 
 Every engine starts from the vacuum, the empty battery the pulse
-charges. The density-matrix engine steps only the entries that can be
-nonzero, as real numbers. Write sigma = e^(i pi n/4) rho e^(-i pi n/4),
-so rho_jk = e^(-i pi (j-k)/4) sigma_jk. There the drive becomes
-h [A, sigma] with A real, antisymmetric and tridiagonal on each parity
-class, and both loss terms keep real, positive weights, so the
-generator has real coefficients: sigma, real and symmetric at the
-vacuum, stays so. Since the drive moves one index by two and loss moves
-both by one, sigma also keeps the even parity of j - k. The
-engine therefore stores the even diagonals of its lower triangle
-(j >= k) as float64, diagonal by diagonal: about a quarter of the dim^2
-entries. Only the rows the observables read are interpolated at the
-sample instants. Once stepping ends the solver and the stencil are
-freed, and the complex rho is built for the final state. rho couples no
-even level to an odd one, so it is the direct sum of its even-level and
-odd-level blocks, and :class:`FockDensity` takes the spectrum of any
-such matrix from the two blocks. Before allocating, the engine compares
-the bytes the run needs with the smaller of physical RAM and the
-RLIMIT_AS soft limit and fails at once if they do not fit.
+charges. With loss the state stays a zero-mean Gaussian whose squeeze
+drives its photon distribution exponentially up the ladder: at kappa
+0.1 the lab-frame density matrix needs 318 levels at zeta 2 and 15 859
+at zeta 4. Undo the state's own squeeze and what is left is thermal,
+which 35 and 216 levels hold. The density-matrix engine therefore steps
+the state in that frame, whose angle it reads off the principal
+variances it steps beside the state. There, rotated by e^(i pi n/4),
+the generator is real, so the state is one dense real dim x dim array,
+and only the rows the observables read are interpolated at the sample
+instants. The state couples no even level to an odd one, so the final
+state is the direct sum of its even-level and odd-level blocks, and
+:class:`FockDensity` takes the spectrum of any such matrix from the two
+blocks. Before allocating, the engine compares the bytes the run needs
+with the smaller of physical RAM and the RLIMIT_AS soft limit and fails
+at once if they do not fit.
 
 The lossless ladder is sized for the squeezed vacuum the pulse reaches
-(:func:`choose_truncation`). With loss the state stays a zero-mean
-Gaussian with a much thinner tail, and :func:`gaussian_truncation` sizes
-the ladder from its exact photon distribution
-(:func:`gaussian_photon_distribution`) at every sample.
+(:func:`choose_truncation`), the lossy frame ladder for the largest
+thermal population on the grid (:func:`frame_truncation`).
 
 numpy is bound lazily, as in :mod:`qbattery.dynamics`: importing this
-module runs none of it, and :func:`choose_truncation` is pure Python, so
-sizing a lossless ladder, and refusing one, needs no numpy. It loads on
-the first state, engine or Gaussian sizing call; scipy loads when an
-engine steps.
+module runs none of it, and both sizing rules are pure Python, so
+sizing a ladder, and refusing one, needs no numpy. It loads on the
+first state or engine call; scipy loads when an engine steps.
 """
 from __future__ import annotations
 
@@ -89,8 +83,7 @@ __all__ = [
     "evolve_full",
     "evolve_lindblad",
     "evolve_rwa",
-    "gaussian_photon_distribution",
-    "gaussian_truncation",
+    "frame_truncation",
     "quadrature_variances_from_state",
 ]
 
@@ -105,10 +98,11 @@ FOCK_ACCURACY = Accuracy(abs_tol=1e-12, rel_tol=1e-10)
 
 # The Lindblad engine's default. Its absolute floor applies to every
 # stored entry of the state, and the integration noise in the lowest
-# eigenvalue of the final state follows it: at zeta 2, dim 454, a 1e-12
-# floor left that eigenvalue at -1.8e-10, past ergotropy's -1e-10
-# rejection threshold; 1e-13 puts it at -1.7e-12 for 12% more
-# right-hand-side calls.
+# eigenvalue of the final state follows it: at zeta 2 on twice the frame
+# ladder (70 levels), a 1e-12 floor left that eigenvalue at -1.1e-11 and
+# 1e-13 at -5.0e-13, for 12% more right-hand-side calls. On the rising
+# edge of the pulse n then lies within 7.9e-11 of a 1e-15/1e-13 run on
+# the 35-level frame ladder (2.2e-10 at a 1e-12 floor).
 LINDBLAD_ACCURACY = Accuracy(abs_tol=1e-13, rel_tol=1e-10)
 
 # How many top ladder levels count as the truncation alarm zone, and the
@@ -130,26 +124,18 @@ _LENTZ_EPS = math.ulp(1.0)
 _LENTZ_TINY = 1e-300
 
 # e^(-i pi d/4) = (-i)^(d/2) for even d = 0, 2, 4, 6 (mod 8), exact, so
-# that turning sigma back into rho leaves every stored entry unrounded.
+# that turning sigma into the frame density leaves every entry unrounded.
 _QUARTER_TURNS = (1.0 + 0j, -1j, -1.0 + 0j, 1j)
 
-# Arrays the size of the stored Lindblad state that can be alive at once
-# besides the stencil, the observed rows and one step's interpolated rows.
-# While the stencil is built: the initial state, the entry coordinates,
-# one neighbour's index, weight and mask arrays, and the intp columns
-# with their int32 copy. While RK45 steps: its seven stages, y, y_old and
-# f, a stage's increment and trial state, the error-norm temporaries and
-# the right-hand side's temporaries; the dense output takes the stages of
-# the observed rows alone. tracemalloc peaks at dims 60-454 on the
-# 57-point fock-check grid, at zeta 1 and 2, less those named above, came
-# to 8.0-16.5 copies while stepping and at most 13.3 while the stencil is
-# built; the rest is headroom for other numpy and scipy versions, and the
-# tests hold the bound against the measured peaks.
-_WORK_COPIES = 20
-
-# The stencil: the drive's four weights per entry, their int32 column
-# indices and row pointers, the jump weights and the damping rates.
-_STENCIL_COPIES = 9
+# Arrays of the dim^2 + 2 stored numbers of the Lindblad state that can
+# be alive at once besides the observed rows and one step's interpolated
+# rows: RK45's seven stages, y, y_old and f, a stage's increment and
+# trial state, the error-norm temporaries and the right-hand side's
+# output, M sigma, Z and one product. tracemalloc peaks at dims 35-128
+# on the 57-point fock-check grid, at zeta 1, 2 and 3, less the rows,
+# came to 19.9-21.7 copies; the rest is headroom for other numpy and
+# scipy versions, and the tests hold the bound against the measured peaks.
+_WORK_COPIES = 24
 
 # Rows per block of FockDensity's Hermiticity check, which holds three
 # temporaries the size of one block.
@@ -202,6 +188,11 @@ class FockVector:
 class FockDensity:
     """Density matrix on the truncated ladder (Hermitian, unit trace).
 
+    ``matrix`` is written in the squeezed frame of angle ``theta``: it is
+    U† rho U with U = exp(-i theta (b†² + b²)), and rho itself at
+    theta = 0. The spectrum does not depend on the frame;
+    :meth:`mean_population` undoes it.
+
     Positivity is monitored rather than enforced: construction checks
     trace and Hermiticity, :func:`ergotropy` rejects spectra below the
     -1e-10 tolerance. The spectrum is computed once, on first use of
@@ -210,21 +201,26 @@ class FockDensity:
     """
 
     matrix: np.ndarray
+    theta: float = 0.0
 
     def __post_init__(self) -> None:
-        self._check(np.array(self.matrix, dtype=complex, order="C"))
+        self._check(np.array(self.matrix, dtype=complex, order="C"), self.theta)
 
     @classmethod
-    def _adopt(cls, matrix: np.ndarray) -> "FockDensity":
+    def _adopt(cls, matrix: np.ndarray, theta: float) -> "FockDensity":
         """The density on ``matrix``, a fresh C-ordered complex array that
         the caller gives up, checked as the constructor checks it but not
         copied."""
         rho = cls.__new__(cls)
-        rho._check(matrix)
+        rho._check(matrix, theta)
         return rho
 
-    def _check(self, m: np.ndarray) -> None:
-        """Freeze ``m`` as the matrix; check its shape, trace and Hermiticity."""
+    def _check(self, m: np.ndarray, theta: float) -> None:
+        """Freeze ``m`` as the matrix and ``theta`` as a float; check the
+        matrix's shape, trace and Hermiticity, and that theta is finite."""
+        if not math.isfinite(theta):
+            raise ValueError(f"theta must be finite, got {theta!r}")
+        object.__setattr__(self, "theta", float(theta))
         m.flags.writeable = False
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise ValueError("matrix must be square and nonempty")
@@ -270,7 +266,12 @@ class FockDensity:
         return float(self.eigenvalues[0])
 
     def mean_population(self) -> float:
-        return float(np.arange(self.dim) @ self.populations())
+        """<b†b> of rho: c^2 n + s^2 (n + 1) - 2 c s Im<bb> in the frame's
+        own n and <bb>, with c = cosh 2 theta and s = sinh 2 theta."""
+        n = float(np.arange(self.dim) @ self.populations())
+        pair = float(_pair_coeffs(self.dim) @ self.matrix.diagonal(-2).imag)
+        c, s = math.cosh(2.0 * self.theta), math.sinh(2.0 * self.theta)
+        return c * c * n + s * s * (n + 1.0) - 2.0 * c * s * pair
 
 
 def _pair_tail(m: int, r: float) -> float:
@@ -313,10 +314,10 @@ def choose_truncation(r: float, tail_tol: float) -> int:
     of that state (mean population sinh^2 r). A pulse of drive strength
     zeta reaches at most r = zeta from the vacuum, which ``fock-check``
     sizes the lossless engine for; with loss it sizes the Lindblad
-    engine by :func:`gaussian_truncation` instead. The tail is exact (a
-    regularized incomplete beta), and the size is found by bisection
-    over whole pairs; :class:`RuntimeError` is raised at once when even
-    2 * 10^7 + 2 levels leave ``tail_tol`` or more beyond them.
+    engine's frame ladder by :func:`frame_truncation` instead. The tail
+    is exact (a regularized incomplete beta), and the size is found by
+    bisection over whole pairs; :class:`RuntimeError` is raised at once
+    when even 2 * 10^7 + 2 levels leave ``tail_tol`` or more beyond them.
     """
     if not (math.isfinite(r) and r >= 0.0):
         raise ValueError(f"r must be nonnegative and finite, got {r!r}")
@@ -336,85 +337,6 @@ def choose_truncation(r: float, tail_tol: float) -> int:
     return 2 * hi + _TAIL_LEVELS
 
 
-def _gaussian_terms(n, s):
-    """P(0), P(1), ... of the zero-mean Gaussian states with <b†b> = n
-    and <bb> = s (broadcast together), one array per level, endlessly."""
-    n = np.asarray(n, dtype=float)
-    s_abs = np.abs(np.asarray(s, dtype=complex))
-    n, s_abs = np.broadcast_arrays(n, s_abs)
-    # the generating function needs 1 + W± > 0; n itself is not checked
-    # for sign, since integrated moments can come out at -1e-16 or so
-    if not np.all(np.isfinite(n) & np.isfinite(s_abs) & (s_abs < n + 1.0)):
-        raise ValueError("need finite n and s with |s| < n + 1 at every sample")
-    w_plus, w_minus = n + s_abs, n - s_abs
-    alpha, beta = w_plus / (1.0 + w_plus), w_minus / (1.0 + w_minus)
-    total, product = alpha + beta, alpha * beta
-    prev, cur = np.zeros_like(n), 1.0 / np.sqrt((1.0 + w_plus) * (1.0 + w_minus))
-    m = 0
-    while True:
-        yield cur
-        prev, cur = cur, (total * (m + 0.5) * cur - product * m * prev) / (m + 1)
-        m += 1
-
-
-def gaussian_photon_distribution(n, s, levels: int) -> np.ndarray:
-    """Photon-number probabilities P(0) .. P(levels - 1) of the zero-mean
-    Gaussian state with <b†b> = n and pair correlator <bb> = s.
-
-    ``n`` and ``s`` broadcast together, one state per sample, and the
-    result has shape (levels, *samples). With loss the state the pulse
-    reaches from the vacuum stays such a Gaussian. Its principal
-    quadratures have excess variances W± = n ± |s|, so its generating
-    function is [(1 + (1 - z) W+)(1 + (1 - z) W-)]^(-1/2) (Loudon &
-    Knight, J. Mod. Opt. 34, 709 (1987), for the pure case). With
-    a = W+/(1 + W+) and b = W-/(1 + W-) that gives
-    P(0) = [(1 + W+)(1 + W-)]^(-1/2) and the recurrence
-    (m + 1) P(m + 1) = (a + b)(m + 1/2) P(m) - a b m P(m - 1). For a
-    squeezed vacuum, b = -a = -tanh r and the pair number is the
-    negative binomial NB(1/2, tanh^2 r) that :func:`choose_truncation`
-    sums.
-    """
-    levels = operator.index(levels)
-    if levels < 1:
-        raise ValueError(f"levels must be at least 1, got {levels!r}")
-    terms = _gaussian_terms(n, s)
-    return np.array([next(terms) for _ in range(levels)])
-
-
-def gaussian_truncation(n, s, tail_tol: float, max_levels: int) -> int | None:
-    """Ladder size that holds the zero-mean Gaussian states (n, s) of
-    :func:`gaussian_photon_distribution` at every sample.
-
-    Returns the smallest size, at least 6, whose top four levels, together
-    with all the levels it leaves out, hold less than ``tail_tol`` of the
-    mass of every state, or None when no size up to ``max_levels`` does.
-    The search steps one level at a time and stops at ``max_levels``. A
-    ``tail_tol`` below the rounding of 1 - sum P(m) is never met: once two
-    levels in a row leave the summed mass of every sample unchanged,
-    :class:`ValueError` names ``tail_tol`` and the remainder it stalled
-    at. For a squeezed vacuum, whose odd levels are empty, the size is
-    one level less than the whole pairs :func:`choose_truncation` sizes in.
-    """
-    if not 0.0 < tail_tol < 1.0:
-        raise ValueError(f"tail_tol must lie in (0, 1), got {tail_tol!r}")
-    held = 0.0  # the mass of the levels below ``level``
-    stalled = 0  # levels in a row that left ``held`` unchanged
-    for level, prob in enumerate(_gaussian_terms(n, s)):
-        size = max(level + _TAIL_LEVELS, _MIN_LEVELS)
-        if size > max_levels:
-            return None
-        if np.all(1.0 - held < tail_tol):
-            return size
-        total = held + prob
-        stalled = stalled + 1 if np.all(total == held) else 0
-        if stalled == 2:
-            raise ValueError(
-                f"tail_tol {tail_tol:g} is below the rounding of 1 - sum P(m), which "
-                f"stalls at {np.max(1.0 - held):.2e} by level {level}"
-            )
-        held = total
-
-
 def _pair_coeffs(dim: int) -> np.ndarray:
     """Matrix elements of the pair ladder operators on ``dim`` levels:
 
@@ -431,8 +353,10 @@ class FockTrajectory:
     ``s`` is the rotating-frame pair correlator <bb>; ``var_x_min`` is
     the theta-minimized X-quadrature variance 1/2 + n - |s|;
     ``norm_drift`` is the worst deviation of the norm (or trace) from 1
-    over the run. ``final_state`` is renormalized on wrapping so it is a
-    valid state object; the raw drift stays visible in ``norm_drift``.
+    over the run. ``tail_mass``, ``odd_mass`` and ``norm_drift`` are read
+    on the ladder that was stepped, which for :func:`evolve_lindblad` is
+    the frame ladder. ``final_state`` is renormalized on wrapping so it
+    is a valid state object; the raw drift stays visible in ``norm_drift``.
     """
 
     times: np.ndarray
@@ -461,9 +385,12 @@ class FockTrajectory:
         _write_table(columns, rows, Path(path))
 
 
-def _trajectory(times: np.ndarray, pops: np.ndarray, s: np.ndarray, final_state) -> FockTrajectory:
-    """The sampled observables of an evolution, from the level
-    populations ``pops`` (levels x samples) and the pair correlator ``s``.
+def _trajectory(
+    times: np.ndarray, pops: np.ndarray, n: np.ndarray, s: np.ndarray, final_state
+) -> FockTrajectory:
+    """The sampled observables of an evolution: the level populations
+    ``pops`` (levels x samples) of the ladder stepped, and the mean
+    population ``n`` and pair correlator ``s``.
 
     Raises :class:`TruncationError` if the tail mass ever exceeds the
     1e-6 guard. Only then is ``final_state(norms)`` called, with the
@@ -477,7 +404,6 @@ def _trajectory(times: np.ndarray, pops: np.ndarray, s: np.ndarray, final_state)
             f"tail mass reached {worst_tail:.3e} (guard {_TAIL_GUARD:.1e}); "
             f"increase the Fock dimension beyond {dim}"
         )
-    n = np.arange(dim) @ pops
     norms = pops.sum(axis=0)
     return FockTrajectory(
         times=times,
@@ -517,8 +443,13 @@ def _evolve_vacuum(
         acc = FOCK_ACCURACY
     Y = _rk45(rhs, (times[0], times[-1]), psi0, acc, max_step, label, times).y
     s = (_pair_coeffs(dim)[:, None] * np.conj(Y[:-2]) * Y[2:]).sum(axis=0)
+    pops = np.abs(Y) ** 2
     return _trajectory(
-        times, np.abs(Y) ** 2, s, lambda norms: FockVector(Y[:, -1] / math.sqrt(norms[-1]))
+        times,
+        pops,
+        np.arange(dim) @ pops,
+        s,
+        lambda norms: FockVector(Y[:, -1] / math.sqrt(norms[-1])),
     )
 
 
@@ -601,27 +532,24 @@ def evolve_full(
     return _evolve_vacuum(rhs, dim, times, acc, max_step, "carrier-resolved evolution failed")
 
 
-def _lindblad_bytes(dim: int, entries: int, samples: int, per_step: int) -> int:
-    """Upper bound on the bytes :func:`evolve_lindblad` holds at once for
-    ``entries`` stored float64 numbers on ``dim`` levels, sampled at
-    ``samples`` instants of which one step interpolates at most
-    ``per_step``.
+def _lindblad_bytes(dim: int, samples: int, per_step: int) -> int:
+    """Upper bound on the bytes :func:`evolve_lindblad` holds at once on
+    ``dim`` levels, sampled at ``samples`` instants of which one step
+    interpolates at most ``per_step``.
 
-    While RK45 steps: the work arrays and the stencil; one step's
-    interpolated rows (the 2 dim - 2 observed per sample) twice, the
-    dense-output product and its scaled copy; and the observed rows of
-    every sample twice, since ``solve_ivp`` keeps one block per step and stacks them
-    when the run ends. No full-state sample is ever interpolated. The
-    phase after the run, once the solver and the stencil are freed, holds
-    the observed rows, the solver's last state and complex dim^2 arrays
-    (rho, the temporaries of its Hermiticity check and ``eigvalsh``'s
-    copy of a parity block); since ``entries`` >= dim^2 / 4, it fits in
-    this bound unless it needs more than about 3.5 such arrays, and about
-    2 were measured.
+    While RK45 steps: the work arrays of the dim^2 + 2 stored numbers;
+    one step's interpolated rows (the 2 dim observed per sample) twice,
+    the dense-output product and its scaled copy; and the observed rows
+    of every sample twice, since ``solve_ivp`` keeps one block per step
+    and stacks them when the run ends. No full-state sample is ever
+    interpolated. The phase after the run, once the solver is freed,
+    holds the observed rows, the solver's last state and a few complex
+    dim^2 arrays (the phases, rho, and ``eigvalsh``'s copy of a parity
+    block), far fewer than the work arrays.
     """
-    observed = 2 * dim - 2
+    observed = 2 * dim
     rows = 8 * observed * samples
-    return 8 * entries * (_WORK_COPIES + _STENCIL_COPIES) + 16 * observed * per_step + 2 * rows
+    return 8 * (dim * dim + 2) * _WORK_COPIES + 16 * observed * per_step + 2 * rows
 
 
 def _samples_per_step(times: np.ndarray, max_step: float) -> int:
@@ -639,60 +567,32 @@ def _memory_budget() -> int:
     return ram if soft == resource.RLIM_INFINITY else min(ram, soft)
 
 
-def _lindblad_stencil(dim: int, kappa: float):
-    """The right-hand side on the stored entries, built once.
+def frame_truncation(n, s, tail_tol: float) -> int:
+    """Frame-ladder size for :func:`evolve_lindblad` that holds the lossy
+    states with moments ``n`` = <b†b> and ``s`` = <bb> (equal-length
+    sequences, one state per sample).
 
-    Returns the drive as a sparse matrix G, with row i holding the flat
-    indices and weights of the four neighbours (J + 2, K), (J - 2, K),
-    (J, K - 2) and (J, K + 2) of stored entry i = (J, K) under [A, .];
-    the loss weights of the jump sources (J + 1, K + 1), each the next
-    stored entry of its diagonal; and the damping rates. A neighbour
-    above the diagonal is read from its mirror image, since sigma is
-    symmetric; a neighbour off the ladder has weight 0. The right-hand
-    side is then damp * y + h * (G @ y) + jump * y[i + 1].
-
-    The (entries, 4) blocks G is made of are written directly: the
-    weights as float64, which G adopts uncopied, and the columns as intp,
-    which G keeps as an int32 copy. The intp block is freed on return,
-    before RK45 steps, and on glibc that matters: freeing a block that
-    large raises malloc's mmap and trim thresholds above the size of the
-    state, which keeps the solver's state-sized temporaries on the heap.
-    Built in int32 directly, at dim 454, every such temporary came back
-    from the kernel: 930 000 page faults doubled the stepping time.
+    With loss the state the pulse reaches from the vacuum stays a
+    zero-mean Gaussian with principal variances V± = 1/2 + n ± |s|. In
+    its own squeezed frame it is thermal, with mean population
+    nbar = sqrt(V+ V-) - 1/2, and the top four levels of a ladder hold
+    (nbar / (nbar + 1))^(dim - 4) of its mass together with all the
+    levels beyond. The size is the smallest that keeps that below
+    ``tail_tol`` at the largest nbar, and at least 6:
+    max(6, 4 + ceil(ln tail_tol / ln(nbar / (nbar + 1)))). Pure Python.
     """
-    from scipy.sparse import csr_matrix
-
-    diagonals = np.arange(0, dim, 2)
-    lengths = dim - diagonals
-    first = np.cumsum(lengths) - lengths  # flat index of sigma[d, 0]
-    entries = int(lengths.sum())
-    cols = np.zeros((entries, 4), dtype=np.intp)
-    weights = np.zeros((entries, 4))
-    k = np.arange(entries) - np.repeat(first, lengths)
-    j = k + np.repeat(diagonals, lengths)
-    for col, (a, b, coeff) in enumerate(_drive_neighbours(j, k)):
-        lo = np.minimum(a, b)
-        off = np.abs(a - b)
-        ok = (lo >= 0) & (lo + off < dim)
-        cols[ok, col] = first[off[ok] // 2] + lo[ok]
-        weights[ok, col] = coeff[ok]
-    jump = np.where(j + 1 < dim, kappa * np.sqrt((j + 1.0) * (k + 1.0)), 0.0)
-    damp = -0.5 * kappa * (j + k)
-    drive = csr_matrix(
-        (weights.reshape(-1), cols.reshape(-1), np.arange(0, 4 * entries + 1, 4)),
-        shape=(entries, entries),
-        copy=False,
-    )
-    return drive, jump[:-1], damp
-
-
-def _drive_neighbours(j: np.ndarray, k: np.ndarray):
-    """The neighbours (J + 2, K), (J - 2, K), (J, K - 2), (J, K + 2) of
-    the entries (J, K) under [A, .], with their weights, one at a time."""
-    yield j + 2, k, -np.sqrt((j + 1.0) * (j + 2.0))
-    yield j - 2, k, np.sqrt(j * (j - 1.0))
-    yield j, k - 2, np.sqrt(k * (k - 1.0))
-    yield j, k + 2, -np.sqrt((k + 1.0) * (k + 2.0))
+    if not 0.0 < tail_tol < 1.0:
+        raise ValueError(f"tail_tol must lie in (0, 1), got {tail_tol!r}")
+    nbar = 0.0
+    for n_k, s_k in zip(n, s):
+        v_minus = 0.5 + n_k - abs(s_k)
+        if not (math.isfinite(v_minus) and v_minus > 0.0):
+            raise ValueError(f"need finite n and s with |s| < n + 1/2, got {n_k!r} and {s_k!r}")
+        # moments rounded past the vacuum give sqrt(V+ V-) just below 1/2
+        nbar = max(nbar, math.sqrt((v_minus + 2.0 * abs(s_k)) * v_minus) - 0.5)
+    if nbar == 0.0:
+        return _MIN_LEVELS
+    return max(_MIN_LEVELS, _TAIL_LEVELS + math.ceil(math.log(tail_tol) / -math.log1p(1.0 / nbar)))
 
 
 def evolve_lindblad(
@@ -700,32 +600,36 @@ def evolve_lindblad(
 ) -> FockTrajectory:
     """Evolve the vacuum's density matrix under the rotating-frame
     generator plus the zero-temperature loss dissipator
-    kappa (b rho b† - {b†b, rho}/2).
+    kappa (b rho b† - {b†b, rho}/2), in the state's own squeezed frame.
 
-    Trace drift is reported in ``norm_drift``, and
-    :class:`TruncationError` is raised as by :func:`evolve_rwa`.
-    Positivity is monitored, not enforced: integration noise puts the
-    lowest eigenvalue of the final state slightly below zero, so the
-    rejection threshold scales with the relative tolerance,
-    max(1e-8, 100 rel_tol), and :class:`IntegrationError` is raised below
-    it. ``acc`` defaults to :data:`LINDBLAD_ACCURACY`.
+    ``dim`` is the size of the frame ladder (:func:`frame_truncation`).
+    ``n`` and ``s`` are the rotating-frame observables; ``tail_mass``,
+    ``odd_mass`` and the trace drift in ``norm_drift`` are read in the
+    frame, and :class:`TruncationError` is raised as by
+    :func:`evolve_rwa`. ``final_state`` is the frame state U†rho U,
+    with its angle theta. Positivity is monitored, not enforced:
+    integration noise puts the lowest eigenvalue of the final state
+    slightly below zero, so the rejection threshold scales with the
+    relative tolerance, max(1e-8, 100 rel_tol), and
+    :class:`IntegrationError` is raised below it. ``acc`` defaults to
+    :data:`LINDBLAD_ACCURACY`.
 
-    The state is stepped as sigma = e^(i pi n/4) rho e^(-i pi n/4), which
-    stays real and symmetric and keeps the even parity of j - k. Only the
-    even diagonals of its lower triangle are stored, as float64:
-    ceil(dim/2) (floor(dim/2) + 1) numbers, none stepped in complex
-    arithmetic. The right-hand side is one gather stencil built once
-    (:func:`_lindblad_stencil`). Each step's interpolant is evaluated on
-    the populations and the d = 2 diagonal alone, and the solver's last
-    state is kept whole. The solver and the stencil are freed before the
-    full complex rho is built for ``final_state``, normalized to unit
-    trace and handed to :class:`FockDensity` uncopied. rho couples no
-    even level to an odd one, so :attr:`FockDensity.eigenvalues` takes its
-    spectrum from the two parity blocks.
+    With K = b†² + b² and U = exp(-i theta K), the frame angle is
+    theta = ln(V+/V-) / 8, stepped through the principal variances
+    dV±/dt = ±2 zeta f V± - kappa (V± - 1/2) in the same ODE as the
+    state. In sigma = e^(i pi n/4) U†rho U e^(-i pi n/4) the generator
+    is g [A, sigma] + kappa (M sigma M^T - {M^T M, sigma}/2), with
+    A = b†² - b², M = cosh(2 theta) b + sinh(2 theta) b† on the
+    truncated ladder, and g = zeta f/2 - dtheta/dt
+    = kappa (1/V- - 1/V+) / 16. It is real, so sigma is stepped as a
+    dense real dim x dim array. The right-hand side is written Z + Z^T,
+    exactly symmetric in floating point: sigma's antisymmetric part,
+    which rounding would otherwise seed, grows under the dissipator.
+    Each step's interpolant is evaluated on V±, the populations and
+    the sigma[j + 2, j] coherences alone.
 
-    Before anything of size dim^2 or of the stored size is allocated,
-    the bytes the stepping needs (:func:`_lindblad_bytes`), which also
-    cover the smaller final phase, are compared with what the process
+    Before anything of size dim^2 is allocated, the bytes the stepping
+    needs (:func:`_lindblad_bytes`) are compared with what the process
     can allocate, the smaller of physical RAM and a finite RLIMIT_AS
     soft limit; a run that cannot fit raises :class:`MemoryError` naming
     both byte counts.
@@ -736,11 +640,9 @@ def evolve_lindblad(
     if acc is None:
         acc = LINDBLAD_ACCURACY
 
-    # the even diagonals d = 0, 2, ... hold dim - d entries each
-    entries = (dim + 1) // 2 * (dim // 2 + 1)
     max_step = 0.5 * p.pulse.tau
     per_step = _samples_per_step(times, max_step)
-    need = _lindblad_bytes(dim, entries, times.size, per_step)
+    need = _lindblad_bytes(dim, times.size, per_step)
     budget = _memory_budget()
     if need > budget:
         raise MemoryError(
@@ -750,52 +652,80 @@ def evolve_lindblad(
             "or the number of samples"
         )
 
-    y0 = np.zeros(entries)
-    y0[0] = 1.0
-    drive, jump, damp = _lindblad_stencil(dim, kappa)
-    half_zeta = 0.5 * p.zeta
+    # y = (V+, V-, sigma row by row), from the vacuum
+    y0 = np.zeros(2 + dim * dim)
+    y0[:3] = 0.5, 0.5, 1.0
+    root = np.sqrt(np.arange(1.0, dim))  # <j| b |j+1>
+    pair = _pair_coeffs(dim)
+    zeta = p.zeta
     value = p.pulse.value
 
     def rhs(t, y):
-        out = damp * y
-        h = half_zeta * value(t)
-        if h != 0.0:
-            flow = drive @ y
-            flow *= h
-            out += flow
-        if kappa != 0.0:
-            out[:-1] += jump * y[1:]
+        v_plus, v_minus = y[0], y[1]
+        drive = 2.0 * zeta * value(t)
+        out = np.empty_like(y)
+        out[0] = drive * v_plus - kappa * (v_plus - 0.5)
+        out[1] = -drive * v_minus - kappa * (v_minus - 0.5)
+        if kappa == 0.0:
+            return out
+        sigma = y[2:].reshape(dim, dim)
+        two_theta = 0.25 * math.log(v_plus / v_minus)
+        c, s = math.cosh(two_theta), math.sinh(two_theta)
+        g = pair * (kappa / 16.0 * (1.0 / v_minus - 1.0 / v_plus))
+        # w = M sigma
+        w = np.empty((dim, dim))
+        np.multiply((c * root)[:, None], sigma[1:], out=w[:-1])
+        w[-1] = 0.0
+        w[1:] += (s * root)[:, None] * sigma[:-1]
+        # z = g A sigma + kappa (w M^T - M^T w) / 2, and z + z^T the flow;
+        # M^T w is M^T M sigma with the truncated M, whose b b† is 0 on the
+        # top level, so the flow keeps the trace
+        z = np.zeros((dim, dim))
+        z[2:] = g[:, None] * sigma[:-2]
+        z[:-2] -= g[:, None] * sigma[2:]
+        up, down = (0.5 * kappa * c) * root, (0.5 * kappa * s) * root
+        z[1:] -= up[:, None] * w[:-1]
+        z[:-1] -= down[:, None] * w[1:]
+        z[:, :-1] += w[:, 1:] * up
+        z[:, 1:] += w[:, :-1] * down
+        np.add(z, z.T, out=out[2:].reshape(dim, dim))
         return out
 
-    # the rows the trajectory reads are the first two diagonals: the
-    # populations (d = 0) and the pair coherences (d = 2)
+    # the rows the trajectory reads: V+, V-, the populations sigma[j, j]
+    # and the coherences sigma[j + 2, j]
+    levels = np.arange(dim)
+    rows = np.concatenate(([0, 1], 2 + levels * (dim + 1), 2 + levels[:-2] * (dim + 1) + 2 * dim))
     span = (times[0], times[-1])
     label = "lossy evolution failed"
-    sol = _rk45(rhs, span, y0, acc, max_step, label, times, np.arange(2 * dim - 2))
-    y, last = sol.y, sol.y_end
-    # scipy's solver holds its work arrays, and through rhs the stencil, in
-    # a reference cycle; free them before the final state is built on top
-    del sol, rhs, drive, jump, damp, y0
+    if kappa:
+        sol = _rk45(rhs, span, y0, acc, max_step, label, times, rows)
+        y, last = sol.y, sol.y_end
+    else:
+        # without loss sigma stays the vacuum; stepping its dim^2 zeros
+        # would only dilute the solver's RMS error norm of V+ and V-
+        sol = _rk45(rhs, span, y0[:2], acc, max_step, label, times)
+        y = np.vstack((sol.y, np.repeat(y0[rows[2:], None], times.size, axis=1)))
+        last = np.concatenate((sol.y_end, y0[2:]))
+    # scipy's solver holds its work arrays in a reference cycle; free
+    # them before the final state is built on top
+    del sol, rhs, y0
     gc.collect()
 
-    pops, pairs = y[:dim], y[dim:]
-    # <bb> = sum_j c[j] rho[j+2, j], and rho[j+2, j] = -i sigma[j+2, j]
-    s = -1j * (_pair_coeffs(dim) @ pairs)
+    two_theta = 0.25 * np.log(y[0] / y[1])
+    c, s = np.cosh(two_theta), np.sinh(two_theta)
+    n_frame = levels @ y[2 : 2 + dim]
+    x = pair @ y[2 + dim :]
+    # rho~[j + 2, j] = -i sigma[j + 2, j], so <bb> in the frame is -i x
+    n = c * c * n_frame + s * s * (n_frame + 1.0) + 2.0 * c * s * x
+    pair_lab = -1j * ((c * c + s * s) * x + c * s * (2.0 * n_frame + 1.0))
 
     def final_state(_traces) -> FockDensity:
-        final = np.zeros((dim, dim), dtype=complex)
-        flat = final.reshape(-1)
-        start = 0
-        for d in range(0, dim, 2):
-            # rho[k + d, k] below the diagonal, its conjugate above
-            below = flat[d * dim :: dim + 1][: dim - d]
-            below.real = last[start : start + dim - d]
-            below *= _QUARTER_TURNS[d // 2 % 4]
-            if d:
-                flat[d :: dim + 1][: dim - d] = below.conj()
-            start += dim - d
+        # rho~[j, k] = e^(-i pi (j - k)/4) sigma[j, k], nonzero for even j - k only
+        turns = np.array(_QUARTER_TURNS)[np.subtract.outer(levels, levels) // 2 % 4]
+        final = turns * last[2:].reshape(dim, dim)
+        del turns
         final /= np.trace(final).real
-        rho = FockDensity._adopt(final)
+        rho = FockDensity._adopt(final, 0.125 * math.log(last[0] / last[1]))
         min_eig = rho.min_eigenvalue()
         if min_eig < -max(1e-8, 100.0 * acc.rel_tol):
             raise IntegrationError(
@@ -804,7 +734,7 @@ def evolve_lindblad(
             )
         return rho
 
-    return _trajectory(times, pops, s, final_state)
+    return _trajectory(times, y[2 : 2 + dim], n, pair_lab, final_state)
 
 
 def ergotropy(state: FockDensity | FockVector, omega_b: float) -> float:
@@ -814,7 +744,9 @@ def ergotropy(state: FockDensity | FockVector, omega_b: float) -> float:
 
     i.e. mean energy minus the passive-state energy obtained by pairing
     the eigenvalues of rho, sorted descending, with the levels sorted
-    ascending. Never exceeds the stored energy. The passive state of a
+    ascending. Never exceeds the stored energy. The mean energy of a
+    density written in a squeezed frame is its lab-frame
+    :meth:`FockDensity.mean_population`; its spectrum is rho's. The passive state of a
     pure state is the ground state (Allahverdyan, Balian & Nieuwenhuizen,
     EPL 67, 565 (2004)), so a :class:`FockVector` gets its full mean
     energy without forming a density matrix.
@@ -828,10 +760,8 @@ def ergotropy(state: FockDensity | FockVector, omega_b: float) -> float:
         raise ValueError(
             f"density matrix is not positive semidefinite (min eigenvalue {lam[0]:.3e})"
         )
-    levels = np.arange(state.dim, dtype=float)
-    energy = float(state.populations() @ levels)
-    passive = float(lam[::-1] @ levels)
-    return omega_b * (energy - passive)
+    passive = float(lam[::-1] @ np.arange(state.dim, dtype=float))
+    return omega_b * (state.mean_population() - passive)
 
 
 def quadrature_variances_from_state(

@@ -18,6 +18,7 @@ from qbattery.fock import (
     evolve_full,
     evolve_lindblad,
     evolve_rwa,
+    frame_truncation,
     quadrature_variances_from_state,
 )
 from qbattery.merit import (
@@ -248,9 +249,10 @@ def test_criterion_10_dissipation_robustness():
     kappa = 0.1
     grid = np.linspace(-6.0, 6.0, 13)
     mom = integrate_moments(p, -6.0, 6.0, TIGHT, kappa=kappa, times=grid)
-    # headroom rule sized for state vectors; the density matrix only needs
-    # to hold the actual squeezed-thermal state (n <= sinh^2 2 ~ 13.2)
-    lind = evolve_lindblad(p, kappa, 460, grid, Accuracy(1e-11, 1e-9))
+    # the frame ladder holds the thermal state left once the lossy
+    # state's own squeeze is undone
+    dim = frame_truncation(mom.n, mom.s, 1e-8)
+    lind = evolve_lindblad(p, kappa, dim, grid, Accuracy(1e-11, 1e-9))
     agree = float(np.max(np.abs(lind.n - mom.n)))
     lossless_weaker_cap = math.sinh(1.0) ** 2
     robust = float(mom.n[-1]) > lossless_weaker_cap and float(lind.n[-1]) > lossless_weaker_cap

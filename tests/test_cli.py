@@ -14,7 +14,7 @@ import pytest
 
 from qbattery.cli import main
 from qbattery.dynamics import DriveParams, integrate_moments
-from qbattery.fock import gaussian_truncation
+from qbattery.fock import frame_truncation
 from qbattery.merit import peak_power_delay_weak_limit
 from qbattery.pulses import Gaussian
 from qbattery.specfun import Accuracy
@@ -197,8 +197,8 @@ def _refuse_lindblad_step(*args, **kwargs):
 
 
 def test_fock_check_lossy_refuses_oversized_ladder(capsys, monkeypatch):
-    # zeta = 4 needs 15 859 levels; the sizing stops at the limit, and
-    # the engine never starts, whatever the host's memory
+    # zeta = 4 needs 216 frame levels, above the limit, and the engine
+    # never starts
     from qbattery import cli
 
     monkeypatch.setattr(cli, "evolve_lindblad", _refuse_lindblad_step)
@@ -206,7 +206,7 @@ def test_fock_check_lossy_refuses_oversized_ladder(capsys, monkeypatch):
     assert main(["fock-check", "--zeta", "4", "--kappa", "0.1"]) == 1
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
-    assert f"needs more than {cli.LINDBLAD_LEVEL_LIMIT} levels" in err
+    assert "the frame ladder needs 216 levels" in err
     assert f"{cli.LINDBLAD_LEVEL_LIMIT}-level limit of the lossy engine" in err
     assert "zeta 4, --kappa 0.1, --tail-tol 1e-08" in err
 
@@ -218,24 +218,19 @@ def test_fock_check_refuses_an_explicit_lossy_ladder_above_the_limit(capsys, mon
     dim = cli.LINDBLAD_LEVEL_LIMIT + 1
     assert main(["fock-check", "--zeta", "1", "--kappa", "0.1", "--fock-dim", str(dim)]) == 1
     err = capsys.readouterr().err
-    assert f"needs {dim} levels" in err
+    assert f"the frame ladder needs {dim} levels" in err
     assert f"{cli.LINDBLAD_LEVEL_LIMIT}-level limit of the lossy engine" in err
 
 
-def test_fock_check_refuses_an_unattainable_lossy_tail_tol_at_once(capsys, monkeypatch):
-    # 1e-16 lies below the rounding of 1 - sum P(m): no ladder meets it,
-    # and the sizing says so once the sum stops moving, at about 40
-    # levels, instead of blaming the level limit
-    from qbattery import cli
-
-    monkeypatch.setattr(cli, "evolve_lindblad", _refuse_lindblad_step)
-    start = time.perf_counter()
-    assert main(["fock-check", "--zeta", "0.5", "--kappa", "0.1", "--tail-tol", "1e-16"]) == 1
-    assert time.perf_counter() - start < 1.0
-    err = capsys.readouterr().err
-    assert "tail_tol 1e-16 is below the rounding of 1 - sum P(m)" in err
-    assert "stalls at 5.55e-16 by level 39" in err
-    assert "level limit" not in err
+def test_fock_check_runs_lossy_zeta_3(tmp_path):
+    # 84 frame levels; the lab-frame ladder would need 2 217
+    out = tmp_path / "lossy.csv"
+    assert main(["fock-check", "--zeta", "3", "--kappa", "0.1", "--ergotropy", "--out", str(out)]) == 0
+    header, rows = read_csv(out)
+    n_ref = rows[:, header.index("n_ref")]
+    assert np.max(rows[:, header.index("abs_err")] / (1.0 + n_ref)) <= 1e-6
+    assert np.max(rows[:, header.index("tail_mass")]) <= 1e-7
+    assert 0.0 < rows[0, header.index("ergotropy_ratio")] <= 1.0
 
 
 def test_fock_check_sizes_from_moments_rounded_below_zero(tmp_path):
@@ -249,9 +244,10 @@ def test_fock_check_sizes_from_moments_rounded_below_zero(tmp_path):
 
 
 def test_fock_check_sizes_the_lossy_ladder_from_the_gaussian_state(monkeypatch):
-    # with loss the state is a zero-mean Gaussian far thinner-tailed than
-    # the lossless squeezed vacuum: 22 / 51 / 318 levels at --tail-tol
-    # 1e-8, against 26 / 66 / 454; an explicit --fock-dim still wins
+    # with loss the state is a zero-mean Gaussian, thermal in its own
+    # squeezed frame: 11 / 16 / 35 frame levels at --tail-tol 1e-8,
+    # against 22 / 51 / 318 in the lab frame; an explicit --fock-dim
+    # still wins
     from qbattery import cli
 
     dims = []
@@ -264,7 +260,7 @@ def test_fock_check_sizes_the_lossy_ladder_from_the_gaussian_state(monkeypatch):
     for zeta in ("0.5", "1", "2"):
         assert main(["fock-check", "--zeta", zeta, "--kappa", "0.1"]) == 1
     assert main(["fock-check", "--zeta", "2", "--kappa", "0.1", "--fock-dim", "30"]) == 1
-    assert dims == [22, 51, 318, 30]
+    assert dims == [11, 16, 35, 30]
 
 
 def test_fock_check_sizes_the_vector_ladder_for_the_squeeze_reached(tmp_path, monkeypatch):
@@ -349,7 +345,7 @@ def test_fock_check_lossy_engine(tmp_path):
 def test_fock_check_lossy_columns_match_the_moment_equations(tmp_path, zeta):
     # the command checks n against n_ref itself; the pair correlator and
     # the least quadrature variance, 1/2 + n - |s|, are held here to a
-    # tight moment run (within 4.4e-7 of 1 + n at zeta 2, 318 levels)
+    # tight moment run (within 5.5e-9 of 1 + n at zeta 2, 35 frame levels)
     out = tmp_path / "lossy.csv"
     assert main(["fock-check", "--zeta", zeta, "--kappa", "0.1", "--out", str(out)]) == 0
     header, rows = read_csv(out)
@@ -534,12 +530,12 @@ def test_lossy_ergotropy_decomposes_the_final_state_once(tmp_path, monkeypatch):
             "--out", str(out),
         ]
     ) == 0
-    # from the vacuum the rotated state has only even diagonals, so its
+    # from the vacuum the frame state has only even diagonals, so its
     # spectrum comes from one call per parity block and none on the full
     # matrix; a second decomposition would add calls
     grid = np.linspace(-6.0, 4.0, 6)
     ref = integrate_moments(DriveParams(omega_b=1.0, zeta=0.5, pulse=Gaussian(1.0)), grid[0], grid[-1], kappa=0.1, times=grid)
-    dim = gaussian_truncation(ref.n, ref.s, 1e-8, 10_000)
+    dim = frame_truncation(ref.n, ref.s, 1e-8)
     assert sorted(calls) == [(dim // 2, dim // 2), ((dim + 1) // 2, (dim + 1) // 2)]
     header, rows = read_csv(out)
     assert 0.0 < rows[0, header.index("ergotropy_ratio")] <= 1.0
