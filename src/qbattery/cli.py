@@ -21,6 +21,7 @@ from pathlib import Path
 
 from .dynamics import DriveParams, _write_table, analytic_moments, integrate_moments
 from .fock import (
+    LINDBLAD_LEVEL_LIMIT,
     choose_truncation,
     ergotropy,
     evolve_lindblad,
@@ -52,14 +53,6 @@ FIG_ZETAS = "0.1,0.5,1,2,4"
 # (zeta 3) take 1-3 s, 9010 (zeta 3.5) about 10 s and 24480 (zeta 4)
 # about 85 s.
 VECTOR_LEVEL_LIMIT = 10_000
-
-# Largest frame ladder fock-check steps. The Lindblad run steps a dense
-# dim^2 state, and RK45's step count grows with the level count too, so
-# its work grows as the cube of the ladder size. As whole processes on a
-# shared 2-core host, --kappa 0.1 --ergotropy took 1.3-2.7 s at 84 levels
-# (zeta 3), 3.2-4.9 s at 106 (zeta 3.25), 5.3-15 s at 134 (zeta 3.5) and
-# 25 s at 170 (zeta 3.75); zeta 4's 216 levels took 36 s in process.
-LINDBLAD_LEVEL_LIMIT = 150
 
 # What every command returns: column names and rows, written by _write_table.
 Table = tuple[list[str], list[list[float]]]
@@ -195,13 +188,6 @@ def cmd_fock_check(args: argparse.Namespace) -> Table:
         ref = integrate_moments(p, times[0], times[-1], kappa=kappa, times=times)
         if dim is None:
             dim = frame_truncation(ref.n, ref.s, args.tail_tol)
-        if dim > LINDBLAD_LEVEL_LIMIT:
-            raise ValueError(
-                f"the frame ladder needs {dim} levels (zeta {args.zeta:g}, "
-                f"--kappa {kappa:g}, --tail-tol {args.tail_tol:g}), above the "
-                f"{LINDBLAD_LEVEL_LIMIT}-level limit of the lossy engine, whose work "
-                "grows as the cube of the ladder size"
-            )
         traj = evolve_lindblad(p, kappa, dim, times)
         n_ref = list(ref.n)
     columns, rows = traj.table()

@@ -35,9 +35,9 @@ and only the rows the observables read are interpolated at the sample
 instants. The state couples no even level to an odd one, so the final
 state is the direct sum of its even-level and odd-level blocks, and
 :class:`FockDensity` takes the spectrum of any such matrix from the two
-blocks. Before allocating, the engine compares the bytes the run needs
-with the smaller of physical RAM and the RLIMIT_AS soft limit and fails
-at once if they do not fit.
+blocks. The engine's work grows as the cube of the ladder size, so it
+refuses a frame ladder above 150 levels before anything of size dim^2
+exists.
 
 The lossless ladder is sized for the squeezed vacuum the pulse reaches
 (:func:`choose_truncation`), the lossy frame ladder for the largest
@@ -52,11 +52,8 @@ from __future__ import annotations
 
 import cmath
 import functools
-import gc
 import math
 import operator
-import os
-import resource
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -77,6 +74,7 @@ __all__ = [
     "FockTrajectory",
     "FockVector",
     "LINDBLAD_ACCURACY",
+    "LINDBLAD_LEVEL_LIMIT",
     "TruncationError",
     "choose_truncation",
     "ergotropy",
@@ -127,15 +125,14 @@ _LENTZ_TINY = 1e-300
 # that turning sigma into the frame density leaves every entry unrounded.
 _QUARTER_TURNS = (1.0 + 0j, -1j, -1.0 + 0j, 1j)
 
-# Arrays of the dim^2 + 2 stored numbers of the Lindblad state that can
-# be alive at once besides the observed rows and one step's interpolated
-# rows: RK45's seven stages, y, y_old and f, a stage's increment and
-# trial state, the error-norm temporaries and the right-hand side's
-# output, M sigma, Z and one product. tracemalloc peaks at dims 35-128
-# on the 57-point fock-check grid, at zeta 1, 2 and 3, less the rows,
-# came to 19.9-21.7 copies; the rest is headroom for other numpy and
-# scipy versions, and the tests hold the bound against the measured peaks.
-_WORK_COPIES = 24
+# Largest frame ladder the Lindblad engine steps. It steps a dense dim^2
+# state, and RK45's step count grows with the level count too, so its
+# work grows as the cube of the ladder size. As whole processes on a
+# shared 2-core host, fock-check --kappa 0.1 --ergotropy took 1.3-2.7 s
+# at 84 levels (zeta 3), 3.2-4.9 s at 106 (zeta 3.25), 5.3-15 s at 134
+# (zeta 3.5) and 25 s at 170 (zeta 3.75); zeta 4's 216 levels took 36 s
+# in process.
+LINDBLAD_LEVEL_LIMIT = 150
 
 # Rows per block of FockDensity's Hermiticity check, which holds three
 # temporaries the size of one block.
@@ -204,23 +201,10 @@ class FockDensity:
     theta: float = 0.0
 
     def __post_init__(self) -> None:
-        self._check(np.array(self.matrix, dtype=complex, order="C"), self.theta)
-
-    @classmethod
-    def _adopt(cls, matrix: np.ndarray, theta: float) -> "FockDensity":
-        """The density on ``matrix``, a fresh C-ordered complex array that
-        the caller gives up, checked as the constructor checks it but not
-        copied."""
-        rho = cls.__new__(cls)
-        rho._check(matrix, theta)
-        return rho
-
-    def _check(self, m: np.ndarray, theta: float) -> None:
-        """Freeze ``m`` as the matrix and ``theta`` as a float; check the
-        matrix's shape, trace and Hermiticity, and that theta is finite."""
-        if not math.isfinite(theta):
-            raise ValueError(f"theta must be finite, got {theta!r}")
-        object.__setattr__(self, "theta", float(theta))
+        if not math.isfinite(self.theta):
+            raise ValueError(f"theta must be finite, got {self.theta!r}")
+        object.__setattr__(self, "theta", float(self.theta))
+        m = np.array(self.matrix, dtype=complex, order="C")
         m.flags.writeable = False
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise ValueError("matrix must be square and nonempty")
@@ -532,41 +516,6 @@ def evolve_full(
     return _evolve_vacuum(rhs, dim, times, acc, max_step, "carrier-resolved evolution failed")
 
 
-def _lindblad_bytes(dim: int, samples: int, per_step: int) -> int:
-    """Upper bound on the bytes :func:`evolve_lindblad` holds at once on
-    ``dim`` levels, sampled at ``samples`` instants of which one step
-    interpolates at most ``per_step``.
-
-    While RK45 steps: the work arrays of the dim^2 + 2 stored numbers;
-    one step's interpolated rows (the 2 dim observed per sample) twice,
-    the dense-output product and its scaled copy; and the observed rows
-    of every sample twice, since ``solve_ivp`` keeps one block per step
-    and stacks them when the run ends. No full-state sample is ever
-    interpolated. The phase after the run, once the solver is freed,
-    holds the observed rows, the solver's last state and a few complex
-    dim^2 arrays (the phases, rho, and ``eigvalsh``'s copy of a parity
-    block), far fewer than the work arrays.
-    """
-    observed = 2 * dim
-    rows = 8 * observed * samples
-    return 8 * (dim * dim + 2) * _WORK_COPIES + 16 * observed * per_step + 2 * rows
-
-
-def _samples_per_step(times: np.ndarray, max_step: float) -> int:
-    """The most instants of ``times`` a step of at most ``max_step`` can
-    interpolate: those in any closed window of that length."""
-    ends = np.searchsorted(times, times + max_step, side="right")
-    return int(np.max(ends - np.arange(times.size)))
-
-
-def _memory_budget() -> int:
-    """Bytes this process can allocate: physical RAM, or the RLIMIT_AS
-    soft limit when that is finite and smaller."""
-    ram = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    soft, _ = resource.getrlimit(resource.RLIMIT_AS)
-    return ram if soft == resource.RLIM_INFINITY else min(ram, soft)
-
-
 def frame_truncation(n, s, tail_tol: float) -> int:
     """Frame-ladder size for :func:`evolve_lindblad` that holds the lossy
     states with moments ``n`` = <b†b> and ``s`` = <bb> (equal-length
@@ -584,7 +533,7 @@ def frame_truncation(n, s, tail_tol: float) -> int:
     if not 0.0 < tail_tol < 1.0:
         raise ValueError(f"tail_tol must lie in (0, 1), got {tail_tol!r}")
     nbar = 0.0
-    for n_k, s_k in zip(n, s):
+    for n_k, s_k in zip(n, s, strict=True):
         v_minus = 0.5 + n_k - abs(s_k)
         if not (math.isfinite(v_minus) and v_minus > 0.0):
             raise ValueError(f"need finite n and s with |s| < n + 1/2, got {n_k!r} and {s_k!r}")
@@ -612,7 +561,9 @@ def evolve_lindblad(
     slightly below zero, so the rejection threshold scales with the
     relative tolerance, max(1e-8, 100 rel_tol), and
     :class:`IntegrationError` is raised below it. ``acc`` defaults to
-    :data:`LINDBLAD_ACCURACY`.
+    :data:`LINDBLAD_ACCURACY`. A ``dim`` above
+    :data:`LINDBLAD_LEVEL_LIMIT` raises :class:`ValueError` before
+    anything of size dim^2 is allocated.
 
     With K = b†² + b² and U = exp(-i theta K), the frame angle is
     theta = ln(V+/V-) / 8, stepped through the principal variances
@@ -627,30 +578,19 @@ def evolve_lindblad(
     which rounding would otherwise seed, grows under the dissipator.
     Each step's interpolant is evaluated on V±, the populations and
     the sigma[j + 2, j] coherences alone.
-
-    Before anything of size dim^2 is allocated, the bytes the stepping
-    needs (:func:`_lindblad_bytes`) are compared with what the process
-    can allocate, the smaller of physical RAM and a finite RLIMIT_AS
-    soft limit; a run that cannot fit raises :class:`MemoryError` naming
-    both byte counts.
     """
     if not (math.isfinite(kappa) and kappa >= 0.0):
         raise ValueError(f"kappa must be nonnegative and finite, got {kappa!r}")
     dim, times = _check_run(dim, times)
+    if dim > LINDBLAD_LEVEL_LIMIT:
+        raise ValueError(
+            f"the frame ladder needs {dim} levels (zeta {p.zeta:g}, kappa {kappa:g}), "
+            f"above the {LINDBLAD_LEVEL_LIMIT}-level limit of the lossy engine, whose "
+            "work grows as the cube of the ladder size"
+        )
     if acc is None:
         acc = LINDBLAD_ACCURACY
-
     max_step = 0.5 * p.pulse.tau
-    per_step = _samples_per_step(times, max_step)
-    need = _lindblad_bytes(dim, times.size, per_step)
-    budget = _memory_budget()
-    if need > budget:
-        raise MemoryError(
-            f"the Lindblad run at dim {dim} with {times.size} samples needs about "
-            f"{need} bytes, more than the {budget} bytes this process can allocate "
-            "(physical RAM or the RLIMIT_AS soft limit); lower the Fock dimension "
-            "or the number of samples"
-        )
 
     # y = (V+, V-, sigma row by row), from the vacuum
     y0 = np.zeros(2 + dim * dim)
@@ -706,10 +646,6 @@ def evolve_lindblad(
         sol = _rk45(rhs, span, y0[:2], acc, max_step, label, times)
         y = np.vstack((sol.y, np.repeat(y0[rows[2:], None], times.size, axis=1)))
         last = np.concatenate((sol.y_end, y0[2:]))
-    # scipy's solver holds its work arrays in a reference cycle; free
-    # them before the final state is built on top
-    del sol, rhs, y0
-    gc.collect()
 
     two_theta = 0.25 * np.log(y[0] / y[1])
     c, s = np.cosh(two_theta), np.sinh(two_theta)
@@ -723,9 +659,7 @@ def evolve_lindblad(
         # rho~[j, k] = e^(-i pi (j - k)/4) sigma[j, k], nonzero for even j - k only
         turns = np.array(_QUARTER_TURNS)[np.subtract.outer(levels, levels) // 2 % 4]
         final = turns * last[2:].reshape(dim, dim)
-        del turns
-        final /= np.trace(final).real
-        rho = FockDensity._adopt(final, 0.125 * math.log(last[0] / last[1]))
+        rho = FockDensity(final / np.trace(final).real, 0.125 * math.log(last[0] / last[1]))
         min_eig = rho.min_eigenvalue()
         if min_eig < -max(1e-8, 100.0 * acc.rel_tol):
             raise IntegrationError(
@@ -775,6 +709,8 @@ def quadrature_variances_from_state(
     variances follow from <X> = <psi|X psi> and <X^2> = |X psi|^2. Fully
     independent of the closed-form moment expressions.
     """
+    if not isinstance(state, FockVector):
+        raise TypeError("quadrature_variances_from_state expects a FockVector")
     dim = state.dim
     # psi on levels -1 .. dim + 1, zero off the ladder, so that b† psi
     # and b psi are one product each on levels 0 .. dim (nothing spills)

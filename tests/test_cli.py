@@ -193,33 +193,32 @@ def test_fock_check_pure_ergotropy_needs_no_density_matrix(tmp_path, monkeypatch
 
 
 def _refuse_lindblad_step(*args, **kwargs):
-    raise AssertionError("the Lindblad engine must not run")
+    raise AssertionError("the Lindblad engine must not step")
 
 
 def test_fock_check_lossy_refuses_oversized_ladder(capsys, monkeypatch):
-    # zeta = 4 needs 216 frame levels, above the limit, and the engine
-    # never starts
-    from qbattery import cli
+    # zeta = 4 needs 216 frame levels, above the engine's limit, and the
+    # engine refuses them before it steps
+    from qbattery import fock
 
-    monkeypatch.setattr(cli, "evolve_lindblad", _refuse_lindblad_step)
+    monkeypatch.setattr(fock, "_rk45", _refuse_lindblad_step)
     start = time.perf_counter()
     assert main(["fock-check", "--zeta", "4", "--kappa", "0.1"]) == 1
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
-    assert "the frame ladder needs 216 levels" in err
-    assert f"{cli.LINDBLAD_LEVEL_LIMIT}-level limit of the lossy engine" in err
-    assert "zeta 4, --kappa 0.1, --tail-tol 1e-08" in err
+    assert "the frame ladder needs 216 levels (zeta 4, kappa 0.1)" in err
+    assert "150-level limit of the lossy engine" in err
 
 
 def test_fock_check_refuses_an_explicit_lossy_ladder_above_the_limit(capsys, monkeypatch):
-    from qbattery import cli
+    from qbattery import fock
 
-    monkeypatch.setattr(cli, "evolve_lindblad", _refuse_lindblad_step)
-    dim = cli.LINDBLAD_LEVEL_LIMIT + 1
+    monkeypatch.setattr(fock, "_rk45", _refuse_lindblad_step)
+    dim = fock.LINDBLAD_LEVEL_LIMIT + 1
     assert main(["fock-check", "--zeta", "1", "--kappa", "0.1", "--fock-dim", str(dim)]) == 1
     err = capsys.readouterr().err
     assert f"the frame ladder needs {dim} levels" in err
-    assert f"{cli.LINDBLAD_LEVEL_LIMIT}-level limit of the lossy engine" in err
+    assert "150-level limit of the lossy engine" in err
 
 
 def test_fock_check_runs_lossy_zeta_3(tmp_path):

@@ -359,6 +359,11 @@ class TestGaussianPhotonDistribution:
         for tol in (0.0, 1.0, math.nan):
             with pytest.raises(ValueError, match="tail_tol"):
                 frame_truncation([1.0], [0.5], tol)
+        # one state per sample: a missing n or s is not cut short
+        with pytest.raises(ValueError, match="shorter"):
+            frame_truncation([0.1, 50.0], [0.0], 1e-8)
+        with pytest.raises(ValueError, match="longer"):
+            frame_truncation([0.1], [0.0, 0.0], 1e-8)
 
 
 class TestEvolveRwa:
@@ -532,6 +537,20 @@ class TestEvolveLindblad:
 
     def test_memory_estimate_bounds_peak(self, monkeypatch):
         # the frame state is stepped whole, dim^2 + 2 float64 numbers
+        def samples_per_step(times, max_step):
+            # the most instants in any closed window of length max_step
+            ends = np.searchsorted(times, times + max_step, side="right")
+            return int(np.max(ends - np.arange(times.size)))
+
+        def lindblad_bytes(dim, samples, per_step):
+            # 24 arrays of the stored numbers (RK45's stages, y, y_old, f,
+            # the error-norm temporaries and the right-hand side's; 19.9 to
+            # 21.7 measured at dims 35-128), one step's interpolated rows
+            # twice and every sample's observed rows twice; no full-state
+            # sample
+            observed = 2 * dim
+            return 8 * (dim * dim + 2) * 24 + 16 * observed * per_step + 2 * 8 * observed * samples
+
         rk45 = fock._rk45
         stepped = []
 
@@ -547,13 +566,15 @@ class TestEvolveLindblad:
         # samples; with 31 more packed into [0, tau / 100], which one step
         # spans, a step that interpolated whole samples before cutting
         # them down would overrun the bound
-        assert fock._samples_per_step(grid, 0.5) == 3
+        assert samples_per_step(grid, 0.5) == 3
         packed = np.union1d(grid, np.linspace(0.0, 0.01, 31))
-        assert fock._samples_per_step(packed, 0.5) == 33
+        assert samples_per_step(packed, 0.5) == 33
+        # a frame ladder at the level limit needs about 4.6 MB on the grid
+        limit = fock.LINDBLAD_LEVEL_LIMIT
+        assert round(lindblad_bytes(limit, grid.size, 3) / 1e6, 1) == 4.6
         runs = ((2.0, grid, 35), (1.0, grid, 60), (1.0, grid, 61), (1.0, packed, 60))
         for zeta, times, dim in runs:
-            per_step = fock._samples_per_step(times, 0.5)
-            bound = fock._lindblad_bytes(dim, times.size, per_step)
+            bound = lindblad_bytes(dim, times.size, samples_per_step(times, 0.5))
             tracemalloc.start()
             try:
                 evolve_lindblad(gauss_params(zeta), 0.1, dim, times)
@@ -613,22 +634,20 @@ class TestEvolveLindblad:
         assert traj.norm_drift < 1e-8
 
     def test_no_solver_array_outlives_the_run(self):
-        # with automatic collection off, what is still traced after the
-        # run returns is the trajectory and its final state: the solver's
-        # work arrays, 80 kB each and so larger than the slack, are freed
-        # before the final phase
+        # once garbage is collected, what is still traced after the run
+        # returns is the trajectory and its final state: no solver work
+        # array, 80 kB each and so larger than the slack, stays reachable
         grid = np.linspace(-8.0, 6.0, 57)
         evolve_lindblad(gauss_params(0.3), 0.1, 8, grid[:2])  # load scipy first
         gc.collect()
-        gc.disable()
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
             traj = evolve_lindblad(gauss_params(1.0), 0.1, 100, grid)
+            gc.collect()
             alive = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-            gc.enable()
         kept = sum(
             getattr(traj, name).nbytes
             for name in ("times", "n", "s", "var_x_min", "tail_mass", "odd_mass")
@@ -644,20 +663,25 @@ class TestEvolveLindblad:
             traj = evolve_lindblad(gauss_params(0.5), 0.1, 20, GRID)
         assert traj.n.shape == GRID.shape
 
-    def test_preflight_refuses_before_allocating(self):
-        dim, grid = 200_000, np.linspace(-6.0, 6.0, 15)
-        per_step = fock._samples_per_step(grid, 0.5)
-        need = fock._lindblad_bytes(dim, grid.size, per_step)
-        tracemalloc.start()
-        try:
-            with pytest.raises(MemoryError) as err:
-                evolve_lindblad(gauss_params(1.0), 0.1, dim, grid)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20  # not even one dim-sized array
-        assert f"{need} bytes" in str(err.value)
-        assert f"{fock._memory_budget()} bytes" in str(err.value)
+    def test_preflight_refuses_before_allocating(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the Lindblad engine must not step")
+
+        monkeypatch.setattr(fock, "_rk45", refuse)
+        grid = np.linspace(-6.0, 6.0, 15)
+        limit = fock.LINDBLAD_LEVEL_LIMIT
+        assert limit == 150
+        for dim in (200_000, limit + 1):
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError) as err:
+                    evolve_lindblad(gauss_params(1.0), 0.1, dim, grid)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20  # not even one dim-sized array
+            assert f"the frame ladder needs {dim} levels (zeta 1, kappa 0.1)" in str(err.value)
+            assert f"{limit}-level limit of the lossy engine" in str(err.value)
 
     def test_rejects_negative_kappa(self):
         p = gauss_params(0.5)
@@ -842,6 +866,11 @@ class TestQuadratureFromState:
             closed = quadrature_variances(p, t_end, float(theta))
             assert mech.var_x == pytest.approx(closed.var_x, abs=1e-6)
             assert mech.var_p == pytest.approx(closed.var_p, abs=1e-6)
+
+    def test_rejects_a_density(self):
+        rho = FockDensity(np.diag([1.0, 0.0, 0.0]))
+        with pytest.raises(TypeError, match="FockVector"):
+            quadrature_variances_from_state(rho, 0.0)
 
     def test_coherent_state_is_uncertainty_limited(self):
         # displaced vacuum: variances 1/2 for every twist angle
