@@ -19,7 +19,13 @@ import math
 import sys
 from pathlib import Path
 
-from .dynamics import DriveParams, _write_table, analytic_moments, integrate_moments
+from .dynamics import (
+    DriveParams,
+    _write_table,
+    analytic_moments,
+    integrate_moments,
+    lossy_moments,
+)
 from .fock import (
     LINDBLAD_LEVEL_LIMIT,
     choose_truncation,
@@ -182,14 +188,15 @@ def cmd_fock_check(args: argparse.Namespace) -> Table:
         # the engine starts from the vacuum at the first grid point, not at -inf
         n_ref = [analytic_moments(p, t, times[0]).n for t in times]
     else:
-        # the moments come first: with loss the state stays a zero-mean
-        # Gaussian, thermal in its own squeezed frame, and its largest
-        # thermal population on the grid sizes the frame ladder
-        ref = integrate_moments(p, times[0], times[-1], kappa=kappa, times=times)
+        # with loss the state stays a zero-mean Gaussian, thermal in its
+        # own squeezed frame, and its largest thermal population on the
+        # grid, from the closed form, sizes the frame ladder; the ODE
+        # stays the reference
         if dim is None:
-            dim = frame_truncation(ref.n, ref.s, args.tail_tol)
+            moments = lossy_moments(p, kappa, times)
+            dim = frame_truncation([m.n for m in moments], [m.s for m in moments], args.tail_tol)
         traj = evolve_lindblad(p, kappa, dim, times)
-        n_ref = list(ref.n)
+        n_ref = list(integrate_moments(p, times[0], times[-1], kappa=kappa, times=times).n)
     columns, rows = traj.table()
     columns += ["n_ref", "abs_err"]
     for row, ref in zip(rows, n_ref):

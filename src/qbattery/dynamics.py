@@ -13,14 +13,18 @@ drive strength times the accumulated pulse area,
     n(t) = sinh^2(zeta A(t)),          s(t) = -(i/2) sinh(2 zeta A(t)),
 
 for every unit-area envelope, the delta limit included; this area law
-is :func:`analytic_moments`. :func:`integrate_moments` is the
-independent numerical route: an adaptive embedded Runge-Kutta pair on
-(n, Re s, Im s), optionally with single-photon loss.
+is :func:`analytic_moments`. With single-photon loss the state stays a
+zero-mean Gaussian, and :func:`lossy_moments` gives its moments from
+the principal variances, in closed form up to one positive integral
+per variance, taken by Gauss-Legendre quadrature. :func:`integrate_moments`
+is the independent numerical route: an adaptive embedded Runge-Kutta
+pair on (n, Re s, Im s), optionally with the loss.
 
-The closed forms run on Python floats. numpy is bound lazily
-(:func:`_lazy`) and loads on the first numerical call, an integration or
-a :class:`MomentTrajectory`; scipy is imported only when an ODE runs
-(:func:`_rk45`). Importing the package therefore loads neither.
+The closed forms, the lossy one included, run on Python floats. numpy
+is bound lazily (:func:`_lazy`) and loads on the first numerical call,
+an integration or a :class:`MomentTrajectory`; scipy is imported only
+when an ODE runs (:func:`_rk45`). Importing the package therefore loads
+neither, and neither does sizing a lossy Fock ladder.
 
 Every table the package writes, the CLI's and both trajectories'
 ``write_csv``, goes through :func:`_write_table`.
@@ -49,6 +53,7 @@ __all__ = [
     "MomentTrajectory",
     "analytic_moments",
     "integrate_moments",
+    "lossy_moments",
 ]
 
 
@@ -84,6 +89,25 @@ class _Unavailable(types.ModuleType):
 
 
 np = _lazy("numpy")
+
+# The 8-point Gauss-Legendre rule on [-1, 1], one (node, weight) pair of
+# each symmetric couple.
+_GAUSS_LEGENDRE_8 = (
+    (0.183434642495649804939476142360, 0.362683783378361982965150449277),
+    (0.525532409916328985817739049189, 0.313706645877887287337962201987),
+    (0.796666477413626739591553936476, 0.222381034453374470544355994426),
+    (0.960289856497536231683560868569, 0.101228536290376259152531354310),
+)
+
+# lossy_moments' quadrature panels per min(tau, 1/kappa); 4 per step of
+# the default fock-check grid.
+_PANELS = 16
+
+# lossy_moments integrates over the last (4 zeta + _LOSS_REACH) / kappa
+# of each grid interval [a, b] only: what decayed before that is at most
+# kappa (b - a) e^(-_LOSS_REACH) of what it keeps, so a run at large
+# kappa does not take (b - a) kappa panels per interval.
+_LOSS_REACH = 50.0
 
 # Integrator defaults; tighter than these rarely pays off for a smooth
 # 3-dimensional system, looser starts to show in conserved quantities.
@@ -184,6 +208,22 @@ def _validate_times(times, min_points: int) -> np.ndarray:
     if np.any(np.diff(arr) <= 0.0):
         raise ValueError("times must be strictly increasing")
     return arr
+
+
+def _time_list(times) -> list[float]:
+    """:func:`_validate_times` on Python floats, for a grid of at least
+    one instant: ``times`` as a list, refused with the same messages."""
+    try:
+        grid = [float(t) for t in times] if getattr(times, "ndim", 1) == 1 else []
+    except TypeError:  # a scalar, or a nested sequence
+        grid = []
+    if not grid:
+        raise ValueError("times must be a 1-D grid with at least 1 point(s)")
+    if not all(map(math.isfinite, grid)):
+        raise ValueError("times must be finite")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError("times must be strictly increasing")
+    return grid
 
 
 def _write_table(columns: list[str], rows, out=None, fmt: str = "csv") -> None:
@@ -400,3 +440,84 @@ def analytic_moments(p: DriveParams, t: float, t_start: float = -math.inf) -> Mo
         area -= p.pulse.area(t_start)
     x = p.zeta * area
     return MomentState(math.sinh(x) ** 2, -0.5j * math.sinh(2.0 * x))
+
+
+def lossy_moments(p: DriveParams, kappa: float, times) -> list[MomentState]:
+    """Moments from the vacuum at ``times[0]`` under zero-temperature
+    single-photon loss at rate ``kappa``, at each instant of ``times``,
+    in closed form; pure Python.
+
+    The principal variances V± = 1/2 + n ± |s| obey
+    dV±/dt = ±2 zeta f V± - kappa (V± - 1/2), so with
+    g±(t) = ±2 zeta A(t) - kappa t and t0 = ``times[0]``,
+
+        V±(t) = e^(g±(t) - g±(t0)) / 2 + (kappa/2) I±(t),
+        I±(t) = integral from t0 to t of e^(g±(t) - g±(u)) du.
+
+    I± is carried from grid point to grid point,
+    I(b) = I(a) e^(g(b) - g(a)) + integral from a to b, each integral by
+    8-point Gauss-Legendre on panels at most min(tau, 1/kappa)/16 wide
+    and over the last (4 zeta + 50)/kappa of the interval alone. Every
+    term of V± is positive, so none cancels. Then, with
+    x = zeta (A(t) - A(t0)) and D = e^(-kappa (t - t0)),
+
+        n = D sinh^2(x) + (D - 1)/2 + (kappa/4) (I+ + I-)
+          = (V+ + V-)/2 - 1/2,
+        s = -(i/2) (D sinh(2x) + (kappa/2) (I+ - I-)) = -(i/2) (V+ - V-),
+
+    which at ``kappa`` 0 is :func:`analytic_moments` ``(p, t, t0)`` to
+    the bit. It refuses what :func:`integrate_moments` refuses.
+
+    Raises
+    ------
+    ValueError
+        If ``kappa`` is negative or not finite, or ``times`` is not a
+        finite, strictly increasing 1-D grid of at least one instant.
+    UnsupportedPulseError
+        For the delta-limit pulse, which has no width to integrate across.
+    """
+    if not (math.isfinite(kappa) and kappa >= 0.0):
+        raise ValueError(f"kappa must be nonnegative and finite, got {kappa!r}")
+    times = _time_list(times)
+    tau = p.pulse.tau
+    area = p.pulse.area
+    two_zeta = 2.0 * p.zeta
+    width = min(tau, 1.0 / kappa) / _PANELS if kappa else tau / _PANELS
+    reach = (2.0 * two_zeta + _LOSS_REACH) / kappa if kappa else math.inf
+
+    t0, area0 = times[0], area(times[0])
+    a, area_a = t0, area0
+    i_plus = i_minus = 0.0
+    moments = [VACUUM]
+    for b in times[1:]:
+        area_b = area(b)
+        # the quadrature runs in the lag v = b - u, which stays resolved
+        # however short the reach
+        span = min(b - a, reach)
+        panels = max(1, math.ceil(span / width))
+        half = 0.5 * span / panels
+        q_plus = q_minus = 0.0
+        for k in range(panels):
+            mid = (2 * k + 1) * half
+            for node, weight in _GAUSS_LEGENDRE_8:
+                for lag in (mid - half * node, mid + half * node):
+                    grow = two_zeta * (area_b - area(b - lag))
+                    decay = kappa * lag
+                    q_plus += weight * math.exp(grow - decay)
+                    q_minus += weight * math.exp(-grow - decay)
+        grow = two_zeta * (area_b - area_a)
+        decay = kappa * (b - a)
+        i_plus = i_plus * math.exp(grow - decay) + half * q_plus
+        i_minus = i_minus * math.exp(-grow - decay) + half * q_minus
+
+        x = p.zeta * (area_b - area0)
+        damp = math.exp(-kappa * (b - t0))
+        n = (
+            damp * math.sinh(x) ** 2
+            + 0.5 * math.expm1(-kappa * (b - t0))
+            + 0.25 * kappa * (i_plus + i_minus)
+        )
+        s = -0.5j * (damp * math.sinh(2.0 * x) + 0.5 * kappa * (i_plus - i_minus))
+        moments.append(MomentState(n, s))
+        a, area_a = b, area_b
+    return moments

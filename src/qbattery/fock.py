@@ -41,12 +41,15 @@ exists.
 
 The lossless ladder is sized for the squeezed vacuum the pulse reaches
 (:func:`choose_truncation`), the lossy frame ladder for the largest
-thermal population on the grid (:func:`frame_truncation`).
+thermal population on the grid (:func:`frame_truncation`), read off
+the closed-form lossy moments (:func:`qbattery.dynamics.lossy_moments`).
 
 numpy is bound lazily, as in :mod:`qbattery.dynamics`: importing this
-module runs none of it, and both sizing rules are pure Python, so
-sizing a ladder, and refusing one, needs no numpy. It loads on the
-first state or engine call; scipy loads when an engine steps.
+module runs none of it. Both sizing rules and the lossy moments they
+read are pure Python, and each engine refuses an oversized ladder
+before it reads the grid, so sizing a ladder, and refusing one, needs
+no numpy, with loss or without. It loads on the first state or engine
+call that steps; scipy loads when an engine steps.
 """
 from __future__ import annotations
 
@@ -401,13 +404,12 @@ def _trajectory(
     )
 
 
-def _check_run(dim: int, times) -> tuple[int, np.ndarray]:
-    """An engine's ladder size, at least 6 levels, and its sample grid,
-    at least two instants."""
+def _levels(dim: int) -> int:
+    """An engine's ladder size, an integer of at least 6 levels; pure Python."""
     levels = operator.index(dim)
     if levels < _MIN_LEVELS:
         raise ValueError(f"the Fock dimension must be at least {_MIN_LEVELS}, got {dim!r}")
-    return levels, _validate_times(times, 2)
+    return levels
 
 
 def _evolve_vacuum(
@@ -445,7 +447,7 @@ def evolve_rwa(p: DriveParams, dim: int, times, acc: Accuracy | None = None) -> 
     Raises :class:`TruncationError` if the mass in the top four levels
     ever exceeds 1e-6.
     """
-    dim, times = _check_run(dim, times)
+    dim, times = _levels(dim), _validate_times(times, 2)
 
     pair = _pair_coeffs(dim)
     half_zeta = 0.5 * p.zeta
@@ -494,7 +496,7 @@ def evolve_full(
     omega_d = float(p.omega_b) if omega_d is None else omega_d
     if not (math.isfinite(omega_d) and omega_d > 0.0):
         raise ValueError(f"omega_d must be positive and finite, got {omega_d!r}")
-    dim, times = _check_run(dim, times)
+    dim, times = _levels(dim), _validate_times(times, 2)
 
     pair = _pair_coeffs(dim)
     zeta = p.zeta
@@ -562,8 +564,9 @@ def evolve_lindblad(
     relative tolerance, max(1e-8, 100 rel_tol), and
     :class:`IntegrationError` is raised below it. ``acc`` defaults to
     :data:`LINDBLAD_ACCURACY`. A ``dim`` above
-    :data:`LINDBLAD_LEVEL_LIMIT` raises :class:`ValueError` before
-    anything of size dim^2 is allocated.
+    :data:`LINDBLAD_LEVEL_LIMIT` raises :class:`ValueError` after the
+    checks on ``kappa`` and ``dim`` and before ``times`` is read, which
+    loads numpy: so that refusal, too, runs on Python floats alone.
 
     With K = b†² + b² and U = exp(-i theta K), the frame angle is
     theta = ln(V+/V-) / 8, stepped through the principal variances
@@ -581,13 +584,14 @@ def evolve_lindblad(
     """
     if not (math.isfinite(kappa) and kappa >= 0.0):
         raise ValueError(f"kappa must be nonnegative and finite, got {kappa!r}")
-    dim, times = _check_run(dim, times)
+    dim = _levels(dim)
     if dim > LINDBLAD_LEVEL_LIMIT:
         raise ValueError(
             f"the frame ladder needs {dim} levels (zeta {p.zeta:g}, kappa {kappa:g}), "
             f"above the {LINDBLAD_LEVEL_LIMIT}-level limit of the lossy engine, whose "
             "work grows as the cube of the ladder size"
         )
+    times = _validate_times(times, 2)
     if acc is None:
         acc = LINDBLAD_ACCURACY
     max_step = 0.5 * p.pulse.tau

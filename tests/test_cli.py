@@ -197,11 +197,16 @@ def _refuse_lindblad_step(*args, **kwargs):
 
 
 def test_fock_check_lossy_refuses_oversized_ladder(capsys, monkeypatch):
-    # zeta = 4 needs 216 frame levels, above the engine's limit, and the
-    # engine refuses them before it steps
-    from qbattery import fock
+    # zeta = 4 needs 216 frame levels, above the engine's limit: the
+    # closed-form moments size the ladder, and the engine refuses it
+    # before it steps and before the moment ODE runs
+    from qbattery import cli, fock
+
+    def refuse_ode(*args, **kwargs):
+        raise AssertionError("the moment ODE must not run")
 
     monkeypatch.setattr(fock, "_rk45", _refuse_lindblad_step)
+    monkeypatch.setattr(cli, "integrate_moments", refuse_ode)
     start = time.perf_counter()
     assert main(["fock-check", "--zeta", "4", "--kappa", "0.1"]) == 1
     assert time.perf_counter() - start < 1.0
@@ -437,8 +442,9 @@ def test_package_exports_each_module_name_once():
 def test_closed_form_path_loads_no_numpy():
     # numpy is bound lazily: the import runs none of it, and with numpy
     # blocked every closed-form command still runs, as does fock-check's
-    # refusal of a ladder above the level limit, which steps nothing; a
-    # run that needs numpy exits 1 naming it
+    # refusal of a vector ladder, or of a frame ladder sized from the
+    # closed-form lossy moments, above its level limit, which steps
+    # nothing; a run that needs numpy exits 1 naming it
     proc = run_python(
         "import json, sys\n"
         "import qbattery.cli\n"
@@ -456,17 +462,20 @@ def test_closed_form_path_loads_no_numpy():
         "    with redirect_stdout(io.StringIO()):\n"
         "        codes.append(main(argv))\n"
         "runs = []\n"
-        "for zeta in ('4', '1'):\n"
+        "for zeta, kappa in (('4', '0'), ('4', '0.1'), ('1', '0')):\n"
         "    err = io.StringIO()\n"
         "    with redirect_stdout(io.StringIO()), redirect_stderr(err):\n"
-        "        runs.append([main(['fock-check', '--zeta', zeta, '--tail-tol', '1e-8']), err.getvalue()])\n"
+        "        argv = ['fock-check', '--zeta', zeta, '--kappa', kappa, '--tail-tol', '1e-8']\n"
+        "        runs.append([main(argv), err.getvalue()])\n"
         "print(json.dumps([codes, runs]))"
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
-    codes, [refused, needs_numpy] = json.loads(proc.stdout)
+    codes, [refused, refused_lossy, needs_numpy] = json.loads(proc.stdout)
     assert codes == [0] * len(CLOSED_FORM_COMMANDS)
     assert refused[0] == 1 and "10000-level limit" in refused[1]
+    assert refused_lossy[0] == 1 and "the frame ladder needs 216 levels" in refused_lossy[1]
+    assert "150-level limit" in refused_lossy[1]
     assert needs_numpy[0] == 1 and "numpy" in needs_numpy[1]
 
 
@@ -629,6 +638,11 @@ NO_ENERGY = "stores no energy; the ergotropy ratio is undefined"
         pytest.param(["fock-check", "--kappa", "-0.1"], "kappa", id="kappa-negative"),
         pytest.param(["fock-check", "--kappa", "nan"], "kappa", id="kappa-nan"),
         pytest.param(["fock-check", "--kappa", "inf"], "kappa", id="kappa-inf"),
+        pytest.param(
+            ["fock-check", "--pulse", "delta", "--kappa", "0.1"],
+            "delta-limit pulse has no width",
+            id="delta-lossy",
+        ),
         pytest.param(["fock-check", "--t-max", "inf"], "--t-max", id="t-max-inf"),
         pytest.param(["energy", "--t-min=-1e308", "--t-max=1e308"], "--t-min", id="grid-overflow"),
         # the grid and --time are in units of tau, so the delta pulse checks it too
