@@ -28,6 +28,7 @@ from .dynamics import (
 )
 from .fock import (
     LINDBLAD_LEVEL_LIMIT,
+    VECTOR_LEVEL_LIMIT,
     choose_truncation,
     ergotropy,
     evolve_lindblad,
@@ -51,14 +52,6 @@ __all__ = ["main", "build_parser"]
 
 # Legend values used by the multi-series figure panels; a package choice.
 FIG_ZETAS = "0.1,0.5,1,2,4"
-
-# Largest vector ladder fock-check steps. A right-sized ladder is
-# occupied to its top, so RK45 makes about six right-hand-side calls per
-# level, each costing time proportional to the level count: the work
-# grows as the square of the ladder size. On a 2-core host 3318 levels
-# (zeta 3) take 1-3 s, 9010 (zeta 3.5) about 10 s and 24480 (zeta 4)
-# about 85 s.
-VECTOR_LEVEL_LIMIT = 10_000
 
 # What every command returns: column names and rows, written by _write_table.
 Table = tuple[list[str], list[list[float]]]
@@ -177,13 +170,6 @@ def cmd_fock_check(args: argparse.Namespace) -> Table:
         # parameter at most zeta, which sizes the ladder
         if dim is None:
             dim = choose_truncation(args.zeta, args.tail_tol)
-        if dim > VECTOR_LEVEL_LIMIT:
-            raise ValueError(
-                f"the vector ladder needs {dim} levels (zeta {args.zeta:g}, "
-                f"--tail-tol {args.tail_tol:g}), above the {VECTOR_LEVEL_LIMIT}-level "
-                "limit of the lossless engine, whose work grows as the square of the "
-                "ladder size"
-            )
         traj = evolve_rwa(p, dim, times)
         # the engine starts from the vacuum at the first grid point, not at -inf
         n_ref = [analytic_moments(p, t, times[0]).n for t in times]

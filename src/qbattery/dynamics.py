@@ -197,28 +197,17 @@ def _row_rk45() -> type:
     return RowRK45
 
 
-def _validate_times(times, min_points: int) -> np.ndarray:
-    """``times`` as a float array, refused unless it is a finite,
-    strictly increasing 1-D grid of at least ``min_points`` instants."""
-    arr = np.asarray(times, dtype=float)
-    if arr.ndim != 1 or arr.size < min_points:
-        raise ValueError(f"times must be a 1-D grid with at least {min_points} point(s)")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("times must be finite")
-    if np.any(np.diff(arr) <= 0.0):
-        raise ValueError("times must be strictly increasing")
-    return arr
-
-
-def _time_list(times) -> list[float]:
-    """:func:`_validate_times` on Python floats, for a grid of at least
-    one instant: ``times`` as a list, refused with the same messages."""
+def _time_list(times, min_points: int) -> list[float]:
+    """``times`` as a list of Python floats, refused unless it is a
+    finite, strictly increasing 1-D grid of at least ``min_points``
+    instants. The one grid check; pure Python, so a refused grid loads
+    no numpy."""
     try:
         grid = [float(t) for t in times] if getattr(times, "ndim", 1) == 1 else []
     except TypeError:  # a scalar, or a nested sequence
         grid = []
-    if not grid:
-        raise ValueError("times must be a 1-D grid with at least 1 point(s)")
+    if len(grid) < min_points:
+        raise ValueError(f"times must be a 1-D grid with at least {min_points} point(s)")
     if not all(map(math.isfinite, grid)):
         raise ValueError("times must be finite")
     if any(b <= a for a, b in zip(grid, grid[1:])):
@@ -306,7 +295,7 @@ class MomentTrajectory:
     s: np.ndarray
 
     def __post_init__(self) -> None:
-        times = _validate_times(self.times, 1)
+        times = np.array(_time_list(self.times, 1))
         n = np.asarray(self.n, dtype=float)
         s = np.asarray(self.s, dtype=complex)
         if not (times.size == n.size == s.size):
@@ -378,7 +367,7 @@ def integrate_moments(
         acc = ODE_ACCURACY
 
     if times is not None:
-        times = _validate_times(times, 1)
+        times = np.array(_time_list(times, 1))
         if times[0] < t_start or times[-1] > t_end:
             raise ValueError("requested times fall outside the integration window")
 
@@ -478,7 +467,7 @@ def lossy_moments(p: DriveParams, kappa: float, times) -> list[MomentState]:
     """
     if not (math.isfinite(kappa) and kappa >= 0.0):
         raise ValueError(f"kappa must be nonnegative and finite, got {kappa!r}")
-    times = _time_list(times)
+    times = _time_list(times, 1)
     tau = p.pulse.tau
     area = p.pulse.area
     two_zeta = 2.0 * p.zeta

@@ -7,7 +7,7 @@ a run still grows as the square of the ladder size: a ladder sized for
 the state it holds is occupied up to its top, and the adaptive stepper
 takes a number of steps that grows with the level count. From the
 vacuum at zeta 2, 454 levels take about 0.06 s; at zeta 4, 24 480 levels
-take about 85 s, which is why ``fock-check`` refuses vector ladders
+take about 85 s, which is why the lossless engines refuse a ladder
 above 10 000 levels. Three engines share that machinery:
 
 * :func:`evolve_rwa` - resonant rotating-frame Schrodinger evolution,
@@ -32,10 +32,7 @@ the state in that frame, whose angle it reads off the principal
 variances it steps beside the state. There, rotated by e^(i pi n/4),
 the generator is real, so the state is one dense real dim x dim array,
 and only the rows the observables read are interpolated at the sample
-instants. The state couples no even level to an odd one, so the final
-state is the direct sum of its even-level and odd-level blocks, and
-:class:`FockDensity` takes the spectrum of any such matrix from the two
-blocks. The engine's work grows as the cube of the ladder size, so it
+instants. The engine's work grows as the cube of the ladder size, so it
 refuses a frame ladder above 150 levels before anything of size dim^2
 exists.
 
@@ -46,10 +43,10 @@ the closed-form lossy moments (:func:`qbattery.dynamics.lossy_moments`).
 
 numpy is bound lazily, as in :mod:`qbattery.dynamics`: importing this
 module runs none of it. Both sizing rules and the lossy moments they
-read are pure Python, and each engine refuses an oversized ladder
-before it reads the grid, so sizing a ladder, and refusing one, needs
-no numpy, with loss or without. It loads on the first state or engine
-call that steps; scipy loads when an engine steps.
+read are pure Python, and each engine checks its ladder, then its grid,
+on Python values, so sizing a ladder, and refusing a ladder or a grid,
+needs no numpy, with loss or without. It loads on the first state or
+engine call that steps; scipy loads when an engine steps.
 """
 from __future__ import annotations
 
@@ -65,7 +62,7 @@ from .dynamics import (
     IntegrationError,
     _lazy,
     _rk45,
-    _validate_times,
+    _time_list,
     _write_table,
 )
 from .merit import QuadratureReport
@@ -79,6 +76,7 @@ __all__ = [
     "LINDBLAD_ACCURACY",
     "LINDBLAD_LEVEL_LIMIT",
     "TruncationError",
+    "VECTOR_LEVEL_LIMIT",
     "choose_truncation",
     "ergotropy",
     "evolve_full",
@@ -124,6 +122,11 @@ _TRUNCATION_TERMS = 10_000_000
 _LENTZ_EPS = math.ulp(1.0)
 _LENTZ_TINY = 1e-300
 
+# How far, in ulps of n + 1/2, frame_truncation takes |s| past n + 1/2
+# as rounding: the closed-form moments put it 1-2 ulps past from zeta 18
+# at kappa 0.1 and from zeta 10 at kappa 1e-9.
+_ROUNDING_ULPS = 4
+
 # e^(-i pi d/4) = (-i)^(d/2) for even d = 0, 2, 4, 6 (mod 8), exact, so
 # that turning sigma into the frame density leaves every entry unrounded.
 _QUARTER_TURNS = (1.0 + 0j, -1j, -1.0 + 0j, 1j)
@@ -137,9 +140,13 @@ _QUARTER_TURNS = (1.0 + 0j, -1j, -1.0 + 0j, 1j)
 # in process.
 LINDBLAD_LEVEL_LIMIT = 150
 
-# Rows per block of FockDensity's Hermiticity check, which holds three
-# temporaries the size of one block.
-_HERMITICITY_ROWS = 32
+# Largest vector ladder the lossless engines step. A right-sized ladder
+# is occupied to its top, so RK45 makes about six right-hand-side calls
+# per level, each costing time proportional to the level count: the work
+# grows as the square of the ladder size. On a 2-core host 3318 levels
+# (zeta 3) take 1-3 s, 9010 (zeta 3.5) about 10 s and 24480 (zeta 4)
+# about 85 s.
+VECTOR_LEVEL_LIMIT = 10_000
 
 
 class TruncationError(RuntimeError):
@@ -215,11 +222,7 @@ class FockDensity:
         tr = float(np.trace(m).real)
         if not abs(tr - 1.0) <= 1e-10:  # NaN fails too
             raise ValueError(f"trace deviates from 1 by {tr - 1.0:.3e}")
-        # a block of rows at a time, so that the conjugate transpose, the
-        # difference and its modulus stay far smaller than the matrix
-        k = _HERMITICITY_ROWS
-        blocks = (m[i : i + k] - m[:, i : i + k].conj().T for i in range(0, m.shape[0], k))
-        herm = float(np.max([np.max(np.abs(block)) for block in blocks]))
+        herm = float(np.max(np.abs(m - m.conj().T)))
         if not herm <= 1e-12:
             raise ValueError(f"Hermiticity residual {herm:.3e} exceeds 1e-12")
 
@@ -232,20 +235,8 @@ class FockDensity:
 
     @functools.cached_property
     def eigenvalues(self) -> np.ndarray:
-        """Eigenvalues in ascending order (read-only).
-
-        A matrix with no entry between an even and an odd level, as every
-        state the pair drive and loss reach from the vacuum, is the direct
-        sum of its even-level and odd-level blocks, so its spectrum is
-        theirs: two calls on a quarter of the entries each instead of one
-        on the whole matrix.
-        """
-        m = self.matrix
-        if self.dim > 1 and not (np.any(m[1::2, ::2]) or np.any(m[::2, 1::2])):
-            blocks = [np.linalg.eigvalsh(m[first::2, first::2]) for first in (0, 1)]
-            lam = np.sort(np.concatenate(blocks))
-        else:
-            lam = np.linalg.eigvalsh(m)
+        """Eigenvalues in ascending order (read-only)."""
+        lam = np.linalg.eigvalsh(self.matrix)
         lam.flags.writeable = False
         return lam
 
@@ -404,11 +395,28 @@ def _trajectory(
     )
 
 
-def _levels(dim: int) -> int:
-    """An engine's ladder size, an integer of at least 6 levels; pure Python."""
+def _levels(dim: int, zeta: float, kappa: float | None = None) -> int:
+    """An engine's ladder size, an integer of at least 6 levels and at
+    most the limit of its engine: :data:`VECTOR_LEVEL_LIMIT` for the
+    lossless engines (no ``kappa``), :data:`LINDBLAD_LEVEL_LIMIT` for the
+    frame ladder of the lossy one. The refusal names the ladder, the
+    inputs that sized it and the limit; pure Python."""
     levels = operator.index(dim)
     if levels < _MIN_LEVELS:
         raise ValueError(f"the Fock dimension must be at least {_MIN_LEVELS}, got {dim!r}")
+    if kappa is None:
+        ladder, inputs, limit, engine, growth = (
+            "vector", f"zeta {zeta:g}", VECTOR_LEVEL_LIMIT, "lossless engines", "square"
+        )
+    else:
+        ladder, inputs, limit, engine, growth = (
+            "frame", f"zeta {zeta:g}, kappa {kappa:g}", LINDBLAD_LEVEL_LIMIT, "lossy engine", "cube"
+        )
+    if levels > limit:
+        raise ValueError(
+            f"the {ladder} ladder needs {levels} levels ({inputs}), above the {limit}-level "
+            f"limit of the {engine}, whose work grows as the {growth} of the ladder size"
+        )
     return levels
 
 
@@ -445,9 +453,12 @@ def evolve_rwa(p: DriveParams, dim: int, times, acc: Accuracy | None = None) -> 
 
     Start the grid at t <= -8 tau so the vacuum boundary condition holds.
     Raises :class:`TruncationError` if the mass in the top four levels
-    ever exceeds 1e-6.
+    ever exceeds 1e-6. A ``dim`` above :data:`VECTOR_LEVEL_LIMIT`, as in
+    :func:`evolve_full`, raises :class:`ValueError` before ``times`` is
+    read, which loads numpy.
     """
-    dim, times = _levels(dim), _validate_times(times, 2)
+    dim = _levels(dim, p.zeta)
+    times = np.array(_time_list(times, 2))
 
     pair = _pair_coeffs(dim)
     half_zeta = 0.5 * p.zeta
@@ -496,7 +507,8 @@ def evolve_full(
     omega_d = float(p.omega_b) if omega_d is None else omega_d
     if not (math.isfinite(omega_d) and omega_d > 0.0):
         raise ValueError(f"omega_d must be positive and finite, got {omega_d!r}")
-    dim, times = _levels(dim), _validate_times(times, 2)
+    dim = _levels(dim, p.zeta)
+    times = np.array(_time_list(times, 2))
 
     pair = _pair_coeffs(dim)
     zeta = p.zeta
@@ -531,6 +543,9 @@ def frame_truncation(n, s, tail_tol: float) -> int:
     levels beyond. The size is the smallest that keeps that below
     ``tail_tol`` at the largest nbar, and at least 6:
     max(6, 4 + ceil(ln tail_tol / ln(nbar / (nbar + 1)))). Pure Python.
+    A state squeezed so far that V- rounds to 0, or to a few ulps of
+    n + 1/2 below it, is refused with a message that says n and |s|
+    agree to their rounding: its nbar cannot be read off them.
     """
     if not 0.0 < tail_tol < 1.0:
         raise ValueError(f"tail_tol must lie in (0, 1), got {tail_tol!r}")
@@ -538,6 +553,11 @@ def frame_truncation(n, s, tail_tol: float) -> int:
     for n_k, s_k in zip(n, s, strict=True):
         v_minus = 0.5 + n_k - abs(s_k)
         if not (math.isfinite(v_minus) and v_minus > 0.0):
+            if math.isfinite(v_minus) and -v_minus <= _ROUNDING_ULPS * math.ulp(0.5 + n_k):
+                raise ValueError(
+                    f"n = {n_k!r} and |s| = {abs(s_k)!r} agree to their rounding, so the "
+                    "frame ladder cannot be sized from them"
+                )
             raise ValueError(f"need finite n and s with |s| < n + 1/2, got {n_k!r} and {s_k!r}")
         # moments rounded past the vacuum give sqrt(V+ V-) just below 1/2
         nbar = max(nbar, math.sqrt((v_minus + 2.0 * abs(s_k)) * v_minus) - 0.5)
@@ -565,8 +585,8 @@ def evolve_lindblad(
     :class:`IntegrationError` is raised below it. ``acc`` defaults to
     :data:`LINDBLAD_ACCURACY`. A ``dim`` above
     :data:`LINDBLAD_LEVEL_LIMIT` raises :class:`ValueError` after the
-    checks on ``kappa`` and ``dim`` and before ``times`` is read, which
-    loads numpy: so that refusal, too, runs on Python floats alone.
+    check on ``kappa`` and before ``times`` is read, as the lossless
+    engines refuse one above :data:`VECTOR_LEVEL_LIMIT`.
 
     With K = b†² + b² and U = exp(-i theta K), the frame angle is
     theta = ln(V+/V-) / 8, stepped through the principal variances
@@ -584,14 +604,8 @@ def evolve_lindblad(
     """
     if not (math.isfinite(kappa) and kappa >= 0.0):
         raise ValueError(f"kappa must be nonnegative and finite, got {kappa!r}")
-    dim = _levels(dim)
-    if dim > LINDBLAD_LEVEL_LIMIT:
-        raise ValueError(
-            f"the frame ladder needs {dim} levels (zeta {p.zeta:g}, kappa {kappa:g}), "
-            f"above the {LINDBLAD_LEVEL_LIMIT}-level limit of the lossy engine, whose "
-            "work grows as the cube of the ladder size"
-        )
-    times = _validate_times(times, 2)
+    dim = _levels(dim, p.zeta, kappa)
+    times = np.array(_time_list(times, 2))
     if acc is None:
         acc = LINDBLAD_ACCURACY
     max_step = 0.5 * p.pulse.tau

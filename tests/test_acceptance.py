@@ -175,7 +175,7 @@ def test_criterion_06_squeezing_diagnostics():
         )
         floor_ok &= report.std_product >= 0.5 - 1e-12
 
-    dim = choose_truncation(4.0, 1e-8)
+    dim = choose_truncation(2.0, 1e-8)
     traj = evolve_rwa(p, dim, np.linspace(-8.0, 0.0, 17))
     final = traj.final_state
     worst_fock = 0.0

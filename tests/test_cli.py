@@ -297,27 +297,41 @@ def _refuse_vector_step(*args, **kwargs):
 
 @pytest.mark.parametrize("zeta, levels", [("4", 24480), ("7", 9873764)])
 def test_fock_check_refuses_an_oversized_vector_ladder_at_once(capsys, monkeypatch, zeta, levels):
-    from qbattery import cli
+    # the engine refuses the ladder the CLI sized, before it steps
+    from qbattery import fock
 
-    monkeypatch.setattr(cli, "evolve_rwa", _refuse_vector_step)
+    monkeypatch.setattr(fock, "_rk45", _refuse_vector_step)
     start = time.perf_counter()
     assert main(["fock-check", "--zeta", zeta, "--tail-tol", "1e-8"]) == 1
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
     assert f"{levels} levels" in err
-    assert f"{cli.VECTOR_LEVEL_LIMIT}-level limit" in err
-    assert f"zeta {zeta}" in err and "--tail-tol 1e-08" in err
+    assert f"{fock.VECTOR_LEVEL_LIMIT}-level limit" in err
+    assert f"(zeta {zeta})" in err
 
 
 def test_fock_check_refuses_an_explicit_vector_ladder_above_the_limit(capsys, monkeypatch):
-    from qbattery import cli
+    from qbattery import fock
 
-    monkeypatch.setattr(cli, "evolve_rwa", _refuse_vector_step)
-    dim = cli.VECTOR_LEVEL_LIMIT + 1
+    monkeypatch.setattr(fock, "_rk45", _refuse_vector_step)
+    dim = fock.VECTOR_LEVEL_LIMIT + 1
     assert main(["fock-check", "--zeta", "1", "--fock-dim", str(dim)]) == 1
     err = capsys.readouterr().err
     assert f"needs {dim} levels" in err
-    assert f"{cli.VECTOR_LEVEL_LIMIT}-level limit" in err
+    assert f"{fock.VECTOR_LEVEL_LIMIT}-level limit" in err
+
+
+def test_fock_check_refuses_moments_that_agree_to_their_rounding(capsys, monkeypatch):
+    # at zeta 20 V- = 1/2 + n - |s| rounds to 0, so n and |s| cannot
+    # size the frame ladder; the refusal says so, and nothing steps
+    from qbattery import fock
+
+    monkeypatch.setattr(fock, "_rk45", _refuse_lindblad_step)
+    start = time.perf_counter()
+    assert main(["fock-check", "--zeta", "20", "--kappa", "0.1"]) == 1
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "agree to their rounding, so the frame ladder cannot be sized from them" in err
 
 
 @pytest.mark.parametrize("kappa", ["0", "0.1"])
@@ -538,13 +552,12 @@ def test_lossy_ergotropy_decomposes_the_final_state_once(tmp_path, monkeypatch):
             "--out", str(out),
         ]
     ) == 0
-    # from the vacuum the frame state has only even diagonals, so its
-    # spectrum comes from one call per parity block and none on the full
-    # matrix; a second decomposition would add calls
+    # one call on the full frame state; a second decomposition would add
+    # calls
     grid = np.linspace(-6.0, 4.0, 6)
     ref = integrate_moments(DriveParams(omega_b=1.0, zeta=0.5, pulse=Gaussian(1.0)), grid[0], grid[-1], kappa=0.1, times=grid)
     dim = frame_truncation(ref.n, ref.s, 1e-8)
-    assert sorted(calls) == [(dim // 2, dim // 2), ((dim + 1) // 2, (dim + 1) // 2)]
+    assert calls == [(dim, dim)]
     header, rows = read_csv(out)
     assert 0.0 < rows[0, header.index("ergotropy_ratio")] <= 1.0
 

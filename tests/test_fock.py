@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qbattery import fock
+from qbattery import dynamics, fock
 from qbattery.dynamics import (
     DriveParams,
     IntegrationError,
@@ -110,9 +110,9 @@ class TestStateContainers:
 
     @pytest.mark.parametrize("state", ["even-vector", "odd-amplitude", "even-mixed"])
     def test_density_spectrum_from_parity_blocks(self, monkeypatch, state):
-        # a matrix with no entry between an even and an odd level is
-        # decomposed block by block, and one odd amplitude on an even
-        # state couples the parities, so the whole matrix is decomposed
+        # a matrix with no entry between an even and an odd level, and one
+        # whose odd amplitude couples the parities, are each decomposed
+        # once, whole
         rng = np.random.default_rng(11)
         dim = 41
         if state == "even-mixed":
@@ -138,10 +138,7 @@ class TestStateContainers:
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counting)
         lam = rho.eigenvalues
-        if state == "odd-amplitude":
-            assert shapes == [(dim, dim)]
-        else:
-            assert shapes == [(21, 21), (20, 20)]
+        assert shapes == [(dim, dim)]
         assert np.all(np.diff(lam) >= 0.0)
         assert np.max(np.abs(lam - eigvalsh(rho.matrix))) <= 1e-13
 
@@ -356,6 +353,13 @@ class TestGaussianPhotonDistribution:
         for n, s in ((-1.0, 0.0), (1.0, 2.0), (math.nan, 0.0), (math.inf, 0.0), (1.0, math.nan)):
             with pytest.raises(ValueError, match=r"\|s\| < n \+ 1/2"):
                 frame_truncation([0.0, n], [0.0, s], 1e-8)
+        # |s| up to 4 ulps of n + 1/2 past it agrees with it to rounding,
+        # 5 ulps past it breaks the bound
+        n = 1e15
+        with pytest.raises(ValueError, match="agree to their rounding"):
+            frame_truncation([n], [0.5 + n + 4 * math.ulp(0.5 + n)], 1e-8)
+        with pytest.raises(ValueError, match=r"\|s\| < n \+ 1/2"):
+            frame_truncation([n], [0.5 + n + 5 * math.ulp(0.5 + n)], 1e-8)
         for tol in (0.0, 1.0, math.nan):
             with pytest.raises(ValueError, match="tail_tol"):
                 frame_truncation([1.0], [0.5], tol)
@@ -364,6 +368,31 @@ class TestGaussianPhotonDistribution:
             frame_truncation([0.1, 50.0], [0.0], 1e-8)
         with pytest.raises(ValueError, match="longer"):
             frame_truncation([0.1], [0.0, 0.0], 1e-8)
+
+    @pytest.mark.parametrize("zeta, kappa", [(18.0, 0.1), (10.0, 1e-9)])
+    def test_names_moments_that_agree_to_their_rounding(self, zeta, kappa):
+        # so squeezed that V- = 1/2 + n - |s| rounds to 0 or a few ulps of
+        # n + 1/2 below it: the refusal says n and |s| cannot size the
+        # ladder, not that the state breaks |s| < n + 1/2
+        grid = np.linspace(-8.0, 6.0, 57)
+        ref = dynamics.lossy_moments(gauss_params(zeta), kappa, grid)
+        v_minus = [0.5 + m.n - abs(m.s) for m in ref]
+        assert min(v_minus) <= 0.0
+        with pytest.raises(ValueError, match="agree to their rounding") as err:
+            frame_truncation([m.n for m in ref], [m.s for m in ref], 1e-8)
+        assert "|s| < n + 1/2" not in str(err.value)
+
+    def test_sizes_moments_just_inside_their_rounding(self):
+        # zeta 9 at kappa 1e-9 keeps V- 4 ulps of n + 1/2 above 0, and
+        # its 13-level frame ladder still steps
+        grid = np.linspace(-8.0, 6.0, 57)
+        p = gauss_params(9.0)
+        ref = dynamics.lossy_moments(p, 1e-9, grid)
+        dim = frame_truncation([m.n for m in ref], [m.s for m in ref], 1e-8)
+        assert dim == 13
+        traj = evolve_lindblad(p, 1e-9, dim, grid)
+        n_ref = np.array([m.n for m in ref])
+        assert np.max(np.abs(traj.n - n_ref) / (1.0 + n_ref)) < 1e-6
 
 
 class TestEvolveRwa:
@@ -589,13 +618,12 @@ class TestEvolveLindblad:
         [
             (0.5, 26),
             (2.0, 35),
-            # an odd ladder: blocks of 8 and 7 levels
+            # an odd ladder
             (0.5, 15),
         ],
     )
     def test_final_spectrum_matches_the_full_matrix(self, monkeypatch, zeta, dim):
-        # rho's spectrum is that of the frame state; from its parity
-        # blocks it matches eigvalsh on the final matrix
+        # rho's spectrum is that of the frame state, decomposed once
         eigvalsh = np.linalg.eigvalsh
         shapes = []
 
@@ -607,7 +635,7 @@ class TestEvolveLindblad:
         traj = evolve_lindblad(gauss_params(zeta), 0.1, dim, GRID)
         rho = traj.final_state
         lam = rho.eigenvalues
-        assert sorted(shapes) == [(dim // 2, dim // 2), ((dim + 1) // 2, (dim + 1) // 2)]
+        assert shapes == [(dim, dim)]
         full = eigvalsh(rho.matrix)
         assert np.max(np.abs(lam - full)) <= 1e-13
         same = FockDensity(rho.matrix, rho.theta)
@@ -664,24 +692,36 @@ class TestEvolveLindblad:
         assert traj.n.shape == GRID.shape
 
     def test_preflight_refuses_before_allocating(self, monkeypatch):
+        # the vector engines refuse their own oversized ladder the same way
         def refuse(*args, **kwargs):
-            raise AssertionError("the Lindblad engine must not step")
+            raise AssertionError("the engine must not step")
 
         monkeypatch.setattr(fock, "_rk45", refuse)
         grid = np.linspace(-6.0, 6.0, 15)
-        limit = fock.LINDBLAD_LEVEL_LIMIT
-        assert limit == 150
-        for dim in (200_000, limit + 1):
-            tracemalloc.start()
-            try:
-                with pytest.raises(ValueError) as err:
-                    evolve_lindblad(gauss_params(1.0), 0.1, dim, grid)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert peak < 1 << 20  # not even one dim-sized array
-            assert f"the frame ladder needs {dim} levels (zeta 1, kappa 0.1)" in str(err.value)
-            assert f"{limit}-level limit of the lossy engine" in str(err.value)
+        assert fock.LINDBLAD_LEVEL_LIMIT == 150
+        assert fock.VECTOR_LEVEL_LIMIT == 10_000
+        lossy = (
+            lambda p, dim, times: evolve_lindblad(p, 0.1, dim, times),
+            fock.LINDBLAD_LEVEL_LIMIT,
+            "the frame ladder needs {} levels (zeta 1, kappa 0.1)",
+            "lossy engine",
+        )
+        vector = [
+            (engine, fock.VECTOR_LEVEL_LIMIT, "the vector ladder needs {} levels (zeta 1)", "lossless engines")
+            for engine in (evolve_rwa, evolve_full)
+        ]
+        for engine, limit, needs, owner in (lossy, *vector):
+            for dim in (200_000, limit + 1):
+                tracemalloc.start()
+                try:
+                    with pytest.raises(ValueError) as err:
+                        engine(gauss_params(1.0), dim, grid)
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                assert peak < 1 << 20  # not even one dim-sized array
+                assert needs.format(dim) in str(err.value)
+                assert f"{limit}-level limit of the {owner}" in str(err.value)
 
     def test_rejects_negative_kappa(self):
         p = gauss_params(0.5)
@@ -739,24 +779,27 @@ def test_every_integration_makes_the_same_solve_ivp_call(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "engine",
+    "engine, limit",
     [
-        evolve_rwa,
-        evolve_full,
-        lambda p, dim, times: evolve_lindblad(p, 0.1, dim, times),
+        (evolve_rwa, fock.VECTOR_LEVEL_LIMIT),
+        (evolve_full, fock.VECTOR_LEVEL_LIMIT),
+        (lambda p, dim, times: evolve_lindblad(p, 0.1, dim, times), fock.LINDBLAD_LEVEL_LIMIT),
     ],
     ids=["rwa", "full", "lindblad"],
 )
-def test_engines_refuse_bad_dim_and_tail_guard(engine):
+def test_engines_refuse_bad_dim_and_tail_guard(engine, limit):
     # a ladder size must be an integer, not a float cut down or a bool
-    # read as 1; every engine sounds the same truncation alarm, 1e-6 of
-    # the mass in the top four levels, which 8 levels overrun at zeta 0.5
+    # read as 1, nor above its engine's limit; every engine sounds the
+    # same truncation alarm, 1e-6 of the mass in the top four levels,
+    # which 8 levels overrun at zeta 0.5
     p = gauss_params(0.5)
     grid = np.linspace(-6.0, 6.0, 5)
     with pytest.raises(TypeError):
         engine(p, 6.5, grid)
     with pytest.raises(ValueError, match="got True"):
         engine(p, True, grid)
+    with pytest.raises(ValueError, match=f"needs {limit + 1} levels .* the {limit}-level limit"):
+        engine(p, limit + 1, grid)
     with pytest.raises(TruncationError, match=r"guard 1\.0e-06"):
         engine(p, 8, grid)
     assert len(engine(p, np.int64(26), grid).n) == 5
