@@ -24,7 +24,6 @@ from .dynamics import (
     _write_table,
     analytic_moments,
     integrate_moments,
-    lossy_moments,
 )
 from .fock import (
     LINDBLAD_LEVEL_LIMIT,
@@ -174,13 +173,10 @@ def cmd_fock_check(args: argparse.Namespace) -> Table:
         # the engine starts from the vacuum at the first grid point, not at -inf
         n_ref = [analytic_moments(p, t, times[0]).n for t in times]
     else:
-        # with loss the state stays a zero-mean Gaussian, thermal in its
-        # own squeezed frame, and its largest thermal population on the
-        # grid, from the closed form, sizes the frame ladder; the ODE
-        # stays the reference
+        # with loss the state is thermal in its own squeezed frame, whose
+        # ladder the closed form sizes; the ODE stays the reference
         if dim is None:
-            moments = lossy_moments(p, kappa, times)
-            dim = frame_truncation([m.n for m in moments], [m.s for m in moments], args.tail_tol)
+            dim = frame_truncation(p, kappa, times, args.tail_tol)
         traj = evolve_lindblad(p, kappa, dim, times)
         n_ref = list(integrate_moments(p, times[0], times[-1], kappa=kappa, times=times).n)
     columns, rows = traj.table()

@@ -16,9 +16,10 @@ for every unit-area envelope, the delta limit included; this area law
 is :func:`analytic_moments`. With single-photon loss the state stays a
 zero-mean Gaussian, and :func:`lossy_moments` gives its moments from
 the principal variances, in closed form up to one positive integral
-per variance, taken by Gauss-Legendre quadrature. :func:`integrate_moments`
-is the independent numerical route: an adaptive embedded Runge-Kutta
-pair on (n, Re s, Im s), optionally with the loss.
+per variance, taken by Gauss-Legendre quadrature, whose terms also size
+the lossy Fock ladder. :func:`integrate_moments` is the independent
+numerical route: an adaptive embedded Runge-Kutta pair on
+(n, Re s, Im s), optionally with the loss.
 
 The closed forms, the lossy one included, run on Python floats. numpy
 is bound lazily (:func:`_lazy`) and loads on the first numerical call,
@@ -465,6 +466,22 @@ def lossy_moments(p: DriveParams, kappa: float, times) -> list[MomentState]:
     UnsupportedPulseError
         For the delta-limit pulse, which has no width to integrate across.
     """
+    moments = [VACUUM]
+    for x, decay, i_plus, i_minus in _lossy_terms(p, kappa, times):
+        damp = math.exp(-decay)
+        n = (
+            damp * math.sinh(x) ** 2
+            + 0.5 * math.expm1(-decay)
+            + 0.25 * kappa * (i_plus + i_minus)
+        )
+        s = -0.5j * (damp * math.sinh(2.0 * x) + 0.5 * kappa * (i_plus - i_minus))
+        moments.append(MomentState(n, s))
+    return moments
+
+
+def _lossy_terms(p: DriveParams, kappa: float, times):
+    """x = zeta (A(t) - A(t0)), kappa (t - t0), I+ and I- at each of ``times``
+    after the first: the terms and the refusals of :func:`lossy_moments`."""
     if not (math.isfinite(kappa) and kappa >= 0.0):
         raise ValueError(f"kappa must be nonnegative and finite, got {kappa!r}")
     times = _time_list(times, 1)
@@ -477,7 +494,6 @@ def lossy_moments(p: DriveParams, kappa: float, times) -> list[MomentState]:
     t0, area0 = times[0], area(times[0])
     a, area_a = t0, area0
     i_plus = i_minus = 0.0
-    moments = [VACUUM]
     for b in times[1:]:
         area_b = area(b)
         # the quadrature runs in the lag v = b - u, which stays resolved
@@ -498,15 +514,5 @@ def lossy_moments(p: DriveParams, kappa: float, times) -> list[MomentState]:
         decay = kappa * (b - a)
         i_plus = i_plus * math.exp(grow - decay) + half * q_plus
         i_minus = i_minus * math.exp(-grow - decay) + half * q_minus
-
-        x = p.zeta * (area_b - area0)
-        damp = math.exp(-kappa * (b - t0))
-        n = (
-            damp * math.sinh(x) ** 2
-            + 0.5 * math.expm1(-kappa * (b - t0))
-            + 0.25 * kappa * (i_plus + i_minus)
-        )
-        s = -0.5j * (damp * math.sinh(2.0 * x) + 0.5 * kappa * (i_plus - i_minus))
-        moments.append(MomentState(n, s))
+        yield p.zeta * (area_b - area0), kappa * (b - t0), i_plus, i_minus
         a, area_a = b, area_b
-    return moments

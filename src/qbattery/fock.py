@@ -39,10 +39,10 @@ exists.
 The lossless ladder is sized for the squeezed vacuum the pulse reaches
 (:func:`choose_truncation`), the lossy frame ladder for the largest
 thermal population on the grid (:func:`frame_truncation`), read off
-the closed-form lossy moments (:func:`qbattery.dynamics.lossy_moments`).
+the variances of the lossy closed form (:func:`qbattery.dynamics.lossy_moments`).
 
 numpy is bound lazily, as in :mod:`qbattery.dynamics`: importing this
-module runs none of it. Both sizing rules and the lossy moments they
+module runs none of it. Both sizing rules and the lossy closed form they
 read are pure Python, and each engine checks its ladder, then its grid,
 on Python values, so sizing a ladder, and refusing a ladder or a grid,
 needs no numpy, with loss or without. It loads on the first state or
@@ -61,6 +61,7 @@ from .dynamics import (
     DriveParams,
     IntegrationError,
     _lazy,
+    _lossy_terms,
     _rk45,
     _time_list,
     _write_table,
@@ -121,11 +122,6 @@ _TRUNCATION_TERMS = 10_000_000
 # that keeps its modified-Lentz recurrence off zero divisors.
 _LENTZ_EPS = math.ulp(1.0)
 _LENTZ_TINY = 1e-300
-
-# How far, in ulps of n + 1/2, frame_truncation takes |s| past n + 1/2
-# as rounding: the closed-form moments put it 1-2 ulps past from zeta 18
-# at kappa 0.1 and from zeta 10 at kappa 1e-9.
-_ROUNDING_ULPS = 4
 
 # e^(-i pi d/4) = (-i)^(d/2) for even d = 0, 2, 4, 6 (mod 8), exact, so
 # that turning sigma into the frame density leaves every entry unrounded.
@@ -530,39 +526,33 @@ def evolve_full(
     return _evolve_vacuum(rhs, dim, times, acc, max_step, "carrier-resolved evolution failed")
 
 
-def frame_truncation(n, s, tail_tol: float) -> int:
+def frame_truncation(p: DriveParams, kappa: float, times, tail_tol: float) -> int:
     """Frame-ladder size for :func:`evolve_lindblad` that holds the lossy
-    states with moments ``n`` = <b†b> and ``s`` = <bb> (equal-length
-    sequences, one state per sample).
+    states the drive ``p`` reaches from the vacuum at ``times[0]``, at
+    each instant of ``times``, under loss at rate ``kappa``.
 
-    With loss the state the pulse reaches from the vacuum stays a
-    zero-mean Gaussian with principal variances V± = 1/2 + n ± |s|. In
-    its own squeezed frame it is thermal, with mean population
-    nbar = sqrt(V+ V-) - 1/2, and the top four levels of a ladder hold
-    (nbar / (nbar + 1))^(dim - 4) of its mass together with all the
-    levels beyond. The size is the smallest that keeps that below
-    ``tail_tol`` at the largest nbar, and at least 6:
-    max(6, 4 + ceil(ln tail_tol / ln(nbar / (nbar + 1)))). Pure Python.
-    A state squeezed so far that V- rounds to 0, or to a few ulps of
-    n + 1/2 below it, is refused with a message that says n and |s|
-    agree to their rounding: its nbar cannot be read off them.
+    Such a state stays a zero-mean Gaussian with principal variances
+    V± = e^(±2x - kappa (t - t0)) / 2 + (kappa/2) I±, sums of the
+    positive terms of :func:`qbattery.dynamics.lossy_moments`, which
+    refuses what this refuses. In its own squeezed frame it is thermal,
+    of mean population nbar = sqrt(V+) sqrt(V-) - 1/2, and the top four
+    levels of a ladder and all beyond hold (nbar / (nbar + 1))^(dim - 4)
+    of its mass. The size is the smallest that keeps that below
+    ``tail_tol`` at the largest nbar, and at least 6, pure Python:
+    max(6, 4 + ceil(ln tail_tol / ln(nbar / (nbar + 1)))).
     """
     if not 0.0 < tail_tol < 1.0:
         raise ValueError(f"tail_tol must lie in (0, 1), got {tail_tol!r}")
     nbar = 0.0
-    for n_k, s_k in zip(n, s, strict=True):
-        v_minus = 0.5 + n_k - abs(s_k)
-        if not (math.isfinite(v_minus) and v_minus > 0.0):
-            if math.isfinite(v_minus) and -v_minus <= _ROUNDING_ULPS * math.ulp(0.5 + n_k):
-                raise ValueError(
-                    f"n = {n_k!r} and |s| = {abs(s_k)!r} agree to their rounding, so the "
-                    "frame ladder cannot be sized from them"
-                )
-            raise ValueError(f"need finite n and s with |s| < n + 1/2, got {n_k!r} and {s_k!r}")
-        # moments rounded past the vacuum give sqrt(V+ V-) just below 1/2
-        nbar = max(nbar, math.sqrt((v_minus + 2.0 * abs(s_k)) * v_minus) - 0.5)
+    for x, decay, i_plus, i_minus in _lossy_terms(p, kappa, times):
+        v_plus = 0.5 * math.exp(2.0 * x - decay) + 0.5 * kappa * i_plus
+        v_minus = 0.5 * math.exp(-2.0 * x - decay) + 0.5 * kappa * i_minus
+        # rounding leaves sqrt(V+ V-) of a pure state just below 1/2
+        nbar = max(nbar, math.sqrt(v_plus) * math.sqrt(v_minus) - 0.5)
     if nbar == 0.0:
         return _MIN_LEVELS
+    if nbar == math.inf:
+        raise OverflowError("the frame ladder's V+ passed the largest double")
     return max(_MIN_LEVELS, _TAIL_LEVELS + math.ceil(math.log(tail_tol) / -math.log1p(1.0 / nbar)))
 
 
@@ -600,7 +590,9 @@ def evolve_lindblad(
     exactly symmetric in floating point: sigma's antisymmetric part,
     which rounding would otherwise seed, grows under the dissipator.
     Each step's interpolant is evaluated on V±, the populations and
-    the sigma[j + 2, j] coherences alone.
+    the sigma[j + 2, j] coherences alone. Loss makes it stiff: the work
+    grows linearly with ``kappa``, and from about 1e4 a trial stage leaves
+    0 < V± < inf or overflows, which raises :class:`IntegrationError`.
     """
     if not (math.isfinite(kappa) and kappa >= 0.0):
         raise ValueError(f"kappa must be nonnegative and finite, got {kappa!r}")
@@ -620,6 +612,11 @@ def evolve_lindblad(
 
     def rhs(t, y):
         v_plus, v_minus = y[0], y[1]
+        if not (0.0 < v_plus < math.inf and 0.0 < v_minus < math.inf):
+            raise IntegrationError(
+                f"{label}: a trial step took V+ to {v_plus:.3g} and V- to {v_minus:.3g} "
+                f"at t = {t:g}; kappa {kappa:g} is too stiff for the explicit stepper"
+            )
         drive = 2.0 * zeta * value(t)
         out = np.empty_like(y)
         out[0] = drive * v_plus - kappa * (v_plus - 0.5)
@@ -656,7 +653,11 @@ def evolve_lindblad(
     span = (times[0], times[-1])
     label = "lossy evolution failed"
     if kappa:
-        sol = _rk45(rhs, span, y0, acc, max_step, label, times, rows)
+        try:  # an overflow, also in the solver's error norm, fails the run
+            with np.errstate(over="raise", invalid="raise"):
+                sol = _rk45(rhs, span, y0, acc, max_step, label, times, rows)
+        except FloatingPointError as exc:
+            raise IntegrationError(f"{label}: {exc} at kappa {kappa:g}") from None
         y, last = sol.y, sol.y_end
     else:
         # without loss sigma stays the vacuum; stepping its dim^2 zeros

@@ -98,6 +98,45 @@ def squeezed_vacuum_distribution(r: float, levels: int) -> list[float]:
     return probs
 
 
+def frame_nbar(moments) -> np.ndarray:
+    """The thermal population sqrt(V+ V-) - 1/2 of lossy Gaussian states,
+    from the moments ``moments.n`` and ``moments.s`` at each sample."""
+    return np.sqrt((0.5 + moments.n) ** 2 - np.abs(moments.s) ** 2) - 0.5
+
+
+def lossy_nbar(p, kappa: float, times) -> np.ndarray:
+    """sqrt(V+ V-) - 1/2 of the lossy state from the vacuum at times[0],
+    at each of ``times``, from ln V± stepped by DOP853 at rel 1e-13:
+    d ln V±/dt = ±2 zeta f - kappa + (kappa/2) e^(-ln V±), so no
+    closed-form term enters."""
+    zeta, value = p.zeta, p.pulse.value
+
+    def rhs(t, y):
+        drive = 2.0 * zeta * value(t)
+        return [
+            drive - kappa + 0.5 * kappa * math.exp(-y[0]),
+            -drive - kappa + 0.5 * kappa * math.exp(-y[1]),
+        ]
+
+    times = np.asarray(times, dtype=float)
+    sol = solve_ivp(
+        rhs, (times[0], times[-1]), [math.log(0.5)] * 2, method="DOP853",
+        t_eval=times, rtol=1e-13, atol=1e-13, max_step=0.25 * p.pulse.tau,
+    )
+    assert sol.success, sol.message
+    return np.exp(0.5 * (sol.y[0] + sol.y[1])) - 0.5
+
+
+def thermal_ladder(nbar, tail_tol: float) -> int:
+    """The fewest levels, at least 6, whose top four and all beyond hold
+    less than ``tail_tol`` of a thermal state at the largest ``nbar``:
+    4 + ceil(ln tail_tol / ln(nbar / (nbar + 1)))."""
+    top = float(np.max(nbar))
+    if top <= 0.0:
+        return 6
+    return max(6, 4 + math.ceil(math.log(tail_tol) / -math.log1p(1.0 / top)))
+
+
 def lindblad_dense(p, kappa: float, rho0, times, acc) -> dict:
     """Rotating-frame Lindblad evolution on the full complex dim^2 matrix.
 

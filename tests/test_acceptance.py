@@ -251,7 +251,7 @@ def test_criterion_10_dissipation_robustness():
     mom = integrate_moments(p, -6.0, 6.0, TIGHT, kappa=kappa, times=grid)
     # the frame ladder holds the thermal state left once the lossy
     # state's own squeeze is undone
-    dim = frame_truncation(mom.n, mom.s, 1e-8)
+    dim = frame_truncation(p, kappa, grid, 1e-8)
     lind = evolve_lindblad(p, kappa, dim, grid, Accuracy(1e-11, 1e-9))
     agree = float(np.max(np.abs(lind.n - mom.n)))
     lossless_weaker_cap = math.sinh(1.0) ** 2

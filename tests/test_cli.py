@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from qbattery.cli import main
-from qbattery.dynamics import DriveParams, integrate_moments
+from qbattery.dynamics import DriveParams, integrate_moments, lossy_moments
 from qbattery.fock import frame_truncation
 from qbattery.merit import peak_power_delay_weak_limit
 from qbattery.pulses import Gaussian
@@ -239,7 +239,7 @@ def test_fock_check_runs_lossy_zeta_3(tmp_path):
 
 def test_fock_check_sizes_from_moments_rounded_below_zero(tmp_path):
     # at --kappa 10 the integrated n dips to about -1e-19 on the rising
-    # edge; the sizing takes it as the vacuum it rounds
+    # edge; the lossy run still passes and agrees with it there
     out = tmp_path / "lossy.csv"
     assert main(["fock-check", "--kappa", "10", "--out", str(out)]) == 0
     header, rows = read_csv(out)
@@ -322,8 +322,9 @@ def test_fock_check_refuses_an_explicit_vector_ladder_above_the_limit(capsys, mo
 
 
 def test_fock_check_refuses_moments_that_agree_to_their_rounding(capsys, monkeypatch):
-    # at zeta 20 V- = 1/2 + n - |s| rounds to 0, so n and |s| cannot
-    # size the frame ladder; the refusal says so, and nothing steps
+    # at zeta 20 n and |s| agree to their rounding, so 1/2 + n - |s| is
+    # 0, but the variances size the frame ladder, and the engine refuses
+    # its 1 678 152 455 levels before anything steps
     from qbattery import fock
 
     monkeypatch.setattr(fock, "_rk45", _refuse_lindblad_step)
@@ -331,7 +332,19 @@ def test_fock_check_refuses_moments_that_agree_to_their_rounding(capsys, monkeyp
     assert main(["fock-check", "--zeta", "20", "--kappa", "0.1"]) == 1
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
-    assert "agree to their rounding, so the frame ladder cannot be sized from them" in err
+    assert "the frame ladder needs 1678152455 levels (zeta 20, kappa 0.1)" in err
+    assert "150-level limit of the lossy engine" in err
+
+
+@pytest.mark.parametrize("kappa", ["1e4", "1e300"])
+def test_fock_check_fails_too_stiff_a_loss_in_one_line(capsys, kappa):
+    # the explicit stepper cannot follow loss this fast; the run exits 1
+    # with one line that names kappa, and no numpy warning
+    assert main(["fock-check", "--zeta", "1", "--kappa", kappa]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("qbattery: error: lossy evolution failed: ")
+    assert f"kappa {float(kappa):g}" in err[0]
 
 
 @pytest.mark.parametrize("kappa", ["0", "0.1"])
@@ -555,8 +568,7 @@ def test_lossy_ergotropy_decomposes_the_final_state_once(tmp_path, monkeypatch):
     # one call on the full frame state; a second decomposition would add
     # calls
     grid = np.linspace(-6.0, 4.0, 6)
-    ref = integrate_moments(DriveParams(omega_b=1.0, zeta=0.5, pulse=Gaussian(1.0)), grid[0], grid[-1], kappa=0.1, times=grid)
-    dim = frame_truncation(ref.n, ref.s, 1e-8)
+    dim = frame_truncation(DriveParams(omega_b=1.0, zeta=0.5, pulse=Gaussian(1.0)), 0.1, grid, 1e-8)
     assert calls == [(dim, dim)]
     header, rows = read_csv(out)
     assert 0.0 < rows[0, header.index("ergotropy_ratio")] <= 1.0
@@ -766,6 +778,11 @@ def test_readme_python_api_runs():
     assert names["traj"].n[-1] == pytest.approx(at_end.n, rel=1e-6)
     assert names["quad"].var_x == pytest.approx(0.5 * math.exp(-1.0), rel=1e-12)
     assert names["work"] == pytest.approx(names["fock"].n[-1], rel=1e-6)
+    # a zero-mean Gaussian state keeps omega_b (n + 1/2 - sqrt(V+ V-)) as work
+    assert names["frame_dim"] == 16
+    final = lossy_moments(names["p"], 0.1, names["grid"])[-1]
+    gaussian = final.n + 0.5 - math.sqrt((final.n + 0.5) ** 2 - abs(final.s) ** 2)
+    assert names["lossy_work"] == pytest.approx(gaussian, rel=1e-7)
 
 
 @pytest.mark.parametrize("panel", FIG_PANELS)

@@ -31,10 +31,16 @@ from qbattery.fock import (
     quadrature_variances_from_state,
 )
 from qbattery.merit import quadrature_variances
-from qbattery.pulses import Gaussian
+from qbattery.pulses import DeltaLimit, Gaussian, UnsupportedPulseError
 from qbattery.specfun import Accuracy
 
-from oracles import lindblad_dense, squeezed_vacuum_distribution
+from oracles import (
+    frame_nbar,
+    lindblad_dense,
+    lossy_nbar,
+    squeezed_vacuum_distribution,
+    thermal_ladder,
+)
 
 
 def gauss_params(zeta, tau=1.0, omega_b=1.0):
@@ -254,14 +260,14 @@ class TestChooseTruncation:
             choose_truncation(zeta=1.0, tail_tol=1e-8)
 
 
-def lossy_moments(zeta, kappa=0.1, grid=np.linspace(-8.0, 6.0, 57), acc=None):
-    """The moments on fock-check's default grid, which its lossy path sizes from."""
+def ode_moments(zeta, kappa=0.1, grid=np.linspace(-8.0, 6.0, 57), acc=None):
+    """The moment ODE's lossy moments, on fock-check's default grid unless given."""
     return integrate_moments(gauss_params(zeta), grid[0], grid[-1], acc, kappa=kappa, times=grid)
 
 
-def frame_nbar(ref):
-    """The thermal population sqrt(V+ V-) - 1/2 of the lossy states (n, s)."""
-    return np.sqrt((0.5 + ref.n) ** 2 - np.abs(ref.s) ** 2) - 0.5
+def frame_ladder(zeta, grid, kappa=0.1):
+    """The frame ladder fock-check --kappa sizes at the default --tail-tol."""
+    return frame_truncation(gauss_params(zeta), kappa, grid, 1e-8)
 
 
 def record_frame_populations(monkeypatch):
@@ -288,8 +294,8 @@ class TestGaussianPhotonDistribution:
         # at every sample the frame populations hold the whole trace, and
         # their mean is the thermal population nbar the moments give
         pops = record_frame_populations(monkeypatch)
-        ref = lossy_moments(zeta, acc=TIGHT)
-        dim = frame_truncation(ref.n, ref.s, 1e-8)
+        ref = ode_moments(zeta, acc=TIGHT)
+        dim = frame_ladder(zeta, ref.times)
         evolve_lindblad(gauss_params(zeta), 0.1, dim, ref.times)
         (frame,) = pops
         assert frame.shape == (dim, 57)
@@ -302,10 +308,9 @@ class TestGaussianPhotonDistribution:
         # without loss the pulse leaves a squeezed vacuum, the vacuum of
         # its own frame: 6 levels hold it at every squeeze, and undoing
         # the frame gives the area law
-        n, s = math.sinh(r) ** 2, -0.5j * math.sinh(2.0 * r)
-        assert frame_truncation([n], [s], 1e-8) == 6
         p = gauss_params(r)
         grid = np.linspace(-8.0, 6.0, 15)
+        assert frame_ladder(r, grid, kappa=0.0) == 6
         traj = evolve_lindblad(p, 0.0, 6, grid)
         exact = [analytic_moments(p, t, grid[0]) for t in grid]
         scale = 1.0 + np.array([m.n for m in exact])
@@ -318,8 +323,8 @@ class TestGaussianPhotonDistribution:
 
     def test_sizes_the_smallest_ladder_at_every_sample(self):
         for zeta, want in ((0.5, 11), (1.0, 16), (2.0, 35), (3.0, 84), (4.0, 216)):
-            ref = lossy_moments(zeta)
-            dim = frame_truncation(ref.n, ref.s, 1e-8)
+            ref = ode_moments(zeta)
+            dim = frame_ladder(zeta, ref.times)
             assert dim == want
             # levels dim - 4 and up of the geometric law hold less than
             # tail_tol at every sample; levels dim - 5 and up do not at
@@ -327,9 +332,10 @@ class TestGaussianPhotonDistribution:
             nbar = frame_nbar(ref).max()
             q = nbar / (nbar + 1.0)
             assert q ** (dim - 4) < 1e-8 <= q ** (dim - 5)
-        assert frame_truncation([0.0], [0.0], 1e-8) == 6
-        # moments rounded past the vacuum size as the vacuum
-        assert frame_truncation([-1e-19, 0.0], [1e-19, 0.0], 1e-8) == 6
+        # one instant is the vacuum, and without drive the variances
+        # stay 1/2 up to rounding, which sizes as the vacuum
+        assert frame_ladder(1.0, [0.0]) == 6
+        assert frame_ladder(0.0, GRID) == 6
 
     @pytest.mark.parametrize("zeta", [1.0, 2.0])
     def test_lindblad_populations_match_on_the_sized_ladder(self, monkeypatch, zeta):
@@ -337,8 +343,8 @@ class TestGaussianPhotonDistribution:
         # every sample the frame populations are the geometric law of
         # mean nbar up to the truncation floor
         pops = record_frame_populations(monkeypatch)
-        ref = lossy_moments(zeta, acc=TIGHT)
-        dim = frame_truncation(ref.n, ref.s, 1e-8)
+        ref = ode_moments(zeta, acc=TIGHT)
+        dim = frame_ladder(zeta, ref.times)
         traj = evolve_lindblad(gauss_params(zeta), 0.1, dim, ref.times)
         assert np.max(np.abs(traj.n - ref.n) / (1.0 + ref.n)) < 1e-6
         assert np.max(traj.tail_mass) < 1e-7
@@ -349,49 +355,57 @@ class TestGaussianPhotonDistribution:
         tv = 0.5 * (np.sum(np.abs(frame - law), axis=0) + q**dim)
         assert np.max(tv) < 1e-8
 
+
+class TestFrameTruncation:
+    """frame_truncation sizes the frame ladder from the principal
+    variances of the lossy closed form, which never cancel."""
+
     def test_domain(self):
-        for n, s in ((-1.0, 0.0), (1.0, 2.0), (math.nan, 0.0), (math.inf, 0.0), (1.0, math.nan)):
-            with pytest.raises(ValueError, match=r"\|s\| < n \+ 1/2"):
-                frame_truncation([0.0, n], [0.0, s], 1e-8)
-        # |s| up to 4 ulps of n + 1/2 past it agrees with it to rounding,
-        # 5 ulps past it breaks the bound
-        n = 1e15
-        with pytest.raises(ValueError, match="agree to their rounding"):
-            frame_truncation([n], [0.5 + n + 4 * math.ulp(0.5 + n)], 1e-8)
-        with pytest.raises(ValueError, match=r"\|s\| < n \+ 1/2"):
-            frame_truncation([n], [0.5 + n + 5 * math.ulp(0.5 + n)], 1e-8)
+        # kappa, the grid and the pulse are refused as the closed form
+        # refuses them, and tail_tol as choose_truncation refuses it
+        p = gauss_params(1.0)
+        for kappa in (-0.1, math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"kappa must be nonnegative and finite, got {kappa!r}"):
+                frame_truncation(p, kappa, GRID, 1e-8)
+        for times, message in (
+            ([], "at least 1 point"),
+            ([0.0, math.nan], "times must be finite"),
+            ([1.0, 0.0], "times must be strictly increasing"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                frame_truncation(p, 0.1, times, 1e-8)
+        with pytest.raises(UnsupportedPulseError) as err:
+            frame_truncation(DriveParams(1.0, 1.0, DeltaLimit()), 0.1, GRID, 1e-8)
+        assert str(err.value) == DELTA_REFUSAL
         for tol in (0.0, 1.0, math.nan):
             with pytest.raises(ValueError, match="tail_tol"):
-                frame_truncation([1.0], [0.5], tol)
-        # one state per sample: a missing n or s is not cut short
-        with pytest.raises(ValueError, match="shorter"):
-            frame_truncation([0.1, 50.0], [0.0], 1e-8)
-        with pytest.raises(ValueError, match="longer"):
-            frame_truncation([0.1], [0.0, 0.0], 1e-8)
+                frame_truncation(p, 0.1, GRID, tol)
+        # V+ past the largest double, from zeta about 355
+        for zeta in (355.0, 400.0):
+            with pytest.raises(OverflowError):
+                frame_ladder(zeta, GRID)
 
-    @pytest.mark.parametrize("zeta, kappa", [(18.0, 0.1), (10.0, 1e-9)])
-    def test_names_moments_that_agree_to_their_rounding(self, zeta, kappa):
-        # so squeezed that V- = 1/2 + n - |s| rounds to 0 or a few ulps of
-        # n + 1/2 below it: the refusal says n and |s| cannot size the
-        # ladder, not that the state breaks |s| < n + 1/2
+    @pytest.mark.parametrize("zeta, kappa, want", [(9.0, 1e-9, 11), (10.0, 1e-9, 19), (17.0, 0.1, None)])
+    def test_matches_an_independent_variance_reference(self, zeta, kappa, want):
+        # so squeezed that 1/2 + n - |s| has lost most or all of its
+        # digits, the ladder is sized from the variances themselves, and
+        # matches one sized from ln V± stepped by an ODE
         grid = np.linspace(-8.0, 6.0, 57)
-        ref = dynamics.lossy_moments(gauss_params(zeta), kappa, grid)
-        v_minus = [0.5 + m.n - abs(m.s) for m in ref]
-        assert min(v_minus) <= 0.0
-        with pytest.raises(ValueError, match="agree to their rounding") as err:
-            frame_truncation([m.n for m in ref], [m.s for m in ref], 1e-8)
-        assert "|s| < n + 1/2" not in str(err.value)
+        dim = frame_ladder(zeta, grid, kappa)
+        ref = thermal_ladder(lossy_nbar(gauss_params(zeta), kappa, grid), 1e-8)
+        assert abs(dim - ref) <= 1e-6 * ref
+        if want is not None:
+            assert dim == want
 
-    def test_sizes_moments_just_inside_their_rounding(self):
-        # zeta 9 at kappa 1e-9 keeps V- 4 ulps of n + 1/2 above 0, and
-        # its 13-level frame ladder still steps
+    def test_steps_a_strongly_squeezed_state(self):
+        # zeta 10 at kappa 1e-9 (n about 1.2e8) steps on its 19-level
+        # frame ladder and tracks the closed-form n
         grid = np.linspace(-8.0, 6.0, 57)
-        p = gauss_params(9.0)
-        ref = dynamics.lossy_moments(p, 1e-9, grid)
-        dim = frame_truncation([m.n for m in ref], [m.s for m in ref], 1e-8)
-        assert dim == 13
+        p = gauss_params(10.0)
+        dim = frame_ladder(10.0, grid, 1e-9)
+        assert dim == 19
         traj = evolve_lindblad(p, 1e-9, dim, grid)
-        n_ref = np.array([m.n for m in ref])
+        n_ref = np.array([m.n for m in dynamics.lossy_moments(p, 1e-9, grid)])
         assert np.max(np.abs(traj.n - n_ref) / (1.0 + n_ref)) < 1e-6
 
 
@@ -433,8 +447,6 @@ class TestEvolveRwa:
             evolve_rwa(p, 4, GRID)
 
     def test_delta_pulse_rejected(self):
-        from qbattery.pulses import DeltaLimit, UnsupportedPulseError
-
         p = DriveParams(omega_b=1.0, zeta=1.0, pulse=DeltaLimit())
         for run in (
             lambda: evolve_rwa(p, 64, GRID),
@@ -510,10 +522,21 @@ class TestEvolveLindblad:
         mom = integrate_moments(
             p, -6.0, 6.0, Accuracy(1e-12, 1e-12), kappa=0.1, times=grid
         )
-        dim = frame_truncation(mom.n, mom.s, 1e-8)
+        dim = frame_truncation(p, 0.1, grid, 1e-8)
         lind = evolve_lindblad(p, 0.1, dim, grid, Accuracy(1e-10, 1e-8))
         assert np.max(np.abs(lind.n - mom.n)) < 1e-4
         assert lind.norm_drift < 1e-8
+
+    @pytest.mark.parametrize("kappa, cause", [(1e4, "a trial step took V"), (1e300, "overflow")])
+    def test_too_stiff_a_loss_is_an_integration_error(self, kappa, cause):
+        # the explicit stepper cannot follow loss this fast: a trial stage
+        # takes V± out of (0, inf), or the solver's error norm overflows;
+        # either fails the run naming kappa, and numpy warns of nothing
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IntegrationError, match=f"lossy evolution failed: {cause}") as err:
+                evolve_lindblad(gauss_params(1.0), kappa, 6, GRID)
+        assert f"kappa {kappa:g}" in str(err.value)
 
     def test_positivity_of_final_state(self):
         p = gauss_params(0.5)
@@ -526,8 +549,7 @@ class TestEvolveLindblad:
         # and the lowest eigenvalue of the final state is integration noise
         # of the size of the absolute floor; it must stay well inside
         # ergotropy's -1e-10 rejection threshold
-        ref = lossy_moments(1.9, grid=GRID)
-        dim = 2 * frame_truncation(ref.n, ref.s, 1e-8)
+        dim = 2 * frame_ladder(1.9, GRID)
         traj = evolve_lindblad(gauss_params(1.9), 0.1, dim, GRID)
         assert traj.final_state.dim == 64
         assert traj.final_state.min_eigenvalue() >= -2.5e-11
@@ -646,8 +668,8 @@ class TestEvolveLindblad:
         # a zero-mean Gaussian state of symplectic eigenvalue
         # nu = sqrt(V+ V-) has passive energy nu - 1/2, so the work ratio
         # is 1 - (nu - 1/2) / n: the lab energy against the spectrum
-        ref = lossy_moments(zeta, acc=TIGHT)
-        dim = frame_truncation(ref.n, ref.s, 1e-8)
+        ref = ode_moments(zeta, acc=TIGHT)
+        dim = frame_ladder(zeta, ref.times)
         rho = evolve_lindblad(gauss_params(zeta), 0.1, dim, ref.times).final_state
         ratio = ergotropy(rho, 1.0) / rho.mean_population()
         assert abs(ratio - (1.0 - frame_nbar(ref)[-1] / ref.n[-1])) < 1e-8
@@ -657,8 +679,7 @@ class TestEvolveLindblad:
         # so a right-hand side that rounding leaves even slightly
         # asymmetric lets the trace run away within a few tau
         grid = np.linspace(-8.0, 20.0, 57)
-        ref = lossy_moments(2.0, grid=grid)
-        traj = evolve_lindblad(gauss_params(2.0), 0.1, frame_truncation(ref.n, ref.s, 1e-8), grid)
+        traj = evolve_lindblad(gauss_params(2.0), 0.1, frame_ladder(2.0, grid), grid)
         assert traj.norm_drift < 1e-8
 
     def test_no_solver_array_outlives_the_run(self):
