@@ -45,7 +45,7 @@ from .merit import (
     stored_energy,
 )
 from .pulses import PULSE_NAMES, DeltaLimit, from_name
-from .specfun import debruijn_w_approx, lambert_w0
+from .specfun import Accuracy, debruijn_w_approx, lambert_w0
 
 __all__ = ["main", "build_parser"]
 
@@ -174,11 +174,13 @@ def cmd_fock_check(args: argparse.Namespace) -> Table:
         n_ref = [analytic_moments(p, t, times[0]).n for t in times]
     else:
         # with loss the state is thermal in its own squeezed frame, whose
-        # ladder the closed form sizes; the ODE stays the reference
+        # ladder the closed form sizes; the ODE stays the reference, at
+        # tolerances that leave the engine's error in abs_err, not its own
         if dim is None:
             dim = frame_truncation(p, kappa, times, args.tail_tol)
         traj = evolve_lindblad(p, kappa, dim, times)
-        n_ref = list(integrate_moments(p, times[0], times[-1], kappa=kappa, times=times).n)
+        tight = Accuracy(1e-14, 1e-13)
+        n_ref = list(integrate_moments(p, times[0], times[-1], tight, kappa=kappa, times=times).n)
     columns, rows = traj.table()
     columns += ["n_ref", "abs_err"]
     for row, ref in zip(rows, n_ref):

@@ -120,45 +120,71 @@ class IntegrationError(RuntimeError):
 
 
 def _rk45(
-    rhs, t_span, y0, acc: Accuracy, max_step: float, label: str, times=None, rows=slice(None)
+    rhs, t_span, y0, acc: Accuracy, tau: float, label: str, times=None, rows=slice(None), cap=None
 ):
     """Integrate ``rhs`` over ``t_span`` with scipy's RK45 pair at the
-    tolerances of ``acc``, in steps of at most ``max_step``.
+    tolerances of ``acc``, for a drive of width ``tau``.
 
-    Every ODE in the package goes through here: one ``solve_ivp`` call,
-    one solver class (:func:`_row_rk45`), one set of keywords. It is
-    imported on each call, so importing the package never loads scipy,
-    and whatever ``scipy.integrate.solve_ivp`` is bound to then runs.
+    Every ODE in the package goes through here, the one place that picks
+    step sizes: the window is split at +-8 tau, where a Gaussian drive
+    is below 1e-13 of its peak, and steps are capped at ``cap`` (default
+    tau / 2) on the part inside, so the stepper cannot leap over the
+    pulse, and free outside, so quiet tails cost a few steps. Each part
+    is one ``solve_ivp`` call with one solver class (:func:`_row_rk45`)
+    and one set of keywords, started from the state the last part ended
+    in. ``solve_ivp`` is imported on each call, so importing the package
+    never loads scipy, and whatever ``scipy.integrate.solve_ivp`` is
+    bound to then runs.
 
-    Without ``times``, ``sol.t`` and ``sol.y`` are the accepted steps.
-    With ``times`` (``t_eval``), each step's interpolant is evaluated at
-    the instants it passed, on the ``rows`` of the state alone, and
-    ``sol.y`` stacks those rows. ``sol.y_end`` is the whole final state.
+    Returns ``t``, ``y``, ``y_end`` and ``nfev`` (summed over the parts).
+    Without ``times``, ``t`` and ``y`` are the accepted steps. With
+    ``times`` (``t_eval``), each part samples the instants it holds on
+    the ``rows`` of the state alone, from the interpolant of the step
+    that passed each, and ``y`` stacks those rows. ``y_end`` is the
+    whole final state.
 
     Raises
     ------
     IntegrationError
-        ``"{label}: {solver message}"`` when the solver gives up.
+        ``"{label} on [a, b]: {solver message}"`` when the solver gives
+        up on the part [a, b].
     """
     from scipy.integrate import solve_ivp
 
-    end = []
-    sol = solve_ivp(
-        rhs,
-        t_span,
-        y0,
-        method=_row_rk45(),
-        t_eval=times,
-        rtol=acc.rel_tol,
-        atol=acc.abs_tol,
-        max_step=max_step,
-        rows=rows,
-        end=end,
-    )
-    if not sol.success:
-        raise IntegrationError(f"{label}: {sol.message}")
-    (sol.y_end,) = end
-    return sol
+    if cap is None:
+        cap = 0.5 * tau
+    hot = 8.0 * tau
+    start, stop = t_span
+    cuts = [start, *(c for c in (-hot, hot) if start < c < stop), stop]
+    t_parts, y_parts, nfev = [], [], 0
+    y = y0
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        window = None
+        if times is not None:
+            window = times[(times >= a) & ((times < b) | (b == stop))]
+        end = []
+        sol = solve_ivp(
+            rhs,
+            (a, b),
+            y,
+            method=_row_rk45(),
+            t_eval=window,
+            rtol=acc.rel_tol,
+            atol=acc.abs_tol,
+            max_step=cap if a < hot and b > -hot else np.inf,
+            rows=rows,
+            end=end,
+        )
+        if not sol.success:
+            raise IntegrationError(f"{label} on [{a:g}, {b:g}]: {sol.message}")
+        nfev += sol.nfev
+        if len(sol.t):
+            keep = slice(1, None) if t_parts and times is None else slice(None)
+            t_parts.append(sol.t[keep])
+            y_parts.append(sol.y[:, keep])
+        (y,) = end
+    t, y_all = np.concatenate(t_parts), np.concatenate(y_parts, axis=1)
+    return types.SimpleNamespace(t=t, y=y_all, y_end=y, nfev=nfev)
 
 
 @functools.cache
@@ -271,8 +297,7 @@ class MomentState:
 
     Physical states reached from the vacuum satisfy n >= 0,
     |s|^2 <= n (n + 1) and, along lossless evolution,
-    (n + 1/2)^2 - |s|^2 = 1/4. The same container doubles as a time
-    derivative, so none of this is enforced on construction.
+    (n + 1/2)^2 - |s|^2 = 1/4.
     """
 
     n: float
@@ -308,9 +333,6 @@ class MomentTrajectory:
     def __len__(self) -> int:
         return int(self.times.size)
 
-    def state_at(self, i: int) -> MomentState:
-        return MomentState(float(self.n[i]), complex(self.s[i]))
-
     def invariant_residual(self) -> np.ndarray:
         """(n + 1/2)^2 - |s|^2 - 1/4 at every sample."""
         return (self.n + 0.5) ** 2 - np.abs(self.s) ** 2 - 0.25
@@ -328,10 +350,9 @@ def integrate_moments(
     acc: Accuracy | None = None,
     *,
     kappa: float = 0.0,
-    initial: MomentState = VACUUM,
     times: np.ndarray | None = None,
 ) -> MomentTrajectory:
-    """Integrate the moment equations, from the vacuum by default.
+    """Integrate the moment equations from the vacuum at ``t_start``.
 
     ``kappa`` adds zero-temperature single-photon loss, which damps both
     moments at the same rate (dn/dt gains -kappa n, ds/dt gains
@@ -344,10 +365,9 @@ def integrate_moments(
 
     ``times``, when given, selects the sample instants (a finite,
     increasing grid inside the window); otherwise the solver's own
-    accepted steps are returned. The window is split at +-8 tau and the
-    step size is capped inside, so windows reaching deep into the quiet
-    tails cannot step across the pulse; each part samples the instants
-    it holds and starts from the state the part before it ended in.
+    accepted steps are returned. Steps follow the one rule of
+    :func:`_rk45`: capped at tau / 2 on the part of the window inside
+    +-8 tau, free outside it.
 
     Raises
     ------
@@ -383,36 +403,9 @@ def integrate_moments(
             -zf * (2.0 * y[0] + 1.0) - kappa * y[2],
         )
 
-    tau = p.pulse.tau
-    hot = 8.0 * tau
-    cuts = sorted({t_start, t_end, *(b for b in (-hot, hot) if t_start < b < t_end)})
-
-    t_parts: list[np.ndarray] = []
-    y_parts: list[np.ndarray] = []
-    y = np.array([initial.n, initial.s.real, initial.s.imag], dtype=float)
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        inside_pulse = a < hot and b > -hot
-        window = None
-        if times is not None:
-            window = times[(times >= a) & ((times <= b) if b == cuts[-1] else (times < b))]
-        sol = _rk45(
-            rhs,
-            (a, b),
-            y,
-            acc,
-            0.5 * tau if inside_pulse else np.inf,
-            f"moment integration failed on [{a:g}, {b:g}]",
-            window,
-        )
-        if len(sol.t):
-            keep = slice(1, None) if t_parts and times is None else slice(None)
-            t_parts.append(sol.t[keep])
-            y_parts.append(sol.y[:, keep])
-        y = sol.y_end
-
-    t_all = np.concatenate(t_parts)
-    y_all = np.concatenate(y_parts, axis=1)
-    return MomentTrajectory(times=t_all, n=y_all[0], s=y_all[1] + 1j * y_all[2])
+    label = "moment integration failed"
+    sol = _rk45(rhs, (t_start, t_end), np.zeros(3), acc, p.pulse.tau, label, times)
+    return MomentTrajectory(times=sol.t, n=sol.y[0], s=sol.y[1] + 1j * sol.y[2])
 
 
 def analytic_moments(p: DriveParams, t: float, t_start: float = -math.inf) -> MomentState:

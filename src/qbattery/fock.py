@@ -421,17 +421,18 @@ def _evolve_vacuum(
     dim: int,
     times: np.ndarray,
     acc: Accuracy | None,
-    max_step: float,
+    tau: float,
     label: str,
+    cap: float | None = None,
 ) -> FockTrajectory:
     """Step the state vector |0> on ``dim`` levels with ``rhs`` and
-    sample the observables on ``times``; ``label`` opens the message of
-    the :class:`IntegrationError` raised if the solver gives up."""
+    sample the observables on ``times``; ``tau``, ``label`` and ``cap``
+    go to :func:`qbattery.dynamics._rk45`."""
     psi0 = np.zeros(dim, dtype=complex)
     psi0[0] = 1.0
     if acc is None:
         acc = FOCK_ACCURACY
-    Y = _rk45(rhs, (times[0], times[-1]), psi0, acc, max_step, label, times).y
+    Y = _rk45(rhs, (times[0], times[-1]), psi0, acc, tau, label, times, cap=cap).y
     s = (_pair_coeffs(dim)[:, None] * np.conj(Y[:-2]) * Y[2:]).sum(axis=0)
     pops = np.abs(Y) ** 2
     return _trajectory(
@@ -469,7 +470,7 @@ def evolve_rwa(p: DriveParams, dim: int, times, acc: Accuracy | None = None) -> 
         out *= -1j * h
         return out
 
-    return _evolve_vacuum(rhs, dim, times, acc, 0.5 * p.pulse.tau, "rotating-frame evolution failed")
+    return _evolve_vacuum(rhs, dim, times, acc, p.pulse.tau, "rotating-frame evolution failed")
 
 
 def evolve_full(
@@ -490,14 +491,15 @@ def evolve_full(
         i da/dt = zeta cos(2 omega_d t) f(t)
                   [e^(2 i omega_b t) b†b† + e^(-2 i omega_b t) bb] a
 
-    to resolve, so the step size is capped at 2 pi / (40 omega_d), a
-    twentieth of the period pi / omega_d of cos(2 omega_d t). The cap
-    buys accuracy: at zeta 1, 454 levels, 15 samples on [-8, 6] tau,
-    dropping it cuts the right-hand-side calls from 33 590 to 23 462 at
-    omega_b tau 50 and from 117 860 to 71 804 at 200, but the worst
-    error in n against an abs/rel 1e-14/1e-13 run on 200 levels grows
-    from 5.9e-10 to 2.5e-9 and from 5.1e-10 to 1.9e-8. The
-    reported n and s live in the same rotating frame as
+    to resolve, so inside +-8 tau steps are capped at
+    min(tau / 2, 2 pi / (40 omega_d)), the second a twentieth of the
+    period pi / omega_d of cos(2 omega_d t); outside, as in every run,
+    they are free. The cap buys accuracy: at zeta 1, 454 levels, 15
+    samples on [-8, 6] tau, dropping it cuts the right-hand-side calls
+    from 33 590 to 23 462 at omega_b tau 50 and from 117 860 to 71 804
+    at 200, but the worst error in n against an abs/rel 1e-14/1e-13 run
+    on 200 levels grows from 5.9e-10 to 2.5e-9 and from 5.1e-10 to
+    1.9e-8. The reported n and s live in the same rotating frame as
     :func:`evolve_rwa` and, on resonance, converge to it as omega_b tau grows.
     """
     omega_d = float(p.omega_b) if omega_d is None else omega_d
@@ -522,8 +524,9 @@ def evolve_full(
         out *= -1j * v
         return out
 
-    max_step = min(0.5 * p.pulse.tau, 2.0 * math.pi / (40.0 * omega_d))
-    return _evolve_vacuum(rhs, dim, times, acc, max_step, "carrier-resolved evolution failed")
+    tau = p.pulse.tau
+    cap = min(0.5 * tau, 2.0 * math.pi / (40.0 * omega_d))
+    return _evolve_vacuum(rhs, dim, times, acc, tau, "carrier-resolved evolution failed", cap)
 
 
 def frame_truncation(p: DriveParams, kappa: float, times, tail_tol: float) -> int:
@@ -600,7 +603,7 @@ def evolve_lindblad(
     times = np.array(_time_list(times, 2))
     if acc is None:
         acc = LINDBLAD_ACCURACY
-    max_step = 0.5 * p.pulse.tau
+    tau = p.pulse.tau
 
     # y = (V+, V-, sigma row by row), from the vacuum
     y0 = np.zeros(2 + dim * dim)
@@ -655,14 +658,14 @@ def evolve_lindblad(
     if kappa:
         try:  # an overflow, also in the solver's error norm, fails the run
             with np.errstate(over="raise", invalid="raise"):
-                sol = _rk45(rhs, span, y0, acc, max_step, label, times, rows)
+                sol = _rk45(rhs, span, y0, acc, tau, label, times, rows)
         except FloatingPointError as exc:
             raise IntegrationError(f"{label}: {exc} at kappa {kappa:g}") from None
         y, last = sol.y, sol.y_end
     else:
         # without loss sigma stays the vacuum; stepping its dim^2 zeros
         # would only dilute the solver's RMS error norm of V+ and V-
-        sol = _rk45(rhs, span, y0[:2], acc, max_step, label, times)
+        sol = _rk45(rhs, span, y0[:2], acc, tau, label, times)
         y = np.vstack((sol.y, np.repeat(y0[rows[2:], None], times.size, axis=1)))
         last = np.concatenate((sol.y_end, y0[2:]))
 

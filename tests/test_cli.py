@@ -237,9 +237,52 @@ def test_fock_check_runs_lossy_zeta_3(tmp_path):
     assert 0.0 < rows[0, header.index("ergotropy_ratio")] <= 1.0
 
 
-def test_fock_check_sizes_from_moments_rounded_below_zero(tmp_path):
-    # at --kappa 10 the integrated n dips to about -1e-19 on the rising
-    # edge; the lossy run still passes and agrees with it there
+def test_fock_check_lossy_n_ref_holds_the_closed_form(tmp_path):
+    # at zeta 10, kappa 1e-9 abs_err measures the engine, not the
+    # reference: n_ref lies within 1e-10 (1 + n) of the closed form
+    out = tmp_path / "lossy.csv"
+    assert main(["fock-check", "--zeta", "10", "--kappa", "1e-9", "--out", str(out)]) == 0
+    header, rows = read_csv(out)
+    p = DriveParams(omega_b=1.0, zeta=10.0, pulse=Gaussian(1.0))
+    exact = np.array([m.n for m in lossy_moments(p, 1e-9, rows[:, 0])])
+    n_ref = rows[:, header.index("n_ref")]
+    assert np.all(np.abs(n_ref - exact) <= 1e-10 * (1.0 + exact))
+    assert np.max(rows[:, header.index("abs_err")] / (1.0 + n_ref)) <= 1e-9
+
+
+@pytest.mark.parametrize("flags", [["--zeta", "2"], ["--zeta", "1", "--kappa", "1"]])
+def test_fock_check_steps_freely_through_a_million_tau_of_tail(tmp_path, monkeypatch, flags):
+    # outside +-8 tau the drive is off and the steps are free, so a grid
+    # from -1e6 tau costs about what the default grid does (2 302 and
+    # 7 184 right-hand-side calls); at tau / 2 steps it would take
+    # millions, which the budget of 20 000 stops
+    import scipy.integrate
+
+    solve_ivp = scipy.integrate.solve_ivp
+    calls = 0
+
+    def budgeted(fun, *args, **kwargs):
+        def counted(t, y):
+            nonlocal calls
+            calls += 1
+            if calls > 20_000:
+                raise RuntimeError(f"over the right-hand-side call budget at t = {t:g}")
+            return fun(t, y)
+
+        return solve_ivp(counted, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.integrate, "solve_ivp", budgeted)
+    out = tmp_path / "tail.csv"
+    assert main(["fock-check", *flags, "--t-min=-1e6", "--out", str(out)]) == 0
+    header, rows = read_csv(out)
+    assert rows[0, 0] == -1e6
+    n_ref = rows[:, header.index("n_ref")]
+    assert np.max(rows[:, header.index("abs_err")] / (1.0 + n_ref)) <= 1e-6
+
+
+def test_fock_check_agrees_with_a_reference_rounded_below_zero(tmp_path):
+    # at --kappa 10 the integrated reference n rounds to about -4e-27 on
+    # the rising edge; the lossy run still passes and agrees with it there
     out = tmp_path / "lossy.csv"
     assert main(["fock-check", "--kappa", "10", "--out", str(out)]) == 0
     header, rows = read_csv(out)

@@ -773,6 +773,39 @@ def test_every_integration_looks_up_solve_ivp_when_it_runs(monkeypatch):
     assert len(calls) == 4
 
 
+def test_quiet_tails_cost_few_steps(monkeypatch):
+    # steps are capped at tau / 2 inside +-8 tau only, so a grid from
+    # -2000 tau makes few more right-hand-side calls than the default
+    # grid from -8 tau, where the drive starts, for every engine; the
+    # ladders are those fock-check sizes at zeta 1
+    import scipy.integrate
+
+    solve_ivp = scipy.integrate.solve_ivp
+    calls = []
+
+    def counting(fun, *args, **kwargs):
+        def counted(t, y):
+            calls.append(t)
+            return fun(t, y)
+
+        return solve_ivp(counted, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.integrate, "solve_ivp", counting)
+    p = gauss_params(1.0)
+    runs = {
+        "moments": lambda grid: integrate_moments(p, grid[0], grid[-1], times=grid),
+        "rwa": lambda grid: evolve_rwa(p, 66, grid),
+        "lindblad": lambda grid: evolve_lindblad(p, 0.1, 16, grid),
+    }
+    for name, run in runs.items():
+        counts = []
+        for start in (-8.0, -2000.0):
+            calls.clear()
+            run(np.linspace(start, 6.0, 57))
+            counts.append(len(calls))
+        assert counts[1] <= 1.2 * counts[0], (name, counts)
+
+
 def test_every_integration_makes_the_same_solve_ivp_call(monkeypatch):
     # one sampling contract: every ODE run, sampled on its own steps or
     # on a grid, passes solve_ivp the same keywords, and none asks for a
@@ -851,15 +884,16 @@ def test_engines_refuse_nonfinite_times(run):
     "run, label",
     [
         (lambda p, grid: integrate_moments(p, -8.0, 6.0), "moment integration failed on [-8, 6]"),
-        (lambda p, grid: evolve_rwa(p, 20, grid), "rotating-frame evolution failed"),
-        (lambda p, grid: evolve_full(p, 20, grid), "carrier-resolved evolution failed"),
-        (lambda p, grid: evolve_lindblad(p, 0.1, 20, grid), "lossy evolution failed"),
+        (lambda p, grid: evolve_rwa(p, 20, grid), "rotating-frame evolution failed on [-6, 4]"),
+        (lambda p, grid: evolve_full(p, 20, grid), "carrier-resolved evolution failed on [-6, 4]"),
+        (lambda p, grid: evolve_lindblad(p, 0.1, 20, grid), "lossy evolution failed on [-6, 4]"),
     ],
     ids=["moments", "rwa", "full", "lindblad"],
 )
 def test_solver_failure_names_the_integration(monkeypatch, run, label):
     # a solver that gives up surfaces as IntegrationError, its message
-    # naming which integration failed and quoting the solver's reason
+    # naming which integration failed on which part of its window and
+    # quoting the solver's reason, in one wording for every engine
     import scipy.integrate
 
     reason = "Required step size is less than spacing between numbers."
