@@ -180,7 +180,7 @@ def cmd_fock_check(args: argparse.Namespace) -> Table:
             dim = frame_truncation(p, kappa, times, args.tail_tol)
         traj = evolve_lindblad(p, kappa, dim, times)
         tight = Accuracy(1e-14, 1e-13)
-        n_ref = list(integrate_moments(p, times[0], times[-1], tight, kappa=kappa, times=times).n)
+        n_ref = list(integrate_moments(p, times, tight, kappa=kappa).n)
     columns, rows = traj.table()
     columns += ["n_ref", "abs_err"]
     for row, ref in zip(rows, n_ref):

@@ -19,7 +19,9 @@ the principal variances, in closed form up to one positive integral
 per variance, taken by Gauss-Legendre quadrature, whose terms also size
 the lossy Fock ladder. :func:`integrate_moments` is the independent
 numerical route: an adaptive embedded Runge-Kutta pair on
-(n, Re s, Im s), optionally with the loss.
+(n, Re s, Im s), optionally with the loss. Like every run in the
+package it starts from the vacuum at the first instant of the grid it
+is given and returns one sample per instant.
 
 The closed forms, the lossy one included, run on Python floats. numpy
 is bound lazily (:func:`_lazy`) and loads on the first numerical call,
@@ -43,7 +45,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .pulses import PulseShape
-from .specfun import Accuracy, _require_finite
+from .specfun import Accuracy
 
 __all__ = [
     "ODE_ACCURACY",
@@ -119,15 +121,14 @@ class IntegrationError(RuntimeError):
     """Adaptive integration failed (step-size underflow or solver breakdown)."""
 
 
-def _rk45(
-    rhs, t_span, y0, acc: Accuracy, tau: float, label: str, times=None, rows=slice(None), cap=None
-):
-    """Integrate ``rhs`` over ``t_span`` with scipy's RK45 pair at the
-    tolerances of ``acc``, for a drive of width ``tau``.
+def _rk45(rhs, times, y0, acc: Accuracy, tau: float, label: str, rows=slice(None), cap=None):
+    """Integrate ``rhs`` from ``y0`` at ``times[0]`` to ``times[-1]`` with
+    scipy's RK45 pair at the tolerances of ``acc``, for a drive of width
+    ``tau``, and sample it at each instant of ``times``.
 
     Every ODE in the package goes through here, the one place that picks
-    step sizes: the window is split at +-8 tau, where a Gaussian drive
-    is below 1e-13 of its peak, and steps are capped at ``cap`` (default
+    step sizes: the span is split at +-8 tau, where a Gaussian drive is
+    below 1e-13 of its peak, and steps are capped at ``cap`` (default
     tau / 2) on the part inside, so the stepper cannot leap over the
     pulse, and free outside, so quiet tails cost a few steps. Each part
     is one ``solve_ivp`` call with one solver class (:func:`_row_rk45`)
@@ -136,12 +137,12 @@ def _rk45(
     never loads scipy, and whatever ``scipy.integrate.solve_ivp`` is
     bound to then runs.
 
-    Returns ``t``, ``y``, ``y_end`` and ``nfev`` (summed over the parts).
-    Without ``times``, ``t`` and ``y`` are the accepted steps. With
-    ``times`` (``t_eval``), each part samples the instants it holds on
-    the ``rows`` of the state alone, from the interpolant of the step
-    that passed each, and ``y`` stacks those rows. ``y_end`` is the
-    whole final state.
+    ``times`` is a numpy grid, finite and strictly increasing. Returns
+    ``y``, ``y_end`` and ``nfev`` (summed over the parts). ``y`` stacks
+    the ``rows`` of the state at each instant: each part samples its own
+    instants (``t_eval``), from the interpolant of the step that passed
+    each. A grid of one instant spans nothing, and its one sample is
+    ``y0``. ``y_end`` is the whole final state.
 
     Raises
     ------
@@ -154,21 +155,18 @@ def _rk45(
     if cap is None:
         cap = 0.5 * tau
     hot = 8.0 * tau
-    start, stop = t_span
+    start, stop = times[0], times[-1]
     cuts = [start, *(c for c in (-hot, hot) if start < c < stop), stop]
-    t_parts, y_parts, nfev = [], [], 0
+    y_parts, nfev = [], 0
     y = y0
     for a, b in zip(cuts[:-1], cuts[1:]):
-        window = None
-        if times is not None:
-            window = times[(times >= a) & ((times < b) | (b == stop))]
         end = []
         sol = solve_ivp(
             rhs,
             (a, b),
             y,
             method=_row_rk45(),
-            t_eval=window,
+            t_eval=times[(times >= a) & ((times < b) | (b == stop))],
             rtol=acc.rel_tol,
             atol=acc.abs_tol,
             max_step=cap if a < hot and b > -hot else np.inf,
@@ -179,12 +177,11 @@ def _rk45(
             raise IntegrationError(f"{label} on [{a:g}, {b:g}]: {sol.message}")
         nfev += sol.nfev
         if len(sol.t):
-            keep = slice(1, None) if t_parts and times is None else slice(None)
-            t_parts.append(sol.t[keep])
-            y_parts.append(sol.y[:, keep])
+            y_parts.append(sol.y)
         (y,) = end
-    t, y_all = np.concatenate(t_parts), np.concatenate(y_parts, axis=1)
-    return types.SimpleNamespace(t=t, y=y_all, y_end=y, nfev=nfev)
+    if not y_parts:  # solve_ivp samples nothing on the zero-length span
+        y_parts.append(y0[rows][:, None])
+    return types.SimpleNamespace(y=np.concatenate(y_parts, axis=1), y_end=y, nfev=nfev)
 
 
 @functools.cache
@@ -344,53 +341,37 @@ class MomentTrajectory:
 
 
 def integrate_moments(
-    p: DriveParams,
-    t_start: float,
-    t_end: float,
-    acc: Accuracy | None = None,
-    *,
-    kappa: float = 0.0,
-    times: np.ndarray | None = None,
+    p: DriveParams, times, acc: Accuracy | None = None, *, kappa: float = 0.0
 ) -> MomentTrajectory:
-    """Integrate the moment equations from the vacuum at ``t_start``.
+    """Integrate the moment equations from the vacuum at ``times[0]`` and
+    sample them at each instant of ``times``.
 
     ``kappa`` adds zero-temperature single-photon loss, which damps both
     moments at the same rate (dn/dt gains -kappa n, ds/dt gains
     -kappa s) and so keeps the moment system exactly closed.
 
-    The vacuum boundary condition lives at t -> -inf; starting at
-    t_start <= -8 tau keeps its violation below 1e-13 of the peak drive
-    for the Gaussian envelope (heavier-tailed shapes need an earlier
-    start, proportionally to their leftover area).
-
-    ``times``, when given, selects the sample instants (a finite,
-    increasing grid inside the window); otherwise the solver's own
-    accepted steps are returned. Steps follow the one rule of
-    :func:`_rk45`: capped at tau / 2 on the part of the window inside
-    +-8 tau, free outside it.
+    The vacuum boundary condition lives at t -> -inf; starting the grid
+    at t <= -8 tau keeps its violation below 1e-13 of the peak drive for
+    the Gaussian envelope (heavier-tailed shapes need an earlier start,
+    proportionally to their leftover area). Steps follow the one rule of
+    :func:`_rk45`: capped at tau / 2 on the part of the grid's span
+    inside +-8 tau, free outside it.
 
     Raises
     ------
     ValueError
-        If ``t_start`` or ``t_end`` is not finite, or ``times`` is no such grid.
+        If ``kappa`` is negative or not finite, or ``times`` is not a
+        finite, strictly increasing 1-D grid of at least one instant.
     UnsupportedPulseError
         For the delta-limit pulse, which has no width to step across.
     IntegrationError
         If the adaptive solver gives up (e.g. step-size underflow).
     """
-    t_start = _require_finite("t_start", t_start)
-    t_end = _require_finite("t_end", t_end)
-    if not t_start < t_end:
-        raise ValueError(f"need t_start < t_end, got [{t_start!r}, {t_end!r}]")
     if not (math.isfinite(kappa) and kappa >= 0.0):
         raise ValueError(f"kappa must be nonnegative and finite, got {kappa!r}")
+    times = np.array(_time_list(times, 1))
     if acc is None:
         acc = ODE_ACCURACY
-
-    if times is not None:
-        times = np.array(_time_list(times, 1))
-        if times[0] < t_start or times[-1] > t_end:
-            raise ValueError("requested times fall outside the integration window")
 
     zeta = p.zeta
     value = p.pulse.value
@@ -404,8 +385,8 @@ def integrate_moments(
         )
 
     label = "moment integration failed"
-    sol = _rk45(rhs, (t_start, t_end), np.zeros(3), acc, p.pulse.tau, label, times)
-    return MomentTrajectory(times=sol.t, n=sol.y[0], s=sol.y[1] + 1j * sol.y[2])
+    y = _rk45(rhs, times, np.zeros(3), acc, p.pulse.tau, label).y
+    return MomentTrajectory(times=times, n=y[0], s=y[1] + 1j * y[2])
 
 
 def analytic_moments(p: DriveParams, t: float, t_start: float = -math.inf) -> MomentState:

@@ -301,8 +301,8 @@ def choose_truncation(r: float, tail_tol: float) -> int:
     beyond = _pair_tail(hi, r)
     if beyond >= tail_tol:
         raise RuntimeError(
-            f"truncation search did not converge: {beyond:.2e} of the squeezed-vacuum "
-            f"mass (r = {r:g}) lies beyond {2 * hi} levels, above tail_tol {tail_tol:g}"
+            f"a squeezed vacuum of r = {r:g} needs more than the {2 * hi}-level search "
+            f"cap: {beyond:.2e} of its mass lies beyond it, above tail_tol {tail_tol:g}"
         )
     # tail(lo) >= tail_tol > tail(hi), and the tail falls with m
     while hi - lo > 1:
@@ -349,14 +349,9 @@ class FockTrajectory:
         arrays = (self.times, self.n, self.s.real, self.s.imag, self.var_x_min, self.tail_mass)
         return columns, [list(row) for row in zip(*(a.tolist() for a in arrays))]
 
-    def write_csv(self, path: str | Path, ergotropy_ratio: float | None = None) -> None:
-        """:meth:`table` and, when given, a constant ergotropy_ratio column."""
-        columns, rows = self.table()
-        if ergotropy_ratio is not None:
-            columns.append("ergotropy_ratio")
-            for row in rows:
-                row.append(ergotropy_ratio)
-        _write_table(columns, rows, Path(path))
+    def write_csv(self, path: str | Path) -> None:
+        """The columns and rows of :meth:`table`."""
+        _write_table(*self.table(), Path(path))
 
 
 def _trajectory(
@@ -432,7 +427,7 @@ def _evolve_vacuum(
     psi0[0] = 1.0
     if acc is None:
         acc = FOCK_ACCURACY
-    Y = _rk45(rhs, (times[0], times[-1]), psi0, acc, tau, label, times, cap=cap).y
+    Y = _rk45(rhs, times, psi0, acc, tau, label, cap=cap).y
     s = (_pair_coeffs(dim)[:, None] * np.conj(Y[:-2]) * Y[2:]).sum(axis=0)
     pops = np.abs(Y) ** 2
     return _trajectory(
@@ -653,19 +648,18 @@ def evolve_lindblad(
     # and the coherences sigma[j + 2, j]
     levels = np.arange(dim)
     rows = np.concatenate(([0, 1], 2 + levels * (dim + 1), 2 + levels[:-2] * (dim + 1) + 2 * dim))
-    span = (times[0], times[-1])
     label = "lossy evolution failed"
     if kappa:
         try:  # an overflow, also in the solver's error norm, fails the run
             with np.errstate(over="raise", invalid="raise"):
-                sol = _rk45(rhs, span, y0, acc, tau, label, times, rows)
+                sol = _rk45(rhs, times, y0, acc, tau, label, rows)
         except FloatingPointError as exc:
             raise IntegrationError(f"{label}: {exc} at kappa {kappa:g}") from None
         y, last = sol.y, sol.y_end
     else:
         # without loss sigma stays the vacuum; stepping its dim^2 zeros
         # would only dilute the solver's RMS error norm of V+ and V-
-        sol = _rk45(rhs, span, y0[:2], acc, tau, label, times)
+        sol = _rk45(rhs, times, y0[:2], acc, tau, label)
         y = np.vstack((sol.y, np.repeat(y0[rows[2:], None], times.size, axis=1)))
         last = np.concatenate((sol.y_end, y0[2:]))
 

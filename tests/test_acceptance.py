@@ -55,10 +55,11 @@ def gauss_params(zeta, tau=1.0, omega_b=1.0):
 def closed_runs():
     """Closed moment-ODE trajectories shared by criteria 1 and 7."""
     runs = {}
-    grid = np.linspace(-5.0, 5.0, 201)
+    # from the vacuum at -8 tau, then 201 samples across the pulse
+    grid = np.concatenate(([-8.0], np.linspace(-5.0, 5.0, 201)))
     start = time.perf_counter()
     for zeta in (0.5, 1.0, 2.0, 3.0):
-        runs[zeta] = integrate_moments(gauss_params(zeta), -8.0, 5.0, TIGHT, times=grid)
+        runs[zeta] = integrate_moments(gauss_params(zeta), grid, TIGHT)
     return runs, grid, time.perf_counter() - start
 
 
@@ -231,7 +232,7 @@ def test_criterion_09_area_law_all_shapes():
         deficit = 1.0 - pulse.area(horizon)
         assert deficit < 1.2e-7, f"{type(pulse).__name__} horizon too short"
         p = DriveParams(omega_b=1.0, zeta=1.0, pulse=pulse)
-        traj = integrate_moments(p, -horizon, horizon, times=[horizon])
+        traj = integrate_moments(p, [-horizon, horizon])
         worst = max(worst, abs(float(traj.n[-1]) - target) / target)
     elapsed = time.perf_counter() - start
     ok = worst < 1e-6
@@ -248,7 +249,7 @@ def test_criterion_10_dissipation_robustness():
     p = gauss_params(2.0)
     kappa = 0.1
     grid = np.linspace(-6.0, 6.0, 13)
-    mom = integrate_moments(p, -6.0, 6.0, TIGHT, kappa=kappa, times=grid)
+    mom = integrate_moments(p, grid, TIGHT, kappa=kappa)
     # the frame ladder holds the thermal state left once the lossy
     # state's own squeeze is undone
     dim = frame_truncation(p, kappa, grid, 1e-8)

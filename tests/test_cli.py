@@ -353,6 +353,31 @@ def test_fock_check_refuses_an_oversized_vector_ladder_at_once(capsys, monkeypat
     assert f"(zeta {zeta})" in err
 
 
+def test_fock_check_refuses_a_state_beyond_the_search_cap_at_once():
+    # at zeta 10, 0.685 of the squeezed vacuum's mass lies beyond the
+    # 2 * 10^7 + 2 levels the truncation search tries; the refusal names
+    # that cap, well within a second and before numpy loads
+    proc = run_python(
+        "import io, json, sys, time\n"
+        "from contextlib import redirect_stderr, redirect_stdout\n"
+        "from qbattery.cli import main\n"
+        "err = io.StringIO()\n"
+        "start = time.perf_counter()\n"
+        "with redirect_stdout(io.StringIO()), redirect_stderr(err):\n"
+        "    code = main(['fock-check', '--zeta', '10'])\n"
+        "elapsed = time.perf_counter() - start\n"
+        "numpy = sorted(m for m in sys.modules if m.startswith('numpy.'))\n"
+        "print(json.dumps([code, elapsed, err.getvalue(), numpy]))"
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, elapsed, err, numpy = json.loads(proc.stdout)
+    assert code == 1 and elapsed < 1.0 and numpy == []
+    assert err == (
+        "qbattery: error: a squeezed vacuum of r = 10 needs more than the 20000002-level "
+        "search cap: 6.85e-01 of its mass lies beyond it, above tail_tol 1e-08\n"
+    )
+
+
 def test_fock_check_refuses_an_explicit_vector_ladder_above_the_limit(capsys, monkeypatch):
     from qbattery import fock
 
@@ -425,7 +450,7 @@ def test_fock_check_lossy_columns_match_the_moment_equations(tmp_path, zeta):
     header, rows = read_csv(out)
     grid = rows[:, header.index("t")]
     p = DriveParams(omega_b=1.0, zeta=float(zeta), pulse=Gaussian(1.0))
-    ref = integrate_moments(p, grid[0], grid[-1], Accuracy(1e-14, 1e-13), kappa=0.1, times=grid)
+    ref = integrate_moments(p, grid, Accuracy(1e-14, 1e-13), kappa=0.1)
     bound = 1e-6 * (1.0 + ref.n)
     for column, exact in (
         ("re_s", ref.s.real),

@@ -44,8 +44,8 @@ def rate(p, t, kappa=0.0, h=1e-7, t_start=-8.0):
     """The moments (n, s) at ``t`` of an :func:`integrate_moments` run
     from the vacuum at ``t_start``, and (dn/dt, ds/dt) there: the
     forward difference to its sample ``h`` later."""
-    traj = integrate_moments(p, t_start, t + h, TIGHT, kappa=kappa, times=[t, t + h])
-    (n, n_h), (s, s_h) = traj.n, traj.s
+    traj = integrate_moments(p, sorted({t_start, t, t + h}), TIGHT, kappa=kappa)
+    (n, n_h), (s, s_h) = traj.n[-2:], traj.s[-2:]
     return (n, s), ((n_h - n) / h, (s_h - s) / h)
 
 
@@ -122,9 +122,10 @@ class TestDissipativeRhs:
         # the lossless equations conserve (n + 1/2)^2 - |s|^2 = 1/4 from
         # the vacuum; loss breaks that
         p = gauss_params(1.3)
-        closed = integrate_moments(p, -8.0, 3.0, TIGHT, kappa=0.0)
+        grid = np.linspace(-8.0, 3.0, 45)
+        closed = integrate_moments(p, grid, TIGHT, kappa=0.0)
         assert np.max(np.abs(closed.invariant_residual())) < 1e-8
-        lossy = integrate_moments(p, -8.0, 3.0, TIGHT, kappa=0.1)
+        lossy = integrate_moments(p, grid, TIGHT, kappa=0.1)
         assert abs(lossy.invariant_residual()[-1]) > 1e-2
 
     def test_damping_terms(self):
@@ -139,10 +140,11 @@ class TestDissipativeRhs:
         # and s alike, across the cut at 8 tau where the steps go free
         kappa = 0.7
         grid = np.linspace(8.0, 11.0, 13)
-        traj = integrate_moments(gauss_params(1.0), -8.0, 11.0, TIGHT, kappa=kappa, times=grid)
+        traj = integrate_moments(gauss_params(1.0), [-8.0, *grid], TIGHT, kappa=kappa)
+        n, s = traj.n[1:], traj.s[1:]
         decay = np.exp(-kappa * (grid - 8.0))
-        assert np.allclose(traj.n, traj.n[0] * decay, rtol=1e-9, atol=0.0)
-        assert np.allclose(traj.s, traj.s[0] * decay, rtol=1e-9, atol=0.0)
+        assert np.allclose(n, n[0] * decay, rtol=1e-9, atol=0.0)
+        assert np.allclose(s, s[0] * decay, rtol=1e-9, atol=0.0)
 
     def test_weak_loss_keeps_most_of_the_charge(self):
         # zeta = 1, kappa tau = 0.1: the charge peaks near the end of the
@@ -150,17 +152,17 @@ class TestDissipativeRhs:
         # n(6 tau) = n(4 tau) e^(-2 kappa tau); values frozen from the
         # moment ODE and independently confirmed by the Lindblad engine
         p = gauss_params(1.0)
-        grid = np.array([2.0, 4.0, 6.0])
-        traj = integrate_moments(p, -8.0, 6.0, TIGHT, kappa=0.1, times=grid)
-        assert traj.n[0] == pytest.approx(0.9941797, abs=1e-6)
-        assert traj.n[0] > 0.7 * SINH1_SQ
-        assert traj.n[2] == pytest.approx(traj.n[1] * math.exp(-0.2), rel=1e-4)
-        assert traj.n[2] == pytest.approx(0.7090319, abs=1e-6)
+        traj = integrate_moments(p, [-8.0, 2.0, 4.0, 6.0], TIGHT, kappa=0.1)
+        n = traj.n[1:]
+        assert n[0] == pytest.approx(0.9941797, abs=1e-6)
+        assert n[0] > 0.7 * SINH1_SQ
+        assert n[2] == pytest.approx(n[1] * math.exp(-0.2), rel=1e-4)
+        assert n[2] == pytest.approx(0.7090319, abs=1e-6)
 
     def test_rejects_negative_kappa(self):
         for kappa in (-1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="kappa"):
-                integrate_moments(gauss_params(1.0), -8.0, 6.0, kappa=kappa)
+                integrate_moments(gauss_params(1.0), [-8.0, 6.0], kappa=kappa)
 
 
 class TestAnalyticMoments:
@@ -195,12 +197,12 @@ class TestAnalyticMoments:
         # is exact to double precision
         p = DriveParams(1.0, 1.2, Sech(1.0))
         grid = np.linspace(-6.0, 6.0, 25)
-        traj = integrate_moments(p, -40.0, 6.0, TIGHT, times=grid)
+        traj = integrate_moments(p, [-40.0, *grid], TIGHT)
         exact = [analytic_moments(p, float(t)) for t in grid]
         n = np.array([m.n for m in exact])
         s = np.array([m.s for m in exact])
-        assert np.max(np.abs(traj.n - n) / (1.0 + n)) < 1e-8
-        assert np.max(np.abs(traj.s - s) / (1.0 + n)) < 1e-8
+        assert np.max(np.abs(traj.n[1:] - n) / (1.0 + n)) < 1e-8
+        assert np.max(np.abs(traj.s[1:] - s) / (1.0 + n)) < 1e-8
 
     def test_monotone_in_time(self):
         p = gauss_params(2.5)
@@ -210,72 +212,57 @@ class TestAnalyticMoments:
 
 class TestIntegrateMoments:
     def test_zero_drive_stays_vacuum(self):
-        traj = integrate_moments(gauss_params(0.0), -8.0, 6.0, TIGHT)
+        traj = integrate_moments(gauss_params(0.0), np.linspace(-8.0, 6.0, 57), TIGHT)
         assert np.max(np.abs(traj.n)) == 0.0
         assert np.max(np.abs(traj.s)) == 0.0
 
     def test_matches_analytic_endpoint(self):
-        traj = integrate_moments(gauss_params(1.0), -8.0, 6.0, TIGHT, times=[6.0])
+        traj = integrate_moments(gauss_params(1.0), [-8.0, 6.0], TIGHT)
         assert abs(traj.n[-1] - SINH1_SQ) < 1e-8
 
     def test_sech_reaches_the_same_asymptote(self):
         # unit pulse area forces n(inf) = sinh^2(zeta) for any shape
         p = DriveParams(1.0, 1.0, Sech(1.0))
-        traj = integrate_moments(p, -22.0, 22.0, TIGHT, times=[22.0])
+        traj = integrate_moments(p, [-22.0, 22.0], TIGHT)
         assert abs(traj.n[-1] - SINH1_SQ) < 1e-8
 
     def test_analytic_numeric_agreement_and_conservation(self):
         for zeta in (0.5, 1.0, 2.0, 3.0):
             p = gauss_params(zeta)
-            grid = np.linspace(-5.0, 5.0, 201)
-            traj = integrate_moments(p, -8.0, 5.0, TIGHT, times=grid)
+            grid = np.concatenate(([-8.0], np.linspace(-5.0, 5.0, 201)))
+            traj = integrate_moments(p, grid, TIGHT)
             exact = np.array([analytic_moments(p, float(t)).n for t in grid])
             assert np.max(np.abs(traj.n - exact) / (1.0 + exact)) < 1e-6
             assert np.max(np.abs(traj.invariant_residual())) < 1e-8
 
-    def test_native_step_output(self):
-        traj = integrate_moments(gauss_params(1.0), -8.0, 6.0)
-        assert len(traj) > 20
-        assert np.all(np.diff(traj.times) > 0.0)
-        assert traj.times[0] == -8.0 and traj.times[-1] == 6.0
-
     def test_delta_limit_convergence(self):
         # tau -> 0 at fixed observation time reproduces the step result
         p = gauss_params(1.0, tau=1e-3)
-        traj = integrate_moments(p, -8e-3, 0.1, TIGHT, times=[0.1])
+        traj = integrate_moments(p, [-8e-3, 0.1], TIGHT)
         assert abs(traj.n[-1] - SINH1_SQ) / SINH1_SQ < 1e-6
 
     def test_window_validation(self):
-        p = gauss_params(1.0)
-        with pytest.raises(ValueError):
-            integrate_moments(p, 5.0, -5.0)
-        with pytest.raises(ValueError):
-            integrate_moments(p, -8.0, 6.0, times=[7.0])
+        # the grid is the window: it runs forward, from a pulse of finite width
+        with pytest.raises(ValueError, match="times must be strictly increasing"):
+            integrate_moments(gauss_params(1.0), [5.0, -5.0])
         with pytest.raises(UnsupportedPulseError, match=DELTA_REFUSAL):
-            integrate_moments(DriveParams(1.0, 1.0, DeltaLimit()), -1.0, 1.0)
+            integrate_moments(DriveParams(1.0, 1.0, DeltaLimit()), [-1.0, 1.0])
 
     def test_refuses_nonfinite_window(self):
         p = gauss_params(1.0)
-        for t_start, t_end, name in (
-            (-8.0, math.inf, "t_end"),
-            (-8.0, math.nan, "t_end"),
-            (-math.inf, 6.0, "t_start"),
-            (math.nan, 6.0, "t_start"),
-        ):
-            with pytest.raises(ValueError, match=f"{name} must be finite"):
-                integrate_moments(p, t_start, t_end)
-        with pytest.raises(ValueError, match="times must be finite"):
-            integrate_moments(p, -8.0, 6.0, times=[math.nan])
+        for times in ([-8.0, math.inf], [-8.0, math.nan], [-math.inf, 6.0], [math.nan, 6.0]):
+            with pytest.raises(ValueError, match="times must be finite"):
+                integrate_moments(p, times)
 
     def test_unsampled_windows_still_step(self):
-        # [-12, -8] and [-8, 8] hold no sample; the last window starts
-        # from where they ended
-        traj = integrate_moments(gauss_params(1.0), -12.0, 12.0, TIGHT, times=[10.0])
-        assert traj.times.tolist() == [10.0]
-        assert abs(traj.n[0] - SINH1_SQ) < 1e-8
+        # [-8, 8] holds no sample; the last window starts from where it
+        # ended
+        traj = integrate_moments(gauss_params(1.0), [-12.0, 10.0], TIGHT)
+        assert traj.times.tolist() == [-12.0, 10.0]
+        assert abs(traj.n[-1] - SINH1_SQ) < 1e-8
 
     def test_csv_export(self, tmp_path):
-        traj = integrate_moments(gauss_params(1.0), -8.0, 2.0, times=np.linspace(-2, 2, 5))
+        traj = integrate_moments(gauss_params(1.0), np.linspace(-8.0, 2.0, 5))
         out = tmp_path / "traj.csv"
         traj.write_csv(out)
         lines = out.read_text().strip().splitlines()
@@ -283,7 +270,7 @@ class TestIntegrateMoments:
         assert len(lines) == 6
 
     def test_csv_export_writes_lf_lines_to_a_file_even_named_dash(self, tmp_path, monkeypatch, capsys):
-        traj = integrate_moments(gauss_params(1.0), -8.0, 2.0, times=np.linspace(-2, 2, 5))
+        traj = integrate_moments(gauss_params(1.0), np.linspace(-8.0, 2.0, 5))
         monkeypatch.chdir(tmp_path)
         traj.write_csv("-")
         assert capsys.readouterr().out == ""
@@ -293,10 +280,11 @@ class TestIntegrateMoments:
 
 def test_observer_keeps_the_plain_rows_and_steps():
     # every run goes through the row-cut solver; with all rows it is
-    # scipy's RK45 bit for bit (steps, samples, right-hand-side calls),
-    # two rows are those rows of the same samples, and the whole state at
-    # the end is scipy's last step, for a real and a complex state; scipy
-    # only warns about a solver option it ignores, so warnings are errors
+    # scipy's RK45 sampled on the grid bit for bit (samples, right-hand
+    # side calls), two rows are those rows of the same samples, and the
+    # whole state at the end is scipy's last step, for a real and a
+    # complex state; scipy only warns about a solver option it ignores,
+    # so warnings are errors
     from scipy.integrate import solve_ivp
 
     grid = np.linspace(0.0, 5.0, 23)
@@ -307,20 +295,17 @@ def test_observer_keeps_the_plain_rows_and_steps():
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            steps = _rk45(rhs, (0.0, 5.0), y0, TIGHT, np.inf, "test")
-            sampled = _rk45(rhs, (0.0, 5.0), y0, TIGHT, np.inf, "test", grid)
-            observed = _rk45(rhs, (0.0, 5.0), y0, TIGHT, np.inf, "test", grid, [1, 4])
+            sampled = _rk45(rhs, grid, y0, TIGHT, np.inf, "test")
+            observed = _rk45(rhs, grid, y0, TIGHT, np.inf, "test", [1, 4])
         plain = solve_ivp(rhs, (0.0, 5.0), y0, "RK45", rtol=1e-12, atol=1e-12)
         at_grid = solve_ivp(rhs, (0.0, 5.0), y0, "RK45", grid, rtol=1e-12, atol=1e-12)
-        for ours, theirs in ((steps, plain), (sampled, at_grid)):
-            assert ours.y.dtype == y0.dtype
-            assert np.array_equal(ours.t, theirs.t)
-            assert np.array_equal(ours.y, theirs.y)
-            assert ours.nfev == theirs.nfev > 100
-        for run in (steps, sampled, observed):
+        assert np.array_equal(at_grid.t, grid)
+        assert sampled.y.dtype == y0.dtype
+        assert np.array_equal(sampled.y, at_grid.y)
+        assert sampled.nfev == at_grid.nfev > 100
+        for run in (sampled, observed):
             assert np.array_equal(run.y_end, plain.y[:, -1])
         assert observed.nfev == sampled.nfev
-        assert np.array_equal(observed.t, grid)
         assert np.array_equal(observed.y, sampled.y[[1, 4]])
 
     rng = np.random.default_rng(7)
@@ -352,7 +337,7 @@ class TestAreaLaw:
     def test_lorentzian_midpoint_against_ode(self):
         # A(0) = 1/2 exactly; the integrator must reproduce sinh^2(zeta/2)
         p = DriveParams(1.0, 1.0, Lorentzian(1.0))
-        traj = integrate_moments(p, -1.5e6, 0.0, times=[0.0])
+        traj = integrate_moments(p, [-1.5e6, 0.0])
         assert abs(traj.n[-1] - math.sinh(0.5) ** 2) < 1e-6
         assert analytic_moments(p, 0.0).n == pytest.approx(math.sinh(0.5) ** 2, rel=1e-14)
 
@@ -372,9 +357,7 @@ class TestLossyMoments:
             p = DriveParams(1.0, zeta, pulse)
             for kappa in (0.1, 1.0, 10.0):
                 closed = lossy_moments(p, kappa, CLI_GRID)
-                ode = integrate_moments(
-                    p, CLI_GRID[0], CLI_GRID[-1], Accuracy(1e-14, 1e-13), kappa=kappa, times=CLI_GRID
-                )
+                ode = integrate_moments(p, CLI_GRID, Accuracy(1e-14, 1e-13), kappa=kappa)
                 n = np.array([m.n for m in closed])
                 s = np.array([m.s for m in closed])
                 assert np.max(np.abs(n - ode.n) / (1.0 + ode.n)) <= 1e-8, (zeta, kappa)
@@ -423,14 +406,14 @@ class TestLossyMoments:
         for kappa in (-0.1, math.nan, math.inf):
             for run in (
                 lambda: lossy_moments(p, kappa, CLI_GRID),
-                lambda: integrate_moments(p, -8.0, 6.0, kappa=kappa, times=CLI_GRID),
+                lambda: integrate_moments(p, CLI_GRID, kappa=kappa),
             ):
                 with pytest.raises(ValueError, match=f"kappa must be nonnegative and finite, got {kappa!r}"):
                     run()
         delta = DriveParams(1.0, 1.0, DeltaLimit())
         for run in (
             lambda: lossy_moments(delta, 0.1, CLI_GRID),
-            lambda: integrate_moments(delta, -8.0, 6.0, kappa=0.1, times=CLI_GRID),
+            lambda: integrate_moments(delta, CLI_GRID, kappa=0.1),
         ):
             with pytest.raises(UnsupportedPulseError) as err:
                 run()
@@ -447,8 +430,10 @@ class TestLossyMoments:
         for times, message in grids:
             for run in (
                 lambda: lossy_moments(p, 0.1, times),
-                lambda: integrate_moments(p, -8.0, 6.0, kappa=0.1, times=times),
+                lambda: integrate_moments(p, times, kappa=0.1),
             ):
                 with pytest.raises(ValueError, match=message):
                     run()
         assert lossy_moments(p, 0.1, [2.0]) == [VACUUM]
+        one = integrate_moments(p, [2.0], kappa=0.1)
+        assert (one.times.tolist(), one.n.tolist(), one.s.tolist()) == ([2.0], [0.0], [0j])

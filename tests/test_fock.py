@@ -17,6 +17,7 @@ from qbattery.dynamics import (
     MomentTrajectory,
     analytic_moments,
     integrate_moments,
+    lossy_moments,
 )
 from qbattery.fock import (
     FockDensity,
@@ -220,13 +221,17 @@ class TestChooseTruncation:
         assert 100 < sum(branches) < len(branches) - 100
 
     def test_hopeless_arguments_fail_at_once(self):
-        # r = 8 puts 2.7e-3 of the mass beyond the 2 * 10^7-level size cap;
-        # r = 2000 overflows cosh(r) if evaluated directly
+        # r = 8 puts 2.7e-3 of the mass beyond the 2 * 10^7 + 2-level
+        # search cap; r = 2000 overflows cosh(r) if evaluated directly
         for r, tol in ((8.0, 1e-8), (20.0, 1e-4), (2000.0, 1e-8)):
             start = time.perf_counter()
-            with pytest.raises(RuntimeError, match="did not converge"):
+            with pytest.raises(RuntimeError) as err:
                 choose_truncation(r, tol)
             assert time.perf_counter() - start < 0.1
+            assert str(err.value).startswith(
+                f"a squeezed vacuum of r = {r:g} needs more than the 20000002-level search cap: "
+            )
+            assert str(err.value).endswith(f"of its mass lies beyond it, above tail_tol {tol:g}")
 
     def test_early_refusal_only_when_the_cap_is_out_of_reach(self, monkeypatch):
         # with a 200-term cap the oracle can sum everything the search
@@ -262,7 +267,7 @@ class TestChooseTruncation:
 
 def ode_moments(zeta, kappa=0.1, grid=np.linspace(-8.0, 6.0, 57), acc=None):
     """The moment ODE's lossy moments, on fock-check's default grid unless given."""
-    return integrate_moments(gauss_params(zeta), grid[0], grid[-1], acc, kappa=kappa, times=grid)
+    return integrate_moments(gauss_params(zeta), grid, acc, kappa=kappa)
 
 
 def frame_ladder(zeta, grid, kappa=0.1):
@@ -459,9 +464,9 @@ class TestEvolveRwa:
     def test_csv_export(self, tmp_path):
         traj = evolve_rwa(gauss_params(0.5), choose_truncation(1.0, 1e-8), GRID)
         out = tmp_path / "fock.csv"
-        traj.write_csv(out, ergotropy_ratio=1.0)
+        traj.write_csv(out)
         lines = out.read_text().strip().splitlines()
-        assert lines[0] == "t,n,re_s,im_s,var_x_min,tail_mass,ergotropy_ratio"
+        assert lines[0] == "t,n,re_s,im_s,var_x_min,tail_mass"
         assert len(lines) == GRID.size + 1
 
     def test_csv_export_writes_lf_lines_to_a_file_even_named_dash(self, tmp_path, monkeypatch, capsys):
@@ -519,9 +524,7 @@ class TestEvolveLindblad:
     def test_matches_dissipative_moment_ode(self):
         p = gauss_params(1.0)
         grid = np.linspace(-6.0, 6.0, 13)
-        mom = integrate_moments(
-            p, -6.0, 6.0, Accuracy(1e-12, 1e-12), kappa=0.1, times=grid
-        )
+        mom = integrate_moments(p, grid, Accuracy(1e-12, 1e-12), kappa=0.1)
         dim = frame_truncation(p, 0.1, grid, 1e-8)
         lind = evolve_lindblad(p, 0.1, dim, grid, Accuracy(1e-10, 1e-8))
         assert np.max(np.abs(lind.n - mom.n)) < 1e-4
@@ -605,9 +608,9 @@ class TestEvolveLindblad:
         rk45 = fock._rk45
         stepped = []
 
-        def spying(rhs, span, y0, *args, **kwargs):
+        def spying(rhs, times, y0, *args, **kwargs):
             stepped.append(y0)
-            return rk45(rhs, span, y0, *args, **kwargs)
+            return rk45(rhs, times, y0, *args, **kwargs)
 
         monkeypatch.setattr(fock, "_rk45", spying)
         # the CLI's grid: 57 full samples would overrun the bound
@@ -766,7 +769,7 @@ def test_every_integration_looks_up_solve_ivp_when_it_runs(monkeypatch):
     monkeypatch.setattr(scipy.integrate, "solve_ivp", counting)
     p = gauss_params(0.3)
     grid = np.linspace(-6.0, 4.0, 5)
-    integrate_moments(p, -6.0, 4.0)
+    integrate_moments(p, grid)
     evolve_rwa(p, 20, grid)
     evolve_full(p, 20, grid)
     evolve_lindblad(p, 0.1, 20, grid)
@@ -793,7 +796,7 @@ def test_quiet_tails_cost_few_steps(monkeypatch):
     monkeypatch.setattr(scipy.integrate, "solve_ivp", counting)
     p = gauss_params(1.0)
     runs = {
-        "moments": lambda grid: integrate_moments(p, grid[0], grid[-1], times=grid),
+        "moments": lambda grid: integrate_moments(p, grid),
         "rwa": lambda grid: evolve_rwa(p, 66, grid),
         "lindblad": lambda grid: evolve_lindblad(p, 0.1, 16, grid),
     }
@@ -807,9 +810,9 @@ def test_quiet_tails_cost_few_steps(monkeypatch):
 
 
 def test_every_integration_makes_the_same_solve_ivp_call(monkeypatch):
-    # one sampling contract: every ODE run, sampled on its own steps or
-    # on a grid, passes solve_ivp the same keywords, and none asks for a
-    # dense OdeSolution
+    # one sampling contract: every ODE run, on each part of its grid's
+    # span whether the part holds a sample or not, passes solve_ivp the
+    # same keywords, and none asks for a dense OdeSolution
     import scipy.integrate
 
     solve_ivp = scipy.integrate.solve_ivp
@@ -822,8 +825,8 @@ def test_every_integration_makes_the_same_solve_ivp_call(monkeypatch):
     monkeypatch.setattr(scipy.integrate, "solve_ivp", spying)
     p = gauss_params(0.3)
     grid = np.linspace(-6.0, 4.0, 5)
-    integrate_moments(p, -12.0, 12.0)
-    integrate_moments(p, -12.0, 12.0, times=grid)
+    integrate_moments(p, [-12.0, 12.0])
+    integrate_moments(p, [-12.0, *grid, 12.0])
     evolve_rwa(p, 20, grid)
     evolve_full(p, 20, grid)
     evolve_lindblad(p, 0.1, 20, grid)
@@ -862,28 +865,37 @@ def test_engines_refuse_bad_dim_and_tail_guard(engine, limit):
 @pytest.mark.parametrize(
     "run",
     [
-        lambda times: evolve_rwa(gauss_params(0.5), 16, times),
-        lambda times: evolve_full(gauss_params(0.5), 16, times),
+        lambda times: evolve_rwa(gauss_params(0.5), 26, times),
+        lambda times: evolve_full(gauss_params(0.5), 26, times),
         lambda times: evolve_lindblad(gauss_params(0.5), 0.1, 16, times),
-        lambda times: integrate_moments(gauss_params(0.5), -8.0, 6.0, times=times),
+        lambda times: integrate_moments(gauss_params(0.5), times),
+        lambda times: lossy_moments(gauss_params(0.5), 0.1, times),
         lambda times: MomentTrajectory(times, np.zeros(2), np.zeros(2)),
     ],
-    ids=["rwa", "full", "lindblad", "moments", "trajectory"],
+    ids=["rwa", "full", "lindblad", "moments", "lossy_moments", "trajectory"],
 )
 def test_engines_refuse_nonfinite_times(run):
     # a NaN passes the increasing-grid check, and an infinite end
-    # would have the solver step without end
+    # would have the solver step without end; a finite grid gives one
+    # sample per instant, the first the vacuum every run starts from
     start = time.perf_counter()
     for times in ([-8.0, math.nan], [math.nan, 0.0], [-8.0, math.inf], [-math.inf, 0.0]):
         with pytest.raises(ValueError, match="times must be finite"):
             run(times)
     assert time.perf_counter() - start < 1.0
+    grid = [-8.0, 6.0]
+    samples = run(grid)
+    if isinstance(samples, list):  # lossy_moments' MomentStates
+        samples = MomentTrajectory(grid, [m.n for m in samples], [m.s for m in samples])
+    assert samples.times.tolist() == grid
+    assert len(samples.n) == len(samples.s) == len(grid)
+    assert samples.n[0] == 0.0 and samples.s[0] == 0.0
 
 
 @pytest.mark.parametrize(
     "run, label",
     [
-        (lambda p, grid: integrate_moments(p, -8.0, 6.0), "moment integration failed on [-8, 6]"),
+        (lambda p, grid: integrate_moments(p, grid), "moment integration failed on [-6, 4]"),
         (lambda p, grid: evolve_rwa(p, 20, grid), "rotating-frame evolution failed on [-6, 4]"),
         (lambda p, grid: evolve_full(p, 20, grid), "carrier-resolved evolution failed on [-6, 4]"),
         (lambda p, grid: evolve_lindblad(p, 0.1, 20, grid), "lossy evolution failed on [-6, 4]"),
