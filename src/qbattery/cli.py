@@ -44,7 +44,7 @@ from .merit import (
     quadrature_variances,
     stored_energy,
 )
-from .pulses import PULSE_NAMES, DeltaLimit, from_name
+from .pulses import PULSE_NAMES, DeltaLimit, Gaussian, from_name
 from .specfun import Accuracy, debruijn_w_approx, lambert_w0
 
 __all__ = ["main", "build_parser"]
@@ -128,7 +128,7 @@ def _theta_table(p: DriveParams, t: float, theta_steps: int) -> Table:
 
 def cmd_energy(args: argparse.Namespace) -> Table:
     p = _drive(args)
-    e_max = p.omega_b * math.sinh(p.zeta) ** 2
+    e_max = stored_energy(p, math.inf)
     if e_max == 0.0:
         raise ValueError("zeta = 0 stores no energy; nothing to normalize")
     return ["t", "E_over_Emax"], [[t, stored_energy(p, t) / e_max] for t in _grid(args)]
@@ -198,11 +198,11 @@ def cmd_fock_check(args: argparse.Namespace) -> Table:
 
 
 def _sweep_row(zeta: float, tau: float, omega_b: float, alpha: float) -> list[float]:
-    p = DriveParams(omega_b=omega_b, zeta=zeta, pulse=from_name("gaussian", tau))
+    p = DriveParams(omega_b=omega_b, zeta=zeta, pulse=Gaussian(tau))
     t_p = peak_power_time(p)
     return [
         zeta,
-        omega_b * math.sinh(zeta) ** 2,
+        stored_energy(p, math.inf),
         charging_time(p, alpha).t_alpha,
         t_p,
         instantaneous_power(p, t_p),
@@ -223,7 +223,7 @@ def cmd_sweep(args: argparse.Namespace) -> Table:
 
 
 def _norm_drive(zeta: float) -> DriveParams:
-    return DriveParams(omega_b=1.0, zeta=zeta, pulse=from_name("gaussian", 1.0))
+    return DriveParams(omega_b=1.0, zeta=zeta, pulse=Gaussian(1.0))
 
 
 def _steps(args: argparse.Namespace) -> int:
@@ -243,11 +243,12 @@ def _legend(args: argparse.Namespace) -> tuple[list[float], list[DriveParams]]:
 
 def fig_2a(args: argparse.Namespace) -> Table:
     zetas, params = _legend(args)
+    e_max = [stored_energy(p, math.inf) for p in params]
     delta = DeltaLimit()
     rows = []
     for x in _linspace(-4.0, 4.0, _steps(args)):
         row = [x]
-        row.extend(stored_energy(p, x) / (math.sinh(p.zeta) ** 2) for p in params)
+        row.extend(stored_energy(p, x) / e for p, e in zip(params, e_max))
         row.append(delta.area(x))
         rows.append(row)
     return ["t_over_tau"] + [f"zeta_{z:g}" for z in zetas] + ["delta_limit"], rows
@@ -432,14 +433,14 @@ def main(argv: list[str] | None = None) -> int:
         if args.config is not None:
             args = _apply_config(parser, argv, args)
         _write_table(*args.func(args), args.out, args.format)
-    except OverflowError:
-        print(
-            "qbattery: error: a result passed the largest double (about 1.8e308); "
-            "the stored energy sinh^2(zeta) passes it beyond zeta = 355.6",
-            file=sys.stderr,
-        )
-        return 1
     except Exception as exc:
+        if isinstance(exc, OverflowError) and "largest double" not in str(exc):
+            # libm's overflow says only "math range error"; the package's
+            # own, the frame ladder's, names what passed the largest double
+            exc = (
+                "a result passed the largest double (about 1.8e308); "
+                "the stored energy sinh^2(zeta) passes it beyond zeta = 355.6"
+            )
         print(f"qbattery: error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -221,17 +221,16 @@ def _row_rk45() -> type:
     return RowRK45
 
 
-def _time_list(times, min_points: int) -> list[float]:
+def _time_list(times) -> list[float]:
     """``times`` as a list of Python floats, refused unless it is a
-    finite, strictly increasing 1-D grid of at least ``min_points``
-    instants. The one grid check; pure Python, so a refused grid loads
-    no numpy."""
+    finite, strictly increasing 1-D grid of at least one instant. The
+    one grid check; pure Python, so a refused grid loads no numpy."""
     try:
         grid = [float(t) for t in times] if getattr(times, "ndim", 1) == 1 else []
     except TypeError:  # a scalar, or a nested sequence
         grid = []
-    if len(grid) < min_points:
-        raise ValueError(f"times must be a 1-D grid with at least {min_points} point(s)")
+    if not grid:
+        raise ValueError("times must be a 1-D grid with at least 1 point")
     if not all(map(math.isfinite, grid)):
         raise ValueError("times must be finite")
     if any(b <= a for a, b in zip(grid, grid[1:])):
@@ -318,7 +317,7 @@ class MomentTrajectory:
     s: np.ndarray
 
     def __post_init__(self) -> None:
-        times = np.array(_time_list(self.times, 1))
+        times = np.array(_time_list(self.times))
         n = np.asarray(self.n, dtype=float)
         s = np.asarray(self.s, dtype=complex)
         if not (times.size == n.size == s.size):
@@ -341,7 +340,7 @@ class MomentTrajectory:
 
 
 def integrate_moments(
-    p: DriveParams, times, acc: Accuracy | None = None, *, kappa: float = 0.0
+    p: DriveParams, times, acc: Accuracy = ODE_ACCURACY, *, kappa: float = 0.0
 ) -> MomentTrajectory:
     """Integrate the moment equations from the vacuum at ``times[0]`` and
     sample them at each instant of ``times``.
@@ -369,9 +368,7 @@ def integrate_moments(
     """
     if not (math.isfinite(kappa) and kappa >= 0.0):
         raise ValueError(f"kappa must be nonnegative and finite, got {kappa!r}")
-    times = np.array(_time_list(times, 1))
-    if acc is None:
-        acc = ODE_ACCURACY
+    times = np.array(_time_list(times))
 
     zeta = p.zeta
     value = p.pulse.value
@@ -421,8 +418,13 @@ def lossy_moments(p: DriveParams, kappa: float, times) -> list[MomentState]:
     I± is carried from grid point to grid point,
     I(b) = I(a) e^(g(b) - g(a)) + integral from a to b, each integral by
     8-point Gauss-Legendre on panels at most min(tau, 1/kappa)/16 wide
-    and over the last (4 zeta + 50)/kappa of the interval alone. Every
-    term of V± is positive, so none cancels. Then, with
+    and over the last (4 zeta + 50)/kappa of the interval alone. Where
+    A(a) = A(b), as where a Gaussian, sech or Poschl-Teller area has
+    rounded to 0 or 1, the integrand is e^(-kappa (b - u)), and the
+    integral, (1 - e^(-kappa (b - a)))/kappa, is taken in closed form,
+    so a quiet tail costs no panels however long. The Lorentzian and
+    algebraic areas never stop changing, so those shapes take panels
+    everywhere. Every term of V± is positive, so none cancels. Then, with
     x = zeta (A(t) - A(t0)) and D = e^(-kappa (t - t0)),
 
         n = D sinh^2(x) + (D - 1)/2 + (kappa/4) (I+ + I-)
@@ -458,7 +460,7 @@ def _lossy_terms(p: DriveParams, kappa: float, times):
     after the first: the terms and the refusals of :func:`lossy_moments`."""
     if not (math.isfinite(kappa) and kappa >= 0.0):
         raise ValueError(f"kappa must be nonnegative and finite, got {kappa!r}")
-    times = _time_list(times, 1)
+    times = _time_list(times)
     tau = p.pulse.tau
     area = p.pulse.area
     two_zeta = 2.0 * p.zeta
@@ -470,23 +472,28 @@ def _lossy_terms(p: DriveParams, kappa: float, times):
     i_plus = i_minus = 0.0
     for b in times[1:]:
         area_b = area(b)
-        # the quadrature runs in the lag v = b - u, which stays resolved
-        # however short the reach
-        span = min(b - a, reach)
-        panels = max(1, math.ceil(span / width))
-        half = 0.5 * span / panels
-        q_plus = q_minus = 0.0
-        for k in range(panels):
-            mid = (2 * k + 1) * half
-            for node, weight in _GAUSS_LEGENDRE_8:
-                for lag in (mid - half * node, mid + half * node):
-                    grow = two_zeta * (area_b - area(b - lag))
-                    decay = kappa * lag
-                    q_plus += weight * math.exp(grow - decay)
-                    q_minus += weight * math.exp(-grow - decay)
+        if area_b == area_a:
+            # the drive adds no area on [a, b], so the integrand is e^(-kappa v)
+            j_plus = j_minus = -math.expm1(-kappa * (b - a)) / kappa if kappa else b - a
+        else:
+            # the quadrature runs in the lag v = b - u, which stays
+            # resolved however short the reach
+            span = min(b - a, reach)
+            panels = max(1, math.ceil(span / width))
+            half = 0.5 * span / panels
+            q_plus = q_minus = 0.0
+            for k in range(panels):
+                mid = (2 * k + 1) * half
+                for node, weight in _GAUSS_LEGENDRE_8:
+                    for lag in (mid - half * node, mid + half * node):
+                        grow = two_zeta * (area_b - area(b - lag))
+                        decay = kappa * lag
+                        q_plus += weight * math.exp(grow - decay)
+                        q_minus += weight * math.exp(-grow - decay)
+            j_plus, j_minus = half * q_plus, half * q_minus
         grow = two_zeta * (area_b - area_a)
         decay = kappa * (b - a)
-        i_plus = i_plus * math.exp(grow - decay) + half * q_plus
-        i_minus = i_minus * math.exp(-grow - decay) + half * q_minus
+        i_plus = i_plus * math.exp(grow - decay) + j_plus
+        i_minus = i_minus * math.exp(-grow - decay) + j_minus
         yield p.zeta * (area_b - area0), kappa * (b - t0), i_plus, i_minus
         a, area_a = b, area_b

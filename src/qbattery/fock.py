@@ -174,8 +174,8 @@ class FockVector:
     def norm_error(self) -> float:
         return float(np.sum(np.abs(self.amp) ** 2) - 1.0)
 
-    def tail_mass(self, levels: int = _TAIL_LEVELS) -> float:
-        return float(np.sum(np.abs(self.amp[-levels:]) ** 2))
+    def tail_mass(self) -> float:
+        return float(np.sum(np.abs(self.amp[-_TAIL_LEVELS:]) ** 2))
 
     def odd_mass(self) -> float:
         return float(np.sum(np.abs(self.amp[1::2]) ** 2))
@@ -412,22 +412,14 @@ def _levels(dim: int, zeta: float, kappa: float | None = None) -> int:
 
 
 def _evolve_vacuum(
-    rhs,
-    dim: int,
-    times: np.ndarray,
-    acc: Accuracy | None,
-    tau: float,
-    label: str,
-    cap: float | None = None,
+    rhs, dim: int, times: np.ndarray, tau: float, label: str, cap: float | None = None
 ) -> FockTrajectory:
-    """Step the state vector |0> on ``dim`` levels with ``rhs`` and
-    sample the observables on ``times``; ``tau``, ``label`` and ``cap``
-    go to :func:`qbattery.dynamics._rk45`."""
+    """Step the state vector |0> on ``dim`` levels with ``rhs`` at
+    :data:`FOCK_ACCURACY` and sample the observables on ``times``;
+    ``tau``, ``label`` and ``cap`` go to :func:`qbattery.dynamics._rk45`."""
     psi0 = np.zeros(dim, dtype=complex)
     psi0[0] = 1.0
-    if acc is None:
-        acc = FOCK_ACCURACY
-    Y = _rk45(rhs, times, psi0, acc, tau, label, cap=cap).y
+    Y = _rk45(rhs, times, psi0, FOCK_ACCURACY, tau, label, cap=cap).y
     s = (_pair_coeffs(dim)[:, None] * np.conj(Y[:-2]) * Y[2:]).sum(axis=0)
     pops = np.abs(Y) ** 2
     return _trajectory(
@@ -439,18 +431,19 @@ def _evolve_vacuum(
     )
 
 
-def evolve_rwa(p: DriveParams, dim: int, times, acc: Accuracy | None = None) -> FockTrajectory:
+def evolve_rwa(p: DriveParams, dim: int, times) -> FockTrajectory:
     """Evolve |0> under the resonant rotating-frame generator
     (zeta/2) f(t) (b†b† + bb) and sample expectation values on ``times``.
 
     Start the grid at t <= -8 tau so the vacuum boundary condition holds.
+    Steps at :data:`FOCK_ACCURACY`, as :func:`evolve_full` does.
     Raises :class:`TruncationError` if the mass in the top four levels
     ever exceeds 1e-6. A ``dim`` above :data:`VECTOR_LEVEL_LIMIT`, as in
     :func:`evolve_full`, raises :class:`ValueError` before ``times`` is
     read, which loads numpy.
     """
     dim = _levels(dim, p.zeta)
-    times = np.array(_time_list(times, 2))
+    times = np.array(_time_list(times))
 
     pair = _pair_coeffs(dim)
     half_zeta = 0.5 * p.zeta
@@ -465,17 +458,10 @@ def evolve_rwa(p: DriveParams, dim: int, times, acc: Accuracy | None = None) -> 
         out *= -1j * h
         return out
 
-    return _evolve_vacuum(rhs, dim, times, acc, p.pulse.tau, "rotating-frame evolution failed")
+    return _evolve_vacuum(rhs, dim, times, p.pulse.tau, "rotating-frame evolution failed")
 
 
-def evolve_full(
-    p: DriveParams,
-    dim: int,
-    times,
-    acc: Accuracy | None = None,
-    *,
-    omega_d: float | None = None,
-) -> FockTrajectory:
+def evolve_full(p: DriveParams, dim: int, times, *, omega_d: float | None = None) -> FockTrajectory:
     """Evolve |0> under the full carrier-resolved Hamiltonian
     omega_b b†b + zeta cos(2 omega_d t) f(t) (b†b† + bb), the package's
     only off-resonance run; ``omega_d`` defaults to ``p.omega_b``.
@@ -501,7 +487,7 @@ def evolve_full(
     if not (math.isfinite(omega_d) and omega_d > 0.0):
         raise ValueError(f"omega_d must be positive and finite, got {omega_d!r}")
     dim = _levels(dim, p.zeta)
-    times = np.array(_time_list(times, 2))
+    times = np.array(_time_list(times))
 
     pair = _pair_coeffs(dim)
     zeta = p.zeta
@@ -521,7 +507,7 @@ def evolve_full(
 
     tau = p.pulse.tau
     cap = min(0.5 * tau, 2.0 * math.pi / (40.0 * omega_d))
-    return _evolve_vacuum(rhs, dim, times, acc, tau, "carrier-resolved evolution failed", cap)
+    return _evolve_vacuum(rhs, dim, times, tau, "carrier-resolved evolution failed", cap)
 
 
 def frame_truncation(p: DriveParams, kappa: float, times, tail_tol: float) -> int:
@@ -550,12 +536,12 @@ def frame_truncation(p: DriveParams, kappa: float, times, tail_tol: float) -> in
     if nbar == 0.0:
         return _MIN_LEVELS
     if nbar == math.inf:
-        raise OverflowError("the frame ladder's V+ passed the largest double")
+        raise OverflowError("the frame ladder's V+ passed the largest double (about 1.8e308)")
     return max(_MIN_LEVELS, _TAIL_LEVELS + math.ceil(math.log(tail_tol) / -math.log1p(1.0 / nbar)))
 
 
 def evolve_lindblad(
-    p: DriveParams, kappa: float, dim: int, times, acc: Accuracy | None = None
+    p: DriveParams, kappa: float, dim: int, times, acc: Accuracy = LINDBLAD_ACCURACY
 ) -> FockTrajectory:
     """Evolve the vacuum's density matrix under the rotating-frame
     generator plus the zero-temperature loss dissipator
@@ -595,9 +581,7 @@ def evolve_lindblad(
     if not (math.isfinite(kappa) and kappa >= 0.0):
         raise ValueError(f"kappa must be nonnegative and finite, got {kappa!r}")
     dim = _levels(dim, p.zeta, kappa)
-    times = np.array(_time_list(times, 2))
-    if acc is None:
-        acc = LINDBLAD_ACCURACY
+    times = np.array(_time_list(times))
     tau = p.pulse.tau
 
     # y = (V+, V-, sigma row by row), from the vacuum

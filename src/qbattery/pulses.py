@@ -205,12 +205,12 @@ _FINITE_SHAPES = {
 PULSE_NAMES = ("gaussian", "delta", "sech", "lorentzian", "poschl-teller", "algebraic")
 
 
-def from_name(name: str, tau: float | None = None) -> PulseShape:
-    """Build a pulse shape from its command-line spelling; ``delta`` drops a valid ``tau``."""
+def from_name(name: str, tau: float) -> PulseShape:
+    """Build a pulse shape of width ``tau`` from its command-line
+    spelling; ``delta`` drops a valid ``tau``."""
     key = name.strip().lower()
     if key == "delta":
-        if tau is not None:
-            _FinitePulse(tau)  # the width check of every shape
+        _FinitePulse(tau)  # the width check of every shape
         return DeltaLimit()
     try:
         cls = _FINITE_SHAPES[key]
@@ -218,6 +218,4 @@ def from_name(name: str, tau: float | None = None) -> PulseShape:
         raise ValueError(
             f"unknown pulse shape {name!r}; choose from {', '.join(PULSE_NAMES)}"
         ) from None
-    if tau is None:
-        raise ValueError(f"pulse shape {name!r} needs a width tau")
     return cls(tau)

@@ -752,6 +752,12 @@ NO_ENERGY = "stores no energy; the ergotropy ratio is undefined"
         pytest.param(
             ["fock-check", "--zeta", "0", "--kappa", "0.1", "--ergotropy"], NO_ENERGY, id="ergotropy-zeta-zero-lossy"
         ),
+        # the frame ladder overflows before any energy does
+        pytest.param(
+            ["fock-check", "--zeta", "355.2", "--kappa", "0.1"],
+            "the frame ladder's V+ " + LARGEST_DOUBLE,
+            id="overflow-fock-check-lossy",
+        ),
         *(
             pytest.param([*argv, "400"], LARGEST_DOUBLE, id="overflow-" + "-".join(a for a in argv if a[0] != "-"))
             for argv in (

@@ -47,6 +47,16 @@ class TestStoredEnergy:
             math.sinh(1.0) ** 2, rel=1e-14
         )
 
+    def test_full_charge_is_the_area_law_at_infinity(self):
+        # omega_b sinh^2(zeta), finite up to zeta 355.6, where sinh(2 zeta)
+        # of the pair correlator has overflowed since 355.2
+        for zeta in (1.5, 355.5):
+            p = gauss_params(zeta, omega_b=2.0)
+            assert stored_energy(p, math.inf) == 2.0 * math.sinh(zeta) ** 2
+            assert charging_time(p, 0.5).e_max == stored_energy(p, math.inf)
+        with pytest.raises(OverflowError):
+            stored_energy(gauss_params(355.7), math.inf)
+
     def test_delta_pulse_step(self):
         p = DriveParams(omega_b=1.0, zeta=1.0, pulse=DeltaLimit())
         assert stored_energy(p, 1.0) == pytest.approx(math.sinh(1.0) ** 2, rel=1e-14)

@@ -141,16 +141,14 @@ class TestConstruction:
 
     def test_from_name(self):
         assert isinstance(from_name("gaussian", 1.0), Gaussian)
-        assert isinstance(from_name("delta"), DeltaLimit)
+        assert isinstance(from_name("delta", 1.0), DeltaLimit)
         assert isinstance(from_name("poschl-teller", 0.5), PoschlTeller)
         with pytest.raises(ValueError):
             from_name("triangle", 1.0)
-        with pytest.raises(ValueError):
-            from_name("sech")  # needs tau
 
     def test_registry_covers_all_names(self):
         for name in PULSE_NAMES:
-            shape = from_name(name, None if name == "delta" else 1.0)
+            shape = from_name(name, 1.0)
             assert shape.area(math.inf) == 1.0
 
     def test_value_rejects_nonfinite_t(self):

@@ -198,19 +198,14 @@ class TestBrentq:
     tightest tolerance on the same equation and bracket, and the root
     iteration's NaN refusal."""
 
-    @pytest.mark.parametrize(
-        "acc", [Accuracy(), Accuracy(1e-8, 1e-8), Accuracy(1e-15, 1e-16)], ids=str
-    )
-    def test_peak_power_time_matches_scipy(self, acc, monkeypatch):
-        # Newton converges quadratically, so even the 1e-8 request lands
-        # within 1e-12 of the root
+    def test_peak_power_time_matches_scipy(self, monkeypatch):
         params = [
             DriveParams(omega_b=1.0, zeta=float(z), pulse=Gaussian(1.0))
             for z in np.logspace(-3.0, 2.3, 60)
         ]
-        ours = [merit.peak_power_time(p, acc) for p in params]
+        ours = [merit.peak_power_time(p) for p in params]
         monkeypatch.setattr(merit, "_newton", newton_via_scipy)
-        theirs = [merit.peak_power_time(p, acc) for p in params]
+        theirs = [merit.peak_power_time(p) for p in params]
         for a, b in zip(ours, theirs):
             assert a == pytest.approx(b, rel=1e-12, abs=0.0)
 
@@ -229,9 +224,9 @@ class TestBrentq:
             assert a == pytest.approx(b, rel=1e-12, abs=0.0)
 
     def test_weak_limit_matches_scipy(self, monkeypatch):
-        ours = merit.peak_power_delay_weak_limit(1.7)
+        ours = merit.peak_power_delay_weak_limit()
         monkeypatch.setattr(merit, "_newton", newton_via_scipy)
-        assert ours == pytest.approx(merit.peak_power_delay_weak_limit(1.7), rel=1e-12, abs=0.0)
+        assert ours == pytest.approx(merit.peak_power_delay_weak_limit(), rel=1e-12, abs=0.0)
 
     def test_nan_is_refused(self):
         def f(x):
