@@ -112,9 +112,10 @@ _PANELS = 16
 # kappa does not take (b - a) kappa panels per interval.
 _LOSS_REACH = 50.0
 
-# Integrator defaults; tighter than these rarely pays off for a smooth
-# 3-dimensional system, looser starts to show in conserved quantities.
-ODE_ACCURACY = Accuracy(abs_tol=1e-10, rel_tol=1e-10)
+# The moment integrator's tolerances. The ODE is the reference the Fock
+# engines are checked against, so its own error must sit well below
+# theirs: at 1e-10 it filled fock-check's abs_err at zeta 10, kappa 1e-9.
+ODE_ACCURACY = Accuracy(abs_tol=1e-14, rel_tol=1e-13)
 
 
 class IntegrationError(RuntimeError):
@@ -339,9 +340,7 @@ class MomentTrajectory:
         _write_table(["t", "n", "re_s", "im_s", "invariant_residual"], rows, Path(path))
 
 
-def integrate_moments(
-    p: DriveParams, times, acc: Accuracy = ODE_ACCURACY, *, kappa: float = 0.0
-) -> MomentTrajectory:
+def integrate_moments(p: DriveParams, times, *, kappa: float = 0.0) -> MomentTrajectory:
     """Integrate the moment equations from the vacuum at ``times[0]`` and
     sample them at each instant of ``times``.
 
@@ -354,7 +353,8 @@ def integrate_moments(
     the Gaussian envelope (heavier-tailed shapes need an earlier start,
     proportionally to their leftover area). Steps follow the one rule of
     :func:`_rk45`: capped at tau / 2 on the part of the grid's span
-    inside +-8 tau, free outside it.
+    inside +-8 tau, free outside it, at the tolerances of
+    :data:`ODE_ACCURACY`.
 
     Raises
     ------
@@ -382,7 +382,7 @@ def integrate_moments(
         )
 
     label = "moment integration failed"
-    y = _rk45(rhs, times, np.zeros(3), acc, p.pulse.tau, label).y
+    y = _rk45(rhs, times, np.zeros(3), ODE_ACCURACY, p.pulse.tau, label).y
     return MomentTrajectory(times=times, n=y[0], s=y[1] + 1j * y[2])
 
 

@@ -96,7 +96,7 @@ _SQRT2 = math.sqrt(2.0)
 # amplitudes, and the floor is what their norm error accumulates from.
 FOCK_ACCURACY = Accuracy(abs_tol=1e-12, rel_tol=1e-10)
 
-# The Lindblad engine's default. Its absolute floor applies to every
+# The Lindblad engine's tolerances. Their absolute floor applies to every
 # stored entry of the state, and the integration noise in the lowest
 # eigenvalue of the final state follows it: at zeta 2 on twice the frame
 # ladder (70 levels), a 1e-12 floor left that eigenvalue at -1.1e-11 and
@@ -540,9 +540,7 @@ def frame_truncation(p: DriveParams, kappa: float, times, tail_tol: float) -> in
     return max(_MIN_LEVELS, _TAIL_LEVELS + math.ceil(math.log(tail_tol) / -math.log1p(1.0 / nbar)))
 
 
-def evolve_lindblad(
-    p: DriveParams, kappa: float, dim: int, times, acc: Accuracy = LINDBLAD_ACCURACY
-) -> FockTrajectory:
+def evolve_lindblad(p: DriveParams, kappa: float, dim: int, times) -> FockTrajectory:
     """Evolve the vacuum's density matrix under the rotating-frame
     generator plus the zero-temperature loss dissipator
     kappa (b rho b† - {b†b, rho}/2), in the state's own squeezed frame.
@@ -554,10 +552,8 @@ def evolve_lindblad(
     :func:`evolve_rwa`. ``final_state`` is the frame state U†rho U,
     with its angle theta. Positivity is monitored, not enforced:
     integration noise puts the lowest eigenvalue of the final state
-    slightly below zero, so the rejection threshold scales with the
-    relative tolerance, max(1e-8, 100 rel_tol), and
-    :class:`IntegrationError` is raised below it. ``acc`` defaults to
-    :data:`LINDBLAD_ACCURACY`. A ``dim`` above
+    slightly below zero, and :class:`IntegrationError` is raised below
+    -1e-8. Steps are taken at :data:`LINDBLAD_ACCURACY`. A ``dim`` above
     :data:`LINDBLAD_LEVEL_LIMIT` raises :class:`ValueError` after the
     check on ``kappa`` and before ``times`` is read, as the lossless
     engines refuse one above :data:`VECTOR_LEVEL_LIMIT`.
@@ -636,14 +632,14 @@ def evolve_lindblad(
     if kappa:
         try:  # an overflow, also in the solver's error norm, fails the run
             with np.errstate(over="raise", invalid="raise"):
-                sol = _rk45(rhs, times, y0, acc, tau, label, rows)
+                sol = _rk45(rhs, times, y0, LINDBLAD_ACCURACY, tau, label, rows)
         except FloatingPointError as exc:
             raise IntegrationError(f"{label}: {exc} at kappa {kappa:g}") from None
         y, last = sol.y, sol.y_end
     else:
         # without loss sigma stays the vacuum; stepping its dim^2 zeros
         # would only dilute the solver's RMS error norm of V+ and V-
-        sol = _rk45(rhs, times, y0[:2], acc, tau, label)
+        sol = _rk45(rhs, times, y0[:2], LINDBLAD_ACCURACY, tau, label)
         y = np.vstack((sol.y, np.repeat(y0[rows[2:], None], times.size, axis=1)))
         last = np.concatenate((sol.y_end, y0[2:]))
 
@@ -661,10 +657,9 @@ def evolve_lindblad(
         final = turns * last[2:].reshape(dim, dim)
         rho = FockDensity(final / np.trace(final).real, 0.125 * math.log(last[0] / last[1]))
         min_eig = rho.min_eigenvalue()
-        if min_eig < -max(1e-8, 100.0 * acc.rel_tol):
+        if min_eig < -1e-8:
             raise IntegrationError(
-                f"final state lost positivity (min eigenvalue {min_eig:.3e}); "
-                "tighten the accuracy or enlarge the ladder"
+                f"final state lost positivity (min eigenvalue {min_eig:.3e}); enlarge the ladder"
             )
         return rho
 

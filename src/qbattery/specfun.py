@@ -2,8 +2,10 @@
 
 Everything in this module is pure and stateless: plain floats in, plain
 floats out, ``ValueError`` on arguments outside the stated domain. The
-:class:`Accuracy` pair carries tolerance targets around; its defaults
-(1e-12 absolute and relative) are what the rest of the package assumes.
+:class:`Accuracy` pair carries tolerance targets; each integrating
+module fixes its own pair as a constant (``dynamics.ODE_ACCURACY``,
+``fock.FOCK_ACCURACY``, ``fock.LINDBLAD_ACCURACY``), and no public
+function takes one.
 Every closed-form root (:func:`erfinv`, :func:`lambert_w0` and the
 peak-power delay) is found by one safeguarded Newton iteration,
 ``_newton``, so the closed-form figures of merit need nothing beyond the

@@ -36,9 +36,7 @@ from qbattery.pulses import (
     Sech,
 )
 from qbattery.merit import charging_time, charging_time_large_zeta, charging_time_small_zeta
-from qbattery.specfun import Accuracy, debruijn_w_approx, lambert_w0
-
-TIGHT = Accuracy(1e-12, 1e-12)
+from qbattery.specfun import debruijn_w_approx, lambert_w0
 
 
 def gate(number: int, name: str, ok: bool, detail: str) -> None:
@@ -59,7 +57,7 @@ def closed_runs():
     grid = np.concatenate(([-8.0], np.linspace(-5.0, 5.0, 201)))
     start = time.perf_counter()
     for zeta in (0.5, 1.0, 2.0, 3.0):
-        runs[zeta] = integrate_moments(gauss_params(zeta), grid, TIGHT)
+        runs[zeta] = integrate_moments(gauss_params(zeta), grid)
     return runs, grid, time.perf_counter() - start
 
 
@@ -249,11 +247,11 @@ def test_criterion_10_dissipation_robustness():
     p = gauss_params(2.0)
     kappa = 0.1
     grid = np.linspace(-6.0, 6.0, 13)
-    mom = integrate_moments(p, grid, TIGHT, kappa=kappa)
+    mom = integrate_moments(p, grid, kappa=kappa)
     # the frame ladder holds the thermal state left once the lossy
     # state's own squeeze is undone
     dim = frame_truncation(p, kappa, grid, 1e-8)
-    lind = evolve_lindblad(p, kappa, dim, grid, Accuracy(1e-11, 1e-9))
+    lind = evolve_lindblad(p, kappa, dim, grid)
     agree = float(np.max(np.abs(lind.n - mom.n)))
     lossless_weaker_cap = math.sinh(1.0) ** 2
     robust = float(mom.n[-1]) > lossless_weaker_cap and float(lind.n[-1]) > lossless_weaker_cap

@@ -17,7 +17,6 @@ from qbattery.dynamics import DriveParams, integrate_moments, lossy_moments
 from qbattery.fock import frame_truncation
 from qbattery.merit import peak_power_delay_weak_limit
 from qbattery.pulses import Gaussian
-from qbattery.specfun import Accuracy
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -442,15 +441,17 @@ def test_fock_check_lossy_engine(tmp_path):
 
 @pytest.mark.parametrize("zeta", ["1", "2"])
 def test_fock_check_lossy_columns_match_the_moment_equations(tmp_path, zeta):
-    # the command checks n against n_ref itself; the pair correlator and
-    # the least quadrature variance, 1/2 + n - |s|, are held here to a
-    # tight moment run (within 5.5e-9 of 1 + n at zeta 2, 35 frame levels)
+    # the command checks n against n_ref itself, which is the API's moment
+    # run bit for bit; the pair correlator and the least quadrature
+    # variance, 1/2 + n - |s|, are held here to that run (within 5.5e-9
+    # of 1 + n at zeta 2, 35 frame levels)
     out = tmp_path / "lossy.csv"
     assert main(["fock-check", "--zeta", zeta, "--kappa", "0.1", "--out", str(out)]) == 0
     header, rows = read_csv(out)
     grid = rows[:, header.index("t")]
     p = DriveParams(omega_b=1.0, zeta=float(zeta), pulse=Gaussian(1.0))
-    ref = integrate_moments(p, grid, Accuracy(1e-14, 1e-13), kappa=0.1)
+    ref = integrate_moments(p, grid, kappa=0.1)
+    assert np.array_equal(rows[:, header.index("n_ref")], ref.n)
     bound = 1e-6 * (1.0 + ref.n)
     for column, exact in (
         ("re_s", ref.s.real),
@@ -757,6 +758,12 @@ NO_ENERGY = "stores no energy; the ergotropy ratio is undefined"
             ["fock-check", "--zeta", "355.2", "--kappa", "0.1"],
             "the frame ladder's V+ " + LARGEST_DOUBLE,
             id="overflow-fock-check-lossy",
+        ),
+        # the power's sinh(2 zeta A) overflows before the energy does
+        pytest.param(
+            ["power", "--zeta", "355.4", "--steps", "3"],
+            "grow as e^(2 zeta A), which passes it from zeta A = 354.9",
+            id="overflow-power-355.4",
         ),
         *(
             pytest.param([*argv, "400"], LARGEST_DOUBLE, id="overflow-" + "-".join(a for a in argv if a[0] != "-"))

@@ -1,9 +1,13 @@
-"""Every module-level name in the package is read somewhere in the package.
+"""Every module-level name in the package is read somewhere in the package,
+and no public function takes a tolerance.
 
 A leftover import, constant, function or class that nothing reads any
 more is dead code; names a module exports through ``__all__`` are its
-public interface and exempt. Only the standard library's ``ast`` is
-used, so the check runs wherever the suite does.
+public interface and exempt. Each numerical run steps at its module's
+accuracy constant, so an API caller gets what the CLI computes; an
+``acc`` parameter on an exported function would bring a tolerance knob
+back. Only the standard library's ``ast`` is used, so the checks run
+wherever the suite does.
 """
 
 import ast
@@ -64,3 +68,16 @@ def test_every_module_level_name_is_read_in_the_package():
         if name not in reads[module][0] and (module, name) not in foreign
     ]
     assert dead == []
+
+
+def test_no_exported_function_takes_an_accuracy():
+    knobs = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        public = _exported(tree)
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and node.name in public:
+                args = node.args
+                if "acc" in {a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)}:
+                    knobs.append(f"{path.stem}.{node.name}")
+    assert knobs == []

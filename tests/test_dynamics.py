@@ -30,7 +30,6 @@ from qbattery.specfun import Accuracy
 
 from oracles import frame_nbar, thermal_ladder
 
-TIGHT = Accuracy(1e-12, 1e-12)
 DELTA_REFUSAL = "the delta-limit pulse has no width and cannot be time stepped; use analytic_moments"
 
 SINH1_SQ = math.sinh(1.0) ** 2
@@ -44,7 +43,7 @@ def rate(p, t, kappa=0.0, h=1e-7, t_start=-8.0):
     """The moments (n, s) at ``t`` of an :func:`integrate_moments` run
     from the vacuum at ``t_start``, and (dn/dt, ds/dt) there: the
     forward difference to its sample ``h`` later."""
-    traj = integrate_moments(p, sorted({t_start, t, t + h}), TIGHT, kappa=kappa)
+    traj = integrate_moments(p, sorted({t_start, t, t + h}), kappa=kappa)
     (n, n_h), (s, s_h) = traj.n[-2:], traj.s[-2:]
     return (n, s), ((n_h - n) / h, (s_h - s) / h)
 
@@ -123,9 +122,9 @@ class TestDissipativeRhs:
         # the vacuum; loss breaks that
         p = gauss_params(1.3)
         grid = np.linspace(-8.0, 3.0, 45)
-        closed = integrate_moments(p, grid, TIGHT, kappa=0.0)
+        closed = integrate_moments(p, grid, kappa=0.0)
         assert np.max(np.abs(closed.invariant_residual())) < 1e-8
-        lossy = integrate_moments(p, grid, TIGHT, kappa=0.1)
+        lossy = integrate_moments(p, grid, kappa=0.1)
         assert abs(lossy.invariant_residual()[-1]) > 1e-2
 
     def test_damping_terms(self):
@@ -140,7 +139,7 @@ class TestDissipativeRhs:
         # and s alike, across the cut at 8 tau where the steps go free
         kappa = 0.7
         grid = np.linspace(8.0, 11.0, 13)
-        traj = integrate_moments(gauss_params(1.0), [-8.0, *grid], TIGHT, kappa=kappa)
+        traj = integrate_moments(gauss_params(1.0), [-8.0, *grid], kappa=kappa)
         n, s = traj.n[1:], traj.s[1:]
         decay = np.exp(-kappa * (grid - 8.0))
         assert np.allclose(n, n[0] * decay, rtol=1e-9, atol=0.0)
@@ -152,7 +151,7 @@ class TestDissipativeRhs:
         # n(6 tau) = n(4 tau) e^(-2 kappa tau); values frozen from the
         # moment ODE and independently confirmed by the Lindblad engine
         p = gauss_params(1.0)
-        traj = integrate_moments(p, [-8.0, 2.0, 4.0, 6.0], TIGHT, kappa=0.1)
+        traj = integrate_moments(p, [-8.0, 2.0, 4.0, 6.0], kappa=0.1)
         n = traj.n[1:]
         assert n[0] == pytest.approx(0.9941797, abs=1e-6)
         assert n[0] > 0.7 * SINH1_SQ
@@ -197,7 +196,7 @@ class TestAnalyticMoments:
         # is exact to double precision
         p = DriveParams(1.0, 1.2, Sech(1.0))
         grid = np.linspace(-6.0, 6.0, 25)
-        traj = integrate_moments(p, [-40.0, *grid], TIGHT)
+        traj = integrate_moments(p, [-40.0, *grid])
         exact = [analytic_moments(p, float(t)) for t in grid]
         n = np.array([m.n for m in exact])
         s = np.array([m.s for m in exact])
@@ -212,25 +211,25 @@ class TestAnalyticMoments:
 
 class TestIntegrateMoments:
     def test_zero_drive_stays_vacuum(self):
-        traj = integrate_moments(gauss_params(0.0), np.linspace(-8.0, 6.0, 57), TIGHT)
+        traj = integrate_moments(gauss_params(0.0), np.linspace(-8.0, 6.0, 57))
         assert np.max(np.abs(traj.n)) == 0.0
         assert np.max(np.abs(traj.s)) == 0.0
 
     def test_matches_analytic_endpoint(self):
-        traj = integrate_moments(gauss_params(1.0), [-8.0, 6.0], TIGHT)
+        traj = integrate_moments(gauss_params(1.0), [-8.0, 6.0])
         assert abs(traj.n[-1] - SINH1_SQ) < 1e-8
 
     def test_sech_reaches_the_same_asymptote(self):
         # unit pulse area forces n(inf) = sinh^2(zeta) for any shape
         p = DriveParams(1.0, 1.0, Sech(1.0))
-        traj = integrate_moments(p, [-22.0, 22.0], TIGHT)
+        traj = integrate_moments(p, [-22.0, 22.0])
         assert abs(traj.n[-1] - SINH1_SQ) < 1e-8
 
     def test_analytic_numeric_agreement_and_conservation(self):
         for zeta in (0.5, 1.0, 2.0, 3.0):
             p = gauss_params(zeta)
             grid = np.concatenate(([-8.0], np.linspace(-5.0, 5.0, 201)))
-            traj = integrate_moments(p, grid, TIGHT)
+            traj = integrate_moments(p, grid)
             exact = np.array([analytic_moments(p, float(t)).n for t in grid])
             assert np.max(np.abs(traj.n - exact) / (1.0 + exact)) < 1e-6
             assert np.max(np.abs(traj.invariant_residual())) < 1e-8
@@ -238,7 +237,7 @@ class TestIntegrateMoments:
     def test_delta_limit_convergence(self):
         # tau -> 0 at fixed observation time reproduces the step result
         p = gauss_params(1.0, tau=1e-3)
-        traj = integrate_moments(p, [-8e-3, 0.1], TIGHT)
+        traj = integrate_moments(p, [-8e-3, 0.1])
         assert abs(traj.n[-1] - SINH1_SQ) / SINH1_SQ < 1e-6
 
     def test_window_validation(self):
@@ -257,7 +256,7 @@ class TestIntegrateMoments:
     def test_unsampled_windows_still_step(self):
         # [-8, 8] holds no sample; the last window starts from where it
         # ended
-        traj = integrate_moments(gauss_params(1.0), [-12.0, 10.0], TIGHT)
+        traj = integrate_moments(gauss_params(1.0), [-12.0, 10.0])
         assert traj.times.tolist() == [-12.0, 10.0]
         assert abs(traj.n[-1] - SINH1_SQ) < 1e-8
 
@@ -288,6 +287,7 @@ def test_observer_keeps_the_plain_rows_and_steps():
     from scipy.integrate import solve_ivp
 
     grid = np.linspace(0.0, 5.0, 23)
+    acc = Accuracy(1e-12, 1e-12)
 
     def check(a, y0):
         def rhs(t, y):
@@ -295,8 +295,8 @@ def test_observer_keeps_the_plain_rows_and_steps():
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            sampled = _rk45(rhs, grid, y0, TIGHT, np.inf, "test")
-            observed = _rk45(rhs, grid, y0, TIGHT, np.inf, "test", [1, 4])
+            sampled = _rk45(rhs, grid, y0, acc, np.inf, "test")
+            observed = _rk45(rhs, grid, y0, acc, np.inf, "test", [1, 4])
         plain = solve_ivp(rhs, (0.0, 5.0), y0, "RK45", rtol=1e-12, atol=1e-12)
         at_grid = solve_ivp(rhs, (0.0, 5.0), y0, "RK45", grid, rtol=1e-12, atol=1e-12)
         assert np.array_equal(at_grid.t, grid)
@@ -357,7 +357,7 @@ class TestLossyMoments:
             p = DriveParams(1.0, zeta, pulse)
             for kappa in (0.1, 1.0, 10.0):
                 closed = lossy_moments(p, kappa, CLI_GRID)
-                ode = integrate_moments(p, CLI_GRID, Accuracy(1e-14, 1e-13), kappa=kappa)
+                ode = integrate_moments(p, CLI_GRID, kappa=kappa)
                 n = np.array([m.n for m in closed])
                 s = np.array([m.s for m in closed])
                 assert np.max(np.abs(n - ode.n) / (1.0 + ode.n)) <= 1e-8, (zeta, kappa)
