@@ -26,8 +26,6 @@ from .dynamics import (
     integrate_moments,
 )
 from .fock import (
-    LINDBLAD_LEVEL_LIMIT,
-    VECTOR_LEVEL_LIMIT,
     choose_truncation,
     ergotropy,
     evolve_lindblad,
@@ -163,22 +161,17 @@ def cmd_fock_check(args: argparse.Namespace) -> Table:
     p = _drive(args)
     kappa = args.kappa
     times = _grid(args)
-    dim = args.fock_dim
     if kappa == 0.0:
         # the pulse takes the vacuum to a squeezed vacuum of squeeze
         # parameter at most zeta, which sizes the ladder
-        if dim is None:
-            dim = choose_truncation(args.zeta, args.tail_tol)
-        traj = evolve_rwa(p, dim, times)
+        traj = evolve_rwa(p, choose_truncation(args.zeta, args.tail_tol), times)
         # the engine starts from the vacuum at the first grid point, not at -inf
         n_ref = [analytic_moments(p, t, times[0]).n for t in times]
     else:
         # with loss the state is thermal in its own squeezed frame, whose
         # ladder the closed form sizes; the moment ODE stays the reference,
         # at an accuracy that leaves the engine's error in abs_err, not its own
-        if dim is None:
-            dim = frame_truncation(p, kappa, times, args.tail_tol)
-        traj = evolve_lindblad(p, kappa, dim, times)
+        traj = evolve_lindblad(p, kappa, frame_truncation(p, kappa, times, args.tail_tol), times)
         n_ref = list(integrate_moments(p, times, kappa=kappa).n)
     columns, rows = traj.table()
     columns += ["n_ref", "abs_err"]
@@ -212,12 +205,9 @@ def _sweep_row(zeta: float, tau: float, omega_b: float, alpha: float) -> list[fl
 
 def cmd_sweep(args: argparse.Namespace) -> Table:
     zetas = _float_list(args.zetas, "--zetas")
-    alphas = _float_list(args.alpha, "--alpha")
-    if len(alphas) != 1:
-        raise ValueError("sweep takes a single --alpha")
     if args.threads < 1:
         raise ValueError("--threads must be at least 1")
-    rows = [_sweep_row(z, args.tau, args.omega_b, alphas[0]) for z in zetas]
+    rows = [_sweep_row(z, args.tau, args.omega_b, args.alpha) for z in zetas]
     return ["zeta", "e_max", "t_alpha", "t_p", "p_max", "p_max_estimate", "p_avg_fwhm"], rows
 
 
@@ -372,13 +362,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_grid_args(sp, -8.0, 6.0, 57)
     sp.add_argument("--kappa", type=float, default=0.0, help="photon-loss rate; > 0 switches to the lossy engine")
     sp.add_argument("--tail-tol", type=float, default=1e-8, help="tail mass budget used to size the ladder: of the squeezed vacuum the pulse reaches (squeeze parameter zeta), or with --kappa of the frame ladder, which holds the lossy state in its own squeezed frame, at every grid point")
-    sp.add_argument("--fock-dim", type=int, default=None, help=f"explicit ladder size (overrides --tail-tol); at most {VECTOR_LEVEL_LIMIT} without --kappa, a frame ladder of at most {LINDBLAD_LEVEL_LIMIT} with it")
     sp.add_argument("--ergotropy", nargs="?", type=_true_or_false, const=True, default=False, metavar="true|false", help="append the extractable-work ratio of the final state")
     _add_out_args(sp)
 
     sp = command(sub, "sweep", cmd_sweep, "summary figures of merit over a list of drive strengths")
     sp.add_argument("--zetas", default="0.5,1,2,4", help="comma-separated drive strengths")
-    sp.add_argument("--alpha", default="0.9", help="charge fraction for the charging-time column")
+    sp.add_argument("--alpha", type=float, default=0.9, help="charge fraction for the charging-time column")
     sp.add_argument("--tau", type=float, default=1.0)
     sp.add_argument("--omega-b", type=float, default=1.0)
     sp.add_argument("--threads", type=int, default=1, help="must be >= 1; has no effect (the rows are GIL-bound and computed in order)")

@@ -553,10 +553,12 @@ def evolve_lindblad(p: DriveParams, kappa: float, dim: int, times) -> FockTrajec
     with its angle theta. Positivity is monitored, not enforced:
     integration noise puts the lowest eigenvalue of the final state
     slightly below zero, and :class:`IntegrationError` is raised below
-    -1e-8. Steps are taken at :data:`LINDBLAD_ACCURACY`. A ``dim`` above
-    :data:`LINDBLAD_LEVEL_LIMIT` raises :class:`ValueError` after the
-    check on ``kappa`` and before ``times`` is read, as the lossless
-    engines refuse one above :data:`VECTOR_LEVEL_LIMIT`.
+    -1e-8. Steps are taken at :data:`LINDBLAD_ACCURACY`. ``kappa`` must
+    be positive: without loss the state is pure, which :func:`evolve_rwa`
+    steps. A ``dim`` above :data:`LINDBLAD_LEVEL_LIMIT` raises
+    :class:`ValueError` after the check on ``kappa`` and before ``times``
+    is read, as the lossless engines refuse one above
+    :data:`VECTOR_LEVEL_LIMIT`.
 
     With K = b†² + b² and U = exp(-i theta K), the frame angle is
     theta = ln(V+/V-) / 8, stepped through the principal variances
@@ -574,8 +576,8 @@ def evolve_lindblad(p: DriveParams, kappa: float, dim: int, times) -> FockTrajec
     grows linearly with ``kappa``, and from about 1e4 a trial stage leaves
     0 < V± < inf or overflows, which raises :class:`IntegrationError`.
     """
-    if not (math.isfinite(kappa) and kappa >= 0.0):
-        raise ValueError(f"kappa must be nonnegative and finite, got {kappa!r}")
+    if not (math.isfinite(kappa) and kappa > 0.0):
+        raise ValueError(f"kappa must be positive and finite, got {kappa!r}; evolve_rwa steps a lossless run")
     dim = _levels(dim, p.zeta, kappa)
     times = np.array(_time_list(times))
     tau = p.pulse.tau
@@ -599,8 +601,6 @@ def evolve_lindblad(p: DriveParams, kappa: float, dim: int, times) -> FockTrajec
         out = np.empty_like(y)
         out[0] = drive * v_plus - kappa * (v_plus - 0.5)
         out[1] = -drive * v_minus - kappa * (v_minus - 0.5)
-        if kappa == 0.0:
-            return out
         sigma = y[2:].reshape(dim, dim)
         two_theta = 0.25 * math.log(v_plus / v_minus)
         c, s = math.cosh(two_theta), math.sinh(two_theta)
@@ -629,19 +629,12 @@ def evolve_lindblad(p: DriveParams, kappa: float, dim: int, times) -> FockTrajec
     levels = np.arange(dim)
     rows = np.concatenate(([0, 1], 2 + levels * (dim + 1), 2 + levels[:-2] * (dim + 1) + 2 * dim))
     label = "lossy evolution failed"
-    if kappa:
-        try:  # an overflow, also in the solver's error norm, fails the run
-            with np.errstate(over="raise", invalid="raise"):
-                sol = _rk45(rhs, times, y0, LINDBLAD_ACCURACY, tau, label, rows)
-        except FloatingPointError as exc:
-            raise IntegrationError(f"{label}: {exc} at kappa {kappa:g}") from None
-        y, last = sol.y, sol.y_end
-    else:
-        # without loss sigma stays the vacuum; stepping its dim^2 zeros
-        # would only dilute the solver's RMS error norm of V+ and V-
-        sol = _rk45(rhs, times, y0[:2], LINDBLAD_ACCURACY, tau, label)
-        y = np.vstack((sol.y, np.repeat(y0[rows[2:], None], times.size, axis=1)))
-        last = np.concatenate((sol.y_end, y0[2:]))
+    try:  # an overflow, also in the solver's error norm, fails the run
+        with np.errstate(over="raise", invalid="raise"):
+            sol = _rk45(rhs, times, y0, LINDBLAD_ACCURACY, tau, label, rows)
+    except FloatingPointError as exc:
+        raise IntegrationError(f"{label}: {exc} at kappa {kappa:g}") from None
+    y, last = sol.y, sol.y_end
 
     two_theta = 0.25 * np.log(y[0] / y[1])
     c, s = np.cosh(two_theta), np.sinh(two_theta)

@@ -31,8 +31,8 @@ __all__ = [
 class Accuracy:
     """Absolute / relative tolerance pair for numerical routines."""
 
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-12
+    abs_tol: float
+    rel_tol: float
 
     def __post_init__(self) -> None:
         if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):

@@ -214,17 +214,6 @@ def test_fock_check_lossy_refuses_oversized_ladder(capsys, monkeypatch):
     assert "150-level limit of the lossy engine" in err
 
 
-def test_fock_check_refuses_an_explicit_lossy_ladder_above_the_limit(capsys, monkeypatch):
-    from qbattery import fock
-
-    monkeypatch.setattr(fock, "_rk45", _refuse_lindblad_step)
-    dim = fock.LINDBLAD_LEVEL_LIMIT + 1
-    assert main(["fock-check", "--zeta", "1", "--kappa", "0.1", "--fock-dim", str(dim)]) == 1
-    err = capsys.readouterr().err
-    assert f"the frame ladder needs {dim} levels" in err
-    assert "150-level limit of the lossy engine" in err
-
-
 def test_fock_check_runs_lossy_zeta_3(tmp_path):
     # 84 frame levels; the lab-frame ladder would need 2 217
     out = tmp_path / "lossy.csv"
@@ -292,8 +281,7 @@ def test_fock_check_agrees_with_a_reference_rounded_below_zero(tmp_path):
 def test_fock_check_sizes_the_lossy_ladder_from_the_gaussian_state(monkeypatch):
     # with loss the state is a zero-mean Gaussian, thermal in its own
     # squeezed frame: 11 / 16 / 35 frame levels at --tail-tol 1e-8,
-    # against 22 / 51 / 318 in the lab frame; an explicit --fock-dim
-    # still wins
+    # against 22 / 51 / 318 in the lab frame
     from qbattery import cli
 
     dims = []
@@ -305,8 +293,7 @@ def test_fock_check_sizes_the_lossy_ladder_from_the_gaussian_state(monkeypatch):
     monkeypatch.setattr(cli, "evolve_lindblad", recording)
     for zeta in ("0.5", "1", "2"):
         assert main(["fock-check", "--zeta", zeta, "--kappa", "0.1"]) == 1
-    assert main(["fock-check", "--zeta", "2", "--kappa", "0.1", "--fock-dim", "30"]) == 1
-    assert dims == [11, 16, 35, 30]
+    assert dims == [11, 16, 35]
 
 
 def test_fock_check_sizes_the_vector_ladder_for_the_squeeze_reached(tmp_path, monkeypatch):
@@ -377,17 +364,6 @@ def test_fock_check_refuses_a_state_beyond_the_search_cap_at_once():
     )
 
 
-def test_fock_check_refuses_an_explicit_vector_ladder_above_the_limit(capsys, monkeypatch):
-    from qbattery import fock
-
-    monkeypatch.setattr(fock, "_rk45", _refuse_vector_step)
-    dim = fock.VECTOR_LEVEL_LIMIT + 1
-    assert main(["fock-check", "--zeta", "1", "--fock-dim", str(dim)]) == 1
-    err = capsys.readouterr().err
-    assert f"needs {dim} levels" in err
-    assert f"{fock.VECTOR_LEVEL_LIMIT}-level limit" in err
-
-
 def test_fock_check_refuses_moments_that_agree_to_their_rounding(capsys, monkeypatch):
     # at zeta 20 n and |s| agree to their rounding, so 1/2 + n - |s| is
     # 0, but the variances size the frame ladder, and the engine refuses
@@ -412,13 +388,6 @@ def test_fock_check_fails_too_stiff_a_loss_in_one_line(capsys, kappa):
     assert len(err) == 1
     assert err[0].startswith("qbattery: error: lossy evolution failed: ")
     assert f"kappa {float(kappa):g}" in err[0]
-
-
-@pytest.mark.parametrize("kappa", ["0", "0.1"])
-def test_fock_check_refuses_a_zero_fock_dim(capsys, kappa):
-    # an explicit size is used as given, never replaced by the automatic one
-    assert main(["fock-check", "--zeta", "1", "--kappa", kappa, "--fock-dim", "0"]) == 1
-    assert "at least 6, got 0" in capsys.readouterr().err
 
 
 def test_fock_check_lossy_engine(tmp_path):
@@ -694,6 +663,10 @@ def exit_code(argv):
         pytest.param(
             "omega_d = 1\n", ["energy"], 1, "config key 'omega_d' is not used", id="omega-d-key"
         ),
+        # --tail-tol sizes every ladder; no flag gives one
+        pytest.param(
+            "fock_dim = 24\n", ["fock-check"], 1, "config key 'fock_dim' is not used", id="fock-dim-key"
+        ),
     ],
 )
 def test_config_rejects_bad_entries(tmp_path, capsys, text, argv, code, fragment):
@@ -805,6 +778,9 @@ def test_delta_pulse_power_fails_cleanly(capsys):
         pytest.param(["fig", "2c", "--steps", "1"], "--steps", "fig 2c", id="fig-2c-steps"),
         pytest.param(["fig", "2a", "--zeta", "1"], "--zeta", "fig 2a", id="fig-2a-zeta"),
         pytest.param(["fock-check", "--ergotropy", "maybe"], "--ergotropy", "fock-check", id="ergotropy-maybe"),
+        pytest.param(["fock-check", "--fock-dim", "24"], "--fock-dim", "fock-check", id="fock-dim"),
+        # a sweep has one charge fraction, parsed like every one-value flag
+        pytest.param(["sweep", "--alpha", "0.5,0.9"], "--alpha", "sweep", id="sweep-alpha-list"),
     ],
 )
 def test_usage_error_exits_two(capsys, argv, fragment, usage):

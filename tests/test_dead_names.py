@@ -1,17 +1,22 @@
 """Every module-level name in the package is read somewhere in the package,
-and no public function takes a tolerance.
+every command-line flag is read by the CLI, and no public function takes
+a tolerance.
 
 A leftover import, constant, function or class that nothing reads any
 more is dead code; names a module exports through ``__all__`` are its
-public interface and exempt. Each numerical run steps at its module's
-accuracy constant, so an API caller gets what the CLI computes; an
-``acc`` parameter on an exported function would bring a tolerance knob
-back. Only the standard library's ``ast`` is used, so the checks run
-wherever the suite does.
+public interface and exempt. A flag whose value the CLI never reads is
+dead code a user can still type. Each numerical run steps at its
+module's accuracy constant, so an API caller gets what the CLI computes;
+an ``acc`` parameter on an exported function would bring a tolerance
+knob back. Beside the CLI's parser, only the standard library's ``ast``
+is used, so the checks run wherever the suite does.
 """
 
+import argparse
 import ast
 from pathlib import Path
+
+from qbattery.cli import build_parser
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "qbattery"
 
@@ -81,3 +86,28 @@ def test_no_exported_function_takes_an_accuracy():
                 if "acc" in {a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)}:
                     knobs.append(f"{path.stem}.{node.name}")
     assert knobs == []
+
+
+def _flag_dests(parser):
+    """The dest of every flag of ``parser`` and of every subcommand and
+    panel under it, ``--help`` aside."""
+    dests = set()
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                dests |= _flag_dests(sub)
+        elif action.option_strings and not isinstance(action, argparse._HelpAction):
+            dests.add(action.dest)
+    return dests
+
+
+def test_every_flag_is_read_by_the_cli():
+    tree = ast.parse((PACKAGE / "cli.py").read_text(), "cli.py")
+    read = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "args"
+    }
+    dests = _flag_dests(build_parser())
+    assert {"zeta", "tail_tol", "ergotropy", "threads", "theta_steps"} <= dests
+    assert sorted(dests - read) == []

@@ -24,9 +24,13 @@ from oracles import erf_series, erfinv_bisect, lambert_bisect
 
 
 class TestAccuracy:
-    def test_defaults(self):
-        acc = Accuracy()
-        assert acc.abs_tol == 1e-12 and acc.rel_tol == 1e-12
+    def test_both_tolerances_are_required(self):
+        # every run names its own tolerances, in a module constant
+        for given in ((), (1e-12,)):
+            with pytest.raises(TypeError):
+                Accuracy(*given)
+        acc = Accuracy(1e-14, 1e-13)
+        assert acc.abs_tol == 1e-14 and acc.rel_tol == 1e-13
 
     @pytest.mark.parametrize("bad", [(0.0, 1e-12), (1e-12, -1.0), (-1e-3, 1e-3)])
     def test_rejects_nonpositive(self, bad):
