@@ -390,6 +390,26 @@ def test_fock_check_fails_too_stiff_a_loss_in_one_line(capsys, kappa):
     assert f"kappa {float(kappa):g}" in err[0]
 
 
+@pytest.mark.parametrize("kappa", ["0", "0.1"])
+def test_fock_check_refuses_a_zero_fock_dim(capsys, kappa):
+    # --tail-tol sizes every ladder, so a size given on the command line
+    # is a usage error; the engine fock-check runs at this kappa still
+    # refuses a ladder of 0 levels
+    from qbattery import cli
+
+    with pytest.raises(SystemExit) as exc:
+        main(["fock-check", "--zeta", "1", "--kappa", kappa, "--fock-dim", "0"])
+    assert exc.value.code == 2
+    assert "--fock-dim" in capsys.readouterr().err
+    p = DriveParams(omega_b=1.0, zeta=1.0, pulse=Gaussian(1.0))
+    grid = np.linspace(-6.0, 6.0, 5)
+    with pytest.raises(ValueError, match="at least 6, got 0"):
+        if float(kappa) == 0.0:
+            cli.evolve_rwa(p, 0, grid)
+        else:
+            cli.evolve_lindblad(p, float(kappa), 0, grid)
+
+
 def test_fock_check_lossy_engine(tmp_path):
     out = tmp_path / "lossy.csv"
     assert main(
