@@ -131,8 +131,10 @@ def _rk45(rhs, times, y0, acc: Accuracy, tau: float, label: str, rows=slice(None
     step sizes: the span is split at +-8 tau, where a Gaussian drive is
     below 1e-13 of its peak, and steps are capped at ``cap`` (default
     tau / 2) on the part inside, so the stepper cannot leap over the
-    pulse, and free outside, so quiet tails cost a few steps. Each part
-    is one ``solve_ivp`` call with one solver class (:func:`_row_rk45`)
+    pulse, and free outside, so quiet tails cost a few steps. A ``tau``
+    of ``math.inf`` makes the whole span one part with no cap, for a
+    variable in which the drive is constant. Each part is one
+    ``solve_ivp`` call with one solver class (:func:`_row_rk45`)
     and one set of keywords, started from the state the last part ended
     in. ``solve_ivp`` is imported on each call, so importing the package
     never loads scipy, and whatever ``scipy.integrate.solve_ivp`` is

@@ -6,11 +6,12 @@ below reduces to a handful of vectorized array operations. The cost of
 a run still grows as the square of the ladder size: a ladder sized for
 the state it holds is occupied up to its top, and the adaptive stepper
 takes a number of steps that grows with the level count. From the
-vacuum at zeta 2, 454 levels take about 0.06 s; at zeta 4, 24 480 levels
-take about 85 s, which is why the lossless engines refuse a ladder
+vacuum at zeta 2, 454 levels take about 0.05 s; at zeta 4, 24 480 levels
+take about 90 s, which is why the lossless engines refuse a ladder
 above 10 000 levels. Three engines share that machinery:
 
 * :func:`evolve_rwa` - resonant rotating-frame Schrodinger evolution,
+  stepped in the pulse area, where it reads no envelope value,
 * :func:`evolve_full` - carrier-resolving evolution with the
   counter-rotating terms kept, the package's only off-resonance run,
 * :func:`evolve_lindblad` - rotating-frame density-matrix evolution with
@@ -139,9 +140,10 @@ LINDBLAD_LEVEL_LIMIT = 150
 # Largest vector ladder the lossless engines step. A right-sized ladder
 # is occupied to its top, so RK45 makes about six right-hand-side calls
 # per level, each costing time proportional to the level count: the work
-# grows as the square of the ladder size. On a 2-core host 3318 levels
-# (zeta 3) take 1-3 s, 9010 (zeta 3.5) about 10 s and 24480 (zeta 4)
-# about 85 s.
+# grows as the square of the ladder size. On the default 57-point grid,
+# in process on a shared 2-core host, evolve_rwa takes 1.2 s on 3318
+# levels (zeta 3), 9 s on 9010 (zeta 3.5) and 89 s on 24480 (zeta 4);
+# evolve_full, which resolves the carrier, takes longer on each.
 VECTOR_LEVEL_LIMIT = 10_000
 
 
@@ -412,14 +414,18 @@ def _levels(dim: int, zeta: float, kappa: float | None = None) -> int:
 
 
 def _evolve_vacuum(
-    rhs, dim: int, times: np.ndarray, tau: float, label: str, cap: float | None = None
+    rhs, dim: int, times: np.ndarray, steps, tau: float, label: str, cap: float | None = None
 ) -> FockTrajectory:
     """Step the state vector |0> on ``dim`` levels with ``rhs`` at
-    :data:`FOCK_ACCURACY` and sample the observables on ``times``;
-    ``tau``, ``label`` and ``cap`` go to :func:`qbattery.dynamics._rk45`."""
+    :data:`FOCK_ACCURACY` over ``steps``, the stepping variable at each
+    instant of ``times``, and sample the observables there. Instants
+    with equal ``steps`` share one sample, and the distinct values are
+    stepped in ascending order; ``tau``, ``label`` and ``cap`` go to
+    :func:`qbattery.dynamics._rk45`."""
     psi0 = np.zeros(dim, dtype=complex)
     psi0[0] = 1.0
-    Y = _rk45(rhs, times, psi0, FOCK_ACCURACY, tau, label, cap=cap).y
+    grid, at = np.unique(steps, return_inverse=True)
+    Y = _rk45(rhs, grid, psi0, FOCK_ACCURACY, tau, label, cap=cap).y[:, at]
     s = (_pair_coeffs(dim)[:, None] * np.conj(Y[:-2]) * Y[2:]).sum(axis=0)
     pops = np.abs(Y) ** 2
     return _trajectory(
@@ -433,32 +439,40 @@ def _evolve_vacuum(
 
 def evolve_rwa(p: DriveParams, dim: int, times) -> FockTrajectory:
     """Evolve |0> under the resonant rotating-frame generator
-    (zeta/2) f(t) (b†b† + bb) and sample expectation values on ``times``.
+    (zeta/2) f(t) K, K = b†b† + bb, and sample expectation values on
+    ``times``.
 
-    Start the grid at t <= -8 tau so the vacuum boundary condition holds.
-    Steps at :data:`FOCK_ACCURACY`, as :func:`evolve_full` does.
+    The engine reads the drive only through its area: in the pulse area
+    Theta = (zeta/2) (A(t) - A(times[0])) the evolution is autonomous,
+    d psi/d Theta = -i K psi, so it steps the distinct Theta of the grid,
+    from the vacuum at ``times[0]``, with neither a split nor a step cap.
+    The envelope's shape costs no steps, the quiet tails none at all
+    (their samples share Theta), and the delta limit runs: there Theta
+    jumps from 0 through zeta/4 at t = 0 to zeta/2. Steps at
+    :data:`FOCK_ACCURACY`, as :func:`evolve_full` does.
     Raises :class:`TruncationError` if the mass in the top four levels
     ever exceeds 1e-6. A ``dim`` above :data:`VECTOR_LEVEL_LIMIT`, as in
     :func:`evolve_full`, raises :class:`ValueError` before ``times`` is
     read, which loads numpy.
     """
     dim = _levels(dim, p.zeta)
-    times = np.array(_time_list(times))
+    grid = _time_list(times)
+    area = p.pulse.area
+    start = area(grid[0])
+    theta = [0.5 * p.zeta * (area(t) - start) for t in grid]
 
     pair = _pair_coeffs(dim)
-    half_zeta = 0.5 * p.zeta
-    value = p.pulse.value
 
-    def rhs(t, psi):
-        h = half_zeta * value(t)
+    def rhs(_theta, psi):
         out = np.empty_like(psi)
         out[:-2] = pair * psi[2:]
         out[-2:] = 0.0
         out[2:] += pair * psi[:-2]
-        out *= -1j * h
+        out *= -1j
         return out
 
-    return _evolve_vacuum(rhs, dim, times, p.pulse.tau, "rotating-frame evolution failed")
+    label = "rotating-frame evolution failed in pulse area"
+    return _evolve_vacuum(rhs, dim, np.array(grid), theta, math.inf, label)
 
 
 def evolve_full(p: DriveParams, dim: int, times, *, omega_d: float | None = None) -> FockTrajectory:
@@ -507,7 +521,7 @@ def evolve_full(p: DriveParams, dim: int, times, *, omega_d: float | None = None
 
     tau = p.pulse.tau
     cap = min(0.5 * tau, 2.0 * math.pi / (40.0 * omega_d))
-    return _evolve_vacuum(rhs, dim, times, tau, "carrier-resolved evolution failed", cap)
+    return _evolve_vacuum(rhs, dim, times, times, tau, "carrier-resolved evolution failed", cap)
 
 
 def frame_truncation(p: DriveParams, kappa: float, times, tail_tol: float) -> int:

@@ -11,12 +11,11 @@ lab-frame phase exp(-2 i omega_b t) before any quadrature is formed.
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
 from dataclasses import dataclass, field
 
-from .dynamics import DriveParams, MomentState
+from .dynamics import DriveParams
 from .pulses import Gaussian, UnsupportedPulseError
 from .specfun import _newton, arcsinh, erf, erfinv, lambert_w0
 
@@ -33,7 +32,6 @@ __all__ = [
     "peak_power_estimate",
     "peak_power_time",
     "quadrature_variances",
-    "quadrature_variances_from_moments",
     "stored_energy",
 ]
 
@@ -288,28 +286,6 @@ def quadrature_variances(p: DriveParams, t: float, theta: float) -> QuadratureRe
     grow, shrink = math.exp(r), math.exp(-r)
     var_x = 0.25 * (grow * (1.0 - sin_phi) + shrink * (1.0 + sin_phi))
     var_p = 0.25 * (grow * (1.0 + sin_phi) + shrink * (1.0 - sin_phi))
-    return QuadratureReport(theta=theta, var_x=var_x, var_p=var_p)
-
-
-def quadrature_variances_from_moments(
-    state: MomentState, omega_b: float, t: float, theta: float
-) -> QuadratureReport:
-    """The same report built from arbitrary rotating-frame moments:
-
-    var_x = 1/2 + n + Re(e^(-i (2 omega_b t + theta)) s), var_p with -Re.
-
-    The sum cancels at strong squeezing, but the loss is already in the
-    inputs: n and s carry rounding of about eps n, and a shift d in var_x
-    moves sigma_X sigma_P by about e^r d / 2 at the extremal phase. From
-    the closed-form moments at zeta 8, t = 0 (n about 745) that is about
-    2.5e-10, past the report's 1e-12 margin, so the report refuses them.
-    Reading r and phi off n and s, as :func:`quadrature_variances` uses
-    them, would assume a pure state (|s|^2 = n (n + 1)); lossy moments
-    are mixed and would give wrong variances.
-    """
-    corr = (cmath.exp(-1j * (2.0 * omega_b * t + theta)) * state.s).real
-    var_x = 0.5 + state.n + corr
-    var_p = 0.5 + state.n - corr
     return QuadratureReport(theta=theta, var_x=var_x, var_p=var_p)
 
 

@@ -15,9 +15,10 @@ formulas, ``_value(t)`` and ``_area(t)``, on a finite float t:
 * Every finite shape inherits its one field, the width ``tau``, and the
   single check on it, from one frozen-dataclass base.
 * :class:`DeltaLimit` has no width: reading its ``tau`` raises
-  :class:`UnsupportedPulseError`. Every time stepper reads the width
-  of the pulse it steps, so each refuses the delta limit there and
-  points to the closed form, ``analytic_moments``.
+  :class:`UnsupportedPulseError`. The steppers that step in time read
+  the width of the pulse they step, so each refuses the delta limit
+  there and points to the closed form, ``analytic_moments``. The
+  lossless Fock engine steps in the pulse area instead, so it runs it.
 
 The catalog:
 
@@ -170,7 +171,9 @@ class DeltaLimit(PulseShape):
     Only the cumulative area survives the limit: a unit step with the
     midpoint convention A(0) = 1/2, which is the pointwise tau -> 0
     limit of the Gaussian area at t = 0. It has no width, so every
-    time stepper, which reads ``tau``, refuses it there.
+    stepper that steps in time, and reads ``tau``, refuses it there;
+    what reads only the area, the closed forms and ``evolve_rwa``,
+    takes it.
     """
 
     @property

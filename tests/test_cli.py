@@ -178,6 +178,17 @@ def test_fock_check_takes_any_unit_area_pulse(tmp_path):
         assert np.max(rows[:, header.index("abs_err")] / (1.0 + n_ref)) < 1e-6, name
 
 
+def test_fock_check_runs_the_delta_limit(tmp_path):
+    # the lossless engine steps in the pulse area, which the delta limit
+    # has; the lossy engine reads the width and refuses it (delta-lossy)
+    out = tmp_path / "delta.csv"
+    assert main(["fock-check", "--pulse", "delta", "--zeta", "1", "--out", str(out)]) == 0
+    header, rows = read_csv(out)
+    n_ref = rows[:, header.index("n_ref")]
+    assert n_ref[-1] == math.sinh(1.0) ** 2
+    assert np.max(rows[:, header.index("abs_err")] / (1.0 + n_ref)) <= 1e-6
+
+
 def test_fock_check_pure_ergotropy_needs_no_density_matrix(tmp_path, monkeypatch):
     from qbattery.fock import FockVector
 
@@ -241,8 +252,9 @@ def test_fock_check_lossy_n_ref_holds_the_closed_form(tmp_path):
 @pytest.mark.parametrize("flags", [["--zeta", "2"], ["--zeta", "1", "--kappa", "1"]])
 def test_fock_check_steps_freely_through_a_million_tau_of_tail(tmp_path, monkeypatch, flags):
     # outside +-8 tau the drive is off and the steps are free, so a grid
-    # from -1e6 tau costs about what the default grid does (2 302 and
-    # 7 184 right-hand-side calls); at tau / 2 steps it would take
+    # from -1e6 tau costs about what the default grid does (7 184
+    # right-hand-side calls with loss; without, the tail adds no pulse
+    # area and no step, 1 880 calls); at tau / 2 steps it would take
     # millions, which the budget of 20 000 stops
     import scipy.integrate
 

@@ -449,14 +449,35 @@ class TestEvolveRwa:
             evolve_rwa(p, 4, GRID)
 
     def test_delta_pulse_rejected(self):
+        # the engines that step in time read the pulse width; evolve_rwa
+        # steps in the pulse area and runs the delta limit (below)
         p = DriveParams(omega_b=1.0, zeta=1.0, pulse=DeltaLimit())
         for run in (
-            lambda: evolve_rwa(p, 64, GRID),
             lambda: evolve_full(p, 64, GRID),
             lambda: evolve_lindblad(p, 0.1, 64, GRID),
         ):
             with pytest.raises(UnsupportedPulseError, match=DELTA_REFUSAL):
                 run()
+
+    def test_delta_limit_reaches_the_squeezed_vacuum(self):
+        # Theta jumps from 0 through zeta/4 at t = 0, where A = 1/2, to
+        # zeta/2: n is 0, then sinh^2(1/2), then sinh^2(1)
+        p = DriveParams(omega_b=1.0, zeta=1.0, pulse=DeltaLimit())
+        traj = evolve_rwa(p, choose_truncation(1.0, 1e-8), GRID)
+        want = np.array([analytic_moments(p, float(t), GRID[0]).n for t in GRID])
+        assert want[GRID.tolist().index(0.0)] == math.sinh(0.5) ** 2
+        assert np.all(np.abs(traj.n - want) <= 1e-8 * (1.0 + want))
+        assert np.max(traj.odd_mass) < 1e-12
+
+    def test_reads_the_drive_only_through_its_area(self, monkeypatch):
+        def no_value(self, t):
+            raise AssertionError("evolve_rwa read the envelope value")
+
+        monkeypatch.setattr(Gaussian, "_value", no_value)
+        p = gauss_params(1.0)
+        traj = evolve_rwa(p, choose_truncation(1.0, 1e-8), GRID)
+        want = np.array([analytic_moments(p, float(t), GRID[0]).n for t in GRID])
+        assert np.all(np.abs(traj.n - want) <= 1e-8 * (1.0 + want))
 
     def test_csv_export(self, tmp_path):
         traj = evolve_rwa(gauss_params(0.5), choose_truncation(1.0, 1e-8), GRID)
@@ -893,7 +914,7 @@ def test_engines_refuse_nonfinite_times(run):
     "run, label",
     [
         (lambda p, grid: integrate_moments(p, grid), "moment integration failed on [-6, 4]"),
-        (lambda p, grid: evolve_rwa(p, 20, grid), "rotating-frame evolution failed on [-6, 4]"),
+        (lambda p, grid: evolve_rwa(p, 20, grid), "rotating-frame evolution failed in pulse area on [0, 0.149995]"),
         (lambda p, grid: evolve_full(p, 20, grid), "carrier-resolved evolution failed on [-6, 4]"),
         (lambda p, grid: evolve_lindblad(p, 0.1, 20, grid), "lossy evolution failed on [-6, 4]"),
     ],

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from qbattery.dynamics import DriveParams, analytic_moments
+from qbattery.dynamics import DriveParams
 from qbattery.merit import (
     ChargingReport,
     QuadratureReport,
@@ -21,7 +21,6 @@ from qbattery.merit import (
     peak_power_estimate,
     peak_power_time,
     quadrature_variances,
-    quadrature_variances_from_moments,
     stored_energy,
 )
 from qbattery.pulses import DeltaLimit, Gaussian, Sech, UnsupportedPulseError
@@ -317,16 +316,6 @@ class TestQuadratures:
         assert report.var_x == min_quadrature_variance(p, 0.0) == 0.5 * math.exp(-zeta)
         assert report.var_p == 0.5 * math.exp(zeta)
         assert report.std_product == pytest.approx(0.5, rel=1e-15)
-
-    def test_moment_route_agrees_with_closed_form(self):
-        p = gauss_params(1.8, omega_b=2.0)
-        for t in (-0.7, 0.0, 0.9):
-            state = analytic_moments(p, t)
-            for theta in np.linspace(0.0, 2.0 * math.pi, 17):
-                via_moments = quadrature_variances_from_moments(state, 2.0, t, float(theta))
-                closed = quadrature_variances(p, t, float(theta))
-                assert via_moments.var_x == pytest.approx(closed.var_x, abs=1e-10)
-                assert via_moments.var_p == pytest.approx(closed.var_p, abs=1e-10)
 
     def test_report_validation(self):
         with pytest.raises(ValueError):
