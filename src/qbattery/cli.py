@@ -19,31 +19,7 @@ import math
 import sys
 from pathlib import Path
 
-from .dynamics import (
-    DriveParams,
-    _write_table,
-    analytic_moments,
-    integrate_moments,
-)
-from .fock import (
-    choose_truncation,
-    ergotropy,
-    evolve_lindblad,
-    evolve_rwa,
-    frame_truncation,
-)
-from .merit import (
-    average_power_fwhm,
-    charging_time,
-    instantaneous_power,
-    peak_power_delay_weak_limit,
-    peak_power_estimate,
-    peak_power_time,
-    quadrature_variances,
-    stored_energy,
-)
-from .pulses import PULSE_NAMES, DeltaLimit, Gaussian, from_name
-from .specfun import debruijn_w_approx, lambert_w0
+from . import dynamics, fock, merit, pulses, specfun
 
 __all__ = ["main", "build_parser"]
 
@@ -69,9 +45,9 @@ def _config_flags(path: str) -> dict[str, str]:
     return flags
 
 
-def _drive(args: argparse.Namespace) -> DriveParams:
-    pulse = from_name(args.pulse, args.tau)
-    return DriveParams(omega_b=args.omega_b, zeta=args.zeta, pulse=pulse)
+def _drive(args: argparse.Namespace) -> dynamics.DriveParams:
+    pulse = pulses.from_name(args.pulse, args.tau)
+    return dynamics.DriveParams(omega_b=args.omega_b, zeta=args.zeta, pulse=pulse)
 
 
 def _float_list(text: str, name: str) -> list[float]:
@@ -114,42 +90,42 @@ def _grid(args: argparse.Namespace) -> list[float]:
     return grid
 
 
-def _theta_table(p: DriveParams, t: float, theta_steps: int) -> Table:
+def _theta_table(p: dynamics.DriveParams, t: float, theta_steps: int) -> Table:
     if theta_steps < 2:
         raise ValueError("--theta-steps must be at least 2")
     rows = []
     for theta in _linspace(0.0, 2.0 * math.pi, theta_steps, endpoint=False):
-        report = quadrature_variances(p, t, theta)
+        report = merit.quadrature_variances(p, t, theta)
         rows.append([report.theta, report.var_x, report.var_p, report.std_product])
     return ["theta", "var_x", "var_p", "std_product"], rows
 
 
 def cmd_energy(args: argparse.Namespace) -> Table:
     p = _drive(args)
-    e_max = stored_energy(p, math.inf)
+    e_max = merit.stored_energy(p, math.inf)
     if e_max == 0.0:
         raise ValueError("zeta = 0 stores no energy; nothing to normalize")
-    return ["t", "E_over_Emax"], [[t, stored_energy(p, t) / e_max] for t in _grid(args)]
+    return ["t", "E_over_Emax"], [[t, merit.stored_energy(p, t) / e_max] for t in _grid(args)]
 
 
 def cmd_power(args: argparse.Namespace) -> Table:
     p = _drive(args)
-    return ["t", "P"], [[t, instantaneous_power(p, t)] for t in _grid(args)]
+    return ["t", "P"], [[t, merit.instantaneous_power(p, t)] for t in _grid(args)]
 
 
 def cmd_charge_time(args: argparse.Namespace) -> Table:
     p = _drive(args)
     rows = []
     for alpha in _float_list(args.alpha, "--alpha"):
-        report = charging_time(p, alpha)
+        report = merit.charging_time(p, alpha)
         rows.append([alpha, report.t_alpha, report.t_alpha / args.tau, report.e_max])
     return ["alpha", "t_alpha", "t_alpha_over_tau", "e_max"], rows
 
 
 def cmd_peak_power(args: argparse.Namespace) -> Table:
     p = _drive(args)
-    t_p = peak_power_time(p)
-    rows = [[args.zeta, t_p, t_p / args.tau, instantaneous_power(p, t_p), peak_power_estimate(p)]]
+    t_p = merit.peak_power_time(p)
+    rows = [[args.zeta, t_p, t_p / args.tau, merit.instantaneous_power(p, t_p), merit.peak_power_estimate(p)]]
     return ["zeta", "t_p", "t_p_over_tau", "p_max", "p_max_estimate"], rows
 
 
@@ -164,15 +140,15 @@ def cmd_fock_check(args: argparse.Namespace) -> Table:
     if kappa == 0.0:
         # the pulse takes the vacuum to a squeezed vacuum of squeeze
         # parameter at most zeta, which sizes the ladder
-        traj = evolve_rwa(p, choose_truncation(args.zeta, args.tail_tol), times)
+        traj = fock.evolve_rwa(p, fock.choose_truncation(args.zeta, args.tail_tol), times)
         # the engine starts from the vacuum at the first grid point, not at -inf
-        n_ref = [analytic_moments(p, t, times[0]).n for t in times]
+        n_ref = [dynamics.analytic_moments(p, t, times[0]).n for t in times]
     else:
         # with loss the state is thermal in its own squeezed frame, whose
         # ladder the closed form sizes; the moment ODE stays the reference,
         # at an accuracy that leaves the engine's error in abs_err, not its own
-        traj = evolve_lindblad(p, kappa, frame_truncation(p, kappa, times, args.tail_tol), times)
-        n_ref = list(integrate_moments(p, times, kappa=kappa).n)
+        traj = fock.evolve_lindblad(p, kappa, fock.frame_truncation(p, kappa, times, args.tail_tol), times)
+        n_ref = list(dynamics.integrate_moments(p, times, kappa=kappa).n)
     columns, rows = traj.table()
     columns += ["n_ref", "abs_err"]
     for row, ref in zip(rows, n_ref):
@@ -182,7 +158,7 @@ def cmd_fock_check(args: argparse.Namespace) -> Table:
         stored = p.omega_b * final.mean_population()
         if stored == 0.0:
             raise ValueError(f"zeta = {args.zeta:g} stores no energy; the ergotropy ratio is undefined")
-        ratio = ergotropy(final, p.omega_b) / stored
+        ratio = fock.ergotropy(final, p.omega_b) / stored
         columns.append("ergotropy_ratio")
         for row in rows:
             row.append(ratio)
@@ -190,16 +166,16 @@ def cmd_fock_check(args: argparse.Namespace) -> Table:
 
 
 def _sweep_row(zeta: float, tau: float, omega_b: float, alpha: float) -> list[float]:
-    p = DriveParams(omega_b=omega_b, zeta=zeta, pulse=Gaussian(tau))
-    t_p = peak_power_time(p)
+    p = dynamics.DriveParams(omega_b=omega_b, zeta=zeta, pulse=pulses.Gaussian(tau))
+    t_p = merit.peak_power_time(p)
     return [
         zeta,
-        stored_energy(p, math.inf),
-        charging_time(p, alpha).t_alpha,
+        merit.stored_energy(p, math.inf),
+        merit.charging_time(p, alpha).t_alpha,
         t_p,
-        instantaneous_power(p, t_p),
-        peak_power_estimate(p),
-        average_power_fwhm(p),
+        merit.instantaneous_power(p, t_p),
+        merit.peak_power_estimate(p),
+        merit.average_power_fwhm(p),
     ]
 
 
@@ -211,8 +187,8 @@ def cmd_sweep(args: argparse.Namespace) -> Table:
     return ["zeta", "e_max", "t_alpha", "t_p", "p_max", "p_max_estimate", "p_avg_fwhm"], rows
 
 
-def _norm_drive(zeta: float) -> DriveParams:
-    return DriveParams(omega_b=1.0, zeta=zeta, pulse=Gaussian(1.0))
+def _norm_drive(zeta: float) -> dynamics.DriveParams:
+    return dynamics.DriveParams(omega_b=1.0, zeta=zeta, pulse=pulses.Gaussian(1.0))
 
 
 def _steps(args: argparse.Namespace) -> int:
@@ -221,7 +197,7 @@ def _steps(args: argparse.Namespace) -> int:
     return args.steps
 
 
-def _legend(args: argparse.Namespace) -> tuple[list[float], list[DriveParams]]:
+def _legend(args: argparse.Namespace) -> tuple[list[float], list[dynamics.DriveParams]]:
     zetas = _float_list(args.zetas, "--zetas")
     # each series is normalized by a quantity that vanishes at zeta = 0
     for z in zetas:
@@ -232,12 +208,12 @@ def _legend(args: argparse.Namespace) -> tuple[list[float], list[DriveParams]]:
 
 def fig_2a(args: argparse.Namespace) -> Table:
     zetas, params = _legend(args)
-    e_max = [stored_energy(p, math.inf) for p in params]
-    delta = DeltaLimit()
+    e_max = [merit.stored_energy(p, math.inf) for p in params]
+    delta = pulses.DeltaLimit()
     rows = []
     for x in _linspace(-4.0, 4.0, _steps(args)):
         row = [x]
-        row.extend(stored_energy(p, x) / e for p, e in zip(params, e_max))
+        row.extend(merit.stored_energy(p, x) / e for p, e in zip(params, e_max))
         row.append(delta.area(x))
         rows.append(row)
     return ["t_over_tau"] + [f"zeta_{z:g}" for z in zetas] + ["delta_limit"], rows
@@ -246,7 +222,7 @@ def fig_2a(args: argparse.Namespace) -> Table:
 def fig_2b(args: argparse.Namespace) -> Table:
     zetas, params = _legend(args)
     rows = [
-        [a] + [charging_time(p, a).t_alpha for p in params]
+        [a] + [merit.charging_time(p, a).t_alpha for p in params]
         for a in _linspace(0.005, 0.995, _steps(args))
     ]
     return ["alpha"] + [f"zeta_{z:g}" for z in zetas], rows
@@ -261,7 +237,7 @@ def fig_3a(args: argparse.Namespace) -> Table:
     rows = []
     for x in _linspace(-4.0, 4.0, _steps(args)):
         row = [x]
-        row.extend(instantaneous_power(p, x) / (p.zeta * math.sinh(2.0 * p.zeta)) for p in params)
+        row.extend(merit.instantaneous_power(p, x) / (p.zeta * math.sinh(2.0 * p.zeta)) for p in params)
         rows.append(row)
     return ["t_over_tau"] + [f"zeta_{z:g}" for z in zetas], rows
 
@@ -270,16 +246,16 @@ def fig_3b(args: argparse.Namespace) -> Table:
     # libm's pow, not np.logspace: numpy's power is misrounded at 19
     # of the 401 default points against a decimal reference, libm at 1
     zgrid = [10.0**x for x in _linspace(-2.0, 2.0, _steps(args))]
-    weak = peak_power_delay_weak_limit()
+    weak = merit.peak_power_delay_weak_limit()
     rows = []
     for z in zgrid:
         u = 2.0 * z * z / math.pi
         rows.append(
             [
                 z,
-                peak_power_time(_norm_drive(z)),
-                math.sqrt(lambert_w0(u)),
-                math.sqrt(debruijn_w_approx(u)) if u > math.e else math.nan,
+                merit.peak_power_time(_norm_drive(z)),
+                math.sqrt(specfun.lambert_w0(u)),
+                math.sqrt(specfun.debruijn_w_approx(u)) if u > math.e else math.nan,
                 weak,
             ]
         )
@@ -290,8 +266,8 @@ def fig_3c(args: argparse.Namespace) -> Table:
     rows = []
     for z in _linspace(0.1, 8.0, _steps(args)):
         p = _norm_drive(z)
-        t_p = peak_power_time(p)
-        rows.append([z, instantaneous_power(p, t_p), peak_power_estimate(p)])
+        t_p = merit.peak_power_time(p)
+        rows.append([z, merit.instantaneous_power(p, t_p), merit.peak_power_estimate(p)])
     return ["zeta", "p_max", "p_max_estimate"], rows
 
 
@@ -305,7 +281,7 @@ def _add_drive_args(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--zeta", type=float, default=1.0, help="dimensionless drive strength")
     sp.add_argument("--tau", type=float, default=1.0, help="pulse width")
     sp.add_argument("--omega-b", type=float, default=1.0, help="battery level spacing")
-    sp.add_argument("--pulse", choices=PULSE_NAMES, default="gaussian")
+    sp.add_argument("--pulse", choices=pulses.PULSE_NAMES, default="gaussian")
 
 
 def _add_grid_args(sp: argparse.ArgumentParser, t_min: float, t_max: float, steps: int) -> None:
@@ -420,7 +396,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.config is not None:
             args = _apply_config(parser, argv, args)
-        _write_table(*args.func(args), args.out, args.format)
+        dynamics._write_table(*args.func(args), args.out, args.format)
     except Exception as exc:
         if isinstance(exc, OverflowError) and "largest double" not in str(exc):
             # libm's overflow says only "math range error"; the package's

@@ -24,9 +24,10 @@ package it starts from the vacuum at the first instant of the grid it
 is given and returns one sample per instant.
 
 The closed forms, the lossy one included, run on Python floats. numpy
-is bound lazily (:func:`_lazy`) and loads on the first numerical call,
+is bound lazily, by the package root's :func:`qbattery._lazy`, which
+binds this module the same way, and loads on the first numerical call,
 an integration or a :class:`MomentTrajectory`; scipy is imported only
-when an ODE runs (:func:`_rk45`). Importing the package therefore loads
+when an ODE runs (:func:`_rk45`). Running this module therefore loads
 neither, and neither does sizing a lossy Fock ladder.
 
 Every table the package writes, the CLI's and both trajectories'
@@ -36,7 +37,6 @@ Every table the package writes, the CLI's and both trajectories'
 from __future__ import annotations
 
 import functools
-import importlib.util
 import json
 import math
 import sys
@@ -44,6 +44,7 @@ import types
 from dataclasses import dataclass
 from pathlib import Path
 
+from . import _lazy
 from .pulses import PulseShape
 from .specfun import Accuracy
 
@@ -58,38 +59,6 @@ __all__ = [
     "integrate_moments",
     "lossy_moments",
 ]
-
-
-def _lazy(name: str) -> types.ModuleType:
-    """The module ``name``, executed on its first attribute access.
-
-    The ``importlib.util.LazyLoader`` recipe: the returned object is the
-    module registered in ``sys.modules``, so once loaded it is the very
-    module an ordinary ``import`` returns. A module that cannot be found
-    (not installed, or blocked by a ``None`` entry in ``sys.modules``)
-    raises its ``ModuleNotFoundError`` on first use rather than here.
-    """
-    module = sys.modules.get(name)
-    if module is not None:
-        return module
-    spec = importlib.util.find_spec(name)
-    if spec is None:
-        return _Unavailable(name)
-    loader = importlib.util.LazyLoader(spec.loader)
-    spec.loader = loader
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    loader.exec_module(module)
-    return module
-
-
-class _Unavailable(types.ModuleType):
-    """Stand-in for a module that cannot be imported: every attribute
-    access repeats the import, which raises."""
-
-    def __getattr__(self, attr):
-        return getattr(importlib.import_module(self.__name__), attr)
-
 
 np = _lazy("numpy")
 

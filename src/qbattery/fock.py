@@ -42,12 +42,14 @@ The lossless ladder is sized for the squeezed vacuum the pulse reaches
 thermal population on the grid (:func:`frame_truncation`), read off
 the variances of the lossy closed form (:func:`qbattery.dynamics.lossy_moments`).
 
-numpy is bound lazily, as in :mod:`qbattery.dynamics`: importing this
-module runs none of it. Both sizing rules and the lossy closed form they
-read are pure Python, and each engine checks its ladder, then its grid,
-on Python values, so sizing a ladder, and refusing a ladder or a grid,
-needs no numpy, with loss or without. It loads on the first state or
-engine call that steps; scipy loads when an engine steps.
+numpy is bound lazily, by the package root's :func:`qbattery._lazy`,
+which binds this module the same way: of the CLI's commands only
+``fock-check`` runs it, and running it runs none of numpy. Both sizing
+rules and the lossy closed form they read are pure Python, and each
+engine checks its ladder, then its grid, on Python values, so sizing a
+ladder, and refusing a ladder or a grid, needs no numpy, with loss or
+without. It loads on the first state or engine call that steps; scipy
+loads when an engine steps.
 """
 from __future__ import annotations
 
@@ -58,10 +60,10 @@ import operator
 from dataclasses import dataclass
 from pathlib import Path
 
+from . import _lazy
 from .dynamics import (
     DriveParams,
     IntegrationError,
-    _lazy,
     _lossy_terms,
     _rk45,
     _time_list,

@@ -210,13 +210,13 @@ def test_fock_check_lossy_refuses_oversized_ladder(capsys, monkeypatch):
     # zeta = 4 needs 216 frame levels, above the engine's limit: the
     # closed-form moments size the ladder, and the engine refuses it
     # before it steps and before the moment ODE runs
-    from qbattery import cli, fock
+    from qbattery import dynamics, fock
 
     def refuse_ode(*args, **kwargs):
         raise AssertionError("the moment ODE must not run")
 
     monkeypatch.setattr(fock, "_rk45", _refuse_lindblad_step)
-    monkeypatch.setattr(cli, "integrate_moments", refuse_ode)
+    monkeypatch.setattr(dynamics, "integrate_moments", refuse_ode)
     start = time.perf_counter()
     assert main(["fock-check", "--zeta", "4", "--kappa", "0.1"]) == 1
     assert time.perf_counter() - start < 1.0
@@ -294,7 +294,7 @@ def test_fock_check_sizes_the_lossy_ladder_from_the_gaussian_state(monkeypatch):
     # with loss the state is a zero-mean Gaussian, thermal in its own
     # squeezed frame: 11 / 16 / 35 frame levels at --tail-tol 1e-8,
     # against 22 / 51 / 318 in the lab frame
-    from qbattery import cli
+    from qbattery import fock
 
     dims = []
 
@@ -302,7 +302,7 @@ def test_fock_check_sizes_the_lossy_ladder_from_the_gaussian_state(monkeypatch):
         dims.append(dim)
         raise RuntimeError("sized; stop before stepping")
 
-    monkeypatch.setattr(cli, "evolve_lindblad", recording)
+    monkeypatch.setattr(fock, "evolve_lindblad", recording)
     for zeta in ("0.5", "1", "2"):
         assert main(["fock-check", "--zeta", zeta, "--kappa", "0.1"]) == 1
     assert dims == [11, 16, 35]
@@ -311,16 +311,16 @@ def test_fock_check_sizes_the_lossy_ladder_from_the_gaussian_state(monkeypatch):
 def test_fock_check_sizes_the_vector_ladder_for_the_squeeze_reached(tmp_path, monkeypatch):
     # a unit-area pulse leaves a squeezed vacuum with r = zeta; its
     # ladder at --tail-tol 1e-8 is 12 / 26 / 66 / 454 levels
-    from qbattery import cli
+    from qbattery import fock
 
     dims = []
-    real = cli.evolve_rwa
+    real = fock.evolve_rwa
 
     def recording(p, dim, times):
         dims.append(dim)
         return real(p, dim, times)
 
-    monkeypatch.setattr(cli, "evolve_rwa", recording)
+    monkeypatch.setattr(fock, "evolve_rwa", recording)
     for zeta in ("0.1", "0.5", "1", "2"):
         out = tmp_path / f"pure-{zeta}.csv"
         assert main(["fock-check", "--zeta", zeta, "--tail-tol", "1e-8", "--out", str(out)]) == 0
@@ -407,7 +407,7 @@ def test_fock_check_refuses_a_zero_fock_dim(capsys, kappa):
     # --tail-tol sizes every ladder, so a size given on the command line
     # is a usage error; the engine fock-check runs at this kappa still
     # refuses a ladder of 0 levels
-    from qbattery import cli
+    from qbattery import fock
 
     with pytest.raises(SystemExit) as exc:
         main(["fock-check", "--zeta", "1", "--kappa", kappa, "--fock-dim", "0"])
@@ -417,9 +417,9 @@ def test_fock_check_refuses_a_zero_fock_dim(capsys, kappa):
     grid = np.linspace(-6.0, 6.0, 5)
     with pytest.raises(ValueError, match="at least 6, got 0"):
         if float(kappa) == 0.0:
-            cli.evolve_rwa(p, 0, grid)
+            fock.evolve_rwa(p, 0, grid)
         else:
-            cli.evolve_lindblad(p, float(kappa), 0, grid)
+            fock.evolve_lindblad(p, float(kappa), 0, grid)
 
 
 def test_fock_check_lossy_engine(tmp_path):
@@ -466,16 +466,16 @@ def test_fock_check_lossy_columns_match_the_moment_equations(tmp_path, zeta):
 def test_fock_check_columns_are_the_trajectory_table(tmp_path, monkeypatch, engine, flags):
     # the first six columns, in CSV and in JSON, are FockTrajectory.table()
     # of the engine call the command made, bit for bit
-    from qbattery import cli
+    from qbattery import fock
 
     runs = []
-    real = getattr(cli, engine)
+    real = getattr(fock, engine)
 
     def recording(*args, **kwargs):
         runs.append(real(*args, **kwargs))
         return runs[-1]
 
-    monkeypatch.setattr(cli, engine, recording)
+    monkeypatch.setattr(fock, engine, recording)
     argv = ["fock-check", "--zeta", "0.5", "--steps", "9", *flags]
     csv_out, json_out = tmp_path / "fock.csv", tmp_path / "fock.json"
     assert main([*argv, "--out", str(csv_out)]) == 0
@@ -534,21 +534,52 @@ def test_package_exports_each_module_name_once():
     for mod in modules:
         for name in mod.__all__:
             assert getattr(qbattery, name) is getattr(mod, name), name
+    # the root resolves its exports on access; introspection still lists
+    # them, and a star import still binds each one
+    assert set(dir(qbattery)) >= set(expected)
+    namespace = {}
+    exec("from qbattery import *", namespace)
+    for name in expected:
+        assert namespace[name] is getattr(qbattery, name), name
 
 
 def test_closed_form_path_loads_no_numpy():
-    # numpy is bound lazily: the import runs none of it, and with numpy
-    # blocked every closed-form command still runs, as does fock-check's
-    # refusal of a vector ladder, or of a frame ladder sized from the
-    # closed-form lossy moments, above its level limit, which steps
-    # nothing; a run that needs numpy exits 1 naming it
+    # numpy and the package modules are bound lazily: the import runs the
+    # root and the CLI only, though it registers every module, and no
+    # closed-form command runs the Fock engines' module, which fock-check
+    # runs with all the others; an audit hook on exec records each module
+    # body that runs. With numpy blocked every closed-form command still
+    # runs, as does fock-check's refusal of a vector ladder, or of a frame
+    # ladder sized from the closed-form lossy moments, above its level
+    # limit, which steps nothing; a run that needs numpy exits 1 naming it
+    package = os.path.join(SRC, "qbattery", "")
     proc = run_python(
-        "import json, sys\n"
+        "import io, json, os, sys\n"
+        "from contextlib import redirect_stdout\n"
+        "ran = set()\n"
+        "def hook(event, args):\n"
+        f"    if event == 'exec' and args[0].co_filename.startswith({package!r}):\n"
+        "        ran.add(os.path.basename(args[0].co_filename))\n"
+        "sys.addaudithook(hook)\n"
         "import qbattery.cli\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('numpy.'))))"
+        "numpy = sorted(m for m in sys.modules if m.startswith('numpy.'))\n"
+        "registered = sorted(m for m in sys.modules if m.startswith('qbattery.'))\n"
+        "after = [sorted(ran)]\n"
+        f"for argv in {CLOSED_FORM_COMMANDS!r} + [['fock-check', '--zeta', '0.5']]:\n"
+        "    with redirect_stdout(io.StringIO()):\n"
+        "        assert qbattery.cli.main(argv) == 0, argv\n"
+        "    after.append(sorted(ran))\n"
+        "print(json.dumps([numpy, registered, after]))"
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == []
+    numpy, registered, after = json.loads(proc.stdout)
+    assert numpy == []
+    modules = ["dynamics", "fock", "merit", "pulses", "specfun"]
+    assert registered == ["qbattery.cli"] + [f"qbattery.{m}" for m in modules]
+    assert after[0] == ["__init__.py", "cli.py"]
+    for argv, ran in zip(CLOSED_FORM_COMMANDS, after[1:-1]):
+        assert "fock.py" not in ran, argv
+    assert after[-1] == sorted(["__init__.py", "cli.py"] + [f"{m}.py" for m in modules])
     proc = run_python(
         "import io, json, sys\n"
         "from contextlib import redirect_stderr, redirect_stdout\n"
