@@ -11,8 +11,12 @@ lossy), and a CLI that emits all of it as machine-readable tables.
 The five modules are bound lazily (:func:`_lazy`): importing the
 package, or ``qbattery.cli``, registers them and runs none of them. A
 module runs on its first attribute access, so a closed-form command
-never runs :mod:`qbattery.fock`. Each public name is resolved on access
-from the ``__all__`` of the module defining it.
+runs :mod:`qbattery.pulses`, :mod:`qbattery.specfun` and
+:mod:`qbattery.merit` only, never the ODE code of
+:mod:`qbattery.dynamics` or :mod:`qbattery.fock`. Each public name is
+resolved on access from the ``__all__`` of the module defining it,
+searched light modules first. The one table writer, :func:`_write_table`,
+lives here too, so that writing a table runs no module.
 """
 
 import importlib.util
@@ -53,12 +57,38 @@ class _Unavailable(types.ModuleType):
         return getattr(importlib.import_module(self.__name__), attr)
 
 
-dynamics = _lazy(f"{__name__}.dynamics")
-fock = _lazy(f"{__name__}.fock")
-merit = _lazy(f"{__name__}.merit")
+def _write_table(columns: list[str], rows, out=None, fmt: str = "csv") -> None:
+    """The one table writer: ``columns`` and ``rows`` as CSV (a header
+    line and one line per row, every value at full double precision) or,
+    with ``fmt="json"``, as compact JSON
+    ``{"columns": [...], "rows": [[...], ...]}``. The text goes to
+    stdout when ``out`` is None or the string ``"-"``, else to the file
+    ``out`` (a ``Path("-")`` is a file) with LF line ends on every
+    platform. ``json`` is imported only to write JSON."""
+    if fmt == "json":
+        import json
+
+        payload = {"columns": columns, "rows": [[float(v) for v in row] for row in rows]}
+        text = json.dumps(payload, separators=(",", ":")) + "\n"
+    else:
+        lines = [",".join(columns)]
+        lines.extend(",".join(format(float(v), ".17g") for v in row) for row in rows)
+        text = "\n".join(lines) + "\n"
+    if out is None or out == "-":
+        sys.stdout.write(text)
+    else:
+        with open(out, "w", encoding="utf-8", newline="") as f:
+            f.write(text)
+
+
+# light modules first: resolving a name of pulses, specfun or merit
+# runs neither dynamics nor fock
 pulses = _lazy(f"{__name__}.pulses")
 specfun = _lazy(f"{__name__}.specfun")
-_MODULES = (dynamics, fock, merit, pulses, specfun)
+merit = _lazy(f"{__name__}.merit")
+dynamics = _lazy(f"{__name__}.dynamics")
+fock = _lazy(f"{__name__}.fock")
+_MODULES = (pulses, specfun, merit, dynamics, fock)
 
 
 def __getattr__(name: str):

@@ -19,7 +19,7 @@ import math
 import sys
 from pathlib import Path
 
-from . import dynamics, fock, merit, pulses, specfun
+from . import _write_table, dynamics, fock, merit, pulses, specfun
 
 __all__ = ["main", "build_parser"]
 
@@ -45,9 +45,9 @@ def _config_flags(path: str) -> dict[str, str]:
     return flags
 
 
-def _drive(args: argparse.Namespace) -> dynamics.DriveParams:
+def _drive(args: argparse.Namespace) -> pulses.DriveParams:
     pulse = pulses.from_name(args.pulse, args.tau)
-    return dynamics.DriveParams(omega_b=args.omega_b, zeta=args.zeta, pulse=pulse)
+    return pulses.DriveParams(omega_b=args.omega_b, zeta=args.zeta, pulse=pulse)
 
 
 def _float_list(text: str, name: str) -> list[float]:
@@ -90,7 +90,7 @@ def _grid(args: argparse.Namespace) -> list[float]:
     return grid
 
 
-def _theta_table(p: dynamics.DriveParams, t: float, theta_steps: int) -> Table:
+def _theta_table(p: pulses.DriveParams, t: float, theta_steps: int) -> Table:
     if theta_steps < 2:
         raise ValueError("--theta-steps must be at least 2")
     rows = []
@@ -166,7 +166,7 @@ def cmd_fock_check(args: argparse.Namespace) -> Table:
 
 
 def _sweep_row(zeta: float, tau: float, omega_b: float, alpha: float) -> list[float]:
-    p = dynamics.DriveParams(omega_b=omega_b, zeta=zeta, pulse=pulses.Gaussian(tau))
+    p = pulses.DriveParams(omega_b=omega_b, zeta=zeta, pulse=pulses.Gaussian(tau))
     t_p = merit.peak_power_time(p)
     return [
         zeta,
@@ -187,8 +187,8 @@ def cmd_sweep(args: argparse.Namespace) -> Table:
     return ["zeta", "e_max", "t_alpha", "t_p", "p_max", "p_max_estimate", "p_avg_fwhm"], rows
 
 
-def _norm_drive(zeta: float) -> dynamics.DriveParams:
-    return dynamics.DriveParams(omega_b=1.0, zeta=zeta, pulse=pulses.Gaussian(1.0))
+def _norm_drive(zeta: float) -> pulses.DriveParams:
+    return pulses.DriveParams(omega_b=1.0, zeta=zeta, pulse=pulses.Gaussian(1.0))
 
 
 def _steps(args: argparse.Namespace) -> int:
@@ -197,7 +197,7 @@ def _steps(args: argparse.Namespace) -> int:
     return args.steps
 
 
-def _legend(args: argparse.Namespace) -> tuple[list[float], list[dynamics.DriveParams]]:
+def _legend(args: argparse.Namespace) -> tuple[list[float], list[pulses.DriveParams]]:
     zetas = _float_list(args.zetas, "--zetas")
     # each series is normalized by a quantity that vanishes at zeta = 0
     for z in zetas:
@@ -396,7 +396,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.config is not None:
             args = _apply_config(parser, argv, args)
-        dynamics._write_table(*args.func(args), args.out, args.format)
+        _write_table(*args.func(args), args.out, args.format)
     except Exception as exc:
         if isinstance(exc, OverflowError) and "largest double" not in str(exc):
             # libm's overflow says only "math range error"; the package's

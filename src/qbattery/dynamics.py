@@ -30,28 +30,28 @@ an integration or a :class:`MomentTrajectory`; scipy is imported only
 when an ODE runs (:func:`_rk45`). Running this module therefore loads
 neither, and neither does sizing a lossy Fock ladder.
 
-Every table the package writes, the CLI's and both trajectories'
-``write_csv``, goes through :func:`_write_table`.
+The drive, :class:`qbattery.pulses.DriveParams`, lives beside the
+shapes it validates, so the closed-form figures of merit reach it
+without running this module. Every table the package
+writes, the CLI's and both trajectories' ``write_csv``, goes through the
+package root's :func:`qbattery._write_table`.
 """
 
 from __future__ import annotations
 
 import functools
-import json
 import math
-import sys
 import types
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import _lazy
-from .pulses import PulseShape
+from . import _lazy, _write_table
+from .pulses import DriveParams
 from .specfun import Accuracy
 
 __all__ = [
     "ODE_ACCURACY",
     "VACUUM",
-    "DriveParams",
     "IntegrationError",
     "MomentState",
     "MomentTrajectory",
@@ -208,55 +208,6 @@ def _time_list(times) -> list[float]:
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("times must be strictly increasing")
     return grid
-
-
-def _write_table(columns: list[str], rows, out=None, fmt: str = "csv") -> None:
-    """The one table writer: ``columns`` and ``rows`` as CSV (a header
-    line and one line per row, every value at full double precision) or,
-    with ``fmt="json"``, as compact JSON
-    ``{"columns": [...], "rows": [[...], ...]}``. The text goes to
-    stdout when ``out`` is None or the string ``"-"``, else to the file
-    ``out`` (a ``Path("-")`` is a file) with LF line ends on every
-    platform."""
-    if fmt == "json":
-        payload = {"columns": columns, "rows": [[float(v) for v in row] for row in rows]}
-        text = json.dumps(payload, separators=(",", ":")) + "\n"
-    else:
-        lines = [",".join(columns)]
-        lines.extend(",".join(format(float(v), ".17g") for v in row) for row in rows)
-        text = "\n".join(lines) + "\n"
-    if out is None or out == "-":
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text, encoding="utf-8", newline="")
-
-
-@dataclass(frozen=True)
-class DriveParams:
-    """Physical parameters of the battery and its quadratic drive.
-
-    Parameters
-    ----------
-    omega_b : float
-        Level spacing of the battery mode, > 0.
-    zeta : float
-        Dimensionless drive strength, >= 0.
-    pulse : PulseShape
-        Envelope of the drive, on the resonant carrier cos(2 omega_b t);
-        only :func:`qbattery.fock.evolve_full` takes a detuned one.
-    """
-
-    omega_b: float
-    zeta: float
-    pulse: PulseShape
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.omega_b) and self.omega_b > 0.0):
-            raise ValueError(f"omega_b must be positive and finite, got {self.omega_b!r}")
-        if not (math.isfinite(self.zeta) and self.zeta >= 0.0):
-            raise ValueError(f"zeta must be nonnegative and finite, got {self.zeta!r}")
-        if not isinstance(self.pulse, PulseShape):
-            raise TypeError(f"pulse must be a PulseShape, got {type(self.pulse).__name__}")
 
 
 @dataclass(frozen=True)

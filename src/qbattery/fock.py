@@ -60,16 +60,10 @@ import operator
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import _lazy
-from .dynamics import (
-    DriveParams,
-    IntegrationError,
-    _lossy_terms,
-    _rk45,
-    _time_list,
-    _write_table,
-)
+from . import _lazy, _write_table
+from .dynamics import IntegrationError, _lossy_terms, _rk45, _time_list
 from .merit import QuadratureReport
+from .pulses import DriveParams
 from .specfun import Accuracy
 
 __all__ = [
@@ -177,12 +171,6 @@ class FockVector:
     @property
     def norm_error(self) -> float:
         return float(np.sum(np.abs(self.amp) ** 2) - 1.0)
-
-    def tail_mass(self) -> float:
-        return float(np.sum(np.abs(self.amp[-_TAIL_LEVELS:]) ** 2))
-
-    def odd_mass(self) -> float:
-        return float(np.sum(np.abs(self.amp[1::2]) ** 2))
 
     def mean_population(self) -> float:
         return float(np.arange(self.dim) @ (np.abs(self.amp) ** 2))

@@ -15,8 +15,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 
-from .dynamics import DriveParams
-from .pulses import Gaussian, UnsupportedPulseError
+from .pulses import DriveParams, Gaussian, UnsupportedPulseError
 from .specfun import _newton, arcsinh, erf, erfinv, lambert_w0
 
 __all__ = [

@@ -4,7 +4,9 @@ The charging dynamics depend on an envelope only through its cumulative
 area A(t), so every shape carries a closed form for both the pointwise
 value and the area; the latter is what feeds the exact energy formula.
 Shapes are immutable dataclasses, and :func:`from_name` maps the
-command-line spellings onto constructors.
+command-line spellings onto constructors. :class:`DriveParams` pairs a
+shape with the battery's level spacing and the drive strength, and is
+what every figure of merit and every engine takes.
 
 The contract lives in two base classes, so a shape states only its two
 formulas, ``_value(t)`` and ``_area(t)``, on a finite float t:
@@ -45,6 +47,7 @@ __all__ = [
     "PULSE_NAMES",
     "Algebraic",
     "DeltaLimit",
+    "DriveParams",
     "Gaussian",
     "Lorentzian",
     "PoschlTeller",
@@ -195,6 +198,34 @@ class DeltaLimit(PulseShape):
         if t > 0.0:
             return 1.0
         return 0.5
+
+
+@dataclass(frozen=True)
+class DriveParams:
+    """Physical parameters of the battery and its quadratic drive.
+
+    Parameters
+    ----------
+    omega_b : float
+        Level spacing of the battery mode, > 0.
+    zeta : float
+        Dimensionless drive strength, >= 0.
+    pulse : PulseShape
+        Envelope of the drive, on the resonant carrier cos(2 omega_b t);
+        only :func:`qbattery.fock.evolve_full` takes a detuned one.
+    """
+
+    omega_b: float
+    zeta: float
+    pulse: PulseShape
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.omega_b) and self.omega_b > 0.0):
+            raise ValueError(f"omega_b must be positive and finite, got {self.omega_b!r}")
+        if not (math.isfinite(self.zeta) and self.zeta >= 0.0):
+            raise ValueError(f"zeta must be nonnegative and finite, got {self.zeta!r}")
+        if not isinstance(self.pulse, PulseShape):
+            raise TypeError(f"pulse must be a PulseShape, got {type(self.pulse).__name__}")
 
 
 _FINITE_SHAPES = {

@@ -527,7 +527,7 @@ def test_package_exports_each_module_name_once():
     import qbattery
     from qbattery import dynamics, fock, merit, pulses, specfun
 
-    modules = (dynamics, fock, merit, pulses, specfun)
+    modules = (pulses, specfun, merit, dynamics, fock)
     expected = [name for mod in modules for name in mod.__all__] + ["__version__"]
     assert qbattery.__all__ == expected
     assert len(set(expected)) == len(expected)
@@ -546,15 +546,17 @@ def test_package_exports_each_module_name_once():
 def test_closed_form_path_loads_no_numpy():
     # numpy and the package modules are bound lazily: the import runs the
     # root and the CLI only, though it registers every module, and no
-    # closed-form command runs the Fock engines' module, which fock-check
-    # runs with all the others; an audit hook on exec records each module
-    # body that runs. With numpy blocked every closed-form command still
-    # runs, as does fock-check's refusal of a vector ladder, or of a frame
-    # ladder sized from the closed-form lossy moments, above its level
-    # limit, which steps nothing; a run that needs numpy exits 1 naming it
+    # closed-form command, nor resolving a figure of merit on the root,
+    # runs the ODE modules, dynamics and fock, which fock-check runs with
+    # all the others; an audit hook on exec records each module body that
+    # runs. A CSV table loads no json; a JSON one does. With numpy blocked
+    # every closed-form command still runs, as does fock-check's refusal
+    # of a vector ladder, or of a frame ladder sized from the closed-form
+    # lossy moments, above its level limit, which steps nothing; a run
+    # that needs numpy exits 1 naming it
     package = os.path.join(SRC, "qbattery", "")
     proc = run_python(
-        "import io, json, os, sys\n"
+        "import io, os, sys\n"
         "from contextlib import redirect_stdout\n"
         "ran = set()\n"
         "def hook(event, args):\n"
@@ -564,22 +566,34 @@ def test_closed_form_path_loads_no_numpy():
         "import qbattery.cli\n"
         "numpy = sorted(m for m in sys.modules if m.startswith('numpy.'))\n"
         "registered = sorted(m for m in sys.modules if m.startswith('qbattery.'))\n"
-        "after = [sorted(ran)]\n"
-        f"for argv in {CLOSED_FORM_COMMANDS!r} + [['fock-check', '--zeta', '0.5']]:\n"
+        "after, json_loaded = [sorted(ran)], ['json' in sys.modules]\n"
+        f"for argv in {CLOSED_FORM_COMMANDS!r} + [['fig', '3b', '--format', 'json']]:\n"
         "    with redirect_stdout(io.StringIO()):\n"
         "        assert qbattery.cli.main(argv) == 0, argv\n"
         "    after.append(sorted(ran))\n"
-        "print(json.dumps([numpy, registered, after]))"
+        "    json_loaded.append('json' in sys.modules)\n"
+        "qbattery.stored_energy\n"
+        "after.append(sorted(ran))\n"
+        "with redirect_stdout(io.StringIO()):\n"
+        "    assert qbattery.cli.main(['fock-check', '--zeta', '0.5']) == 0\n"
+        "after.append(sorted(ran))\n"
+        "import json\n"
+        "print(json.dumps([numpy, registered, after, json_loaded]))"
     )
     assert proc.returncode == 0, proc.stderr
-    numpy, registered, after = json.loads(proc.stdout)
+    numpy, registered, after, json_loaded = json.loads(proc.stdout)
     assert numpy == []
     modules = ["dynamics", "fock", "merit", "pulses", "specfun"]
     assert registered == ["qbattery.cli"] + [f"qbattery.{m}" for m in modules]
     assert after[0] == ["__init__.py", "cli.py"]
-    for argv, ran in zip(CLOSED_FORM_COMMANDS, after[1:-1]):
-        assert "fock.py" not in ran, argv
+    # every closed-form command, the JSON one, and then resolving a
+    # figure of merit on the root
+    for argv, ran in zip(CLOSED_FORM_COMMANDS + [["fig", "3b", "--format", "json"], ["stored_energy"]], after[1:-1]):
+        assert "dynamics.py" not in ran and "fock.py" not in ran, argv
     assert after[-1] == sorted(["__init__.py", "cli.py"] + [f"{m}.py" for m in modules])
+    # json is absent after the import, the CSV commands leave it so, and
+    # the JSON command imports it
+    assert json_loaded == [False] * (len(CLOSED_FORM_COMMANDS) + 1) + [True]
     proc = run_python(
         "import io, json, sys\n"
         "from contextlib import redirect_stderr, redirect_stdout\n"

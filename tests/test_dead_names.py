@@ -57,8 +57,9 @@ def _reads(tree):
             own.add(node.id)
         elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
             foreign.add((node.value.id, node.attr))
-        elif isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
-            foreign.update((node.module, a.name) for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 1:
+            # ``from . import x`` reads x from the package root
+            foreign.update((node.module or "__init__", a.name) for a in node.names)
     return own, foreign
 
 

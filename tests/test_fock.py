@@ -60,8 +60,6 @@ class TestStateContainers:
             FockVector(np.array([math.nan, 0.0], dtype=complex))
         vec = FockVector(np.array([1.0] + [0.0] * 7, dtype=complex))
         assert vec.dim == 8
-        assert vec.tail_mass() == 0.0
-        assert vec.odd_mass() == 0.0
         assert vec.mean_population() == 0.0
 
     def test_vector_owns_a_read_only_copy(self):
