@@ -42,12 +42,11 @@ from __future__ import annotations
 import functools
 import math
 import types
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import _lazy, _write_table
 from .pulses import DriveParams
-from .specfun import Accuracy
+from .specfun import Accuracy, _Value
 
 __all__ = [
     "ODE_ACCURACY",
@@ -210,8 +209,7 @@ def _time_list(times) -> list[float]:
     return grid
 
 
-@dataclass(frozen=True)
-class MomentState:
+class MomentState(_Value):
     """Second moments at one instant: n = <b†b>, s = <bb> (rotating frame).
 
     Physical states reached from the vacuum satisfy n >= 0,
@@ -231,8 +229,7 @@ class MomentState:
 VACUUM = MomentState(0.0, 0j)
 
 
-@dataclass(frozen=True)
-class MomentTrajectory:
+class MomentTrajectory(_Value):
     """Sampled moment evolution over strictly increasing times."""
 
     times: np.ndarray

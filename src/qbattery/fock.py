@@ -57,14 +57,13 @@ import cmath
 import functools
 import math
 import operator
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import _lazy, _write_table
 from .dynamics import IntegrationError, _lossy_terms, _rk45, _time_list
 from .merit import QuadratureReport
 from .pulses import DriveParams
-from .specfun import Accuracy
+from .specfun import Accuracy, _Value
 
 __all__ = [
     "FOCK_ACCURACY",
@@ -147,8 +146,7 @@ class TruncationError(RuntimeError):
     """The state leaked into the top ladder levels; enlarge the space."""
 
 
-@dataclass(frozen=True)
-class FockVector:
+class FockVector(_Value):
     """Pure state on the truncated ladder |0> .. |dim-1>; ``amp`` is a
     read-only copy of the amplitudes it was given."""
 
@@ -179,8 +177,7 @@ class FockVector:
         return FockDensity(np.outer(self.amp, np.conj(self.amp)))
 
 
-@dataclass(frozen=True)
-class FockDensity:
+class FockDensity(_Value):
     """Density matrix on the truncated ladder (Hermitian, unit trace).
 
     ``matrix`` is written in the squeezed frame of angle ``theta``: it is
@@ -312,8 +309,7 @@ def _pair_coeffs(dim: int) -> np.ndarray:
     return np.sqrt((n + 1.0) * (n + 2.0))
 
 
-@dataclass(frozen=True)
-class FockTrajectory:
+class FockTrajectory(_Value):
     """Expectation values sampled along a Fock-space evolution.
 
     ``s`` is the rotating-frame pair correlator <bb>; ``var_x_min`` is

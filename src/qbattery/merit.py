@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
 
 from .pulses import DriveParams, Gaussian, UnsupportedPulseError
-from .specfun import _newton, arcsinh, erf, erfinv, lambert_w0
+from .specfun import _newton, _Value, arcsinh, erf, erfinv, lambert_w0
 
 __all__ = [
     "ChargingReport",
@@ -42,8 +41,7 @@ _FWHM_HALF = math.sqrt(2.0 * math.log(2.0))
 _ZETA_MAX = math.sqrt(sys.float_info.max / 2.0)
 
 
-@dataclass(frozen=True)
-class QuadratureReport:
+class QuadratureReport(_Value, derived=("std_product",)):
     """Variances of the twisted quadratures X_theta, P_theta at one instant.
 
     ``std_product`` = sigma_X sigma_P is derived, not passed: the square
@@ -54,7 +52,7 @@ class QuadratureReport:
     theta: float
     var_x: float
     var_p: float
-    std_product: float = field(init=False)
+    std_product: float
 
     def __post_init__(self) -> None:
         if not (self.var_x > 0.0 and self.var_p > 0.0):
@@ -73,8 +71,7 @@ class QuadratureReport:
             )
 
 
-@dataclass(frozen=True)
-class ChargingReport:
+class ChargingReport(_Value):
     """Time at which the stored energy reaches the fraction ``alpha`` of
     its asymptotic maximum ``e_max`` = omega_b sinh^2(zeta)."""
 

@@ -3,7 +3,7 @@
 The charging dynamics depend on an envelope only through its cumulative
 area A(t), so every shape carries a closed form for both the pointwise
 value and the area; the latter is what feeds the exact energy formula.
-Shapes are immutable dataclasses, and :func:`from_name` maps the
+Shapes are immutable value objects, and :func:`from_name` maps the
 command-line spellings onto constructors. :class:`DriveParams` pairs a
 shape with the battery's level spacing and the drive strength, and is
 what every figure of merit and every engine takes.
@@ -15,7 +15,8 @@ formulas, ``_value(t)`` and ``_area(t)``, on a finite float t:
   non-finite t; ``area`` refuses NaN and maps the -inf/+inf sentinels
   to 0/1 before the formula sees t.
 * Every finite shape inherits its one field, the width ``tau``, and the
-  single check on it, from one frozen-dataclass base.
+  single check on it, from one frozen base. :class:`DriveParams` runs
+  the same check, ``_real``, on its two numbers.
 * :class:`DeltaLimit` has no width: reading its ``tau`` raises
   :class:`UnsupportedPulseError`. The steppers that step in time read
   the width of the pulse they step, so each refuses the delta limit
@@ -39,9 +40,8 @@ name                    f(t)                                       A(t)
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .specfun import _require_finite, erf
+from .specfun import _require_finite, _Value, erf
 
 __all__ = [
     "PULSE_NAMES",
@@ -62,6 +62,17 @@ _SQRT2 = math.sqrt(2.0)
 
 class UnsupportedPulseError(ValueError):
     """Raised when an operation is undefined for the given pulse shape."""
+
+
+def _real(x: object) -> float:
+    """``x`` as a float if it is a finite real number and not a bool, else NaN,
+    which fails every comparison a caller bounds it by."""
+    try:  # math takes what converts to a real number, numpy scalars included
+        if not isinstance(x, bool) and math.isfinite(x):
+            return float(x)
+    except (TypeError, OverflowError):
+        pass
+    return math.nan
 
 
 class PulseShape:
@@ -87,21 +98,16 @@ class PulseShape:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
-class _FinitePulse(PulseShape):
+class _FinitePulse(PulseShape, _Value):
     """A shape of width ``tau``: a positive finite real, not a bool, stored as a float."""
 
     tau: float
 
     def __post_init__(self) -> None:
-        tau = self.tau
-        try:  # math takes what converts to a real number, numpy scalars included
-            ok = not isinstance(tau, bool) and math.isfinite(tau) and tau > 0.0
-        except TypeError:
-            ok = False
-        if not ok:
-            raise ValueError(f"tau must be a positive finite number, got {tau!r}")
-        object.__setattr__(self, "tau", float(tau))
+        tau = _real(self.tau)
+        if not tau > 0.0:
+            raise ValueError(f"tau must be a positive finite number, got {self.tau!r}")
+        object.__setattr__(self, "tau", tau)
 
 
 class Gaussian(_FinitePulse):
@@ -167,8 +173,7 @@ class Algebraic(_FinitePulse):
         return 0.5 * (1.0 + z / math.hypot(1.0, z))
 
 
-@dataclass(frozen=True)
-class DeltaLimit(PulseShape):
+class DeltaLimit(PulseShape, _Value):
     """Dirac-delta (tau -> 0) limit of the Gaussian envelope.
 
     Only the cumulative area survives the limit: a unit step with the
@@ -200,8 +205,7 @@ class DeltaLimit(PulseShape):
         return 0.5
 
 
-@dataclass(frozen=True)
-class DriveParams:
+class DriveParams(_Value):
     """Physical parameters of the battery and its quadratic drive.
 
     Parameters
@@ -220,10 +224,13 @@ class DriveParams:
     pulse: PulseShape
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.omega_b) and self.omega_b > 0.0):
+        omega_b, zeta = _real(self.omega_b), _real(self.zeta)
+        if not omega_b > 0.0:
             raise ValueError(f"omega_b must be positive and finite, got {self.omega_b!r}")
-        if not (math.isfinite(self.zeta) and self.zeta >= 0.0):
+        if not zeta >= 0.0:
             raise ValueError(f"zeta must be nonnegative and finite, got {self.zeta!r}")
+        object.__setattr__(self, "omega_b", omega_b)
+        object.__setattr__(self, "zeta", zeta)
         if not isinstance(self.pulse, PulseShape):
             raise TypeError(f"pulse must be a PulseShape, got {type(self.pulse).__name__}")
 

@@ -9,13 +9,13 @@ function takes one.
 Every closed-form root (:func:`erfinv`, :func:`lambert_w0` and the
 peak-power delay) is found by one safeguarded Newton iteration,
 ``_newton``, so the closed-form figures of merit need nothing beyond the
-standard library.
+standard library. Every value type of the package, ``Accuracy`` first,
+derives from one frozen base here, ``_Value``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 __all__ = [
     "Accuracy",
@@ -27,8 +27,72 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Accuracy:
+class _Value:
+    """Base of the package's immutable value types.
+
+    A subclass declares its fields as annotations, in order, a default
+    as a class attribute, and in the class keyword ``derived`` the
+    fields its ``__post_init__`` sets instead of the caller. Instances
+    take the other fields by position or keyword, then run
+    ``__post_init__``, which may normalize a field with
+    ``object.__setattr__``. They compare equal only to the same class,
+    field by field, hash the fields, print as ``Name(field=value, ...)``,
+    refuse assignment and deletion, and pickle and copy by their
+    ``__dict__``, which also holds any ``functools.cached_property``.
+    """
+
+    _fields: tuple[str, ...] = ()
+    _params: tuple[str, ...] = ()
+    _defaults: dict[str, object] = {}
+
+    def __init_subclass__(cls, derived: tuple[str, ...] = (), **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        own = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._fields += own
+        cls._params += tuple(name for name in own if name not in derived)
+        cls._defaults = {**cls._defaults, **{n: cls.__dict__[n] for n in own if n in cls.__dict__}}
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        name, params = type(self).__name__, self._params
+        if len(args) > len(params):
+            raise TypeError(f"{name}() takes {len(params)} arguments but {len(args)} were given")
+        values = dict(zip(params, args))
+        for key, value in kwargs.items():
+            if key not in params or key in values:
+                raise TypeError(f"{name}() got an unexpected or repeated argument {key!r}")
+            values[key] = value
+        for key in params:
+            if key not in values and key not in self._defaults:
+                raise TypeError(f"{name}() missing required argument {key!r}")
+            self.__dict__[key] = values[key] if key in values else self._defaults[key]
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        pass
+
+    def _values(self) -> tuple:
+        return tuple(self.__dict__[name] for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={self.__dict__[name]!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Accuracy(_Value):
     """Absolute / relative tolerance pair for numerical routines."""
 
     abs_tol: float

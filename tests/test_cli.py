@@ -549,7 +549,10 @@ def test_closed_form_path_loads_no_numpy():
     # closed-form command, nor resolving a figure of merit on the root,
     # runs the ODE modules, dynamics and fock, which fock-check runs with
     # all the others; an audit hook on exec records each module body that
-    # runs. A CSV table loads no json; a JSON one does. With numpy blocked
+    # runs. A CSV table loads no json; a JSON one does. No closed-form
+    # command, nor fock-check's refusal of a vector ladder above its
+    # level limit, which runs dynamics and fock but steps nothing, loads
+    # dataclasses or inspect. With numpy blocked
     # every closed-form command still runs, as does fock-check's refusal
     # of a vector ladder, or of a frame ladder sized from the closed-form
     # lossy moments, above its level limit, which steps nothing; a run
@@ -557,7 +560,7 @@ def test_closed_form_path_loads_no_numpy():
     package = os.path.join(SRC, "qbattery", "")
     proc = run_python(
         "import io, os, sys\n"
-        "from contextlib import redirect_stdout\n"
+        "from contextlib import redirect_stderr, redirect_stdout\n"
         "ran = set()\n"
         "def hook(event, args):\n"
         f"    if event == 'exec' and args[0].co_filename.startswith({package!r}):\n"
@@ -567,21 +570,26 @@ def test_closed_form_path_loads_no_numpy():
         "numpy = sorted(m for m in sys.modules if m.startswith('numpy.'))\n"
         "registered = sorted(m for m in sys.modules if m.startswith('qbattery.'))\n"
         "after, json_loaded = [sorted(ran)], ['json' in sys.modules]\n"
+        "heavy = []\n"
         f"for argv in {CLOSED_FORM_COMMANDS!r} + [['fig', '3b', '--format', 'json']]:\n"
         "    with redirect_stdout(io.StringIO()):\n"
         "        assert qbattery.cli.main(argv) == 0, argv\n"
         "    after.append(sorted(ran))\n"
         "    json_loaded.append('json' in sys.modules)\n"
+        "    heavy.append([m for m in ('dataclasses', 'inspect') if m in sys.modules])\n"
         "qbattery.stored_energy\n"
         "after.append(sorted(ran))\n"
+        "with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):\n"
+        "    assert qbattery.cli.main(['fock-check', '--zeta', '4']) == 1\n"
+        "heavy.append([m for m in ('dataclasses', 'inspect') if m in sys.modules])\n"
         "with redirect_stdout(io.StringIO()):\n"
         "    assert qbattery.cli.main(['fock-check', '--zeta', '0.5']) == 0\n"
         "after.append(sorted(ran))\n"
         "import json\n"
-        "print(json.dumps([numpy, registered, after, json_loaded]))"
+        "print(json.dumps([numpy, registered, after, json_loaded, heavy]))"
     )
     assert proc.returncode == 0, proc.stderr
-    numpy, registered, after, json_loaded = json.loads(proc.stdout)
+    numpy, registered, after, json_loaded, heavy = json.loads(proc.stdout)
     assert numpy == []
     modules = ["dynamics", "fock", "merit", "pulses", "specfun"]
     assert registered == ["qbattery.cli"] + [f"qbattery.{m}" for m in modules]
@@ -594,6 +602,8 @@ def test_closed_form_path_loads_no_numpy():
     # json is absent after the import, the CSV commands leave it so, and
     # the JSON command imports it
     assert json_loaded == [False] * (len(CLOSED_FORM_COMMANDS) + 1) + [True]
+    # every closed-form command, the JSON one, and the refused fock-check
+    assert heavy == [[]] * (len(CLOSED_FORM_COMMANDS) + 2)
     proc = run_python(
         "import io, json, sys\n"
         "from contextlib import redirect_stderr, redirect_stdout\n"

@@ -68,15 +68,27 @@ class TestDriveParams:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            dict(omega_b=0.0, zeta=1.0),
-            dict(omega_b=-2.0, zeta=1.0),
-            dict(omega_b=1.0, zeta=-0.5),
-            dict(omega_b=1.0, zeta=math.nan),
+            dict(omega_b=0.0),
+            dict(omega_b=-2.0),
+            dict(zeta=-0.5),
+            dict(zeta=math.nan),
+            # a bool is not a number, and a string is refused by name
+            dict(omega_b=True),
+            dict(zeta=True),
+            dict(zeta="1"),
         ],
     )
     def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
-            DriveParams(pulse=Gaussian(1.0), **kwargs)
+        # each case spoils one number of a valid drive, and the error names it
+        (field,) = kwargs
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            DriveParams(pulse=Gaussian(1.0), **{"omega_b": 1.0, "zeta": 1.0, **kwargs})
+
+    def test_numbers_are_stored_as_floats(self):
+        # as Gaussian stores its tau: a numpy scalar or an int prints as a float
+        p = DriveParams(omega_b=2, zeta=np.float64(2.0), pulse=Gaussian(1.0))
+        assert type(p.omega_b) is float and type(p.zeta) is float
+        assert repr(p) == "DriveParams(omega_b=2.0, zeta=2.0, pulse=Gaussian(tau=1.0))"
 
 
 class TestMomentRhs:
