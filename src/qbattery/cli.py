@@ -77,11 +77,10 @@ def _linspace(start: float, stop: float, num: int, endpoint: bool = True) -> lis
 
 
 def _grid(args: argparse.Namespace) -> list[float]:
-    if args.steps < 2:
-        raise ValueError("the time grid needs at least 2 points")
+    steps = _steps(args)
     if not args.t_min < args.t_max:
         raise ValueError("need t_min < t_max")
-    grid = _linspace(args.t_min * args.tau, args.t_max * args.tau, args.steps)
+    grid = _linspace(args.t_min * args.tau, args.t_max * args.tau, steps)
     if not all(math.isfinite(t) for t in grid):
         raise ValueError(
             f"--t-min {args.t_min:g} and --t-max {args.t_max:g} (units of tau = "

@@ -46,7 +46,7 @@ from pathlib import Path
 
 from . import _lazy, _write_table
 from .pulses import DriveParams
-from .specfun import Accuracy, _Value
+from .specfun import Accuracy, _number, _Value
 
 __all__ = [
     "ODE_ACCURACY",
@@ -197,13 +197,12 @@ def _time_list(times) -> list[float]:
     finite, strictly increasing 1-D grid of at least one instant. The
     one grid check; pure Python, so a refused grid loads no numpy."""
     try:
-        grid = [float(t) for t in times] if getattr(times, "ndim", 1) == 1 else []
-    except TypeError:  # a scalar, or a nested sequence
+        grid = list(times) if getattr(times, "ndim", 1) == 1 else []
+    except TypeError:  # a scalar
         grid = []
-    if not grid:
+    if not grid or any(isinstance(t, (list, tuple)) or getattr(t, "ndim", 0) for t in grid):
         raise ValueError("times must be a 1-D grid with at least 1 point")
-    if not all(map(math.isfinite, grid)):
-        raise ValueError("times must be finite")
+    grid = [_number("times", t) for t in grid]
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("times must be strictly increasing")
     return grid
@@ -285,8 +284,7 @@ def integrate_moments(p: DriveParams, times, *, kappa: float = 0.0) -> MomentTra
     IntegrationError
         If the adaptive solver gives up (e.g. step-size underflow).
     """
-    if not (math.isfinite(kappa) and kappa >= 0.0):
-        raise ValueError(f"kappa must be nonnegative and finite, got {kappa!r}")
+    kappa = _number("kappa", kappa, "nonnegative")
     times = np.array(_time_list(times))
 
     zeta = p.zeta
@@ -377,8 +375,7 @@ def lossy_moments(p: DriveParams, kappa: float, times) -> list[MomentState]:
 def _lossy_terms(p: DriveParams, kappa: float, times):
     """x = zeta (A(t) - A(t0)), kappa (t - t0), I+ and I- at each of ``times``
     after the first: the terms and the refusals of :func:`lossy_moments`."""
-    if not (math.isfinite(kappa) and kappa >= 0.0):
-        raise ValueError(f"kappa must be nonnegative and finite, got {kappa!r}")
+    kappa = _number("kappa", kappa, "nonnegative")
     times = _time_list(times)
     tau = p.pulse.tau
     area = p.pulse.area

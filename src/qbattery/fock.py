@@ -63,7 +63,7 @@ from . import _lazy, _write_table
 from .dynamics import IntegrationError, _lossy_terms, _rk45, _time_list
 from .merit import QuadratureReport
 from .pulses import DriveParams
-from .specfun import Accuracy, _Value
+from .specfun import Accuracy, _number, _Value
 
 __all__ = [
     "FOCK_ACCURACY",
@@ -196,9 +196,7 @@ class FockDensity(_Value):
     theta: float = 0.0
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.theta):
-            raise ValueError(f"theta must be finite, got {self.theta!r}")
-        object.__setattr__(self, "theta", float(self.theta))
+        object.__setattr__(self, "theta", _number("theta", self.theta))
         m = np.array(self.matrix, dtype=complex, order="C")
         m.flags.writeable = False
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
@@ -282,8 +280,7 @@ def choose_truncation(r: float, tail_tol: float) -> int:
     bisection over whole pairs; :class:`RuntimeError` is raised at once
     when even 2 * 10^7 + 2 levels leave ``tail_tol`` or more beyond them.
     """
-    if not (math.isfinite(r) and r >= 0.0):
-        raise ValueError(f"r must be nonnegative and finite, got {r!r}")
+    r = _number("r", r, "nonnegative")
     if not 0.0 < tail_tol < 1.0:
         raise ValueError(f"tail_tol must lie in (0, 1), got {tail_tol!r}")
     lo, hi = 0, _TRUNCATION_TERMS + 1
@@ -483,9 +480,7 @@ def evolve_full(p: DriveParams, dim: int, times, *, omega_d: float | None = None
     1.9e-8. The reported n and s live in the same rotating frame as
     :func:`evolve_rwa` and, on resonance, converge to it as omega_b tau grows.
     """
-    omega_d = float(p.omega_b) if omega_d is None else omega_d
-    if not (math.isfinite(omega_d) and omega_d > 0.0):
-        raise ValueError(f"omega_d must be positive and finite, got {omega_d!r}")
+    omega_d = _number("omega_d", p.omega_b if omega_d is None else omega_d, "positive")
     dim = _levels(dim, p.zeta)
     times = np.array(_time_list(times))
 
@@ -576,8 +571,10 @@ def evolve_lindblad(p: DriveParams, kappa: float, dim: int, times) -> FockTrajec
     grows linearly with ``kappa``, and from about 1e4 a trial stage leaves
     0 < V± < inf or overflows, which raises :class:`IntegrationError`.
     """
-    if not (math.isfinite(kappa) and kappa > 0.0):
-        raise ValueError(f"kappa must be positive and finite, got {kappa!r}; evolve_rwa steps a lossless run")
+    try:
+        kappa = _number("kappa", kappa, "positive")
+    except ValueError as err:
+        raise ValueError(f"{err}; evolve_rwa steps a lossless run") from None
     dim = _levels(dim, p.zeta, kappa)
     times = np.array(_time_list(times))
     tau = p.pulse.tau

@@ -15,7 +15,7 @@ import math
 import sys
 
 from .pulses import DriveParams, Gaussian, UnsupportedPulseError
-from .specfun import _newton, _Value, arcsinh, erf, erfinv, lambert_w0
+from .specfun import _newton, _number, _Value, arcsinh, erf, erfinv, lambert_w0
 
 __all__ = [
     "ChargingReport",
@@ -136,6 +136,7 @@ def charging_time(p: DriveParams, alpha: float) -> ChargingReport:
 
 def charging_time_small_zeta(tau: float, alpha: float) -> float:
     """Weak-drive limit of the charging time: sqrt(2) tau erfinv(2 sqrt(alpha) - 1)."""
+    tau = _number("tau", tau, "positive")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie strictly inside (0, 1), got {alpha!r}")
     return _SQRT2 * tau * erfinv(2.0 * math.sqrt(alpha) - 1.0)
@@ -146,10 +147,10 @@ def charging_time_large_zeta(tau: float, zeta: float, alpha: float) -> float:
 
     tau sqrt(ln(u / ln u)) with u = 2 zeta^2 / (pi ln^2 alpha).
     """
+    tau = _number("tau", tau, "positive")
+    zeta = _number("zeta", zeta, "positive")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie strictly inside (0, 1), got {alpha!r}")
-    if zeta <= 0.0:
-        raise ValueError(f"zeta must be positive, got {zeta!r}")
     u = 2.0 * zeta * zeta / (math.pi * math.log(alpha) ** 2)
     if u <= 1.0:
         raise ValueError(

@@ -15,8 +15,9 @@ formulas, ``_value(t)`` and ``_area(t)``, on a finite float t:
   non-finite t; ``area`` refuses NaN and maps the -inf/+inf sentinels
   to 0/1 before the formula sees t.
 * Every finite shape inherits its one field, the width ``tau``, and the
-  single check on it, from one frozen base. :class:`DriveParams` runs
-  the same check, ``_real``, on its two numbers.
+  check on it from one frozen base. That check, on ``t`` and on
+  :class:`DriveParams`' two numbers too, is the package's one check of
+  a number, ``specfun._number``.
 * :class:`DeltaLimit` has no width: reading its ``tau`` raises
   :class:`UnsupportedPulseError`. The steppers that step in time read
   the width of the pulse they step, so each refuses the delta limit
@@ -41,7 +42,7 @@ from __future__ import annotations
 
 import math
 
-from .specfun import _require_finite, _Value, erf
+from .specfun import _number, _Value, erf
 
 __all__ = [
     "PULSE_NAMES",
@@ -64,32 +65,20 @@ class UnsupportedPulseError(ValueError):
     """Raised when an operation is undefined for the given pulse shape."""
 
 
-def _real(x: object) -> float:
-    """``x`` as a float if it is a finite real number and not a bool, else NaN,
-    which fails every comparison a caller bounds it by."""
-    try:  # math takes what converts to a real number, numpy scalars included
-        if not isinstance(x, bool) and math.isfinite(x):
-            return float(x)
-    except (TypeError, OverflowError):
-        pass
-    return math.nan
-
-
 class PulseShape:
     """Base class for drive envelopes; the module docstring states the contract."""
 
     def value(self, t: float) -> float:
         """Envelope value f(t), in units of inverse time."""
-        return self._value(_require_finite("t", t))
+        return self._value(_number("t", t))
 
     def area(self, t: float) -> float:
         """Cumulative area A(t) in [0, 1]; accepts +-inf sentinels."""
-        t = float(t)
-        if math.isnan(t):
+        if t != t:  # NaN, the one value unequal to itself
             raise ValueError("t must not be NaN")
-        if math.isinf(t):
+        if t == math.inf or t == -math.inf:
             return 0.0 if t < 0.0 else 1.0
-        return self._area(t)
+        return self._area(_number("t", t))
 
     def _value(self, t: float) -> float:
         raise NotImplementedError
@@ -104,10 +93,7 @@ class _FinitePulse(PulseShape, _Value):
     tau: float
 
     def __post_init__(self) -> None:
-        tau = _real(self.tau)
-        if not tau > 0.0:
-            raise ValueError(f"tau must be a positive finite number, got {self.tau!r}")
-        object.__setattr__(self, "tau", tau)
+        object.__setattr__(self, "tau", _number("tau", self.tau, "positive"))
 
 
 class Gaussian(_FinitePulse):
@@ -224,13 +210,8 @@ class DriveParams(_Value):
     pulse: PulseShape
 
     def __post_init__(self) -> None:
-        omega_b, zeta = _real(self.omega_b), _real(self.zeta)
-        if not omega_b > 0.0:
-            raise ValueError(f"omega_b must be positive and finite, got {self.omega_b!r}")
-        if not zeta >= 0.0:
-            raise ValueError(f"zeta must be nonnegative and finite, got {self.zeta!r}")
-        object.__setattr__(self, "omega_b", omega_b)
-        object.__setattr__(self, "zeta", zeta)
+        object.__setattr__(self, "omega_b", _number("omega_b", self.omega_b, "positive"))
+        object.__setattr__(self, "zeta", _number("zeta", self.zeta, "nonnegative"))
         if not isinstance(self.pulse, PulseShape):
             raise TypeError(f"pulse must be a PulseShape, got {type(self.pulse).__name__}")
 

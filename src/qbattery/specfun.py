@@ -2,6 +2,9 @@
 
 Everything in this module is pure and stateless: plain floats in, plain
 floats out, ``ValueError`` on arguments outside the stated domain. The
+one check of what counts as a number lives here, in ``_number``: every
+module routes each number it takes through it, so a bool, a str or a
+non-finite value is refused by a ``ValueError`` that names it. The
 :class:`Accuracy` pair carries tolerance targets; each integrating
 module fixes its own pair as a constant (``dynamics.ODE_ACCURACY``,
 ``fock.FOCK_ACCURACY``, ``fock.LINDBLAD_ACCURACY``), and no public
@@ -105,11 +108,20 @@ class Accuracy(_Value):
             )
 
 
-def _require_finite(name: str, x: float) -> float:
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValueError(f"{name} must be finite, got {x!r}")
-    return x
+def _number(name: str, x: object, sign: str = "") -> float:
+    """``x`` as a float if it is a finite real number, not a bool or a str,
+    and, where ``sign`` is "positive" or "nonnegative", of that sign.
+    Otherwise ``ValueError``: "<name> must be [<sign> and ]finite, got <x!r>".
+    The one check of every number the package takes."""
+    try:  # math takes a real number, numpy scalars included, but not a str
+        if type(x) is not bool and math.isfinite(x):
+            y = float(x)
+            if y > 0.0 or not sign or (y == 0.0 and sign == "nonnegative"):
+                return y
+    except (TypeError, OverflowError):
+        pass
+    rule = f"{sign} and finite" if sign else "finite"
+    raise ValueError(f"{name} must be {rule}, got {x!r}")
 
 
 # Step cap of the root iteration; every caller converges in a handful.
@@ -156,7 +168,7 @@ def erf(x: float) -> float:
     few ulp, far inside the 1e-12 contract. Non-finite input is rejected
     rather than mapped to the +-1 limits.
     """
-    return math.erf(_require_finite("x", x))
+    return math.erf(_number("x", x))
 
 
 # Winitzki's global approximation constant; the seed it produces is
@@ -172,7 +184,7 @@ def erfinv(p: float) -> float:
     (``_newton``), so convergence is unconditional. The forward residual
     ``erf(erfinv(p)) - p`` stays well below 1e-10 everywhere.
     """
-    p = _require_finite("p", p)
+    p = _number("p", p)
     if not -1.0 < p < 1.0:
         raise ValueError(
             f"erfinv is defined on (-1, 1) only, got {p!r}; "
@@ -206,7 +218,7 @@ def lambert_w0(x: float) -> float:
     The residual satisfies the defining equation to a relative 1e-12
     over at least [1e-6, 1e6].
     """
-    x = _require_finite("x", x)
+    x = _number("x", x)
     if x < 0.0:
         raise ValueError(f"lambert_w0 requires x >= 0, got {x!r}")
     if x == 0.0:
@@ -229,7 +241,7 @@ def debruijn_w_approx(u: float) -> float:
     u > e, where both logarithms are positive and the expansion is
     meaningful.
     """
-    u = _require_finite("u", u)
+    u = _number("u", u)
     if u <= math.e:
         raise ValueError(f"the expansion needs u > e, got {u!r}")
     l1 = math.log(u)
@@ -239,4 +251,4 @@ def debruijn_w_approx(u: float) -> float:
 
 def arcsinh(x: float) -> float:
     """Inverse hyperbolic sine, ln(x + sqrt(x^2 + 1))."""
-    return math.asinh(_require_finite("x", x))
+    return math.asinh(_number("x", x))

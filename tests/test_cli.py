@@ -776,8 +776,9 @@ def test_config_sets_ergotropy(tmp_path, value):
 
 
 THETA_STEPS = "--theta-steps must be at least 2"
+STEPS = "--steps must be at least 2"
 LARGEST_DOUBLE = "passed the largest double (about 1.8e308)"
-BAD_TAU = "tau must be a positive finite number"
+BAD_TAU = "tau must be positive and finite"
 NO_ENERGY = "stores no energy; the ergotropy ratio is undefined"
 
 
@@ -787,6 +788,9 @@ NO_ENERGY = "stores no energy; the ergotropy ratio is undefined"
         pytest.param(["charge-time", "--alpha", "1.5"], "alpha", id="alpha"),
         pytest.param(["fig", "2c", "--theta-steps", "-1"], THETA_STEPS, id="theta-steps-negative"),
         pytest.param(["fig", "2c", "--theta-steps", "0"], THETA_STEPS, id="theta-steps-zero"),
+        # every time grid names the flag that sizes it
+        pytest.param(["energy", "--steps", "1"], STEPS, id="energy-steps-one"),
+        pytest.param(["fock-check", "--steps", "1"], STEPS, id="fock-check-steps-one"),
         pytest.param(["fig", "2a", "--zetas", "0,1"], "--zetas", id="fig-2a-zero-zeta"),
         pytest.param(["fig", "3a", "--zetas", "0,1"], "--zetas", id="fig-3a-zero-zeta"),
         pytest.param(["fock-check", "--kappa", "-0.1"], "kappa", id="kappa-negative"),

@@ -1,6 +1,6 @@
 """Every module-level name in the package is read somewhere in the package,
-every command-line flag is read by the CLI, and no public function takes
-a tolerance.
+every command-line flag is read by the CLI, no public function takes
+a tolerance, and no function but ``specfun``'s checks a number itself.
 
 A leftover import, constant, function or class that nothing reads any
 more is dead code; names a module exports through ``__all__`` are its
@@ -8,7 +8,10 @@ public interface and exempt. A flag whose value the CLI never reads is
 dead code a user can still type. Each numerical run steps at its
 module's accuracy constant, so an API caller gets what the CLI computes;
 an ``acc`` parameter on an exported function would bring a tolerance
-knob back. Beside the CLI's parser, only the standard library's ``ast``
+knob back. What counts as a number is decided once, by
+``specfun._number``; a function that converts or tests its own
+parameter with ``float()`` or ``math.isfinite()`` writes a second rule
+beside it. Beside the CLI's parser, only the standard library's ``ast``
 is used, so the checks run wherever the suite does.
 """
 
@@ -112,3 +115,36 @@ def test_every_flag_is_read_by_the_cli():
     dests = _flag_dests(build_parser())
     assert {"zeta", "tail_tol", "ergotropy", "threads", "theta_steps"} <= dests
     assert sorted(dests - read) == []
+
+
+def _is_number_check(func):
+    """``float(...)``, ``math.isfinite(...)`` or a bare ``isfinite(...)``."""
+    if isinstance(func, ast.Name):
+        return func.id in ("float", "isfinite")
+    return (
+        isinstance(func, ast.Attribute)
+        and func.attr == "isfinite"
+        and isinstance(func.value, ast.Name)
+        and func.value.id == "math"
+    )
+
+
+def test_only_specfun_checks_a_parameter_as_a_number():
+    own_checks = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "specfun":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = fn.args
+            params = {a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)}
+            own_checks.extend(
+                f"{path.stem}.{fn.name}:{node.lineno}"
+                for node in ast.walk(fn)
+                if isinstance(node, ast.Call)
+                and _is_number_check(node.func)
+                and any(isinstance(arg, ast.Name) and arg.id in params for arg in node.args)
+            )
+    assert own_checks == []

@@ -76,6 +76,8 @@ class TestDriveParams:
             dict(omega_b=True),
             dict(zeta=True),
             dict(zeta="1"),
+            dict(omega_b="0.5"),
+            dict(zeta="0.5"),
         ],
     )
     def test_validation(self, kwargs):
@@ -86,9 +88,10 @@ class TestDriveParams:
 
     def test_numbers_are_stored_as_floats(self):
         # as Gaussian stores its tau: a numpy scalar or an int prints as a float
-        p = DriveParams(omega_b=2, zeta=np.float64(2.0), pulse=Gaussian(1.0))
-        assert type(p.omega_b) is float and type(p.zeta) is float
-        assert repr(p) == "DriveParams(omega_b=2.0, zeta=2.0, pulse=Gaussian(tau=1.0))"
+        for omega_b in (2, np.int64(2)):
+            p = DriveParams(omega_b=omega_b, zeta=np.float64(2.0), pulse=Gaussian(1.0))
+            assert type(p.omega_b) is float and type(p.zeta) is float
+            assert repr(p) == "DriveParams(omega_b=2.0, zeta=2.0, pulse=Gaussian(tau=1.0))"
 
 
 class TestMomentRhs:
@@ -415,7 +418,7 @@ class TestLossyMoments:
 
     def test_refuses_what_the_ode_refuses(self):
         p = gauss_params(1.0)
-        for kappa in (-0.1, math.nan, math.inf):
+        for kappa in (-0.1, math.nan, math.inf, "0.5", True):
             for run in (
                 lambda: lossy_moments(p, kappa, CLI_GRID),
                 lambda: integrate_moments(p, CLI_GRID, kappa=kappa),
@@ -436,6 +439,9 @@ class TestLossyMoments:
             (0.0, "times must be a 1-D grid with at least 1 point"),
             ([0.0, math.nan], "times must be finite"),
             ([-math.inf, 0.0], "times must be finite"),
+            ([0.0, "0.5"], "times must be finite, got '0.5'"),
+            ([0.0, True], "times must be finite, got True"),
+            ([[0.0, 1.0]], "times must be a 1-D grid with at least 1 point"),
             ([0.0, 0.0], "times must be strictly increasing"),
             ([1.0, 0.0], "times must be strictly increasing"),
         ]
@@ -447,5 +453,11 @@ class TestLossyMoments:
                 with pytest.raises(ValueError, match=message):
                     run()
         assert lossy_moments(p, 0.1, [2.0]) == [VACUUM]
+        # a numpy scalar rate is the rate its float is
+        grid = CLI_GRID[:9]
+        for kappa in (np.float64(0.1), np.int64(1)):
+            assert lossy_moments(p, kappa, grid) == lossy_moments(p, float(kappa), grid)
+            run, ref = integrate_moments(p, grid, kappa=kappa), integrate_moments(p, grid, kappa=float(kappa))
+            assert np.array_equal(run.n, ref.n) and np.array_equal(run.s, ref.s)
         one = integrate_moments(p, [2.0], kappa=0.1)
         assert (one.times.tolist(), one.n.tolist(), one.s.tolist()) == ([2.0], [0.0], [0j])

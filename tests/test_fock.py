@@ -165,9 +165,11 @@ class TestStateContainers:
         assert squeezed.mean_population() == pytest.approx(math.sinh(r) ** 2, rel=1e-12)
         back = FockDensity(squeezed.matrix, -0.5 * r)
         assert back.mean_population() == pytest.approx(0.0, abs=1e-12)
-        for theta in (math.nan, math.inf):
-            with pytest.raises(ValueError, match="theta"):
+        for theta in (math.nan, math.inf, "0.5", True):
+            with pytest.raises(ValueError, match="^theta must be finite"):
                 FockDensity(vacuum, theta)
+        for theta in (np.float64(0.5), np.int64(1)):
+            assert type(FockDensity(vacuum, theta).theta) is float
 
     def test_vector_to_density(self):
         amp = np.zeros(6, dtype=complex)
@@ -251,8 +253,10 @@ class TestChooseTruncation:
         assert early > 0
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            choose_truncation(-2.0, 1e-8)
+        for r in (-2.0, math.nan, "0.5", True):
+            with pytest.raises(ValueError, match="^r must be nonnegative and finite"):
+                choose_truncation(r, 1e-8)
+        assert choose_truncation(np.float64(2.0), 1e-8) == choose_truncation(np.int64(2), 1e-8)
         with pytest.raises(ValueError):
             choose_truncation(2.0, 0.0)
         with pytest.raises(ValueError):
@@ -355,12 +359,15 @@ class TestFrameTruncation:
         # kappa, the grid and the pulse are refused as the closed form
         # refuses them, and tail_tol as choose_truncation refuses it
         p = gauss_params(1.0)
-        for kappa in (-0.1, math.nan, math.inf):
+        for kappa in (-0.1, math.nan, math.inf, "0.5", True):
             with pytest.raises(ValueError, match=f"kappa must be nonnegative and finite, got {kappa!r}"):
                 frame_truncation(p, kappa, GRID, 1e-8)
+        assert frame_truncation(p, np.float64(0.1), GRID, 1e-8) == frame_truncation(p, 0.1, GRID, 1e-8)
         for times, message in (
             ([], "at least 1 point"),
             ([0.0, math.nan], "times must be finite"),
+            ([0.0, "0.5"], "times must be finite"),
+            ([0.0, True], "times must be finite"),
             ([1.0, 0.0], "times must be strictly increasing"),
         ):
             with pytest.raises(ValueError, match=message):
@@ -522,10 +529,16 @@ class TestEvolveFull:
         det = evolve_full(gauss_params(0.5, omega_b=40.0), dim, grid, omega_d=44.0)
         assert det.n[-1] < 0.5 * res.n[-1]
 
-    @pytest.mark.parametrize("omega_d", [-1.0, 0.0, math.nan, math.inf])
+    @pytest.mark.parametrize("omega_d", [-1.0, 0.0, math.nan, math.inf, "0.5", True])
     def test_rejects_bad_carrier(self, omega_d):
-        with pytest.raises(ValueError, match="omega_d must be positive and finite"):
+        with pytest.raises(ValueError, match="^omega_d must be positive and finite"):
             evolve_full(gauss_params(0.5), 8, np.linspace(-8.0, 6.0, 8), omega_d=omega_d)
+
+    def test_numpy_carrier_is_its_float(self):
+        grid = np.linspace(-8.0, 6.0, 8)
+        run = evolve_full(gauss_params(0.2), 12, grid, omega_d=np.int64(2))
+        ref = evolve_full(gauss_params(0.2), 12, grid, omega_d=2.0)
+        assert np.array_equal(run.n, ref.n) and np.array_equal(run.s, ref.s)
 
 
 class TestEvolveLindblad:
@@ -762,8 +775,8 @@ class TestEvolveLindblad:
         # without loss the state is pure, the vector engine's to step;
         # kappa is refused first, before the ladder and the grid
         p = gauss_params(0.5)
-        for kappa in (-0.1, 0.0, math.nan, math.inf):
-            with pytest.raises(ValueError, match="kappa must be positive.*evolve_rwa"):
+        for kappa in (-0.1, 0.0, math.nan, math.inf, "0.5", True):
+            with pytest.raises(ValueError, match="^kappa must be positive.*evolve_rwa"):
                 evolve_lindblad(p, kappa, 0, [])
 
 

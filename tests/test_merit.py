@@ -142,6 +142,28 @@ class TestChargingTime:
                 charging_time(p, bad)
         with pytest.raises(ValueError):
             charging_time_large_zeta(1.0, 0.5, 0.5)  # inner log not positive
+        # a width or a drive they cannot use is refused by name, not
+        # returned as nan or a negative time
+        for args, name in (
+            ((math.nan, 0.5), "tau"),
+            ((-2.0, 0.5), "tau"),
+            (("1", 0.5), "tau"),
+            ((True, 0.5), "tau"),
+        ):
+            with pytest.raises(ValueError, match=f"^{name} must be"):
+                charging_time_small_zeta(*args)
+        for args, name in (
+            ((1.0, math.nan, 0.5), "zeta"),
+            ((1.0, "0.5", 0.5), "zeta"),
+            ((1.0, True, 0.5), "zeta"),
+            ((-1.0, 3.0, 0.5), "tau"),
+            (("0.5", 3.0, 0.5), "tau"),
+        ):
+            with pytest.raises(ValueError, match=f"^{name} must be"):
+                charging_time_large_zeta(*args)
+        # numpy scalars are numbers
+        assert charging_time_small_zeta(np.int64(2), 0.9) == charging_time_small_zeta(2.0, 0.9)
+        assert charging_time_large_zeta(np.float64(1.0), np.int64(20), 0.9) == charging_time_large_zeta(1.0, 20.0, 0.9)
         with pytest.raises(UnsupportedPulseError):
             charging_time(DriveParams(1.0, 1.0, Sech(1.0)), 0.5)
 

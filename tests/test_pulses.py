@@ -130,14 +130,15 @@ def test_algebraic_area_far_out():
 
 class TestConstruction:
     @pytest.mark.parametrize("cls", FINITE_SHAPES)
-    @pytest.mark.parametrize("tau", [0.0, -1.0, math.inf, math.nan, True])
+    @pytest.mark.parametrize("tau", [0.0, -1.0, math.inf, math.nan, True, "0.5"])
     def test_tau_validation(self, cls, tau):
-        with pytest.raises(ValueError, match="tau must be a positive finite number"):
+        with pytest.raises(ValueError, match="tau must be positive and finite"):
             cls(tau)
-        # a bool is refused although it is an int; any other real is a
-        # width, stored as a float
-        shape = cls(np.int64(2))
-        assert shape.tau == 2.0 and type(shape.tau) is float
+        # a bool is refused although it is an int, and a str although it
+        # parses; any other real is a width, stored as a float
+        for width in (np.int64(2), np.float64(2.0)):
+            shape = cls(width)
+            assert shape.tau == 2.0 and type(shape.tau) is float
 
     def test_from_name(self):
         assert isinstance(from_name("gaussian", 1.0), Gaussian)
@@ -162,3 +163,15 @@ class TestConstruction:
                 shape.area(math.nan)
             assert shape.area(-math.inf) == 0.0
             assert shape.area(math.inf) == 1.0
+            assert shape.area(np.float64(-math.inf)) == 0.0
+            # a str or a bool is not an instant, whatever it parses as
+            for t in ("0.5", True):
+                for method in (shape.area, shape.value):
+                    with pytest.raises(ValueError, match=f"^t must be finite, got {t!r}$"):
+                        method(t)
+            # a numpy scalar is, and gives the value its float gives
+            for t in (np.float64(0.5), np.int64(1)):
+                assert shape.area(t) == shape.area(float(t))
+                assert type(shape.area(t)) is float
+            if name != "delta":
+                assert shape.value(np.int64(1)) == shape.value(1.0)

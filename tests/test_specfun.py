@@ -13,6 +13,7 @@ from qbattery.pulses import Gaussian
 from qbattery.specfun import (
     Accuracy,
     _newton,
+    _number,
     arcsinh,
     debruijn_w_approx,
     erf,
@@ -21,6 +22,42 @@ from qbattery.specfun import (
 )
 
 from oracles import erf_series, erfinv_bisect, lambert_bisect
+
+
+class TestNumber:
+    """``_number`` is the one check of every number the package takes."""
+
+    def test_signs_and_messages(self):
+        assert _number("a", -2) == -2.0
+        assert _number("a", 0.0, "nonnegative") == 0.0
+        assert _number("a", 1e-300, "positive") == 1e-300
+        for x, sign, rule in (
+            (math.inf, "", "finite"),
+            (math.nan, "nonnegative", "nonnegative and finite"),
+            (-1, "nonnegative", "nonnegative and finite"),
+            (0.0, "positive", "positive and finite"),
+            (10**400, "positive", "positive and finite"),
+            (None, "", "finite"),
+            (1j, "", "finite"),
+            ([1.0], "", "finite"),
+            (np.array([1.0, 2.0]), "", "finite"),
+        ):
+            with pytest.raises(ValueError) as err:
+                _number("a", x, sign)
+            assert str(err.value) == f"a must be {rule}, got {x!r}"
+
+    @pytest.mark.parametrize(
+        "fn, name, good",
+        [(erf, "x", 1), (erfinv, "p", 0), (lambert_w0, "x", 1), (debruijn_w_approx, "u", 5), (arcsinh, "x", 1)],
+    )
+    def test_every_function_refuses_a_str_or_bool_by_name(self, fn, name, good):
+        for bad in (str(good), True):
+            with pytest.raises(ValueError, match=f"^{name} must be finite, got {bad!r}$"):
+                fn(bad)
+        # a numpy scalar is a number, taken as the Python float it equals
+        for cast in (np.float64, np.int64):
+            got = fn(cast(good))
+            assert got == fn(float(good)) and type(got) is float
 
 
 class TestAccuracy:
