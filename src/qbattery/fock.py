@@ -281,8 +281,7 @@ def choose_truncation(r: float, tail_tol: float) -> int:
     when even 2 * 10^7 + 2 levels leave ``tail_tol`` or more beyond them.
     """
     r = _number("r", r, "nonnegative")
-    if not 0.0 < tail_tol < 1.0:
-        raise ValueError(f"tail_tol must lie in (0, 1), got {tail_tol!r}")
+    tail_tol = _number("tail_tol", tail_tol, "in (0, 1)")
     lo, hi = 0, _TRUNCATION_TERMS + 1
     beyond = _pair_tail(hi, r)
     if beyond >= tail_tol:
@@ -520,8 +519,7 @@ def frame_truncation(p: DriveParams, kappa: float, times, tail_tol: float) -> in
     ``tail_tol`` at the largest nbar, and at least 6, pure Python:
     max(6, 4 + ceil(ln tail_tol / ln(nbar / (nbar + 1)))).
     """
-    if not 0.0 < tail_tol < 1.0:
-        raise ValueError(f"tail_tol must lie in (0, 1), got {tail_tol!r}")
+    tail_tol = _number("tail_tol", tail_tol, "in (0, 1)")
     nbar = 0.0
     for x, decay, i_plus, i_minus in _lossy_terms(p, kappa, times):
         v_plus = 0.5 * math.exp(2.0 * x - decay) + 0.5 * kappa * i_plus
@@ -670,6 +668,7 @@ def ergotropy(state: FockDensity | FockVector, omega_b: float) -> float:
     EPL 67, 565 (2004)), so a :class:`FockVector` gets its full mean
     energy without forming a density matrix.
     """
+    omega_b = _number("omega_b", omega_b)
     if isinstance(state, FockVector):
         return omega_b * state.mean_population()
     if not isinstance(state, FockDensity):
@@ -696,6 +695,7 @@ def quadrature_variances_from_state(
     """
     if not isinstance(state, FockVector):
         raise TypeError("quadrature_variances_from_state expects a FockVector")
+    theta, omega_b, t = _number("theta", theta), _number("omega_b", omega_b), _number("t", t)
     dim = state.dim
     # psi on levels -1 .. dim + 1, zero off the ladder, so that b† psi
     # and b psi are one product each on levels 0 .. dim (nothing spills)

@@ -119,11 +119,10 @@ def charging_time(p: DriveParams, alpha: float) -> ChargingReport:
     t_alpha = sqrt(2) tau erfinv((2/zeta) arcsinh(sqrt(alpha) sinh(zeta)) - 1).
     """
     pulse = _require_gaussian(p, "charging_time")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(
-            f"alpha must lie strictly inside (0, 1), got {alpha!r}; "
-            "the full charge is reached only as t -> infinity"
-        )
+    try:
+        alpha = _number("alpha", alpha, "in (0, 1)")
+    except ValueError as err:
+        raise ValueError(f"{err}; the full charge is reached only as t -> infinity") from None
     if p.zeta <= 0.0:
         raise ValueError("charging_time needs zeta > 0")
     q = (2.0 / p.zeta) * arcsinh(math.sqrt(alpha) * math.sinh(p.zeta)) - 1.0
@@ -137,8 +136,7 @@ def charging_time(p: DriveParams, alpha: float) -> ChargingReport:
 def charging_time_small_zeta(tau: float, alpha: float) -> float:
     """Weak-drive limit of the charging time: sqrt(2) tau erfinv(2 sqrt(alpha) - 1)."""
     tau = _number("tau", tau, "positive")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie strictly inside (0, 1), got {alpha!r}")
+    alpha = _number("alpha", alpha, "in (0, 1)")
     return _SQRT2 * tau * erfinv(2.0 * math.sqrt(alpha) - 1.0)
 
 
@@ -149,8 +147,7 @@ def charging_time_large_zeta(tau: float, zeta: float, alpha: float) -> float:
     """
     tau = _number("tau", tau, "positive")
     zeta = _number("zeta", zeta, "positive")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie strictly inside (0, 1), got {alpha!r}")
+    alpha = _number("alpha", alpha, "in (0, 1)")
     u = 2.0 * zeta * zeta / (math.pi * math.log(alpha) ** 2)
     if u <= 1.0:
         raise ValueError(
@@ -265,7 +262,7 @@ def average_power_fwhm(p: DriveParams) -> float:
 
 
 def quadrature_variances(p: DriveParams, t: float, theta: float) -> QuadratureReport:
-    """Lab-frame variances of the twisted quadratures at time t.
+    """Lab-frame variances of the twisted quadratures at a finite time t.
 
     From the moments n, s of :func:`analytic_moments`, with r = 2 zeta A(t)
     and phi = 2 omega_b t + theta:
@@ -278,6 +275,7 @@ def quadrature_variances(p: DriveParams, t: float, theta: float) -> QuadratureRe
     of order e^(-r) is not lost to cancellation at large r. The product of
     standard deviations touches the 1/2 floor exactly where sin(phi) = ±1.
     """
+    t, theta = _number("t", t), _number("theta", theta)
     r = 2.0 * p.zeta * p.pulse.area(t)
     sin_phi = math.sin(2.0 * p.omega_b * t + theta)
     grow, shrink = math.exp(r), math.exp(-r)

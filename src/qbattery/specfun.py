@@ -102,25 +102,27 @@ class Accuracy(_Value):
     rel_tol: float
 
     def __post_init__(self) -> None:
-        if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
-            raise ValueError(
-                f"tolerances must be positive, got ({self.abs_tol!r}, {self.rel_tol!r})"
-            )
+        for name in self._fields:
+            object.__setattr__(self, name, _number(name, self.__dict__[name], "positive"))
 
 
-def _number(name: str, x: object, sign: str = "") -> float:
+def _number(name: str, x: object, rule: str = "") -> float:
     """``x`` as a float if it is a finite real number, not a bool or a str,
-    and, where ``sign`` is "positive" or "nonnegative", of that sign.
-    Otherwise ``ValueError``: "<name> must be [<sign> and ]finite, got <x!r>".
-    The one check of every number the package takes."""
-    try:  # math takes a real number, numpy scalars included, but not a str
-        if type(x) is not bool and math.isfinite(x):
+    held to ``rule``: none, "positive", "nonnegative" or "in (0, 1)".
+    Otherwise ``ValueError("<name> must be <rule>, got <x!r>")``, no rule
+    read as "finite" and a sign as "<sign> and finite". The one check of
+    every number the package takes."""
+    try:  # math takes a real number, numpy scalars included, but not a str; a
+        # bool, numpy's too ("bool_" before numpy 2), is told by its type's name
+        if (type(x) is float or type(x).__name__ not in {"bool", "bool_"}) and math.isfinite(x):
             y = float(x)
-            if y > 0.0 or not sign or (y == 0.0 and sign == "nonnegative"):
+            if not rule or (y > 0.0 and (rule != "in (0, 1)" or y < 1.0)) or (
+                y == 0.0 and rule == "nonnegative"
+            ):
                 return y
     except (TypeError, OverflowError):
         pass
-    rule = f"{sign} and finite" if sign else "finite"
+    rule = rule if rule == "in (0, 1)" else f"{rule} and finite" if rule else "finite"
     raise ValueError(f"{name} must be {rule}, got {x!r}")
 
 
@@ -218,9 +220,7 @@ def lambert_w0(x: float) -> float:
     The residual satisfies the defining equation to a relative 1e-12
     over at least [1e-6, 1e6].
     """
-    x = _number("x", x)
-    if x < 0.0:
-        raise ValueError(f"lambert_w0 requires x >= 0, got {x!r}")
+    x = _number("x", x, "nonnegative")
     if x == 0.0:
         return 0.0
 

@@ -31,6 +31,7 @@ class TestNumber:
         assert _number("a", -2) == -2.0
         assert _number("a", 0.0, "nonnegative") == 0.0
         assert _number("a", 1e-300, "positive") == 1e-300
+        assert _number("a", np.float64(0.5), "in (0, 1)") == 0.5
         for x, sign, rule in (
             (math.inf, "", "finite"),
             (math.nan, "nonnegative", "nonnegative and finite"),
@@ -41,6 +42,12 @@ class TestNumber:
             (1j, "", "finite"),
             ([1.0], "", "finite"),
             (np.array([1.0, 2.0]), "", "finite"),
+            (np.True_, "", "finite"),
+            (np.False_, "nonnegative", "nonnegative and finite"),
+            (0.0, "in (0, 1)", "in (0, 1)"),
+            (1.0, "in (0, 1)", "in (0, 1)"),
+            (math.nan, "in (0, 1)", "in (0, 1)"),
+            ("0.5", "in (0, 1)", "in (0, 1)"),
         ):
             with pytest.raises(ValueError) as err:
                 _number("a", x, sign)
@@ -51,8 +58,9 @@ class TestNumber:
         [(erf, "x", 1), (erfinv, "p", 0), (lambert_w0, "x", 1), (debruijn_w_approx, "u", 5), (arcsinh, "x", 1)],
     )
     def test_every_function_refuses_a_str_or_bool_by_name(self, fn, name, good):
+        rule = "nonnegative and finite" if fn is lambert_w0 else "finite"
         for bad in (str(good), True):
-            with pytest.raises(ValueError, match=f"^{name} must be finite, got {bad!r}$"):
+            with pytest.raises(ValueError, match=f"^{name} must be {rule}, got {bad!r}$"):
                 fn(bad)
         # a numpy scalar is a number, taken as the Python float it equals
         for cast in (np.float64, np.int64):
