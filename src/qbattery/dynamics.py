@@ -39,7 +39,6 @@ package root's :func:`qbattery._write_table`.
 
 from __future__ import annotations
 
-import functools
 import math
 import types
 from pathlib import Path
@@ -90,10 +89,10 @@ class IntegrationError(RuntimeError):
     """Adaptive integration failed (step-size underflow or solver breakdown)."""
 
 
-def _rk45(rhs, times, y0, acc: Accuracy, tau: float, label: str, rows=slice(None), cap=None):
+def _rk45(rhs, times, y0, acc: Accuracy, tau: float, label: str, observe=lambda y: y, cap=None):
     """Integrate ``rhs`` from ``y0`` at ``times[0]`` to ``times[-1]`` with
     scipy's RK45 pair at the tolerances of ``acc``, for a drive of width
-    ``tau``, and sample it at each instant of ``times``.
+    ``tau``, and sample ``observe(state)`` at each instant of ``times``.
 
     Every ODE in the package goes through here, the one place that picks
     step sizes: the span is split at +-8 tau, where a Gaussian drive is
@@ -102,18 +101,19 @@ def _rk45(rhs, times, y0, acc: Accuracy, tau: float, label: str, rows=slice(None
     pulse, and free outside, so quiet tails cost a few steps. A ``tau``
     of ``math.inf`` makes the whole span one part with no cap, for a
     variable in which the drive is constant. Each part is one
-    ``solve_ivp`` call with one solver class (:func:`_row_rk45`)
+    ``solve_ivp`` call with a solver class from :func:`_observed_rk45`
     and one set of keywords, started from the state the last part ended
     in. ``solve_ivp`` is imported on each call, so importing the package
     never loads scipy, and whatever ``scipy.integrate.solve_ivp`` is
     bound to then runs.
 
-    ``times`` is a numpy grid, finite and strictly increasing. Returns
-    ``y``, ``y_end`` and ``nfev`` (summed over the parts). ``y`` stacks
-    the ``rows`` of the state at each instant: each part samples its own
-    instants (``t_eval``), from the interpolant of the step that passed
-    each. A grid of one instant spans nothing, and its one sample is
-    ``y0``. ``y_end`` is the whole final state.
+    ``times`` is a numpy grid, finite and strictly increasing; ``observe``
+    maps a state to the 1-D array its caller reads, by default the state.
+    Returns ``y``, ``y_end`` and ``nfev`` (summed over the parts). ``y``
+    stacks the samples, one column an instant: each part samples its own
+    instants (``t_eval``), one at a time, from the interpolant of the
+    step that passed each. A grid of one instant spans nothing, and its
+    one sample is ``observe(y0)``. ``y_end`` is the whole final state.
 
     Raises
     ------
@@ -136,13 +136,11 @@ def _rk45(rhs, times, y0, acc: Accuracy, tau: float, label: str, rows=slice(None
             rhs,
             (a, b),
             y,
-            method=_row_rk45(),
+            method=_observed_rk45(observe, end),
             t_eval=times[(times >= a) & ((times < b) | (b == stop))],
             rtol=acc.rel_tol,
             atol=acc.abs_tol,
             max_step=cap if a < hot and b > -hot else np.inf,
-            rows=rows,
-            end=end,
         )
         if not sol.success:
             raise IntegrationError(f"{label} on [{a:g}, {b:g}]: {sol.message}")
@@ -151,45 +149,38 @@ def _rk45(rhs, times, y0, acc: Accuracy, tau: float, label: str, rows=slice(None
             y_parts.append(sol.y)
         (y,) = end
     if not y_parts:  # solve_ivp samples nothing on the zero-length span
-        y_parts.append(y0[rows][:, None])
+        y_parts.append(observe(y0)[:, None])
     return types.SimpleNamespace(y=np.concatenate(y_parts, axis=1), y_end=y, nfev=nfev)
 
 
-@functools.cache
-def _row_rk45() -> type:
-    """scipy's RK45 with its dense output cut to ``rows``.
+def _observed_rk45(observe, end) -> type:
+    """scipy's RK45, sampled through ``observe``, for ``solve_ivp``'s
+    ``method``.
 
     ``solve_ivp`` evaluates a step's dense output at the ``t_eval``
-    instants the step passed and keeps what it returns. Here the
-    interpolant is scipy's own, built from the ``rows`` columns of the
-    stage derivatives alone (all rows: scipy's ``K.T.dot(P)`` exactly),
-    so a step interpolates no more than it keeps. The solver's state
-    after its last step is appended to ``end``. Both arrive as solver
-    options, which ``solve_ivp`` hands to the solver class it is given
-    as ``method``. Built on first use, since scipy loads only when an
-    ODE runs.
+    instants the step passed and keeps what it returns. Here the dense
+    output is scipy's own interpolant, from the documented
+    ``_dense_output_impl`` hook, evaluated one instant at a time and
+    handed to ``observe``, so a sample keeps only what its caller reads.
+    The solver's state after its last step is appended to ``end``. A
+    class per call closes over both, so ``solve_ivp`` passes the solver
+    no option of the package's. Built when an ODE runs, since scipy
+    loads only then.
     """
     from scipy.integrate import RK45
-    from scipy.integrate._ivp.rk import RkDenseOutput
 
-    class RowRK45(RK45):
-        def __init__(self, fun, t0, y0, t_bound, *, rows, end, **options):
-            super().__init__(fun, t0, y0, t_bound, **options)
-            self.rows = rows
-            self.end = end
-
+    class ObservedRK45(RK45):
         def step(self):
             message = super().step()
             if self.status == "finished":
-                self.end.append(self.y)
+                end.append(self.y)
             return message
 
         def _dense_output_impl(self):
-            rows = self.rows
-            Q = self.K[:, rows].T.dot(self.P)
-            return RkDenseOutput(self.t_old, self.t, self.y_old[rows], Q)
+            dense = super()._dense_output_impl()
+            return lambda ts: np.column_stack([observe(dense(t)) for t in ts])
 
-    return RowRK45
+    return ObservedRK45
 
 
 def _time_list(times) -> list[float]:
@@ -311,11 +302,12 @@ def analytic_moments(p: DriveParams, t: float, t_start: float = -math.inf) -> Mo
     x, so n = sinh^2(x) and s = -(i/2) sinh(2 x). The default start,
     t -> -inf, where A vanishes, is the vacuum boundary condition of the
     paper, and gives the squeeze parameter r = zeta A(t). ``t`` may be
-    +-inf; in the delta limit A is the unit step with A(0) = 1/2.
+    +-inf, ``t_start`` only -inf; in the delta limit A is the unit step
+    with A(0) = 1/2.
     """
     area = p.pulse.area(t)
     if t_start != -math.inf:
-        area -= p.pulse.area(t_start)
+        area -= p.pulse.area(_number("t_start", t_start))
     x = p.zeta * area
     return MomentState(math.sinh(x) ** 2, -0.5j * math.sinh(2.0 * x))
 

@@ -31,11 +31,11 @@ at zeta 4. Undo the state's own squeeze and what is left is thermal,
 which 35 and 216 levels hold. The density-matrix engine therefore steps
 the state in that frame, whose angle it reads off the principal
 variances it steps beside the state. There, rotated by e^(i pi n/4),
-the generator is real, so the state is one dense real dim x dim array,
-and only the rows the observables read are interpolated at the sample
-instants. The engine's work grows as the cube of the ladder size, so it
-refuses a frame ladder above 150 levels before anything of size dim^2
-exists.
+the generator is real, so the state is one dense real dim x dim array.
+Every engine samples six observables an instant, each read off one
+interpolated state, and keeps no state but the last. The engine's work
+grows as the cube of the ladder size, so it refuses a frame ladder above
+150 levels before anything of size dim^2 exists.
 
 The lossless ladder is sized for the squeezed vacuum the pulse reaches
 (:func:`choose_truncation`), the lossy frame ladder for the largest
@@ -227,12 +227,19 @@ class FockDensity(_Value):
         return float(self.eigenvalues[0])
 
     def mean_population(self) -> float:
-        """<b†b> of rho: c^2 n + s^2 (n + 1) - 2 c s Im<bb> in the frame's
-        own n and <bb>, with c = cosh 2 theta and s = sinh 2 theta."""
+        """<b†b> of rho, from the frame's own n and <bb> (:func:`_unsqueeze`)."""
         n = float(np.arange(self.dim) @ self.populations())
         pair = float(_pair_coeffs(self.dim) @ self.matrix.diagonal(-2).imag)
-        c, s = math.cosh(2.0 * self.theta), math.sinh(2.0 * self.theta)
-        return c * c * n + s * s * (n + 1.0) - 2.0 * c * s * pair
+        return _unsqueeze(self.theta, n, pair)[0]
+
+
+def _unsqueeze(theta: float, n: float, pair: float) -> tuple[float, float]:
+    """Lab-frame <b†b> and Im<bb>, c^2 n + s^2 (n + 1) - 2 c s pair and
+    (c^2 + s^2) pair - c s (2 n + 1) with c, s = cosh, sinh 2 theta, of a
+    state in the squeezed frame of angle ``theta`` with <b†b> ``n`` and <bb> i ``pair`` there."""
+    c, s = math.cosh(2.0 * theta), math.sinh(2.0 * theta)
+    lab_n = c * c * n + s * s * (n + 1.0) - 2.0 * c * s * pair
+    return lab_n, (c * c + s * s) * pair - c * s * (2.0 * n + 1.0)
 
 
 def _pair_tail(m: int, r: float) -> float:
@@ -338,35 +345,36 @@ class FockTrajectory(_Value):
         _write_table(*self.table(), Path(path))
 
 
-def _trajectory(
-    times: np.ndarray, pops: np.ndarray, n: np.ndarray, s: np.ndarray, final_state
-) -> FockTrajectory:
-    """The sampled observables of an evolution: the level populations
-    ``pops`` (levels x samples) of the ladder stepped, and the mean
-    population ``n`` and pair correlator ``s``.
+def _observed(n: float, s: complex, pops: np.ndarray) -> np.ndarray:
+    """The six observables of one state that :func:`_trajectory` reads:
+    n, Re s, Im s, and of the populations ``pops`` of the ladder stepped
+    the top-four mass, the odd mass and the norm (or trace)."""
+    return np.array([n, s.real, s.imag, pops[-_TAIL_LEVELS:].sum(), pops[1::2].sum(), pops.sum()])
 
-    Raises :class:`TruncationError` if the tail mass ever exceeds the
-    1e-6 guard. Only then is ``final_state(norms)`` called, with the
-    norm (or trace) at every sample, to build the final state.
-    """
-    dim = pops.shape[0]
-    tail = pops[dim - _TAIL_LEVELS:].sum(axis=0)
+
+def _trajectory(times: np.ndarray, observed: np.ndarray, dim: int, final_state) -> FockTrajectory:
+    """The trajectory of an evolution on ``dim`` levels from its
+    :func:`_observed` samples, one column each. Raises
+    :class:`TruncationError` if the tail mass ever exceeds the 1e-6
+    guard; only then is ``final_state()`` called to build the final state."""
+    n, re_s, im_s, tail, odd, norms = observed
     worst_tail = float(tail.max())
     if worst_tail > _TAIL_GUARD:
         raise TruncationError(
             f"tail mass reached {worst_tail:.3e} (guard {_TAIL_GUARD:.1e}); "
             f"increase the Fock dimension beyond {dim}"
         )
-    norms = pops.sum(axis=0)
+    s = re_s.astype(complex)  # re_s + 1j * im_s would turn an imaginary -0.0 into 0.0
+    s.imag = im_s
     return FockTrajectory(
         times=times,
         n=n,
         s=s,
         var_x_min=0.5 + n - np.abs(s),
         tail_mass=tail,
-        odd_mass=pops[1::2].sum(axis=0),
+        odd_mass=odd,
         norm_drift=float(np.max(np.abs(norms - 1.0))),
-        final_state=final_state(norms),
+        final_state=final_state(),
     )
 
 
@@ -376,9 +384,12 @@ def _levels(dim: int, zeta: float, kappa: float | None = None) -> int:
     lossless engines (no ``kappa``), :data:`LINDBLAD_LEVEL_LIMIT` for the
     frame ladder of the lossy one. The refusal names the ladder, the
     inputs that sized it and the limit; pure Python."""
+    # a bool, numpy's too ("bool_" before numpy 2), is no count, as _number has it
+    if type(dim).__name__ in {"bool", "bool_"} or not hasattr(dim, "__index__"):
+        raise ValueError(f"dim must be an integer, got {dim!r}")
     levels = operator.index(dim)
     if levels < _MIN_LEVELS:
-        raise ValueError(f"the Fock dimension must be at least {_MIN_LEVELS}, got {dim!r}")
+        raise ValueError(f"dim must be at least {_MIN_LEVELS}, got {dim!r}")
     if kappa is None:
         ladder, inputs, limit, engine, growth = (
             "vector", f"zeta {zeta:g}", VECTOR_LEVEL_LIMIT, "lossless engines", "square"
@@ -406,17 +417,15 @@ def _evolve_vacuum(
     :func:`qbattery.dynamics._rk45`."""
     psi0 = np.zeros(dim, dtype=complex)
     psi0[0] = 1.0
+    levels, pair = np.arange(dim), _pair_coeffs(dim)
+
+    def observe(psi):
+        pops = np.abs(psi) ** 2
+        return _observed(levels @ pops, pair @ (np.conj(psi[:-2]) * psi[2:]), pops)
+
     grid, at = np.unique(steps, return_inverse=True)
-    Y = _rk45(rhs, grid, psi0, FOCK_ACCURACY, tau, label, cap=cap).y[:, at]
-    s = (_pair_coeffs(dim)[:, None] * np.conj(Y[:-2]) * Y[2:]).sum(axis=0)
-    pops = np.abs(Y) ** 2
-    return _trajectory(
-        times,
-        pops,
-        np.arange(dim) @ pops,
-        s,
-        lambda norms: FockVector(Y[:, -1] / math.sqrt(norms[-1])),
-    )
+    sol = _rk45(rhs, grid, psi0, FOCK_ACCURACY, tau, label, observe=observe, cap=cap)
+    return _trajectory(times, sol.y[:, at], dim, lambda: FockVector(sol.y_end / np.linalg.norm(sol.y_end)))
 
 
 def evolve_rwa(p: DriveParams, dim: int, times) -> FockTrajectory:
@@ -564,8 +573,8 @@ def evolve_lindblad(p: DriveParams, kappa: float, dim: int, times) -> FockTrajec
     dense real dim x dim array. The right-hand side is written Z + Z^T,
     exactly symmetric in floating point: sigma's antisymmetric part,
     which rounding would otherwise seed, grows under the dissipator.
-    Each step's interpolant is evaluated on V±, the populations and
-    the sigma[j + 2, j] coherences alone. Loss makes it stiff: the work
+    Each sample is read off V±, the populations and the sigma[j + 2, j]
+    coherences of one interpolated state. Loss makes it stiff: the work
     grows linearly with ``kappa``, and from about 1e4 a trial stage leaves
     0 < V± < inf or overflows, which raises :class:`IntegrationError`.
     """
@@ -581,7 +590,7 @@ def evolve_lindblad(p: DriveParams, kappa: float, dim: int, times) -> FockTrajec
     y0 = np.zeros(2 + dim * dim)
     y0[:3] = 0.5, 0.5, 1.0
     root = np.sqrt(np.arange(1.0, dim))  # <j| b |j+1>
-    pair = _pair_coeffs(dim)
+    levels, pair = np.arange(dim), _pair_coeffs(dim)
     zeta = p.zeta
     value = p.pulse.value
 
@@ -619,27 +628,22 @@ def evolve_lindblad(p: DriveParams, kappa: float, dim: int, times) -> FockTrajec
         np.add(z, z.T, out=out[2:].reshape(dim, dim))
         return out
 
-    # the rows the trajectory reads: V+, V-, the populations sigma[j, j]
-    # and the coherences sigma[j + 2, j]
-    levels = np.arange(dim)
-    rows = np.concatenate(([0, 1], 2 + levels * (dim + 1), 2 + levels[:-2] * (dim + 1) + 2 * dim))
+    def observe(y):
+        # rho~[j + 2, j] = -i sigma[j + 2, j], so <bb> in the frame is -i x
+        sigma = y[2:].reshape(dim, dim)
+        pops, x = sigma.diagonal(), pair @ sigma.diagonal(-2)
+        n, pair_lab = _unsqueeze(0.125 * math.log(y[0] / y[1]), levels @ pops, -x)
+        return _observed(n, complex(0.0, pair_lab), pops)
+
     label = "lossy evolution failed"
     try:  # an overflow, also in the solver's error norm, fails the run
         with np.errstate(over="raise", invalid="raise"):
-            sol = _rk45(rhs, times, y0, LINDBLAD_ACCURACY, tau, label, rows)
+            sol = _rk45(rhs, times, y0, LINDBLAD_ACCURACY, tau, label, observe=observe)
     except FloatingPointError as exc:
         raise IntegrationError(f"{label}: {exc} at kappa {kappa:g}") from None
-    y, last = sol.y, sol.y_end
+    last = sol.y_end
 
-    two_theta = 0.25 * np.log(y[0] / y[1])
-    c, s = np.cosh(two_theta), np.sinh(two_theta)
-    n_frame = levels @ y[2 : 2 + dim]
-    x = pair @ y[2 + dim :]
-    # rho~[j + 2, j] = -i sigma[j + 2, j], so <bb> in the frame is -i x
-    n = c * c * n_frame + s * s * (n_frame + 1.0) + 2.0 * c * s * x
-    pair_lab = -1j * ((c * c + s * s) * x + c * s * (2.0 * n_frame + 1.0))
-
-    def final_state(_traces) -> FockDensity:
+    def final_state() -> FockDensity:
         # rho~[j, k] = e^(-i pi (j - k)/4) sigma[j, k], nonzero for even j - k only
         turns = np.array(_QUARTER_TURNS)[np.subtract.outer(levels, levels) // 2 % 4]
         final = turns * last[2:].reshape(dim, dim)
@@ -651,7 +655,7 @@ def evolve_lindblad(p: DriveParams, kappa: float, dim: int, times) -> FockTrajec
             )
         return rho
 
-    return _trajectory(times, y[2 : 2 + dim], n, pair_lab, final_state)
+    return _trajectory(times, sol.y, dim, final_state)
 
 
 def ergotropy(state: FockDensity | FockVector, omega_b: float) -> float:

@@ -1,6 +1,7 @@
 """Every module-level name in the package is read somewhere in the package,
 every command-line flag is read by the CLI, no public function takes
-a tolerance, and no function but ``specfun``'s checks a number itself.
+a tolerance, no function but ``specfun``'s checks a number itself, and
+nothing reads scipy's private solver internals.
 
 A leftover import, constant, function or class that nothing reads any
 more is dead code; names a module exports through ``__all__`` are its
@@ -11,8 +12,12 @@ an ``acc`` parameter on an exported function would bring a tolerance
 knob back. What counts as a number is decided once, by
 ``specfun._number``; a function that converts or tests its own
 parameter with ``float()`` or ``math.isfinite()`` writes a second rule
-beside it. Beside the CLI's parser, only the standard library's ``ast``
-is used, so the checks run wherever the suite does.
+beside it. The ODE driver samples a step through the interpolant that
+scipy's documented ``_dense_output_impl`` hook returns; a module that
+imports from ``scipy.integrate._ivp`` or reads an RK solver's ``K``,
+``P`` or ``y_old`` ties the package to one scipy release. Beside the
+CLI's parser, only the standard library's ``ast`` is used, so the
+checks run wherever the suite does.
 """
 
 import argparse
@@ -148,3 +153,21 @@ def test_only_specfun_checks_a_parameter_as_a_number():
                 and any(isinstance(arg, ast.Name) and arg.id in params for arg in node.args)
             )
     assert own_checks == []
+
+
+def test_no_module_reads_scipys_private_solver_internals():
+    private = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("scipy.integrate._ivp"):
+                private.append(f"{path.stem}:{node.lineno}: from {node.module}")
+            elif isinstance(node, ast.Import):
+                private.extend(
+                    f"{path.stem}:{node.lineno}: import {a.name}"
+                    for a in node.names
+                    if a.name.startswith("scipy.integrate._ivp")
+                )
+            elif isinstance(node, ast.Attribute) and node.attr in {"K", "P", "y_old"}:
+                private.append(f"{path.stem}:{node.lineno}: .{node.attr}")
+    assert private == []

@@ -293,12 +293,12 @@ class TestIntegrateMoments:
 
 
 def test_observer_keeps_the_plain_rows_and_steps():
-    # every run goes through the row-cut solver; with all rows it is
-    # scipy's RK45 sampled on the grid bit for bit (samples, right-hand
-    # side calls), two rows are those rows of the same samples, and the
-    # whole state at the end is scipy's last step, for a real and a
-    # complex state; scipy only warns about a solver option it ignores,
-    # so warnings are errors
+    # every run goes through the observed solver; observing the whole
+    # state it is scipy's RK45 sampled on the grid bit for bit (samples,
+    # right-hand side calls), observing two rows gives those rows of the
+    # same samples, and the whole state at the end is scipy's last step,
+    # for a real and a complex state; scipy only warns about a solver
+    # option it ignores, so warnings are errors
     from scipy.integrate import solve_ivp
 
     grid = np.linspace(0.0, 5.0, 23)
@@ -311,7 +311,7 @@ def test_observer_keeps_the_plain_rows_and_steps():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             sampled = _rk45(rhs, grid, y0, acc, np.inf, "test")
-            observed = _rk45(rhs, grid, y0, acc, np.inf, "test", [1, 4])
+            observed = _rk45(rhs, grid, y0, acc, np.inf, "test", observe=lambda y: y[[1, 4]])
         plain = solve_ivp(rhs, (0.0, 5.0), y0, "RK45", rtol=1e-12, atol=1e-12)
         at_grid = solve_ivp(rhs, (0.0, 5.0), y0, "RK45", grid, rtol=1e-12, atol=1e-12)
         assert np.array_equal(at_grid.t, grid)

@@ -278,15 +278,24 @@ def frame_ladder(zeta, grid, kappa=0.1):
 
 def record_frame_populations(monkeypatch):
     """The list that collects the frame populations (levels x samples)
-    every Lindblad run samples."""
+    every Lindblad run samples: sigma's diagonal at each instant the
+    engine's ``observe`` reads."""
     seen = []
-    trajectory = fock._trajectory
+    rk45 = fock._rk45
 
-    def recording(times, pops, *args):
-        seen.append(pops)
-        return trajectory(times, pops, *args)
+    def recording(rhs, times, y0, *args, observe, **kwargs):
+        dim = math.isqrt(y0.size - 2)
+        diagonals = []
 
-    monkeypatch.setattr(fock, "_trajectory", recording)
+        def recorded(y):
+            diagonals.append(y[2:].reshape(dim, dim).diagonal().copy())
+            return observe(y)
+
+        sol = rk45(rhs, times, y0, *args, observe=recorded, **kwargs)
+        seen.append(np.column_stack(diagonals))
+        return sol
+
+    monkeypatch.setattr(fock, "_rk45", recording)
     return seen
 
 
@@ -483,6 +492,25 @@ class TestEvolveRwa:
         traj = evolve_rwa(p, choose_truncation(1.0, 1e-8), GRID)
         want = np.array([analytic_moments(p, float(t), GRID[0]).n for t in GRID])
         assert np.all(np.abs(traj.n - want) <= 1e-8 * (1.0 + want))
+
+    def test_dense_grid_keeps_no_state_sample(self):
+        # the engine keeps six observables an instant, not the state: at
+        # zeta 2 the 454-level ladder's 2001 complex samples alone would
+        # take 14.5 MB, and the observables take 96 kB
+        dim = choose_truncation(2.0, 1e-8)
+        assert dim == 454
+        grid = np.linspace(-8.0, 6.0, 2001)
+        evolve_rwa(gauss_params(0.3), 8, grid[:2])  # load scipy first
+        tracemalloc.start()
+        try:
+            traj = evolve_rwa(gauss_params(2.0), dim, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(traj.n) == grid.size
+        assert peak <= 4e6
+        want = np.array([analytic_moments(gauss_params(2.0), float(t), grid[0]).n for t in grid])
+        assert np.all(np.abs(traj.n - want) <= 1e-6 * (1.0 + want))
 
     def test_csv_export(self, tmp_path):
         traj = evolve_rwa(gauss_params(0.5), choose_truncation(1.0, 1e-8), GRID)
@@ -877,8 +905,9 @@ def test_engines_refuse_bad_dim_and_tail_guard(engine, limit):
     # which 8 levels overrun at zeta 0.5
     p = gauss_params(0.5)
     grid = np.linspace(-6.0, 6.0, 5)
-    with pytest.raises(TypeError):
-        engine(p, 6.5, grid)
+    for bad in (6.5, 8.0, "8", np.True_):
+        with pytest.raises(ValueError, match=f"^dim must be an integer, got {bad!r}$"):
+            engine(p, bad, grid)
     with pytest.raises(ValueError, match="got True"):
         engine(p, True, grid)
     with pytest.raises(ValueError, match="at least 6, got 0"):

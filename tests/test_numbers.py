@@ -3,8 +3,10 @@
 The table pairs each public function with each of its number parameters;
 a grid's number is one of its instants. Each entry is called with every
 value below, one parameter spoiled at a time, and must raise a
-``ValueError`` whose message starts with that parameter's name. Ladder
-sizes (``dim``) are counts, not numbers, and are not in the table.
+``ValueError`` whose message starts with that parameter's name. An
+engine's ladder size ``dim`` is a count: it is in the table too, held by
+``fock._levels`` to an integer, so that a float, a str and a bool are
+refused by its name as well.
 """
 
 import math
@@ -60,6 +62,7 @@ TABLE = [
     ("DriveParams", "omega_b", lambda x: DriveParams(x, 1.0, Gaussian(1.0))),
     ("DriveParams", "zeta", lambda x: DriveParams(1.0, x, Gaussian(1.0))),
     ("analytic_moments", "t", lambda x: analytic_moments(P, x)),
+    ("analytic_moments", "t_start", lambda x: analytic_moments(P, 0.0, x)),
     ("integrate_moments", "times", lambda x: integrate_moments(P, [0.0, x])),
     ("integrate_moments", "kappa", lambda x: integrate_moments(P, [0.0, 1.0], kappa=x)),
     ("lossy_moments", "kappa", lambda x: lossy_moments(P, x, [0.0, 1.0])),
@@ -81,10 +84,13 @@ TABLE = [
     ("frame_truncation", "times", lambda x: frame_truncation(P, 0.1, [0.0, x], 1e-8)),
     ("frame_truncation", "tail_tol", lambda x: frame_truncation(P, 0.1, [0.0, 1.0], x)),
     ("evolve_rwa", "times", lambda x: evolve_rwa(P, 6, [0.0, x])),
+    ("evolve_rwa", "dim", lambda x: evolve_rwa(P, x, [0.0, 1.0])),
     ("evolve_full", "omega_d", lambda x: evolve_full(P, 6, [0.0, 1.0], omega_d=x)),
     ("evolve_full", "times", lambda x: evolve_full(P, 6, [0.0, x])),
+    ("evolve_full", "dim", lambda x: evolve_full(P, x, [0.0, 1.0])),
     ("evolve_lindblad", "kappa", lambda x: evolve_lindblad(P, x, 6, [0.0, 1.0])),
     ("evolve_lindblad", "times", lambda x: evolve_lindblad(P, 0.1, 6, [0.0, x])),
+    ("evolve_lindblad", "dim", lambda x: evolve_lindblad(P, 0.1, x, [0.0, 1.0])),
     ("ergotropy", "omega_b", lambda x: ergotropy(VACUUM, x)),
     ("quadrature_variances_from_state", "theta", lambda x: quadrature_variances_from_state(VACUUM, x)),
     ("quadrature_variances_from_state", "omega_b", lambda x: quadrature_variances_from_state(VACUUM, 0.0, x)),
@@ -107,3 +113,11 @@ def test_quadrature_variances_needs_a_finite_time(t):
     # the phase 2 omega_b t + theta has no value at an infinite time
     with pytest.raises(ValueError, match=rf"^t must be finite, got {t!r}$"):
         quadrature_variances(P, t, 0.0)
+
+
+def test_analytic_moments_starts_at_a_finite_time_or_the_vacuum_boundary():
+    # t_start = -inf is the default vacuum boundary; +inf names no start
+    assert analytic_moments(P, 0.0, -math.inf) == analytic_moments(P, 0.0)
+    with pytest.raises(ValueError, match=r"^t_start must be finite, got inf$"):
+        analytic_moments(P, 0.0, math.inf)
+
