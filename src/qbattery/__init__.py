@@ -20,6 +20,8 @@ lives here too, so that writing a table runs no module.
 """
 
 import importlib.util
+import itertools
+import os
 import sys
 import types
 
@@ -57,28 +59,67 @@ class _Unavailable(types.ModuleType):
         return getattr(importlib.import_module(self.__name__), attr)
 
 
+# rows the writer forms and writes at a time: its memory, and the largest
+# table it writes whole or not at all
+_BLOCK_ROWS = 4096
+
+
 def _write_table(columns: list[str], rows, out=None, fmt: str = "csv") -> None:
-    """The one table writer: ``columns`` and ``rows`` as CSV (a header
-    line and one line per row, every value at full double precision) or,
-    with ``fmt="json"``, as compact JSON
-    ``{"columns": [...], "rows": [[...], ...]}``. The text goes to
-    stdout when ``out`` is None or the string ``"-"``, else to the file
-    ``out`` (a ``Path("-")`` is a file) with LF line ends on every
-    platform. ``json`` is imported only to write JSON."""
+    """The one table writer: ``columns`` and ``rows`` (any iterable) as
+    CSV (a header line and one line per row, every value at full double
+    precision) or, with ``fmt="json"``, as the compact JSON
+    ``{"columns": [...], "rows": [[...], ...]}`` of one ``json.dumps``.
+    It writes ``_BLOCK_ROWS`` rows at a time, the first block with the
+    head, so a table of at most that many rows is written whole or not at
+    all; past that, a row that fails leaves the blocks before it on stdout.
+    The text goes to stdout when ``out`` is None or the string ``"-"``,
+    else to the file ``out`` (a ``Path("-")`` is a file) with LF line ends
+    on every platform. A regular or new file is written beside itself
+    under a fresh ``.partial`` name, renamed onto the file (through a
+    symlink, keeping its mode) once every row is written and removed if
+    one fails, so it is never left half written; anything else, a device
+    or a FIFO say, is written through as given. ``json`` is imported only
+    for JSON."""
     if fmt == "json":
         import json
 
-        payload = {"columns": columns, "rows": [[float(v) for v in row] for row in rows]}
-        text = json.dumps(payload, separators=(",", ":")) + "\n"
+        # a block's rows without the brackets around them: the blocks joined
+        # by commas are the rows of one json.dumps
+        text = lambda block: json.dumps(block, separators=(",", ":"))[1:-1]
+        head, sep, tail = text([{"columns": columns, "rows": []}])[:-2], ",", "]}\n"
     else:
-        lines = [",".join(columns)]
-        lines.extend(",".join(format(float(v), ".17g") for v in row) for row in rows)
-        text = "\n".join(lines) + "\n"
+        text = lambda block: "".join(",".join(format(v, ".17g") for v in row) + "\n" for row in block)
+        head, sep, tail = ",".join(columns) + "\n", "", ""
+    rows = iter(rows)
+    blocks = iter(lambda: [[float(v) for v in row] for row in itertools.islice(rows, _BLOCK_ROWS)], [])
+    pieces = itertools.chain([head + text(next(blocks, []))], (sep + text(block) for block in blocks), [tail])
     if out is None or out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8", newline="") as f:
-            f.write(text)
+        sys.stdout.writelines(pieces)
+        return
+    path = os.fspath(out)
+    # neither a regular file nor a new name ("", a directory, /dev/null):
+    # open writes through it as given, or raises what it cannot take
+    if not os.path.isfile(path) and (os.path.lexists(path) or not os.path.basename(path)):
+        with open(path, "w", encoding="utf-8", newline="") as f:
+            f.writelines(pieces)
+        return
+    real = os.path.realpath(path)
+    # O_EXCL: the fresh name is never a file that is already there
+    partial = f"{real}.{os.urandom(6).hex()}.partial"
+    try:
+        f = open(os.open(partial, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        exc.filename = path  # the diagnostic names the path given
+        raise
+    try:
+        with f:
+            f.writelines(pieces)
+        if os.path.isfile(real):
+            os.chmod(partial, os.stat(real).st_mode & 0o7777)
+        os.replace(partial, real)
+    except BaseException:
+        os.remove(partial)
+        raise
 
 
 # light modules first: resolving a name of pulses, specfun or merit

@@ -8,15 +8,21 @@ zeta sinh(2 zeta) scale, times over tau).
 
 Exit status: 0 on success, 1 with a diagnostic on standard error for
 numerical or domain failures, 2 for unusable flags, a ``--config``
-value its flag would refuse included. Output is deterministic for
-identical configurations: full double precision, fixed row order.
+value its flag would refuse included. A command on a grid yields its
+rows and the writer takes 4096 at a time, so a failure past the first
+block follows rows already on stdout: the exit status is the contract
+there. A reader that closes stdout early ends the run with status 0
+and no diagnostic. Output is deterministic for identical
+configurations: full double precision, fixed row order.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 from . import _write_table, dynamics, fock, merit, pulses, specfun
@@ -26,8 +32,9 @@ __all__ = ["main", "build_parser"]
 # Legend values used by the multi-series figure panels; a package choice.
 FIG_ZETAS = "0.1,0.5,1,2,4"
 
-# What every command returns: column names and rows, written by _write_table.
-Table = tuple[list[str], list[list[float]]]
+# What every command returns: column names and its rows, a generator
+# where a grid sets their number, written by _write_table.
+Table = tuple[list[str], Iterable[list[float]]]
 
 
 def _config_flags(path: str) -> dict[str, str]:
@@ -60,43 +67,44 @@ def _float_list(text: str, name: str) -> list[float]:
     return values
 
 
-def _linspace(start: float, stop: float, num: int, endpoint: bool = True) -> list[float]:
-    """``numpy.linspace(start, stop, num, endpoint=endpoint)`` as a list of
+def _linspace(start: float, stop: float, num: int, endpoint: bool = True) -> Iterator[float]:
+    """``numpy.linspace(start, stop, num, endpoint=endpoint)`` yielded as
     floats, bit for bit, for num >= 2: the same step, the same rounding of
     i * step + start, and ``stop`` itself as the last point."""
     div = num - 1 if endpoint else num
     delta = stop - start
     step = delta / div
-    if step == 0.0:  # numpy's order for a step that underflows
-        points = [i / div * delta + start for i in range(num)]
-    else:
-        points = [i * step + start for i in range(num)]
+    for i in range(div):
+        # numpy's order for a step that underflows
+        yield i / div * delta + start if step == 0.0 else i * step + start
     if endpoint:
-        points[-1] = stop
-    return points
+        yield stop
 
 
-def _grid(args: argparse.Namespace) -> list[float]:
+def _grid(args: argparse.Namespace) -> Iterator[float]:
     steps = _steps(args)
     if not args.t_min < args.t_max:
         raise ValueError("need t_min < t_max")
-    grid = _linspace(args.t_min * args.tau, args.t_max * args.tau, steps)
-    if not all(math.isfinite(t) for t in grid):
+    start, stop = args.t_min * args.tau, args.t_max * args.tau
+    # a finite span has finite ends, and every point lies between them
+    if not math.isfinite(stop - start):
         raise ValueError(
             f"--t-min {args.t_min:g} and --t-max {args.t_max:g} (units of tau = "
             f"{args.tau:g}) do not give a finite time grid"
         )
-    return grid
+    return _linspace(start, stop, steps)
 
 
 def _theta_table(p: pulses.DriveParams, t: float, theta_steps: int) -> Table:
     if theta_steps < 2:
         raise ValueError("--theta-steps must be at least 2")
-    rows = []
-    for theta in _linspace(0.0, 2.0 * math.pi, theta_steps, endpoint=False):
-        report = merit.quadrature_variances(p, t, theta)
-        rows.append([report.theta, report.var_x, report.var_p, report.std_product])
-    return ["theta", "var_x", "var_p", "std_product"], rows
+
+    def rows():
+        for theta in _linspace(0.0, 2.0 * math.pi, theta_steps, endpoint=False):
+            report = merit.quadrature_variances(p, t, theta)
+            yield [report.theta, report.var_x, report.var_p, report.std_product]
+
+    return ["theta", "var_x", "var_p", "std_product"], rows()
 
 
 def cmd_energy(args: argparse.Namespace) -> Table:
@@ -104,12 +112,12 @@ def cmd_energy(args: argparse.Namespace) -> Table:
     e_max = merit.stored_energy(p, math.inf)
     if e_max == 0.0:
         raise ValueError("zeta = 0 stores no energy; nothing to normalize")
-    return ["t", "E_over_Emax"], [[t, merit.stored_energy(p, t) / e_max] for t in _grid(args)]
+    return ["t", "E_over_Emax"], ([t, merit.stored_energy(p, t) / e_max] for t in _grid(args))
 
 
 def cmd_power(args: argparse.Namespace) -> Table:
     p = _drive(args)
-    return ["t", "P"], [[t, merit.instantaneous_power(p, t)] for t in _grid(args)]
+    return ["t", "P"], ([t, merit.instantaneous_power(p, t)] for t in _grid(args))
 
 
 def cmd_charge_time(args: argparse.Namespace) -> Table:
@@ -135,33 +143,29 @@ def cmd_quadratures(args: argparse.Namespace) -> Table:
 def cmd_fock_check(args: argparse.Namespace) -> Table:
     p = _drive(args)
     kappa = args.kappa
-    times = _grid(args)
+    times = list(_grid(args))
     if kappa == 0.0:
         # the pulse takes the vacuum to a squeezed vacuum of squeeze
         # parameter at most zeta, which sizes the ladder
         traj = fock.evolve_rwa(p, fock.choose_truncation(args.zeta, args.tail_tol), times)
         # the engine starts from the vacuum at the first grid point, not at -inf
-        n_ref = [dynamics.analytic_moments(p, t, times[0]).n for t in times]
+        n_ref = (dynamics.analytic_moments(p, t, times[0]).n for t in times)
     else:
         # with loss the state is thermal in its own squeezed frame, whose
         # ladder the closed form sizes; the moment ODE stays the reference,
         # at an accuracy that leaves the engine's error in abs_err, not its own
         traj = fock.evolve_lindblad(p, kappa, fock.frame_truncation(p, kappa, times, args.tail_tol), times)
-        n_ref = list(dynamics.integrate_moments(p, times, kappa=kappa).n)
-    columns, rows = traj.table()
-    columns += ["n_ref", "abs_err"]
-    for row, ref in zip(rows, n_ref):
-        row += [ref, abs(row[1] - ref)]
+        n_ref = dynamics.integrate_moments(p, times, kappa=kappa).n
+    ratio = ()
     if args.ergotropy:
         final = traj.final_state
         stored = p.omega_b * final.mean_population()
         if stored == 0.0:
             raise ValueError(f"zeta = {args.zeta:g} stores no energy; the ergotropy ratio is undefined")
-        ratio = fock.ergotropy(final, p.omega_b) / stored
-        columns.append("ergotropy_ratio")
-        for row in rows:
-            row.append(ratio)
-    return columns, rows
+        ratio = (fock.ergotropy(final, p.omega_b) / stored,)
+    columns, rows = traj.table()
+    columns = columns + ["n_ref", "abs_err"] + ["ergotropy_ratio"] * len(ratio)
+    return columns, (row + [ref, abs(row[1] - ref), *ratio] for row, ref in zip(rows, n_ref))
 
 
 def _sweep_row(zeta: float, tau: float, omega_b: float, alpha: float) -> list[float]:
@@ -209,21 +213,24 @@ def fig_2a(args: argparse.Namespace) -> Table:
     zetas, params = _legend(args)
     e_max = [merit.stored_energy(p, math.inf) for p in params]
     delta = pulses.DeltaLimit()
-    rows = []
-    for x in _linspace(-4.0, 4.0, _steps(args)):
-        row = [x]
-        row.extend(merit.stored_energy(p, x) / e for p, e in zip(params, e_max))
-        row.append(delta.area(x))
-        rows.append(row)
-    return ["t_over_tau"] + [f"zeta_{z:g}" for z in zetas] + ["delta_limit"], rows
+    grid = _linspace(-4.0, 4.0, _steps(args))
+
+    def rows():
+        for x in grid:
+            row = [x]
+            row.extend(merit.stored_energy(p, x) / e for p, e in zip(params, e_max))
+            row.append(delta.area(x))
+            yield row
+
+    return ["t_over_tau"] + [f"zeta_{z:g}" for z in zetas] + ["delta_limit"], rows()
 
 
 def fig_2b(args: argparse.Namespace) -> Table:
     zetas, params = _legend(args)
-    rows = [
+    rows = (
         [a] + [merit.charging_time(p, a).t_alpha for p in params]
         for a in _linspace(0.005, 0.995, _steps(args))
-    ]
+    )
     return ["alpha"] + [f"zeta_{z:g}" for z in zetas], rows
 
 
@@ -233,41 +240,47 @@ def fig_2c(args: argparse.Namespace) -> Table:
 
 def fig_3a(args: argparse.Namespace) -> Table:
     zetas, params = _legend(args)
-    rows = []
-    for x in _linspace(-4.0, 4.0, _steps(args)):
-        row = [x]
-        row.extend(merit.instantaneous_power(p, x) / (p.zeta * math.sinh(2.0 * p.zeta)) for p in params)
-        rows.append(row)
-    return ["t_over_tau"] + [f"zeta_{z:g}" for z in zetas], rows
+    grid = _linspace(-4.0, 4.0, _steps(args))
+
+    def rows():
+        for x in grid:
+            row = [x]
+            row.extend(merit.instantaneous_power(p, x) / (p.zeta * math.sinh(2.0 * p.zeta)) for p in params)
+            yield row
+
+    return ["t_over_tau"] + [f"zeta_{z:g}" for z in zetas], rows()
 
 
 def fig_3b(args: argparse.Namespace) -> Table:
     # libm's pow, not np.logspace: numpy's power is misrounded at 19
     # of the 401 default points against a decimal reference, libm at 1
-    zgrid = [10.0**x for x in _linspace(-2.0, 2.0, _steps(args))]
+    zgrid = (10.0**x for x in _linspace(-2.0, 2.0, _steps(args)))
     weak = merit.peak_power_delay_weak_limit()
-    rows = []
-    for z in zgrid:
-        u = 2.0 * z * z / math.pi
-        rows.append(
-            [
+
+    def rows():
+        for z in zgrid:
+            u = 2.0 * z * z / math.pi
+            yield [
                 z,
                 merit.peak_power_time(_norm_drive(z)),
                 math.sqrt(specfun.lambert_w0(u)),
                 math.sqrt(specfun.debruijn_w_approx(u)) if u > math.e else math.nan,
                 weak,
             ]
-        )
-    return ["zeta", "t_p_over_tau", "lambert_asymptote", "debruijn_approx", "weak_limit"], rows
+
+    return ["zeta", "t_p_over_tau", "lambert_asymptote", "debruijn_approx", "weak_limit"], rows()
 
 
 def fig_3c(args: argparse.Namespace) -> Table:
-    rows = []
-    for z in _linspace(0.1, 8.0, _steps(args)):
-        p = _norm_drive(z)
-        t_p = merit.peak_power_time(p)
-        rows.append([z, merit.instantaneous_power(p, t_p), merit.peak_power_estimate(p)])
-    return ["zeta", "p_max", "p_max_estimate"], rows
+    grid = _linspace(0.1, 8.0, _steps(args))
+
+    def rows():
+        for z in grid:
+            p = _norm_drive(z)
+            t_p = merit.peak_power_time(p)
+            yield [z, merit.instantaneous_power(p, t_p), merit.peak_power_estimate(p)]
+
+    return ["zeta", "p_max", "p_max_estimate"], rows()
 
 
 def _add_out_args(sp: argparse.ArgumentParser) -> None:
@@ -397,6 +410,11 @@ def main(argv: list[str] | None = None) -> int:
             args = _apply_config(parser, argv, args)
         _write_table(*args.func(args), args.out, args.format)
     except Exception as exc:
+        if isinstance(exc, BrokenPipeError) and args.out in (None, "-"):
+            # the reader took what it wanted and closed stdout (head, say):
+            # exit quietly, stdout at devnull so the final flush is quiet too
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 0
         if isinstance(exc, OverflowError) and "largest double" not in str(exc):
             # libm's overflow says only "math range error"; the package's
             # own, the frame ladder's, names what passed the largest double
@@ -405,7 +423,8 @@ def main(argv: list[str] | None = None) -> int:
                 "e^(2 zeta A), which passes it from zeta A = 354.9, the stored energy "
                 "sinh^2(zeta A) only from 355.6"
             )
-        print(f"qbattery: error: {exc}", file=sys.stderr)
+        # an exception with no text, a MemoryError say, is named by its type
+        print(f"qbattery: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
     return 0
 

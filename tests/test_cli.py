@@ -1,9 +1,11 @@
 """Command-line interface: schemas, determinism, config handling, errors."""
 
+import itertools
 import json
 import math
 import os
 import shlex
+import stat
 import subprocess
 import sys
 import time
@@ -708,6 +710,167 @@ def test_json_format(tmp_path):
     assert payload["columns"][0] == "zeta"
     assert payload["rows"][0][0] == 1.0
     assert payload["rows"][0][1] == pytest.approx(math.sinh(1.0) ** 2)
+
+
+def table_rows(count, fail_at=None):
+    """``count`` rows of three floats, one of them NaN; with ``fail_at``,
+    row ``fail_at`` (counted from 1) raises instead."""
+    for i in range(count):
+        if i + 1 == fail_at:
+            raise ValueError("row failed")
+        yield [i * 0.1, math.pi / (i + 1), math.nan if i == count // 2 else np.float64(i) ** 0.5]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_write_table_blocks_match_one_write(tmp_path, capsys, fmt, offset):
+    # the reference is the text of one join, or one json.dumps, of every row
+    from qbattery import _BLOCK_ROWS, _write_table
+
+    columns, rows = ["a", "b", "c"], list(table_rows(_BLOCK_ROWS + offset))
+    if fmt == "json":
+        payload = {"columns": columns, "rows": [[float(v) for v in row] for row in rows]}
+        reference = json.dumps(payload, separators=(",", ":")) + "\n"
+    else:
+        lines = [",".join(columns)] + [",".join(format(float(v), ".17g") for v in row) for row in rows]
+        reference = "\n".join(lines) + "\n"
+    out = tmp_path / "table.out"
+    _write_table(columns, iter(rows), out, fmt)
+    _write_table(columns, iter(rows), None, fmt)
+    assert out.read_bytes() == reference.encode()
+    assert capsys.readouterr().out == reference
+    assert os.listdir(tmp_path) == [out.name]
+
+
+def test_write_table_failure_keeps_the_old_file(tmp_path):
+    # a row that fails after the first block is written leaves the file
+    # that was there, and no partial file
+    from qbattery import _BLOCK_ROWS, _write_table
+
+    out = tmp_path / "table.csv"
+    out.write_bytes(b"old,table\n1,2\n")
+    # a file of the user's own under a partial-looking name is left alone
+    mine = tmp_path / "table.csv.partial"
+    mine.write_bytes(b"mine\n")
+    with pytest.raises(ValueError, match="row failed"):
+        _write_table(["a", "b", "c"], table_rows(2 * _BLOCK_ROWS, fail_at=_BLOCK_ROWS + 1), out)
+    assert out.read_bytes() == b"old,table\n1,2\n"
+    assert mine.read_bytes() == b"mine\n"
+    assert sorted(os.listdir(tmp_path)) == [out.name, mine.name]
+
+
+def test_stdout_failure_keeps_the_blocks_before_it(capsys, monkeypatch):
+    from qbattery import _BLOCK_ROWS, _write_table, cli
+
+    def failing(args):
+        return ["a", "b", "c"], table_rows(2 * _BLOCK_ROWS, fail_at=_BLOCK_ROWS + 1)
+
+    monkeypatch.setattr(cli, "cmd_energy", failing)
+    assert main(["energy"]) == 1
+    captured = capsys.readouterr()
+    _write_table(["a", "b", "c"], itertools.islice(table_rows(2 * _BLOCK_ROWS), _BLOCK_ROWS))
+    assert captured.out == capsys.readouterr().out
+    assert captured.err == "qbattery: error: row failed\n"
+
+
+@pytest.mark.parametrize(
+    "out, error",
+    [
+        ("", "No such file or directory: ''"),
+        (".", "Is a directory: '.'"),
+        ("nodir/x.csv", "No such file or directory: 'nodir/x.csv'"),
+    ],
+)
+def test_out_naming_no_file_exits_one(tmp_path, capsys, monkeypatch, out, error):
+    # the diagnostic names the path given, and no partial file is left
+    monkeypatch.chdir(tmp_path)
+    assert main(["energy", "--steps", "3", "--out", out]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("qbattery: error:")
+    assert captured.err.count("\n") == 1
+    assert error in captured.err
+    assert os.listdir(tmp_path) == []
+
+
+def test_out_through_a_symlink_keeps_the_link_and_the_mode(tmp_path):
+    # the table replaces the file the link names; a new file takes the
+    # mode that open gives one
+    target = tmp_path / "target.csv"
+    target.write_text("old\n")
+    target.chmod(0o640)
+    link = tmp_path / "link.csv"
+    link.symlink_to(target.name)
+    new = tmp_path / "new.csv"
+    assert main(["energy", "--steps", "3", "--out", str(link)]) == 0
+    assert main(["energy", "--steps", "3", "--out", str(new)]) == 0
+    assert os.readlink(link) == target.name
+    assert target.read_bytes() == new.read_bytes()
+    assert new.read_text().startswith("t,E_over_Emax\n")
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640
+    with open(tmp_path / "opened", "w"):
+        pass
+    assert new.stat().st_mode == (tmp_path / "opened").stat().st_mode
+    assert sorted(os.listdir(tmp_path)) == ["link.csv", "new.csv", "opened", "target.csv"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+def test_out_writes_through_a_fifo(tmp_path):
+    # what is not a regular file, /dev/null or a FIFO, is written through
+    import threading
+
+    fifo = tmp_path / "table.fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    assert main(["energy", "--steps", "3", "--out", str(fifo)]) == 0
+    reader.join(timeout=60)
+    assert main(["energy", "--steps", "3", "--out", str(tmp_path / "table.csv")]) == 0
+    assert got == [(tmp_path / "table.csv").read_bytes()]
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert sorted(os.listdir(tmp_path)) == ["table.csv", "table.fifo"]
+
+
+def test_closed_stdout_exits_quietly():
+    # stdout is a pipe whose reader has gone (head -1 after its line, say):
+    # the writer meets it at the first block, past the stdout buffer
+    proc = run_python(
+        "import os, sys\n"
+        "from qbattery.cli import main\n"
+        "r, w = os.pipe()\n"
+        "os.dup2(w, 1)\n"
+        "os.close(r)\n"
+        "sys.exit(main(['energy', '--steps', '100000']))"
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
+def test_exception_without_text_names_its_type(capsys, monkeypatch):
+    from qbattery import cli
+
+    def exhausted(args):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "cmd_energy", exhausted)
+    assert main(["energy"]) == 1
+    assert capsys.readouterr().err == "qbattery: error: MemoryError\n"
+
+
+def test_dense_grid_memory_does_not_grow_with_the_grid(tmp_path):
+    # the rows are formed and written a block at a time; a table built
+    # whole peaks at about 59 MiB here
+    import tracemalloc
+
+    out = tmp_path / "energy.csv"
+    assert main(["energy", "--steps", "3", "--out", str(out)]) == 0
+    tracemalloc.start()
+    try:
+        assert main(["energy", "--steps", "200000", "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
+    assert out.read_text().count("\n") == 200001
 
 
 def test_config_file_precedence(tmp_path):
