@@ -373,35 +373,39 @@ def _lossy_terms(p: DriveParams, kappa: float, times):
     area = p.pulse.area
     two_zeta = 2.0 * p.zeta
     width = min(tau, 1.0 / kappa) / _PANELS if kappa else tau / _PANELS
-    reach = (2.0 * two_zeta + _LOSS_REACH) / kappa if kappa else math.inf
 
     t0, area0 = times[0], area(times[0])
     a, area_a = t0, area0
     i_plus = i_minus = 0.0
     for b in times[1:]:
         area_b = area(b)
-        if area_b == area_a:
-            # the drive adds no area on [a, b], so the integrand is e^(-kappa v)
-            j_plus = j_minus = -math.expm1(-kappa * (b - a)) / kappa if kappa else b - a
-        else:
-            # the quadrature runs in the lag v = b - u, which stays
-            # resolved however short the reach
-            span = min(b - a, reach)
-            panels = max(1, math.ceil(span / width))
-            half = 0.5 * span / panels
-            q_plus = q_minus = 0.0
-            for k in range(panels):
-                mid = (2 * k + 1) * half
-                for node, weight in _GAUSS_LEGENDRE_8:
-                    for lag in (mid - half * node, mid + half * node):
-                        grow = two_zeta * (area_b - area(b - lag))
-                        decay = kappa * lag
-                        q_plus += weight * math.exp(grow - decay)
-                        q_minus += weight * math.exp(-grow - decay)
-            j_plus, j_minus = half * q_plus, half * q_minus
-        grow = two_zeta * (area_b - area_a)
-        decay = kappa * (b - a)
-        i_plus = i_plus * math.exp(grow - decay) + j_plus
-        i_minus = i_minus * math.exp(-grow - decay) + j_minus
+        i_plus, i_minus = _carry(area, two_zeta, kappa, a, area_a, b, area_b, i_plus, i_minus, width)
         yield p.zeta * (area_b - area0), kappa * (b - t0), i_plus, i_minus
         a, area_a = b, area_b
+
+
+def _carry(area, two_zeta, kappa, a, area_a, b, area_b, i_plus, i_minus, width):
+    """I+- at ``b`` from I+- at ``a`` < ``b``, where ``area`` takes the values ``area_a`` and
+    ``area_b``, as :func:`lossy_moments` carries them, on panels at most ``width`` wide."""
+    if area_b == area_a:
+        # the drive adds no area on [a, b], so the integrand is e^(-kappa v)
+        j_plus = j_minus = -math.expm1(-kappa * (b - a)) / kappa if kappa else b - a
+    else:
+        # the quadrature runs in the lag v = b - u, which stays
+        # resolved however short the reach
+        span = min(b - a, (2.0 * two_zeta + _LOSS_REACH) / kappa if kappa else math.inf)
+        panels = max(1, math.ceil(span / width))
+        half = 0.5 * span / panels
+        q_plus = q_minus = 0.0
+        for k in range(panels):
+            mid = (2 * k + 1) * half
+            for node, weight in _GAUSS_LEGENDRE_8:
+                for lag in (mid - half * node, mid + half * node):
+                    grow = two_zeta * (area_b - area(b - lag))
+                    decay = kappa * lag
+                    q_plus += weight * math.exp(grow - decay)
+                    q_minus += weight * math.exp(-grow - decay)
+        j_plus, j_minus = half * q_plus, half * q_minus
+    grow = two_zeta * (area_b - area_a)
+    decay = kappa * (b - a)
+    return i_plus * math.exp(grow - decay) + j_plus, i_minus * math.exp(-grow - decay) + j_minus

@@ -30,12 +30,13 @@ drives its photon distribution exponentially up the ladder: at kappa
 at zeta 4. Undo the state's own squeeze and what is left is thermal,
 which 35 and 216 levels hold. The density-matrix engine therefore steps
 the state in that frame, whose angle it reads off the principal
-variances it steps beside the state. There, rotated by e^(i pi n/4),
+variances of the lossy closed form. There, rotated by e^(i pi n/4),
 the generator is real, so the state is one dense real dim x dim array.
 Every engine samples six observables an instant, each read off one
 interpolated state, and keeps no state but the last. The engine's work
-grows as the cube of the ladder size, so it refuses a frame ladder above
-150 levels before anything of size dim^2 exists.
+grows as the cube of the ladder size and as the loss rate, so it refuses
+a frame ladder above 150 levels, and a stiff loss, before anything of
+size dim^2 exists.
 
 The lossless ladder is sized for the squeezed vacuum the pulse reaches
 (:func:`choose_truncation`), the lossy frame ladder for the largest
@@ -47,9 +48,9 @@ which binds this module the same way: of the CLI's commands only
 ``fock-check`` runs it, and running it runs none of numpy. Both sizing
 rules and the lossy closed form they read are pure Python, and each
 engine checks its ladder, then its grid, on Python values, so sizing a
-ladder, and refusing a ladder or a grid, needs no numpy, with loss or
-without. It loads on the first state or engine call that steps; scipy
-loads when an engine steps.
+ladder, and refusing a ladder, a grid or a stiff loss, needs no numpy,
+with loss or without. It loads on the first state or engine call that
+steps; scipy loads when an engine steps.
 """
 from __future__ import annotations
 
@@ -60,7 +61,7 @@ import operator
 from pathlib import Path
 
 from . import _lazy, _write_table
-from .dynamics import IntegrationError, _lossy_terms, _rk45, _time_list
+from .dynamics import IntegrationError, _carry, _lossy_terms, _rk45, _time_list
 from .merit import QuadratureReport
 from .pulses import DriveParams
 from .specfun import Accuracy, _number, _Value
@@ -95,10 +96,10 @@ FOCK_ACCURACY = Accuracy(abs_tol=1e-12, rel_tol=1e-10)
 # The Lindblad engine's tolerances. Their absolute floor applies to every
 # stored entry of the state, and the integration noise in the lowest
 # eigenvalue of the final state follows it: at zeta 2 on twice the frame
-# ladder (70 levels), a 1e-12 floor left that eigenvalue at -1.1e-11 and
-# 1e-13 at -5.0e-13, for 12% more right-hand-side calls. On the rising
-# edge of the pulse n then lies within 7.9e-11 of a 1e-15/1e-13 run on
-# the 35-level frame ladder (2.2e-10 at a 1e-12 floor).
+# ladder (70 levels), a 1e-12 floor left that eigenvalue at -9.8e-12 and
+# 1e-13 at -9.8e-13, for 6% more right-hand-side calls. On the rising
+# edge of the pulse n then lies within 1.3e-11 of a 1e-15/1e-13 run on
+# the 35-level frame ladder (2.0e-10 at a 1e-12 floor).
 LINDBLAD_ACCURACY = Accuracy(abs_tol=1e-13, rel_tol=1e-10)
 
 # How many top ladder levels count as the truncation alarm zone, and the
@@ -131,6 +132,11 @@ _QUARTER_TURNS = (1.0 + 0j, -1j, -1.0 + 0j, 1j)
 # (zeta 3.5) and 25 s at 170 (zeta 3.75); zeta 4's 216 levels took 36 s
 # in process.
 LINDBLAD_LEVEL_LIMIT = 150
+
+# Most right-hand-side calls the Lindblad engine may need by the bound kappa dim L, which its
+# fastest decay rate (about kappa dim) sets for an explicit stepper: zeta 1 at kappa 1e3 on the
+# default grid made 138 854 for a bound of 8.4e4, in about 7 s on a shared 2-core host.
+_STIFFNESS_LIMIT = 2e5
 
 # Largest vector ladder the lossless engines step. A right-sized ladder
 # is occupied to its top, so RK45 makes about six right-hand-side calls
@@ -530,9 +536,8 @@ def frame_truncation(p: DriveParams, kappa: float, times, tail_tol: float) -> in
     """
     tail_tol = _number("tail_tol", tail_tol, "in (0, 1)")
     nbar = 0.0
-    for x, decay, i_plus, i_minus in _lossy_terms(p, kappa, times):
-        v_plus = 0.5 * math.exp(2.0 * x - decay) + 0.5 * kappa * i_plus
-        v_minus = 0.5 * math.exp(-2.0 * x - decay) + 0.5 * kappa * i_minus
+    for terms in _lossy_terms(p, kappa, times):
+        v_plus, v_minus = _variances(kappa, *terms)
         # rounding leaves sqrt(V+ V-) of a pure state just below 1/2
         nbar = max(nbar, math.sqrt(v_plus) * math.sqrt(v_minus) - 0.5)
     if nbar == 0.0:
@@ -540,6 +545,12 @@ def frame_truncation(p: DriveParams, kappa: float, times, tail_tol: float) -> in
     if nbar == math.inf:
         raise OverflowError("the frame ladder's V+ passed the largest double (about 1.8e308)")
     return max(_MIN_LEVELS, _TAIL_LEVELS + math.ceil(math.log(tail_tol) / -math.log1p(1.0 / nbar)))
+
+
+def _variances(kappa: float, x: float, decay: float, i_plus: float, i_minus: float) -> tuple[float, float]:
+    """V+- = e^(+-2x - decay) / 2 + (kappa/2) I+-, of the terms of :func:`qbattery.dynamics.lossy_moments`."""
+    plus, minus = math.exp(2.0 * x - decay), math.exp(-2.0 * x - decay)
+    return 0.5 * plus + 0.5 * kappa * i_plus, 0.5 * minus + 0.5 * kappa * i_minus
 
 
 def evolve_lindblad(p: DriveParams, kappa: float, dim: int, times) -> FockTrajectory:
@@ -558,14 +569,17 @@ def evolve_lindblad(p: DriveParams, kappa: float, dim: int, times) -> FockTrajec
     -1e-8. Steps are taken at :data:`LINDBLAD_ACCURACY`. ``kappa`` must
     be positive: without loss the state is pure, which :func:`evolve_rwa`
     steps. A ``dim`` above :data:`LINDBLAD_LEVEL_LIMIT` raises
-    :class:`ValueError` after the check on ``kappa`` and before ``times``
-    is read, as the lossless engines refuse one above
-    :data:`VECTOR_LEVEL_LIMIT`.
+    :class:`ValueError` before ``times`` is read, as the lossless engines
+    refuse one above :data:`VECTOR_LEVEL_LIMIT`, and a loss too stiff
+    for the explicit stepper, at least kappa dim L right-hand-side calls
+    over the L of the grid inside +-8 tau, raises :class:`IntegrationError`
+    above 2e5 after it, both before numpy loads.
 
     With K = b†² + b² and U = exp(-i theta K), the frame angle is
-    theta = ln(V+/V-) / 8, stepped through the principal variances
-    dV±/dt = ±2 zeta f V± - kappa (V± - 1/2) in the same ODE as the
-    state. In sigma = e^(i pi n/4) U†rho U e^(-i pi n/4) the generator
+    theta = ln(V+/V-) / 8, from the principal variances V± of the closed
+    form that sizes the ladder, carried to each time the stepper
+    evaluates from the latest instant evaluated, so only the state is
+    stepped. In sigma = e^(i pi n/4) U†rho U e^(-i pi n/4) the generator
     is g [A, sigma] + kappa (M sigma M^T - {M^T M, sigma}/2), with
     A = b†² - b², M = cosh(2 theta) b + sinh(2 theta) b† on the
     truncated ladder, and g = zeta f/2 - dtheta/dt
@@ -573,39 +587,63 @@ def evolve_lindblad(p: DriveParams, kappa: float, dim: int, times) -> FockTrajec
     dense real dim x dim array. The right-hand side is written Z + Z^T,
     exactly symmetric in floating point: sigma's antisymmetric part,
     which rounding would otherwise seed, grows under the dissipator.
-    Each sample is read off V±, the populations and the sigma[j + 2, j]
-    coherences of one interpolated state. Loss makes it stiff: the work
-    grows linearly with ``kappa``, and from about 1e4 a trial stage leaves
-    0 < V± < inf or overflows, which raises :class:`IntegrationError`.
+    Each sample is read off the populations and the sigma[j + 2, j]
+    coherences of one interpolated state, and theta at its instant.
     """
     try:
         kappa = _number("kappa", kappa, "positive")
     except ValueError as err:
         raise ValueError(f"{err}; evolve_rwa steps a lossless run") from None
     dim = _levels(dim, p.zeta, kappa)
-    times = np.array(_time_list(times))
+    grid = _time_list(times)
     tau = p.pulse.tau
+    label = "lossy evolution failed"
+    driven = max(0.0, min(grid[-1], 8.0 * tau) - max(grid[0], -8.0 * tau))
+    if kappa * dim * driven > _STIFFNESS_LIMIT:
+        raise IntegrationError(
+            f"{label}: kappa {kappa:g} is too stiff for the explicit stepper: on the {dim}-level "
+            f"frame ladder over the {driven / tau:g} tau of the grid inside +-8 tau it needs at least "
+            f"{kappa * dim * driven:.2g} right-hand-side calls, above the limit of {_STIFFNESS_LIMIT:.0e}"
+        )
+    times = np.array(grid)
 
-    # y = (V+, V-, sigma row by row), from the vacuum
-    y0 = np.zeros(2 + dim * dim)
-    y0[:3] = 0.5, 0.5, 1.0
+    y0 = np.zeros(dim * dim)  # sigma row by row, from the vacuum
+    y0[0] = 1.0
     root = np.sqrt(np.arange(1.0, dim))  # <j| b |j+1>
     levels, pair = np.arange(dim), _pair_coeffs(dim)
-    zeta = p.zeta
-    value = p.pulse.value
+    # every instant the quadrature reaches lies between checked ones, so the
+    # shape's unchecked area serves
+    area, zeta, two_zeta = p.pulse._area, p.zeta, 2.0 * p.zeta
+    t0, area0 = grid[0], area(grid[0])
+    # (t, A(t), I+, I-, V+, V-) at the grid instants passed, and at the last instants evaluated
+    nodes, carried = [], [(t0, area0, 0.0, 0.0, 0.5, 0.5)]
+
+    def carry(t):
+        a, area_a, i_plus, i_minus, *_ = top = carried[-1]
+        if t == a:
+            return top
+        # a panel per unit of the exponent's swing and per scale of the area,
+        # tau or, on one side of the pulse, the distance from it
+        area_t = area(t)
+        scale = max(tau, min(abs(a), abs(t))) if a * t > 0.0 else tau
+        width = 1.0 / (1.0 / scale + kappa + two_zeta * abs(area_t - area_a) / (t - a))
+        i_plus, i_minus = _carry(area, two_zeta, kappa, a, area_a, t, area_t, i_plus, i_minus, width)
+        v_plus, v_minus = _variances(kappa, zeta * (area_t - area0), kappa * (t - t0), i_plus, i_minus)
+        return t, area_t, i_plus, i_minus, v_plus, v_minus
 
     def rhs(t, y):
-        v_plus, v_minus = y[0], y[1]
-        if not (0.0 < v_plus < math.inf and 0.0 < v_minus < math.inf):
-            raise IntegrationError(
-                f"{label}: a trial step took V+ to {v_plus:.3g} and V- to {v_minus:.3g} "
-                f"at t = {t:g}; kappa {kappa:g} is too stiff for the explicit stepper"
-            )
-        drive = 2.0 * zeta * value(t)
-        out = np.empty_like(y)
-        out[0] = drive * v_plus - kappa * (v_plus - 0.5)
-        out[1] = -drive * v_minus - kappa * (v_minus - 0.5)
-        sigma = y[2:].reshape(dim, dim)
+        # V+- at t, carried from the latest instant evaluated at or before it
+        # once every grid instant up to t is; a step goes back at most to its
+        # start, among the last 16 kept
+        t = _number("t", t)  # a Python float, which math takes fastest
+        while carried[-1][0] > t:
+            carried.pop()
+        while len(nodes) < len(grid) and grid[len(nodes)] <= t:
+            nodes.append(carry(grid[len(nodes)]))
+        carried.append(carry(t))
+        del carried[1:-16]
+        *_, v_plus, v_minus = carried[-1]
+        sigma = y.reshape(dim, dim)
         two_theta = 0.25 * math.log(v_plus / v_minus)
         c, s = math.cosh(two_theta), math.sinh(two_theta)
         g = pair * (kappa / 16.0 * (1.0 / v_minus - 1.0 / v_plus))
@@ -625,29 +663,30 @@ def evolve_lindblad(p: DriveParams, kappa: float, dim: int, times) -> FockTrajec
         z[:-1] -= down[:, None] * w[1:]
         z[:, :-1] += w[:, 1:] * up
         z[:, 1:] += w[:, :-1] * down
-        np.add(z, z.T, out=out[2:].reshape(dim, dim))
-        return out
+        return (z + z.T).ravel()
 
     def observe(y):
-        # rho~[j + 2, j] = -i sigma[j + 2, j], so <bb> in the frame is -i x
-        sigma = y[2:].reshape(dim, dim)
-        pops, x = sigma.diagonal(), pair @ sigma.diagonal(-2)
-        n, pair_lab = _unsqueeze(0.125 * math.log(y[0] / y[1]), levels @ pops, -x)
-        return _observed(n, complex(0.0, pair_lab), pops)
+        # in the frame, rho~[j + 2, j] = -i sigma[j + 2, j], so <bb> = -i x
+        sigma = y.reshape(dim, dim)
+        pops = sigma.diagonal()
+        return _observed(levels @ pops, complex(0.0, -(pair @ sigma.diagonal(-2))), pops)
 
-    label = "lossy evolution failed"
     try:  # an overflow, also in the solver's error norm, fails the run
         with np.errstate(over="raise", invalid="raise"):
             sol = _rk45(rhs, times, y0, LINDBLAD_ACCURACY, tau, label, observe=observe)
     except FloatingPointError as exc:
         raise IntegrationError(f"{label}: {exc} at kappa {kappa:g}") from None
+    nodes += map(carry, grid[len(nodes):])  # a grid of one instant steps nothing
+    theta = [0.125 * math.log(v_plus / v_minus) for *_, v_plus, v_minus in nodes]
+    lab = [_unsqueeze(*sample) for sample in zip(theta, sol.y[0].tolist(), sol.y[2].tolist())]
+    sol.y[0], sol.y[2] = np.array(lab).T
     last = sol.y_end
 
     def final_state() -> FockDensity:
         # rho~[j, k] = e^(-i pi (j - k)/4) sigma[j, k], nonzero for even j - k only
         turns = np.array(_QUARTER_TURNS)[np.subtract.outer(levels, levels) // 2 % 4]
-        final = turns * last[2:].reshape(dim, dim)
-        rho = FockDensity(final / np.trace(final).real, 0.125 * math.log(last[0] / last[1]))
+        final = turns * last.reshape(dim, dim)
+        rho = FockDensity(final / np.trace(final).real, theta[-1])
         min_eig = rho.min_eigenvalue()
         if min_eig < -1e-8:
             raise IntegrationError(

@@ -394,14 +394,64 @@ def test_fock_check_refuses_moments_that_agree_to_their_rounding(capsys, monkeyp
 
 
 @pytest.mark.parametrize("kappa", ["1e4", "1e300"])
-def test_fock_check_fails_too_stiff_a_loss_in_one_line(capsys, kappa):
+def test_fock_check_fails_too_stiff_a_loss_in_one_line(capsys, monkeypatch, kappa):
     # the explicit stepper cannot follow loss this fast; the run exits 1
-    # with one line that names kappa, and no numpy warning
+    # before any step with one line that names kappa, the ladder and the
+    # predicted calls, and no numpy warning
+    from qbattery import fock
+
+    monkeypatch.setattr(fock, "_rk45", _refuse_lindblad_step)
     assert main(["fock-check", "--zeta", "1", "--kappa", kappa]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith("qbattery: error: lossy evolution failed: ")
     assert f"kappa {float(kappa):g}" in err[0]
+    assert "6-level frame ladder" in err[0] and "right-hand-side calls" in err[0]
+
+
+def test_fock_check_refuses_too_stiff_a_loss_before_numpy_loads():
+    # the stiffness bound is pure Python, checked before anything steps
+    proc = run_python(
+        "import io, json, sys, time\n"
+        "from contextlib import redirect_stderr, redirect_stdout\n"
+        "from qbattery.cli import main\n"
+        "err = io.StringIO()\n"
+        "start = time.perf_counter()\n"
+        "with redirect_stdout(io.StringIO()), redirect_stderr(err):\n"
+        "    code = main(['fock-check', '--zeta', '1', '--kappa', '1e4'])\n"
+        "elapsed = time.perf_counter() - start\n"
+        "numpy = sorted(m for m in sys.modules if m.startswith('numpy.'))\n"
+        "print(json.dumps([code, elapsed, err.getvalue(), numpy]))"
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, elapsed, err, numpy = json.loads(proc.stdout)
+    assert code == 1 and elapsed < 1.0 and numpy == []
+    assert "kappa 10000 is too stiff" in err
+
+
+def test_fock_check_runs_sech_from_a_hundred_thousand_tau(tmp_path):
+    # in the quiet stretch where sech(t) rounds to 0 the free step grows
+    # to about 1e5 tau; V+- come from the closed form, so no trial stage
+    # takes them out of range, and the run meets the bench's thresholds:
+    # n_ref on the closed form and n on n_ref within 1e-6 (1 + n), the
+    # tail below 1e-7, var_x_min consistent and the ergotropy ratio in (0, 1]
+    from qbattery.pulses import from_name
+
+    out = tmp_path / "sech.csv"
+    flags = ["--pulse", "sech", "--kappa", "0.1", "--t-min=-1e5", "--ergotropy"]
+    assert main(["fock-check", *flags, "--out", str(out)]) == 0
+    header, rows = read_csv(out)
+    col = {name: rows[:, header.index(name)] for name in header}
+    p = DriveParams(omega_b=1.0, zeta=1.0, pulse=from_name("sech", 1.0))
+    want = np.array([m.n for m in lossy_moments(p, 0.1, col["t"])])
+    scale = 1.0 + want
+    assert col["t"][0] == -1e5 and rows.shape[0] == 57
+    assert np.max(np.abs(col["n_ref"] - want) / scale) <= 1e-6
+    assert np.max(col["abs_err"] / (1.0 + col["n_ref"])) <= 1e-6
+    assert np.max(np.abs(col["tail_mass"])) <= 1e-7
+    s_abs = np.hypot(col["re_s"], col["im_s"])
+    assert np.max(np.abs(col["var_x_min"] - (0.5 + col["n"] - s_abs)) / scale) <= 1e-9
+    assert np.all((0.0 < col["ergotropy_ratio"]) & (col["ergotropy_ratio"] <= 1.0 + 1e-9))
 
 
 @pytest.mark.parametrize("kappa", ["0", "0.1"])

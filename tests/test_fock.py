@@ -276,6 +276,10 @@ def frame_ladder(zeta, grid, kappa=0.1):
     return frame_truncation(gauss_params(zeta), kappa, grid, 1e-8)
 
 
+def refuse_lindblad_step(*args, **kwargs):
+    raise AssertionError("the Lindblad engine must not step")
+
+
 def record_frame_populations(monkeypatch):
     """The list that collects the frame populations (levels x samples)
     every Lindblad run samples: sigma's diagonal at each instant the
@@ -284,11 +288,11 @@ def record_frame_populations(monkeypatch):
     rk45 = fock._rk45
 
     def recording(rhs, times, y0, *args, observe, **kwargs):
-        dim = math.isqrt(y0.size - 2)
+        dim = math.isqrt(y0.size)
         diagonals = []
 
         def recorded(y):
-            diagonals.append(y[2:].reshape(dim, dim).diagonal().copy())
+            diagonals.append(y.reshape(dim, dim).diagonal().copy())
             return observe(y)
 
         sol = rk45(rhs, times, y0, *args, observe=recorded, **kwargs)
@@ -579,16 +583,34 @@ class TestEvolveLindblad:
         assert np.max(np.abs(lind.n - mom.n)) < 1e-4
         assert lind.norm_drift < 1e-8
 
-    @pytest.mark.parametrize("kappa, cause", [(1e4, "a trial step took V"), (1e300, "overflow")])
-    def test_too_stiff_a_loss_is_an_integration_error(self, kappa, cause):
-        # the explicit stepper cannot follow loss this fast: a trial stage
-        # takes V± out of (0, inf), or the solver's error norm overflows;
-        # either fails the run naming kappa, and numpy warns of nothing
+    @pytest.mark.parametrize("kappa", [1e4, 1e300])
+    def test_too_stiff_a_loss_is_an_integration_error(self, monkeypatch, kappa):
+        # the explicit stepper cannot follow loss this fast: kappa dim L,
+        # over the L = 14 of the grid inside +-8 tau, bounds its calls from
+        # below, and past the limit the run is refused before any step,
+        # naming kappa, the ladder and the predicted calls; numpy warns of nothing
+        monkeypatch.setattr(fock, "_rk45", refuse_lindblad_step)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(IntegrationError, match=f"lossy evolution failed: {cause}") as err:
+            with pytest.raises(IntegrationError, match="^lossy evolution failed: ") as err:
                 evolve_lindblad(gauss_params(1.0), kappa, 6, GRID)
-        assert f"kappa {kappa:g}" in str(err.value)
+        message = str(err.value)
+        assert "\n" not in message
+        assert f"kappa {kappa:g} is too stiff" in message and "6-level frame ladder" in message
+        assert f"at least {kappa * 6 * 14:.2g} right-hand-side calls" in message
+
+    def test_a_stiff_loss_under_the_limit_steps(self, monkeypatch):
+        # kappa 1e3 predicts 8.4e4 calls on 6 levels, under the limit, so
+        # the engine goes on to step (and exits 0 in about 8 s in the CLI)
+        class Stepped(Exception):
+            pass
+
+        def stepping(*args, **kwargs):
+            raise Stepped
+
+        monkeypatch.setattr(fock, "_rk45", stepping)
+        with pytest.raises(Stepped):
+            evolve_lindblad(gauss_params(1.0), 1e3, 6, GRID)
 
     def test_positivity_of_final_state(self):
         p = gauss_params(0.5)
@@ -618,31 +640,42 @@ class TestEvolveLindblad:
             (0.5, 0.15, 15),
         ],
     )
-    def test_matches_dense_reference(self, monkeypatch, zeta, kappa, dim):
+    def test_matches_dense_reference(self, zeta, kappa, dim):
         # the frame ladder of dim levels and the lab-frame reference on a
         # ladder sized for the lossless squeeze both hold the state, so
         # the lab observables, the trace and the spectrum agree; the tail
-        # and odd-level masses are read in different frames. Both step at
-        # 1e-13/1e-12: at the engine's own tolerances its s lies up to
-        # 3.7e-9 from the reference, as the dim^2 entries of the frame
-        # state dilute the error control of V+ and V-
+        # and odd-level masses are read in different frames. The engine
+        # steps at its own tolerances, the reference at 1e-13/1e-12
         lab = choose_truncation(zeta, 1e-14)
         rho0 = np.zeros((lab, lab), dtype=complex)
         rho0[0, 0] = 1.0
         p = gauss_params(zeta)
         grid = np.linspace(-6.0, 4.0, 11)
-        acc = Accuracy(1e-13, 1e-12)
-        monkeypatch.setattr(fock, "LINDBLAD_ACCURACY", acc)
         traj = evolve_lindblad(p, kappa, dim, grid)
-        ref = lindblad_dense(p, kappa, rho0, grid, acc)
+        ref = lindblad_dense(p, kappa, rho0, grid, Accuracy(1e-13, 1e-12))
         for name in ("n", "s"):
             assert np.max(np.abs(getattr(traj, name) - ref[name])) < 1e-9, name
         assert abs(traj.norm_drift - ref["norm_drift"]) < 1e-9
         spectrum = np.linalg.eigvalsh(ref["final"])[::-1][:dim]
         assert np.max(np.abs(traj.final_state.eigenvalues[::-1] - spectrum)) < 1e-9
 
+    @pytest.mark.parametrize("kappa", [0.1, 1e-6])
+    def test_is_independent_of_the_ladder(self, kappa):
+        # V+- come from the closed form, not from the stepped state, so the
+        # dim^2 entries of a larger ladder cannot dilute their error control:
+        # on 16 and 64 levels n and s agree with the closed form alike
+        p = gauss_params(1.0)
+        grid = np.linspace(-8.0, 6.0, 57)
+        ref = lossy_moments(p, kappa, grid)
+        n = np.array([m.n for m in ref])
+        s = np.array([m.s for m in ref])
+        for dim in (16, 64):
+            traj = evolve_lindblad(p, kappa, dim, grid)
+            assert np.max(np.abs(traj.n - n) / (1.0 + n)) <= 1e-9, dim
+            assert np.max(np.abs(traj.s - s) / (1.0 + n)) <= 1e-9, dim
+
     def test_memory_estimate_bounds_peak(self, monkeypatch):
-        # the frame state is stepped whole, dim^2 + 2 float64 numbers
+        # the frame state is stepped whole, dim^2 float64 numbers
         def samples_per_step(times, max_step):
             # the most instants in any closed window of length max_step
             ends = np.searchsorted(times, times + max_step, side="right")
@@ -655,7 +688,7 @@ class TestEvolveLindblad:
             # twice and every sample's observed rows twice; no full-state
             # sample
             observed = 2 * dim
-            return 8 * (dim * dim + 2) * 24 + 16 * observed * per_step + 2 * 8 * observed * samples
+            return 8 * dim * dim * 24 + 16 * observed * per_step + 2 * 8 * observed * samples
 
         rk45 = fock._rk45
         stepped = []
@@ -687,7 +720,7 @@ class TestEvolveLindblad:
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert stepped[-1].dtype == np.float64 and stepped[-1].size == dim * dim + 2
+            assert stepped[-1].dtype == np.float64 and stepped[-1].size == dim * dim
             assert peak <= bound, dim
 
     @pytest.mark.parametrize(
