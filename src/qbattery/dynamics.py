@@ -69,9 +69,9 @@ _GAUSS_LEGENDRE_8 = (
     (0.960289856497536231683560868569, 0.101228536290376259152531354310),
 )
 
-# lossy_moments' quadrature panels per min(tau, 1/kappa); 4 per step of
-# the default fock-check grid.
-_PANELS = 16
+# _carry's panel width per unit of its rule: at 1 lossy_moments lay up to
+# 1.8e-13 of 1 + n from a run on 8 times as many panels, at 1/2 1.2e-14.
+_PANEL_WIDTH = 0.5
 
 # lossy_moments integrates over the last (4 zeta + _LOSS_REACH) / kappa
 # of each grid interval [a, b] only: what decayed before that is at most
@@ -326,14 +326,16 @@ def lossy_moments(p: DriveParams, kappa: float, times) -> list[MomentState]:
 
     I± is carried from grid point to grid point,
     I(b) = I(a) e^(g(b) - g(a)) + integral from a to b, each integral by
-    8-point Gauss-Legendre on panels at most min(tau, 1/kappa)/16 wide
-    and over the last (4 zeta + 50)/kappa of the interval alone. Where
-    A(a) = A(b), as where a Gaussian, sech or Poschl-Teller area has
-    rounded to 0 or 1, the integrand is e^(-kappa (b - u)), and the
-    integral, (1 - e^(-kappa (b - a)))/kappa, is taken in closed form,
-    so a quiet tail costs no panels however long. The Lorentzian and
-    algebraic areas never stop changing, so those shapes take panels
-    everywhere. Every term of V± is positive, so none cancels. Then, with
+    8-point Gauss-Legendre over the last (4 zeta + 50)/kappa of the
+    interval alone, on panels 1/(2 (1/l + kappa + 2 zeta |A(b) - A(a)|/(b - a)))
+    wide, l the area's scale: tau or, on one side of the pulse, the
+    distance from it. Where A(a) = A(b), as where a Gaussian, sech or
+    Poschl-Teller area has rounded to 0 or 1, the integrand is
+    e^(-kappa (b - u)), and the integral, (1 - e^(-kappa (b - a)))/kappa,
+    is taken in closed form, so a quiet tail costs no panels however
+    long. The Lorentzian and algebraic areas never stop changing, so
+    those shapes take panels everywhere, few where l is long. Every term
+    of V± is positive, so none cancels. Then, with
     x = zeta (A(t) - A(t0)) and D = e^(-kappa (t - t0)),
 
         n = D sinh^2(x) + (D - 1)/2 + (kappa/4) (I+ + I-)
@@ -366,27 +368,43 @@ def lossy_moments(p: DriveParams, kappa: float, times) -> list[MomentState]:
 
 def _lossy_terms(p: DriveParams, kappa: float, times):
     """x = zeta (A(t) - A(t0)), kappa (t - t0), I+ and I- at each of ``times``
-    after the first: the terms and the refusals of :func:`lossy_moments`."""
+    after the first, by one walk of :func:`_lossy_carry`: the terms and the
+    refusals of :func:`lossy_moments`."""
     kappa = _number("kappa", kappa, "nonnegative")
     times = _time_list(times)
-    tau = p.pulse.tau
-    area = p.pulse.area
-    two_zeta = 2.0 * p.zeta
-    width = min(tau, 1.0 / kappa) / _PANELS if kappa else tau / _PANELS
-
-    t0, area0 = times[0], area(times[0])
-    a, area_a = t0, area0
-    i_plus = i_minus = 0.0
-    for b in times[1:]:
-        area_b = area(b)
-        i_plus, i_minus = _carry(area, two_zeta, kappa, a, area_a, b, area_b, i_plus, i_minus, width)
-        yield p.zeta * (area_b - area0), kappa * (b - t0), i_plus, i_minus
-        a, area_a = b, area_b
+    return map(_lossy_carry(p, kappa, times[0]), times[1:])
 
 
-def _carry(area, two_zeta, kappa, a, area_a, b, area_b, i_plus, i_minus, width):
-    """I+- at ``b`` from I+- at ``a`` < ``b``, where ``area`` takes the values ``area_a`` and
-    ``area_b``, as :func:`lossy_moments` carries them, on panels at most ``width`` wide."""
+def _lossy_carry(p: DriveParams, kappa: float, t0: float):
+    """A cursor over the terms of :func:`lossy_moments` from the vacuum at
+    ``t0``: a function of t >= ``t0`` that returns x, kappa (t - t0), I+
+    and I-, carried by :func:`_carry` from the latest instant asked for at
+    or before t. It keeps ``t0`` and the last 16, as RK45 steps back at
+    most to the start of its step. ``kappa``, ``t0`` and every t are
+    checked Python floats, so the quadrature reads the unchecked area."""
+    area, tau, zeta, two_zeta = p.pulse._area, p.pulse.tau, p.zeta, 2.0 * p.zeta
+    area0 = area(t0)
+    carried = [(t0, area0, 0.0, 0.0)]  # (t, A(t), I+, I-)
+
+    def terms(t):
+        while carried[-1][0] > t:
+            carried.pop()
+        a, area_a, i_plus, i_minus = carried[-1]
+        if t > a:
+            area_t = area(t)
+            i_plus, i_minus = _carry(area, two_zeta, kappa, tau, a, area_a, t, area_t, i_plus, i_minus)
+            carried.append((t, area_t, i_plus, i_minus))
+            del carried[1:-16]
+            area_a = area_t
+        return zeta * (area_a - area0), kappa * (t - t0), i_plus, i_minus
+
+    return terms
+
+
+def _carry(area, two_zeta, kappa, tau, a, area_a, b, area_b, i_plus, i_minus):
+    """I+- at ``b`` from I+- at ``a`` < ``b``, where ``area`` takes the values
+    ``area_a`` and ``area_b``, as :func:`lossy_moments` carries them, on
+    panels _PANEL_WIDTH / (1/l + kappa + 2 zeta |A(b) - A(a)|/(b - a)) wide, l as there."""
     if area_b == area_a:
         # the drive adds no area on [a, b], so the integrand is e^(-kappa v)
         j_plus = j_minus = -math.expm1(-kappa * (b - a)) / kappa if kappa else b - a
@@ -394,6 +412,8 @@ def _carry(area, two_zeta, kappa, a, area_a, b, area_b, i_plus, i_minus, width):
         # the quadrature runs in the lag v = b - u, which stays
         # resolved however short the reach
         span = min(b - a, (2.0 * two_zeta + _LOSS_REACH) / kappa if kappa else math.inf)
+        scale = max(tau, min(abs(a), abs(b))) if a * b > 0.0 else tau
+        width = _PANEL_WIDTH / (1.0 / scale + kappa + two_zeta * abs(area_b - area_a) / (b - a))
         panels = max(1, math.ceil(span / width))
         half = 0.5 * span / panels
         q_plus = q_minus = 0.0

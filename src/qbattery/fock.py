@@ -61,7 +61,7 @@ import operator
 from pathlib import Path
 
 from . import _lazy, _write_table
-from .dynamics import IntegrationError, _carry, _lossy_terms, _rk45, _time_list
+from .dynamics import IntegrationError, _lossy_carry, _lossy_terms, _rk45, _time_list
 from .merit import QuadratureReport
 from .pulses import DriveParams
 from .specfun import Accuracy, _number, _Value
@@ -577,9 +577,10 @@ def evolve_lindblad(p: DriveParams, kappa: float, dim: int, times) -> FockTrajec
 
     With K = b†² + b² and U = exp(-i theta K), the frame angle is
     theta = ln(V+/V-) / 8, from the principal variances V± of the closed
-    form that sizes the ladder, carried to each time the stepper
-    evaluates from the latest instant evaluated, so only the state is
-    stepped. In sigma = e^(i pi n/4) U†rho U e^(-i pi n/4) the generator
+    form that sizes the ladder: at each time the stepper evaluates
+    through one cursor over its terms, and at each instant of ``times``
+    from the walk that sizes the ladder, so only the state is stepped.
+    In sigma = e^(i pi n/4) U†rho U e^(-i pi n/4) the generator
     is g [A, sigma] + kappa (M sigma M^T - {M^T M, sigma}/2), with
     A = b†² - b², M = cosh(2 theta) b + sinh(2 theta) b† on the
     truncated ladder, and g = zeta f/2 - dtheta/dt
@@ -611,38 +612,11 @@ def evolve_lindblad(p: DriveParams, kappa: float, dim: int, times) -> FockTrajec
     y0[0] = 1.0
     root = np.sqrt(np.arange(1.0, dim))  # <j| b |j+1>
     levels, pair = np.arange(dim), _pair_coeffs(dim)
-    # every instant the quadrature reaches lies between checked ones, so the
-    # shape's unchecked area serves
-    area, zeta, two_zeta = p.pulse._area, p.zeta, 2.0 * p.zeta
-    t0, area0 = grid[0], area(grid[0])
-    # (t, A(t), I+, I-, V+, V-) at the grid instants passed, and at the last instants evaluated
-    nodes, carried = [], [(t0, area0, 0.0, 0.0, 0.5, 0.5)]
-
-    def carry(t):
-        a, area_a, i_plus, i_minus, *_ = top = carried[-1]
-        if t == a:
-            return top
-        # a panel per unit of the exponent's swing and per scale of the area,
-        # tau or, on one side of the pulse, the distance from it
-        area_t = area(t)
-        scale = max(tau, min(abs(a), abs(t))) if a * t > 0.0 else tau
-        width = 1.0 / (1.0 / scale + kappa + two_zeta * abs(area_t - area_a) / (t - a))
-        i_plus, i_minus = _carry(area, two_zeta, kappa, a, area_a, t, area_t, i_plus, i_minus, width)
-        v_plus, v_minus = _variances(kappa, zeta * (area_t - area0), kappa * (t - t0), i_plus, i_minus)
-        return t, area_t, i_plus, i_minus, v_plus, v_minus
+    cursor = _lossy_carry(p, kappa, grid[0])
 
     def rhs(t, y):
-        # V+- at t, carried from the latest instant evaluated at or before it
-        # once every grid instant up to t is; a step goes back at most to its
-        # start, among the last 16 kept
-        t = _number("t", t)  # a Python float, which math takes fastest
-        while carried[-1][0] > t:
-            carried.pop()
-        while len(nodes) < len(grid) and grid[len(nodes)] <= t:
-            nodes.append(carry(grid[len(nodes)]))
-        carried.append(carry(t))
-        del carried[1:-16]
-        *_, v_plus, v_minus = carried[-1]
+        # V+- at t, with t as a Python float, which math takes fastest
+        v_plus, v_minus = _variances(kappa, *cursor(_number("t", t)))
         sigma = y.reshape(dim, dim)
         two_theta = 0.25 * math.log(v_plus / v_minus)
         c, s = math.cosh(two_theta), math.sinh(two_theta)
@@ -676,8 +650,8 @@ def evolve_lindblad(p: DriveParams, kappa: float, dim: int, times) -> FockTrajec
             sol = _rk45(rhs, times, y0, LINDBLAD_ACCURACY, tau, label, observe=observe)
     except FloatingPointError as exc:
         raise IntegrationError(f"{label}: {exc} at kappa {kappa:g}") from None
-    nodes += map(carry, grid[len(nodes):])  # a grid of one instant steps nothing
-    theta = [0.125 * math.log(v_plus / v_minus) for *_, v_plus, v_minus in nodes]
+    walk = (_variances(kappa, *terms) for terms in _lossy_terms(p, kappa, grid))
+    theta = [0.0, *(0.125 * math.log(v_plus / v_minus) for v_plus, v_minus in walk)]  # 0 at the vacuum
     lab = [_unsqueeze(*sample) for sample in zip(theta, sol.y[0].tolist(), sol.y[2].tolist())]
     sol.y[0], sol.y[2] = np.array(lab).T
     last = sol.y_end

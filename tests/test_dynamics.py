@@ -7,10 +7,12 @@ import warnings
 import numpy as np
 import pytest
 
+from qbattery import dynamics
 from qbattery.dynamics import (
     VACUUM,
     DriveParams,
     _GAUSS_LEGENDRE_8,
+    _lossy_carry,
     _rk45,
     analytic_moments,
     integrate_moments,
@@ -410,6 +412,46 @@ class TestLossyMoments:
             eps = 2.0 * p.zeta * p.pulse.value(0.0) / kappa
             assert peak.n == pytest.approx(eps * eps / (2.0 * (1.0 - eps * eps)), rel=1e-3)
         assert time.perf_counter() - start < 5.0
+
+    def test_one_panel_rule_is_resolved(self, monkeypatch):
+        # the panels' width rule at its constant lies within 5e-14 (1 + n)
+        # of a run on 8 times as many panels; at twice the constant the
+        # algebraic shape from -1e4 tau, kappa 0.1, lies 1.8e-13 away
+        cases = [
+            (DriveParams(1.0, zeta, pulse), kappa, CLI_GRID)
+            for pulse in FINITE_SHAPES
+            for zeta in (1.0, 3.0)
+            for kappa in (0.1, 100.0)
+        ]
+        for t_min in (-1e3, -1e4):
+            far = np.linspace(t_min, 6.0, 57)
+            for pulse in (Lorentzian(1.0), Algebraic(1.0)):
+                cases += [(DriveParams(1.0, zeta, pulse), 0.1, far) for zeta in (1.0, 2.0)]
+        runs = [lossy_moments(*case) for case in cases]
+        monkeypatch.setattr(dynamics, "_PANEL_WIDTH", dynamics._PANEL_WIDTH / 8.0)
+        for run, (p, kappa, grid) in zip(runs, cases):
+            fine = lossy_moments(p, kappa, grid)
+            for m, ref in zip(run, fine):
+                bound = 5e-14 * (1.0 + ref.n)
+                assert abs(m.n - ref.n) <= bound and abs(m.s - ref.s) <= bound, (p, kappa, grid[0])
+
+    def test_cursor_steps_back_to_the_latest_instant_before(self):
+        # asked for t after a later t', as RK45 asks when it rejects a
+        # step, the cursor carries from the latest instant at or before t
+        # among the start and the last 16, as a fresh walk through the
+        # same instants does
+        p = DriveParams(1.0, 2.0, Lorentzian(1.0))
+        walk = [-7.0 + 0.5 * k for k in range(20)]
+        for kappa in (0.0, 0.1, 100.0):
+            cursor = _lossy_carry(p, kappa, -8.0)
+            for t in walk:
+                cursor(t)
+            for t, before in ((2.3, walk[:-1]), (-2.2, walk[:10]), (-8.0, []), (1.5, [])):
+                fresh = _lossy_carry(p, kappa, -8.0)
+                for u in before:
+                    fresh(u)
+                assert cursor(t) == fresh(t), (kappa, t)
+            assert cursor(-8.0) == (0.0, 0.0, 0.0, 0.0)
 
     def test_gauss_legendre_rule(self):
         nodes, weights = np.polynomial.legendre.leggauss(8)

@@ -32,7 +32,7 @@ from qbattery.fock import (
     quadrature_variances_from_state,
 )
 from qbattery.merit import quadrature_variances
-from qbattery.pulses import DeltaLimit, Gaussian, UnsupportedPulseError
+from qbattery.pulses import Algebraic, DeltaLimit, Gaussian, Lorentzian, UnsupportedPulseError
 from qbattery.specfun import Accuracy
 
 from oracles import (
@@ -408,6 +408,23 @@ class TestFrameTruncation:
         if want is not None:
             assert dim == want
 
+    @pytest.mark.parametrize("shape", [Lorentzian, Algebraic], ids=lambda shape: shape.__name__)
+    def test_a_long_window_takes_few_panels(self, shape):
+        # these areas never stop changing, so every interval of 57 points
+        # from -1e4 tau takes panels; sized by the exponent's swing and the
+        # area's scale they take about 19 000 area calls, against 1.3e6 on
+        # panels min(tau, 1/kappa)/16 wide
+        calls = []
+
+        class Counted(shape):
+            def _area(self, t):
+                calls.append(t)
+                return super()._area(t)
+
+        p = DriveParams(1.0, 1.0, Counted(1.0))
+        frame_truncation(p, 0.1, np.linspace(-1e4, 6.0, 57), 1e-8)
+        assert 0 < len(calls) <= 40_000
+
     def test_steps_a_strongly_squeezed_state(self):
         # zeta 10 at kappa 1e-9 (n about 1.2e8) steps on its 19-level
         # frame ladder and tracks the closed-form n
@@ -611,6 +628,16 @@ class TestEvolveLindblad:
         monkeypatch.setattr(fock, "_rk45", stepping)
         with pytest.raises(Stepped):
             evolve_lindblad(gauss_params(1.0), 1e3, 6, GRID)
+
+    def test_frame_angle_is_the_closed_form_one(self):
+        # the final state's theta is ln(V+/V-)/8 of the closed form's terms
+        # at the last instant, the walk that sizes the ladder
+        for pulse, grid in ((Gaussian(1.0), GRID[:19]), (Lorentzian(1.0), GRID)):
+            p = DriveParams(1.0, 1.0, pulse)
+            *_, terms = dynamics._lossy_terms(p, 0.1, grid)
+            v_plus, v_minus = fock._variances(0.1, *terms)
+            traj = evolve_lindblad(p, 0.1, frame_truncation(p, 0.1, grid, 1e-8), grid)
+            assert traj.final_state.theta == 0.125 * math.log(v_plus / v_minus), pulse
 
     def test_positivity_of_final_state(self):
         p = gauss_params(0.5)
