@@ -84,7 +84,7 @@ def _linspace(start: float, stop: float, num: int, endpoint: bool = True) -> Ite
 def _grid(args: argparse.Namespace) -> Iterator[float]:
     steps = _steps(args)
     if not args.t_min < args.t_max:
-        raise ValueError("need t_min < t_max")
+        raise ValueError("--t-min must be less than --t-max")
     start, stop = args.t_min * args.tau, args.t_max * args.tau
     # a finite span has finite ends, and every point lies between them
     if not math.isfinite(stop - start):
@@ -283,25 +283,6 @@ def fig_3c(args: argparse.Namespace) -> Table:
     return ["zeta", "p_max", "p_max_estimate"], rows()
 
 
-def _add_out_args(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--format", choices=("csv", "json"), default="csv")
-    sp.add_argument("--out", default=None, help="output path (default: stdout)")
-    sp.add_argument("--config", default=None, help="flat key=value file read as --key=value flags before the command line's own, which win")
-
-
-def _add_drive_args(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--zeta", type=float, default=1.0, help="dimensionless drive strength")
-    sp.add_argument("--tau", type=float, default=1.0, help="pulse width")
-    sp.add_argument("--omega-b", type=float, default=1.0, help="battery level spacing")
-    sp.add_argument("--pulse", choices=pulses.PULSE_NAMES, default="gaussian")
-
-
-def _add_grid_args(sp: argparse.ArgumentParser, t_min: float, t_max: float, steps: int) -> None:
-    sp.add_argument("--t-min", type=float, default=t_min, help="grid start, units of tau")
-    sp.add_argument("--t-max", type=float, default=t_max, help="grid end, units of tau")
-    sp.add_argument("--steps", type=int, default=steps, help="number of grid points")
-
-
 def _true_or_false(text: str) -> bool:
     value = text.strip().lower()
     if value not in ("true", "false"):
@@ -318,40 +299,44 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(subparsers, name: str, func, what: str, drive: bool = False):
+    def command(subparsers, name: str, func, what: str, drive: bool = False, grid: tuple | None = None):
+        """The one registration of a subcommand: what main reads of each
+        (func, parser, --format, --out, --config), then the drive flags
+        if ``drive``, the time grid's if ``grid`` = (t_min, t_max, steps)."""
         sp = subparsers.add_parser(name, help=what, allow_abbrev=False)
+        sp.add_argument("--format", choices=("csv", "json"), default="csv")
+        sp.add_argument("--out", default=None, help="output path (default: stdout)")
+        sp.add_argument("--config", default=None, help="flat key=value file read as --key=value flags before the command line's own, which win")
         if drive:
-            _add_drive_args(sp)
+            sp.add_argument("--zeta", type=float, default=1.0, help="dimensionless drive strength")
+            sp.add_argument("--tau", type=float, default=1.0, help="pulse width")
+            sp.add_argument("--omega-b", type=float, default=1.0, help="battery level spacing")
+            sp.add_argument("--pulse", choices=pulses.PULSE_NAMES, default="gaussian")
+        if grid is not None:
+            t_min, t_max, steps = grid
+            sp.add_argument("--t-min", type=float, default=t_min, help="grid start, units of tau")
+            sp.add_argument("--t-max", type=float, default=t_max, help="grid end, units of tau")
+            sp.add_argument("--steps", type=int, default=steps, help="number of grid points")
         # main reports a flag this parser refuses with its usage line
         sp.set_defaults(func=func, parser=sp)
         return sp
 
-    sp = command(sub, "energy", cmd_energy, "normalized stored energy on a time grid", drive=True)
-    _add_grid_args(sp, -4.0, 4.0, 201)
-    _add_out_args(sp)
-
-    sp = command(sub, "power", cmd_power, "instantaneous charging power on a time grid", drive=True)
-    _add_grid_args(sp, -4.0, 4.0, 201)
-    _add_out_args(sp)
+    command(sub, "energy", cmd_energy, "normalized stored energy on a time grid", drive=True, grid=(-4.0, 4.0, 201))
+    command(sub, "power", cmd_power, "instantaneous charging power on a time grid", drive=True, grid=(-4.0, 4.0, 201))
 
     sp = command(sub, "charge-time", cmd_charge_time, "times at which given charge fractions are reached", drive=True)
     sp.add_argument("--alpha", default="0.1,0.5,0.9", help="comma-separated fractions in (0, 1)")
-    _add_out_args(sp)
 
-    sp = command(sub, "peak-power", cmd_peak_power, "delay and height of the power maximum", drive=True)
-    _add_out_args(sp)
+    command(sub, "peak-power", cmd_peak_power, "delay and height of the power maximum", drive=True)
 
     sp = command(sub, "quadratures", cmd_quadratures, "twisted quadrature variances at one instant", drive=True)
     sp.add_argument("--time", type=float, default=0.0, help="snapshot instant, units of tau")
     sp.add_argument("--theta-steps", type=int, default=512)
-    _add_out_args(sp)
 
-    sp = command(sub, "fock-check", cmd_fock_check, "Fock-ladder evolution against the closed form", drive=True)
-    _add_grid_args(sp, -8.0, 6.0, 57)
+    sp = command(sub, "fock-check", cmd_fock_check, "Fock-ladder evolution against the closed form", drive=True, grid=(-8.0, 6.0, 57))
     sp.add_argument("--kappa", type=float, default=0.0, help="photon-loss rate; > 0 switches to the lossy engine")
     sp.add_argument("--tail-tol", type=float, default=1e-8, help="tail mass budget used to size the ladder: of the squeezed vacuum the pulse reaches (squeeze parameter zeta), or with --kappa of the frame ladder, which holds the lossy state in its own squeezed frame, at every grid point")
     sp.add_argument("--ergotropy", nargs="?", type=_true_or_false, const=True, default=False, metavar="true|false", help="append the extractable-work ratio of the final state")
-    _add_out_args(sp)
 
     sp = command(sub, "sweep", cmd_sweep, "summary figures of merit over a list of drive strengths")
     sp.add_argument("--zetas", default="0.5,1,2,4", help="comma-separated drive strengths")
@@ -359,7 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--tau", type=float, default=1.0)
     sp.add_argument("--omega-b", type=float, default=1.0)
     sp.add_argument("--threads", type=int, default=1, help="must be >= 1; has no effect (the rows are GIL-bound and computed in order)")
-    _add_out_args(sp)
 
     fig = sub.add_parser("fig", help="figure-panel data in normalized units", allow_abbrev=False)
     panels = fig.add_subparsers(dest="panel", required=True)
@@ -379,7 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--theta-steps", type=int, default=512)
         else:
             sp.add_argument("--steps", type=int, default=401, help="number of grid points")
-        _add_out_args(sp)
 
     return parser
 
@@ -391,7 +374,8 @@ def _apply_config(
     and before the user's flags, so that argparse checks each config
     value as it checks its flag and the user's flags win."""
     flags = _config_flags(args.config)
-    head = 2 if args.command == "fig" else 1
+    # the command words: "qbattery fig 2a" has two
+    head = len(args.parser.prog.split()) - 1
     args, unused = parser.parse_known_args(argv[:head] + list(flags) + argv[head:])
     if unused:
         command = " ".join(argv[:head])

@@ -192,8 +192,6 @@ def erfinv(p: float) -> float:
             f"erfinv is defined on (-1, 1) only, got {p!r}; "
             "the endpoints are reached only asymptotically"
         )
-    if p == 0.0:
-        return 0.0
 
     ln1mp2 = math.log1p(-p * p)
     c = 2.0 / (math.pi * _ERFINV_A) + 0.5 * ln1mp2
@@ -221,9 +219,6 @@ def lambert_w0(x: float) -> float:
     over at least [1e-6, 1e6].
     """
     x = _number("x", x, "nonnegative")
-    if x == 0.0:
-        return 0.0
-
     w = debruijn_w_approx(x) if x > math.e else math.log1p(x)
 
     def residual(w: float) -> tuple[float, float]:

@@ -3,7 +3,8 @@
 These deliberately avoid the code paths they check: the error function
 comes from its Maclaurin series summed in 60-digit decimal arithmetic,
 the inverses come from plain bisection, derivatives from central
-differences, and the Lindblad reference steps the full dense matrix.
+differences, the Lindblad reference steps the full dense matrix, and the
+carrier-resolved reference steps moment equations, with no ladder.
 """
 
 from __future__ import annotations
@@ -202,3 +203,32 @@ def lindblad_dense(p, kappa: float, rho0, times, acc) -> dict:
         "norm_drift": float(np.max(np.abs(pops.sum(axis=1) - 1.0))),
         "final": final,
     }
+
+
+def full_heisenberg(p, times, omega_d: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """n and s = <bb> of the carrier-resolved drive from the vacuum at
+    times[0], from the interaction-picture Heisenberg equations
+
+        dn/dt = -4 v Im(e^(-2i omega_b t) s)
+        ds/dt = -i v e^(2i omega_b t) (4n + 2),  v = zeta cos(2 omega_d t) f(t),
+
+    stepped by DOP853 at rel 1e-12, abs 1e-15 and a hundredth of the
+    carrier period 2 pi / omega_d: no ladder, so no truncation."""
+    omega_b = p.omega_b
+    omega_d = omega_b if omega_d is None else omega_d
+    zeta, value = p.zeta, p.pulse.value
+
+    def rhs(t, y):
+        v = zeta * math.cos(2.0 * omega_d * t) * value(t)
+        ph = complex(math.cos(2.0 * omega_b * t), math.sin(2.0 * omega_b * t))
+        s = complex(y[1], y[2])
+        ds = -1j * v * ph * (4.0 * y[0] + 2.0)
+        return [-4.0 * v * (ph.conjugate() * s).imag, ds.real, ds.imag]
+
+    times = np.asarray(times, dtype=float)
+    sol = solve_ivp(
+        rhs, (times[0], times[-1]), [0.0, 0.0, 0.0], method="DOP853", t_eval=times,
+        rtol=1e-12, atol=1e-15, max_step=2.0 * math.pi / (100.0 * omega_d),
+    )
+    assert sol.success, sol.message
+    return sol.y[0], sol.y[1] + 1j * sol.y[2]

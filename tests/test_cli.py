@@ -1,5 +1,6 @@
 """Command-line interface: schemas, determinism, config handling, errors."""
 
+import argparse
 import itertools
 import json
 import math
@@ -14,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qbattery.cli import main
+from qbattery.cli import build_parser, main
 from qbattery.dynamics import DriveParams, integrate_moments, lossy_moments
 from qbattery.fock import frame_truncation
 from qbattery.merit import peak_power_delay_weak_limit
@@ -556,13 +557,29 @@ def test_sweep_rejects_zero_threads(capsys):
     assert "--threads" in capsys.readouterr().err
 
 
-def run_python(code):
-    """Run ``code`` in a fresh interpreter that finds the package in src/."""
+def run_python(*args):
+    """Run a fresh interpreter that finds the package in src/ on ``args``:
+    one string is code for ``-c``."""
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": SRC if not path else SRC + os.pathsep + path}
+    args = ["-c", *args] if len(args) == 1 else list(args)
     return subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
     )
+
+
+def test_python_m_qbattery_is_main(capsys):
+    # __main__ hands main's exit status to the interpreter, usage errors too
+    assert main(["energy", "--steps", "3"]) == 0
+    proc = run_python("-m", "qbattery", "energy", "--steps", "3")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, capsys.readouterr().out, "")
+    for argv, code, prefix in (
+        (["energy", "--zeta", "0"], 1, "qbattery: error:"),
+        (["energy", "--no-such-flag"], 2, "qbattery energy: error:"),
+    ):
+        proc = run_python("-m", "qbattery", *argv)
+        assert proc.returncode == code and proc.stdout == "", argv
+        assert proc.stderr.splitlines()[-1].startswith(prefix), argv
 
 
 def test_import_loads_no_scipy():
@@ -1066,6 +1083,32 @@ def test_domain_failure_exits_one(capsys, argv, fragment):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "argv, config, message",
+    [
+        pytest.param(["energy"], "steps 5\n", "config line 'steps 5' is not of the form key=value", id="config-no-equals"),
+        # a key the panel does not take is named with the panel's two words
+        pytest.param(["fig", "3b"], "zetas = 1,2\n", "config key 'zetas' is not used by 'fig 3b'", id="config-fig-3b-zetas"),
+        pytest.param(
+            ["charge-time", "--alpha", "0.5,x"],
+            None,
+            "--alpha must be a comma-separated list of numbers, got '0.5,x'",
+            id="alpha-not-a-number",
+        ),
+        pytest.param(["charge-time", "--alpha", ","], None, "--alpha must contain at least one value", id="alpha-empty"),
+        pytest.param(["energy", "--t-min", "1", "--t-max", "0"], None, "--t-min must be less than --t-max", id="grid-order"),
+        pytest.param(["energy", "--zeta", "0"], None, "zeta = 0 stores no energy; nothing to normalize", id="energy-zeta-zero"),
+    ],
+)
+def test_refusal_is_one_line_naming_its_input(tmp_path, capsys, argv, config, message):
+    if config is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        argv = argv + ["--config", str(cfg)]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"qbattery: error: {message}\n")
+
+
 def test_delta_pulse_power_fails_cleanly(capsys):
     assert main(["power", "--pulse", "delta"]) == 1
     assert "delta" in capsys.readouterr().err.lower()
@@ -1111,6 +1154,23 @@ def test_help_renders(capsys, argv):
         main(argv + ["--help"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.strip()
+
+
+def test_every_subcommand_is_one_registration():
+    # main reads func, parser, --format, --out and --config of whatever
+    # parser took the command words, so each of the 13 declares them
+    def leaves(parser):
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for sub in action.choices.values():
+                    yield from leaves(sub) if sub._subparsers else [sub]
+
+    found = list(leaves(build_parser()))
+    assert len(found) == len(COMMANDS) - 1 + len(FIG_PANELS)
+    for sp in found:
+        assert callable(sp.get_default("func")) and sp.get_default("parser") is sp, sp.prog
+        flags = {flag for action in sp._actions for flag in action.option_strings}
+        assert {"--format", "--out", "--config"} <= flags, sp.prog
 
 
 def test_readme_command_line_runs(tmp_path):

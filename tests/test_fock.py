@@ -37,6 +37,7 @@ from qbattery.specfun import Accuracy
 
 from oracles import (
     frame_nbar,
+    full_heisenberg,
     lindblad_dense,
     lossy_nbar,
     squeezed_vacuum_distribution,
@@ -569,6 +570,25 @@ class TestEvolveFull:
             assert np.max(full.odd_mass) < 1e-12
         assert rel[20.0] < 0.02
         assert rel[80.0] < rel[20.0]
+
+    @pytest.mark.parametrize(
+        "zeta, omega_b, omega_d",
+        [(0.5, 5.0, None), (0.5, 20.0, None), (1.0, 5.0, None), (1.0, 20.0, None), (1.0, 20.0, 18.0)],
+    )
+    def test_matches_the_heisenberg_equations(self, zeta, omega_b, omega_d):
+        # the engine's own Hamiltonian as three moment equations, with no
+        # ladder; on a 1e-13 ladder the truncation stays below the bound
+        # (on the 1e-8 one it puts s 1.1e-7 off at zeta 1)
+        grid = np.linspace(-8.0, 6.0, 15)
+        p = gauss_params(zeta, omega_b=omega_b)
+        traj = evolve_full(p, choose_truncation(zeta, 1e-13), grid, omega_d=omega_d)
+        n, s = full_heisenberg(p, grid, omega_d)
+        scale = 1.0 + n
+        assert np.all(np.abs(traj.n - n) <= 1e-9 * scale)
+        assert np.all(np.abs(traj.s - s) <= 1e-9 * scale)
+        # a pure Gaussian state: (n + 1/2)^2 - |s|^2 = 1/4
+        for n_, s_, bound in ((traj.n, traj.s, 1e-10), (n, s, 1e-13)):
+            assert np.all(np.abs((n_ + 0.5) ** 2 - np.abs(s_) ** 2 - 0.25) <= bound * (1.0 + n_) ** 2)
 
     def test_detuned_carrier_charges_less(self):
         # off resonance the pair drive is no longer phase matched

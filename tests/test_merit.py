@@ -166,6 +166,9 @@ class TestChargingTime:
         assert charging_time_large_zeta(np.float64(1.0), np.int64(20), 0.9) == charging_time_large_zeta(1.0, 20.0, 0.9)
         with pytest.raises(UnsupportedPulseError):
             charging_time(DriveParams(1.0, 1.0, Sech(1.0)), 0.5)
+        # no drive stores no energy, of which no fraction is reached
+        with pytest.raises(ValueError, match="^charging_time needs zeta > 0$"):
+            charging_time(gauss_params(0.0), 0.5)
 
     def test_monotone_in_alpha_and_zeta(self):
         p = gauss_params(1.5)

@@ -332,6 +332,15 @@ class TestNewton:
             worst = max(worst, len(evaluations))
         assert worst <= 10
 
+    @pytest.mark.parametrize("fn", [erfinv, lambert_w0])
+    def test_a_zero_argument_gives_a_zero_of_its_sign(self, fn, evaluations):
+        # both seeds are exactly zero there, where _newton stops at once
+        for zero in (0.0, -0.0):
+            evaluations.clear()
+            got = fn(zero)
+            assert got == 0.0 and math.copysign(1.0, got) == math.copysign(1.0, zero)
+            assert evaluations == [zero]
+
     def test_stops_at_the_step_cap(self):
         # a step with a near-zero slope: every Newton step leaves the
         # bracket, the bisections never hit a zero, and a zero tolerance

@@ -130,6 +130,24 @@ def test_missing_field_is_named(cls, args, fields, text):
         cls(*args[:-1])
 
 
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: Accuracy(1e-12, 1e-12, 1e-12), TypeError, "Accuracy() takes 2 arguments but 3 were given"),
+        (lambda: DriveParams(1.0, 1.0, "gaussian"), TypeError, "pulse must be a PulseShape, got str"),
+        (lambda: MomentTrajectory([0.0, 1.0, 2.0], [0.0, 0.0], [0j] * 3), ValueError, "times, n and s must have equal length"),
+        (lambda: FockVector([]), ValueError, "amp must be a nonempty 1-D complex array"),
+        (lambda: FockVector([[1.0]]), ValueError, "amp must be a nonempty 1-D complex array"),
+        (lambda: FockDensity(np.ones((2, 3))), ValueError, "matrix must be square and nonempty"),
+    ],
+    ids=["Accuracy-three", "DriveParams-str", "MomentTrajectory-lengths", "FockVector-empty", "FockVector-2d", "FockDensity-oblong"],
+)
+def test_unusable_fields_are_refused(build, error, message):
+    with pytest.raises(error) as caught:
+        build()
+    assert str(caught.value) == message
+
+
 def test_density_theta_defaults_to_zero():
     assert FockDensity(np.eye(2) / 2).theta == 0.0
     assert FockDensity(matrix=np.eye(2) / 2, theta=0.5).theta == 0.5
