@@ -86,7 +86,18 @@ ODE_ACCURACY = Accuracy(abs_tol=1e-14, rel_tol=1e-13)
 
 
 class IntegrationError(RuntimeError):
-    """Adaptive integration failed (step-size underflow or solver breakdown)."""
+    """Adaptive integration failed (step-size underflow, solver breakdown or overflow)."""
+
+
+def _parts(start: float, stop: float, tau: float) -> list[tuple[float, float, bool]]:
+    """The parts ``(a, b, capped)`` the ODE driver steps [``start``,
+    ``stop``] in: cut at +-8 tau, where a Gaussian drive of width ``tau``
+    is below 1e-13 of its peak, ``capped`` marking the part inside; a
+    ``tau`` of ``math.inf`` leaves one part. The one window rule; pure
+    Python."""
+    hot = 8.0 * tau
+    cuts = [start, *(c for c in (-hot, hot) if start < c < stop), stop]
+    return [(a, b, a < hot and b > -hot) for a, b in zip(cuts[:-1], cuts[1:])]
 
 
 def _rk45(rhs, times, y0, acc: Accuracy, tau: float, label: str, observe=lambda y: y, cap=None):
@@ -95,92 +106,83 @@ def _rk45(rhs, times, y0, acc: Accuracy, tau: float, label: str, observe=lambda 
     ``tau``, and sample ``observe(state)`` at each instant of ``times``.
 
     Every ODE in the package goes through here, the one place that picks
-    step sizes: the span is split at +-8 tau, where a Gaussian drive is
-    below 1e-13 of its peak, and steps are capped at ``cap`` (default
-    tau / 2) on the part inside, so the stepper cannot leap over the
-    pulse, and free outside, so quiet tails cost a few steps. A ``tau``
-    of ``math.inf`` makes the whole span one part with no cap, for a
-    variable in which the drive is constant. Each part is one
-    ``solve_ivp`` call with a solver class from :func:`_observed_rk45`
-    and one set of keywords, started from the state the last part ended
-    in. ``solve_ivp`` is imported on each call, so importing the package
-    never loads scipy, and whatever ``scipy.integrate.solve_ivp`` is
-    bound to then runs.
+    step sizes, counts steps and catches overflow. It steps the parts of
+    :func:`_parts`, each by one ``solve_ivp`` call with one set of
+    keywords, started from the state the last ended in: steps are capped
+    at ``cap`` (default tau / 2) on the part inside +-8 tau, so the
+    stepper cannot leap over the pulse, and free outside, so quiet tails
+    cost a few steps; a ``tau`` of ``math.inf``, for a variable in which
+    the drive is constant, gives one part with no cap. ``solve_ivp`` is
+    imported on each call, so importing the package never loads scipy,
+    and whatever ``scipy.integrate.solve_ivp`` is bound to then runs.
+
+    The solver, a class built per call, is scipy's RK45 with two
+    documented hooks overridden: ``_dense_output_impl`` hands scipy's own
+    interpolant of a step, one instant at a time, to ``observe``, so a
+    sample keeps only what its caller reads, and ``step`` counts the
+    steps that advance t and keeps the state a part ends in.
 
     ``times`` is a numpy grid, finite and strictly increasing; ``observe``
     maps a state to the 1-D array its caller reads, by default the state.
-    Returns ``y``, ``y_end`` and ``nfev`` (summed over the parts). ``y``
-    stacks the samples, one column an instant: each part samples its own
-    instants (``t_eval``), one at a time, from the interpolant of the
-    step that passed each. A grid of one instant spans nothing, and its
-    one sample is ``observe(y0)``. ``y_end`` is the whole final state.
+    Returns ``y``, ``y_end``, ``nfev`` and ``steps``, the last two summed
+    over the parts. ``y`` stacks the samples, one column an instant, each
+    from the interpolant of the step that passed it. A grid of one
+    instant spans nothing, takes no step, and its one sample is
+    ``observe(y0)``. ``y_end`` is the whole final state.
 
     Raises
     ------
     IntegrationError
         ``"{label} on [a, b]: {solver message}"`` when the solver gives
-        up on the part [a, b].
+        up on the part [a, b], and ``"{label}: {numpy's message}"`` on an
+        overflow or invalid value, in ``rhs`` or the solver's error norm.
     """
-    from scipy.integrate import solve_ivp
+    from scipy.integrate import RK45, solve_ivp
 
-    if cap is None:
-        cap = 0.5 * tau
-    hot = 8.0 * tau
-    start, stop = times[0], times[-1]
-    cuts = [start, *(c for c in (-hot, hot) if start < c < stop), stop]
-    y_parts, nfev = [], 0
-    y = y0
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        end = []
-        sol = solve_ivp(
-            rhs,
-            (a, b),
-            y,
-            method=_observed_rk45(observe, end),
-            t_eval=times[(times >= a) & ((times < b) | (b == stop))],
-            rtol=acc.rel_tol,
-            atol=acc.abs_tol,
-            max_step=cap if a < hot and b > -hot else np.inf,
-        )
-        if not sol.success:
-            raise IntegrationError(f"{label} on [{a:g}, {b:g}]: {sol.message}")
-        nfev += sol.nfev
-        if len(sol.t):
-            y_parts.append(sol.y)
-        (y,) = end
-    if not y_parts:  # solve_ivp samples nothing on the zero-length span
-        y_parts.append(observe(y0)[:, None])
-    return types.SimpleNamespace(y=np.concatenate(y_parts, axis=1), y_end=y, nfev=nfev)
-
-
-def _observed_rk45(observe, end) -> type:
-    """scipy's RK45, sampled through ``observe``, for ``solve_ivp``'s
-    ``method``.
-
-    ``solve_ivp`` evaluates a step's dense output at the ``t_eval``
-    instants the step passed and keeps what it returns. Here the dense
-    output is scipy's own interpolant, from the documented
-    ``_dense_output_impl`` hook, evaluated one instant at a time and
-    handed to ``observe``, so a sample keeps only what its caller reads.
-    The solver's state after its last step is appended to ``end``. A
-    class per call closes over both, so ``solve_ivp`` passes the solver
-    no option of the package's. Built when an ODE runs, since scipy
-    loads only then.
-    """
-    from scipy.integrate import RK45
+    run = types.SimpleNamespace(y_end=y0, nfev=0, steps=0)
 
     class ObservedRK45(RK45):
         def step(self):
+            t = self.t
             message = super().step()
+            if self.t != t:  # a zero-length part finishes without a step
+                run.steps += 1
             if self.status == "finished":
-                end.append(self.y)
+                run.y_end = self.y
             return message
 
         def _dense_output_impl(self):
             dense = super()._dense_output_impl()
             return lambda ts: np.column_stack([observe(dense(t)) for t in ts])
 
-    return ObservedRK45
+    if cap is None:
+        cap = 0.5 * tau
+    stop = times[-1]
+    y_parts = []
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for a, b, capped in _parts(times[0], stop, tau):
+                sol = solve_ivp(
+                    rhs,
+                    (a, b),
+                    run.y_end,
+                    method=ObservedRK45,
+                    t_eval=times[(times >= a) & ((times < b) | (b == stop))],
+                    rtol=acc.rel_tol,
+                    atol=acc.abs_tol,
+                    max_step=cap if capped else np.inf,
+                )
+                if not sol.success:
+                    raise IntegrationError(f"{label} on [{a:g}, {b:g}]: {sol.message}")
+                run.nfev += sol.nfev
+                if len(sol.t):
+                    y_parts.append(sol.y)
+    except FloatingPointError as exc:
+        raise IntegrationError(f"{label}: {exc}") from None
+    if not y_parts:  # solve_ivp samples nothing on the zero-length span
+        y_parts.append(observe(y0)[:, None])
+    run.y = np.concatenate(y_parts, axis=1)
+    return run
 
 
 def _time_list(times) -> list[float]:
@@ -261,9 +263,7 @@ def integrate_moments(p: DriveParams, times, *, kappa: float = 0.0) -> MomentTra
     at t <= -8 tau keeps its violation below 1e-13 of the peak drive for
     the Gaussian envelope (heavier-tailed shapes need an earlier start,
     proportionally to their leftover area). Steps follow the one rule of
-    :func:`_rk45`: capped at tau / 2 on the part of the grid's span
-    inside +-8 tau, free outside it, at the tolerances of
-    :data:`ODE_ACCURACY`.
+    :func:`_rk45`, at the tolerances of :data:`ODE_ACCURACY`.
 
     Raises
     ------
@@ -273,7 +273,8 @@ def integrate_moments(p: DriveParams, times, *, kappa: float = 0.0) -> MomentTra
     UnsupportedPulseError
         For the delta-limit pulse, which has no width to step across.
     IntegrationError
-        If the adaptive solver gives up (e.g. step-size underflow).
+        If the adaptive solver gives up (e.g. step-size underflow), or
+        the moments overflow (zeta 400 does on the rising edge).
     """
     kappa = _number("kappa", kappa, "nonnegative")
     times = np.array(_time_list(times))

@@ -61,7 +61,7 @@ import operator
 from pathlib import Path
 
 from . import _lazy, _write_table
-from .dynamics import IntegrationError, _lossy_carry, _lossy_terms, _rk45, _time_list
+from .dynamics import IntegrationError, _lossy_carry, _lossy_terms, _parts, _rk45, _time_list
 from .merit import QuadratureReport
 from .pulses import DriveParams
 from .specfun import Accuracy, _number, _Value
@@ -599,7 +599,7 @@ def evolve_lindblad(p: DriveParams, kappa: float, dim: int, times) -> FockTrajec
     grid = _time_list(times)
     tau = p.pulse.tau
     label = "lossy evolution failed"
-    driven = max(0.0, min(grid[-1], 8.0 * tau) - max(grid[0], -8.0 * tau))
+    driven = sum(b - a for a, b, capped in _parts(grid[0], grid[-1], tau) if capped)
     if kappa * dim * driven > _STIFFNESS_LIMIT:
         raise IntegrationError(
             f"{label}: kappa {kappa:g} is too stiff for the explicit stepper: on the {dim}-level "
@@ -645,11 +645,7 @@ def evolve_lindblad(p: DriveParams, kappa: float, dim: int, times) -> FockTrajec
         pops = sigma.diagonal()
         return _observed(levels @ pops, complex(0.0, -(pair @ sigma.diagonal(-2))), pops)
 
-    try:  # an overflow, also in the solver's error norm, fails the run
-        with np.errstate(over="raise", invalid="raise"):
-            sol = _rk45(rhs, times, y0, LINDBLAD_ACCURACY, tau, label, observe=observe)
-    except FloatingPointError as exc:
-        raise IntegrationError(f"{label}: {exc} at kappa {kappa:g}") from None
+    sol = _rk45(rhs, times, y0, LINDBLAD_ACCURACY, tau, label, observe=observe)
     walk = (_variances(kappa, *terms) for terms in _lossy_terms(p, kappa, grid))
     theta = [0.0, *(0.125 * math.log(v_plus / v_minus) for v_plus, v_minus in walk)]  # 0 at the vacuum
     lab = [_unsqueeze(*sample) for sample in zip(theta, sol.y[0].tolist(), sol.y[2].tolist())]

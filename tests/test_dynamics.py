@@ -11,8 +11,10 @@ from qbattery import dynamics
 from qbattery.dynamics import (
     VACUUM,
     DriveParams,
+    IntegrationError,
     _GAUSS_LEGENDRE_8,
     _lossy_carry,
+    _parts,
     _rk45,
     analytic_moments,
     integrate_moments,
@@ -277,6 +279,15 @@ class TestIntegrateMoments:
         assert traj.times.tolist() == [-12.0, 10.0]
         assert abs(traj.n[-1] - SINH1_SQ) < 1e-8
 
+    def test_overflow_fails_the_run_by_its_label(self):
+        # at zeta 400 the moments pass the largest double on the rising
+        # edge; the driver fails the run there, where numpy warned three
+        # times and scipy then gave up on the step size
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IntegrationError, match="^moment integration failed: overflow"):
+                integrate_moments(gauss_params(400.0), np.linspace(-8.0, 6.0, 5))
+
     def test_csv_export(self, tmp_path):
         traj = integrate_moments(gauss_params(1.0), np.linspace(-8.0, 2.0, 5))
         out = tmp_path / "traj.csv"
@@ -299,8 +310,10 @@ def test_observer_keeps_the_plain_rows_and_steps():
     # state it is scipy's RK45 sampled on the grid bit for bit (samples,
     # right-hand side calls), observing two rows gives those rows of the
     # same samples, and the whole state at the end is scipy's last step,
-    # for a real and a complex state; scipy only warns about a solver
-    # option it ignores, so warnings are errors
+    # for a real and a complex state; the steps counted are those plain
+    # solve_ivp returns one sample each for, and a grid of one instant
+    # takes none; scipy only warns about a solver option it ignores, so
+    # warnings are errors
     from scipy.integrate import solve_ivp
 
     grid = np.linspace(0.0, 5.0, 23)
@@ -324,11 +337,42 @@ def test_observer_keeps_the_plain_rows_and_steps():
             assert np.array_equal(run.y_end, plain.y[:, -1])
         assert observed.nfev == sampled.nfev
         assert np.array_equal(observed.y, sampled.y[[1, 4]])
+        assert sampled.steps == observed.steps == len(plain.t) - 1
+        instant = _rk45(rhs, grid[:1], y0, acc, np.inf, "test")
+        assert instant.steps == 0 and np.array_equal(instant.y, y0[:, None])
 
     rng = np.random.default_rng(7)
     a, y0 = rng.normal(size=(6, 6)), rng.normal(size=6)
     check(a, y0)
     check(a + 1j * rng.normal(size=(6, 6)), y0 + 1j * rng.normal(size=6))
+
+
+@pytest.mark.parametrize("tau", [1.0, math.inf])
+def test_right_hand_side_calls_are_two_a_part_and_six_a_tried_step(tau):
+    # scipy's RK45 evaluates the right-hand side twice to start each part
+    # (at y0 and for its first step size) and six times a tried step, so
+    # what is left over after the accepted steps is whole rejected steps
+    # (33-48 of them here)
+    rng = np.random.default_rng(7)
+    a, y0 = rng.normal(size=(6, 6)), rng.normal(size=6)
+
+    def rhs(t, y):
+        return math.cos(3.0 * t) * (a @ y)
+
+    grid = np.linspace(-10.0, 10.0, 23)
+    for tol in (1e-6, 1e-9, 1e-12):
+        run = _rk45(rhs, grid, y0, Accuracy(tol, tol), tau, "test")
+        tried, left = divmod(run.nfev - 2 * len(_parts(-10.0, 10.0, tau)), 6)
+        assert left == 0 and tried >= run.steps > 0
+
+
+def test_window_rule():
+    # cut at +-8 tau, the part inside capped; tau inf leaves one part
+    assert _parts(-10.0, 10.0, 1.0) == [(-10.0, -8.0, False), (-8.0, 8.0, True), (8.0, 10.0, False)]
+    assert _parts(0.0, 20.0, 2.0) == [(0.0, 16.0, True), (16.0, 20.0, False)]
+    assert _parts(-30.0, -9.0, 1.0) == [(-30.0, -9.0, False)]
+    assert _parts(-1e6, 3.0, math.inf) == [(-1e6, 3.0, True)]
+    assert _parts(2.0, 2.0, 1.0) == [(2.0, 2.0, True)]
 
 
 class TestAreaLaw:

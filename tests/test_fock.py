@@ -590,6 +590,22 @@ class TestEvolveFull:
         for n_, s_, bound in ((traj.n, traj.s, 1e-10), (n, s, 1e-13)):
             assert np.all(np.abs((n_ + 0.5) ** 2 - np.abs(s_) ** 2 - 0.25) <= bound * (1.0 + n_) ** 2)
 
+    def test_matches_the_heisenberg_equations_at_zeta_2(self):
+        # on the 454 levels fock-check sizes at zeta 2 the ladder's floor
+        # sets the error: evolve_full lies from its oracle within twice
+        # what evolve_rwa lies from the area law on the same ladder
+        # (measured n 2.67e-8 against 2.82e-8, s 5.00e-7 against 5.09e-7)
+        grid = np.linspace(-8.0, 6.0, 15)
+        p = gauss_params(2.0, omega_b=5.0)
+        dim = choose_truncation(2.0, 1e-8)
+        assert dim == 454
+        full, rwa = evolve_full(p, dim, grid), evolve_rwa(p, dim, grid)
+        n, s = full_heisenberg(p, grid)
+        area = [analytic_moments(p, t, grid[0]) for t in grid]
+        n_area, s_area = np.array([m.n for m in area]), np.array([m.s for m in area])
+        for full_err, rwa_err in ((full.n - n, rwa.n - n_area), (full.s - s, rwa.s - s_area)):
+            assert np.max(np.abs(full_err) / (1.0 + n)) <= 2.0 * np.max(np.abs(rwa_err) / (1.0 + n_area))
+
     def test_detuned_carrier_charges_less(self):
         # off resonance the pair drive is no longer phase matched
         grid = np.linspace(-8.0, 6.0, 8)
@@ -648,6 +664,27 @@ class TestEvolveLindblad:
         monkeypatch.setattr(fock, "_rk45", stepping)
         with pytest.raises(Stepped):
             evolve_lindblad(gauss_params(1.0), 1e3, 6, GRID)
+
+    def test_stiffness_bound_reads_the_window_rule(self, monkeypatch):
+        # the bound sums the capped parts of the driver's own window: on
+        # [0, 20] tau the 8 tau up to the cut, and on a grid wholly
+        # outside +-8 tau nothing, so however large kappa the run steps
+        seen = []
+        parts = fock._parts
+
+        def spying(*args):
+            seen.append(args)
+            return parts(*args)
+
+        monkeypatch.setattr(fock, "_parts", spying)
+        monkeypatch.setattr(fock, "_rk45", refuse_lindblad_step)
+        with pytest.raises(IntegrationError, match="^lossy evolution failed: ") as err:
+            evolve_lindblad(gauss_params(1.0), 1e4, 6, np.linspace(0.0, 20.0, 5))
+        assert "over the 8 tau of the grid inside +-8 tau" in str(err.value)
+        assert seen == [(0.0, 20.0, 1.0)]
+        for grid in (np.linspace(10.0, 20.0, 5), np.linspace(-30.0, -9.0, 5)):
+            with pytest.raises(AssertionError, match="must not step"):
+                evolve_lindblad(gauss_params(1.0), 1e300, 6, grid)
 
     def test_frame_angle_is_the_closed_form_one(self):
         # the final state's theta is ln(V+/V-)/8 of the closed form's terms
