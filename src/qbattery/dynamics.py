@@ -355,7 +355,7 @@ def lossy_moments(p: DriveParams, kappa: float, times) -> list[MomentState]:
         For the delta-limit pulse, which has no width to integrate across.
     """
     moments = [VACUUM]
-    for x, decay, i_plus, i_minus in _lossy_terms(p, kappa, times):
+    for x, decay, i_plus, i_minus, _, _ in _lossy_terms(p, kappa, times):
         damp = math.exp(-decay)
         n = (
             damp * math.sinh(x) ** 2
@@ -368,9 +368,8 @@ def lossy_moments(p: DriveParams, kappa: float, times) -> list[MomentState]:
 
 
 def _lossy_terms(p: DriveParams, kappa: float, times):
-    """x = zeta (A(t) - A(t0)), kappa (t - t0), I+ and I- at each of ``times``
-    after the first, by one walk of :func:`_lossy_carry`: the terms and the
-    refusals of :func:`lossy_moments`."""
+    """What :func:`_lossy_carry` returns at each of ``times`` after the
+    first, by one walk: the terms and the refusals of :func:`lossy_moments`."""
     kappa = _number("kappa", kappa, "nonnegative")
     times = _time_list(times)
     return map(_lossy_carry(p, kappa, times[0]), times[1:])
@@ -380,9 +379,10 @@ def _lossy_carry(p: DriveParams, kappa: float, t0: float):
     """A cursor over the terms of :func:`lossy_moments` from the vacuum at
     ``t0``: a function of t >= ``t0`` that returns x, kappa (t - t0), I+
     and I-, carried by :func:`_carry` from the latest instant asked for at
-    or before t. It keeps ``t0`` and the last 16, as RK45 steps back at
-    most to the start of its step. ``kappa``, ``t0`` and every t are
-    checked Python floats, so the quadrature reads the unchecked area."""
+    or before t, and V+- = e^(+-2x - kappa (t - t0))/2 + (kappa/2) I+-. It
+    keeps ``t0`` and the last 16, as RK45 steps back at most to the start
+    of its step. ``kappa``, ``t0`` and every t are checked Python floats,
+    so the quadrature reads the unchecked area."""
     area, tau, zeta, two_zeta = p.pulse._area, p.pulse.tau, p.zeta, 2.0 * p.zeta
     area0 = area(t0)
     carried = [(t0, area0, 0.0, 0.0)]  # (t, A(t), I+, I-)
@@ -397,7 +397,9 @@ def _lossy_carry(p: DriveParams, kappa: float, t0: float):
             carried.append((t, area_t, i_plus, i_minus))
             del carried[1:-16]
             area_a = area_t
-        return zeta * (area_a - area0), kappa * (t - t0), i_plus, i_minus
+        x, decay = zeta * (area_a - area0), kappa * (t - t0)
+        v_plus, v_minus = 0.5 * math.exp(2.0 * x - decay), 0.5 * math.exp(-2.0 * x - decay)
+        return x, decay, i_plus, i_minus, v_plus + 0.5 * kappa * i_plus, v_minus + 0.5 * kappa * i_minus
 
     return terms
 

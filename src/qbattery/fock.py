@@ -32,7 +32,7 @@ which 35 and 216 levels hold. The density-matrix engine therefore steps
 the state in that frame, whose angle it reads off the principal
 variances of the lossy closed form. There, rotated by e^(i pi n/4),
 the generator is real, so the state is one dense real dim x dim array.
-Every engine samples six observables an instant, each read off one
+Every engine samples seven observables an instant, each read off one
 interpolated state, and keeps no state but the last. The engine's work
 grows as the cube of the ladder size and as the loss rate, so it refuses
 a frame ladder above 150 levels, and a stiff loss, before anything of
@@ -322,12 +322,13 @@ class FockTrajectory(_Value):
     """Expectation values sampled along a Fock-space evolution.
 
     ``s`` is the rotating-frame pair correlator <bb>; ``var_x_min`` is
-    the theta-minimized X-quadrature variance 1/2 + n - |s|;
-    ``norm_drift`` is the worst deviation of the norm (or trace) from 1
-    over the run. ``tail_mass``, ``odd_mass`` and ``norm_drift`` are read
-    on the ladder that was stepped, which for :func:`evolve_lindblad` is
-    the frame ladder. ``final_state`` is renormalized on wrapping so it
-    is a valid state object; the raw drift stays visible in ``norm_drift``.
+    the theta-minimized X-quadrature variance, 1/2 + n - |s| except that
+    :func:`evolve_lindblad` reads it off its frame; ``norm_drift`` is the
+    worst deviation of the norm (or trace) from 1 over the run.
+    ``tail_mass``, ``odd_mass`` and ``norm_drift`` are read on the ladder
+    that was stepped, which for :func:`evolve_lindblad` is the frame
+    ladder. ``final_state`` is renormalized on wrapping so it is a valid
+    state object; the raw drift stays visible in ``norm_drift``.
     """
 
     times: np.ndarray
@@ -352,10 +353,10 @@ class FockTrajectory(_Value):
 
 
 def _observed(n: float, s: complex, pops: np.ndarray) -> np.ndarray:
-    """The six observables of one state that :func:`_trajectory` reads:
-    n, Re s, Im s, and of the populations ``pops`` of the ladder stepped
-    the top-four mass, the odd mass and the norm (or trace)."""
-    return np.array([n, s.real, s.imag, pops[-_TAIL_LEVELS:].sum(), pops[1::2].sum(), pops.sum()])
+    """The seven observables of one state that :func:`_trajectory` reads:
+    n, Re s, Im s, 1/2 + n - |s|, and of the populations ``pops`` of the
+    ladder stepped the top-four mass, the odd mass and the norm (or trace)."""
+    return np.array([n, s.real, s.imag, 0.5 + n - abs(s), pops[-_TAIL_LEVELS:].sum(), pops[1::2].sum(), pops.sum()])
 
 
 def _trajectory(times: np.ndarray, observed: np.ndarray, dim: int, final_state) -> FockTrajectory:
@@ -363,7 +364,7 @@ def _trajectory(times: np.ndarray, observed: np.ndarray, dim: int, final_state) 
     :func:`_observed` samples, one column each. Raises
     :class:`TruncationError` if the tail mass ever exceeds the 1e-6
     guard; only then is ``final_state()`` called to build the final state."""
-    n, re_s, im_s, tail, odd, norms = observed
+    n, re_s, im_s, var_x_min, tail, odd, norms = observed
     worst_tail = float(tail.max())
     if worst_tail > _TAIL_GUARD:
         raise TruncationError(
@@ -376,7 +377,7 @@ def _trajectory(times: np.ndarray, observed: np.ndarray, dim: int, final_state) 
         times=times,
         n=n,
         s=s,
-        var_x_min=0.5 + n - np.abs(s),
+        var_x_min=var_x_min,
         tail_mass=tail,
         odd_mass=odd,
         norm_drift=float(np.max(np.abs(norms - 1.0))),
@@ -525,9 +526,9 @@ def frame_truncation(p: DriveParams, kappa: float, times, tail_tol: float) -> in
     each instant of ``times``, under loss at rate ``kappa``.
 
     Such a state stays a zero-mean Gaussian with principal variances
-    V± = e^(±2x - kappa (t - t0)) / 2 + (kappa/2) I±, sums of the
-    positive terms of :func:`qbattery.dynamics.lossy_moments`, which
-    refuses what this refuses. In its own squeezed frame it is thermal,
+    V± = e^(±2x - kappa (t - t0)) / 2 + (kappa/2) I±, sums of positive
+    terms, read off the walk of :func:`qbattery.dynamics.lossy_moments`,
+    which refuses what this refuses. In its own squeezed frame it is thermal,
     of mean population nbar = sqrt(V+) sqrt(V-) - 1/2, and the top four
     levels of a ladder and all beyond hold (nbar / (nbar + 1))^(dim - 4)
     of its mass. The size is the smallest that keeps that below
@@ -535,22 +536,14 @@ def frame_truncation(p: DriveParams, kappa: float, times, tail_tol: float) -> in
     max(6, 4 + ceil(ln tail_tol / ln(nbar / (nbar + 1)))).
     """
     tail_tol = _number("tail_tol", tail_tol, "in (0, 1)")
-    nbar = 0.0
-    for terms in _lossy_terms(p, kappa, times):
-        v_plus, v_minus = _variances(kappa, *terms)
-        # rounding leaves sqrt(V+ V-) of a pure state just below 1/2
-        nbar = max(nbar, math.sqrt(v_plus) * math.sqrt(v_minus) - 0.5)
+    walk = _lossy_terms(p, kappa, times)
+    # rounding leaves sqrt(V+ V-) of a pure state just below 1/2
+    nbar = max([0.0, *(math.sqrt(v_plus) * math.sqrt(v_minus) - 0.5 for *_, v_plus, v_minus in walk)])
     if nbar == 0.0:
         return _MIN_LEVELS
     if nbar == math.inf:
         raise OverflowError("the frame ladder's V+ passed the largest double (about 1.8e308)")
     return max(_MIN_LEVELS, _TAIL_LEVELS + math.ceil(math.log(tail_tol) / -math.log1p(1.0 / nbar)))
-
-
-def _variances(kappa: float, x: float, decay: float, i_plus: float, i_minus: float) -> tuple[float, float]:
-    """V+- = e^(+-2x - decay) / 2 + (kappa/2) I+-, of the terms of :func:`qbattery.dynamics.lossy_moments`."""
-    plus, minus = math.exp(2.0 * x - decay), math.exp(-2.0 * x - decay)
-    return 0.5 * plus + 0.5 * kappa * i_plus, 0.5 * minus + 0.5 * kappa * i_minus
 
 
 def evolve_lindblad(p: DriveParams, kappa: float, dim: int, times) -> FockTrajectory:
@@ -576,10 +569,10 @@ def evolve_lindblad(p: DriveParams, kappa: float, dim: int, times) -> FockTrajec
     above 2e5 after it, both before numpy loads.
 
     With K = b†² + b² and U = exp(-i theta K), the frame angle is
-    theta = ln(V+/V-) / 8, from the principal variances V± of the closed
-    form that sizes the ladder: at each time the stepper evaluates
-    through one cursor over its terms, and at each instant of ``times``
-    from the walk that sizes the ladder, so only the state is stepped.
+    theta = ln(V+/V-) / 8, of the principal variances V± the closed form's
+    cursor returns: at each time the stepper evaluates from one cursor,
+    and at each instant of ``times`` from the walk that sizes the ladder,
+    so only the state is stepped.
     In sigma = e^(i pi n/4) U†rho U e^(-i pi n/4) the generator
     is g [A, sigma] + kappa (M sigma M^T - {M^T M, sigma}/2), with
     A = b†² - b², M = cosh(2 theta) b + sinh(2 theta) b† on the
@@ -589,7 +582,10 @@ def evolve_lindblad(p: DriveParams, kappa: float, dim: int, times) -> FockTrajec
     exactly symmetric in floating point: sigma's antisymmetric part,
     which rounding would otherwise seed, grows under the dissipator.
     Each sample is read off the populations and the sigma[j + 2, j]
-    coherences of one interpolated state, and theta at its instant.
+    coherences of one interpolated state, and theta at its instant. The
+    lab's least quadrature is e^(-2 theta) times the frame's X at angle
+    pi/4: ``var_x_min`` is e^(-4 theta) (1/2 + n + Im s) of the frame's
+    samples, which does not cancel where the lab's 1/2 + n - |s| does.
     """
     try:
         kappa = _number("kappa", kappa, "positive")
@@ -616,7 +612,7 @@ def evolve_lindblad(p: DriveParams, kappa: float, dim: int, times) -> FockTrajec
 
     def rhs(t, y):
         # V+- at t, with t as a Python float, which math takes fastest
-        v_plus, v_minus = _variances(kappa, *cursor(_number("t", t)))
+        *_, v_plus, v_minus = cursor(_number("t", t))
         sigma = y.reshape(dim, dim)
         two_theta = 0.25 * math.log(v_plus / v_minus)
         c, s = math.cosh(two_theta), math.sinh(two_theta)
@@ -646,8 +642,9 @@ def evolve_lindblad(p: DriveParams, kappa: float, dim: int, times) -> FockTrajec
         return _observed(levels @ pops, complex(0.0, -(pair @ sigma.diagonal(-2))), pops)
 
     sol = _rk45(rhs, times, y0, LINDBLAD_ACCURACY, tau, label, observe=observe)
-    walk = (_variances(kappa, *terms) for terms in _lossy_terms(p, kappa, grid))
-    theta = [0.0, *(0.125 * math.log(v_plus / v_minus) for v_plus, v_minus in walk)]  # 0 at the vacuum
+    walk = (0.125 * math.log(v_plus / v_minus) for *_, v_plus, v_minus in _lossy_terms(p, kappa, grid))
+    theta = [0.0, *walk]  # 0 at the vacuum
+    sol.y[3] = np.exp(-4.0 * np.array(theta)) * (0.5 + sol.y[0] + sol.y[2])  # V- of the frame's n, Im s
     lab = [_unsqueeze(*sample) for sample in zip(theta, sol.y[0].tolist(), sol.y[2].tolist())]
     sol.y[0], sol.y[2] = np.array(lab).T
     last = sol.y_end

@@ -509,7 +509,29 @@ class TestLossyMoments:
                 for u in before:
                     fresh(u)
                 assert cursor(t) == fresh(t), (kappa, t)
-            assert cursor(-8.0) == (0.0, 0.0, 0.0, 0.0)
+            assert cursor(-8.0) == (0.0, 0.0, 0.0, 0.0, 0.5, 0.5)
+
+    @pytest.mark.parametrize("pulse", FINITE_SHAPES, ids=lambda pulse: type(pulse).__name__)
+    def test_cursor_variances_are_the_squeezed_vacuum_without_loss(self, pulse):
+        # at kappa 0 the integrals drop out and V+- are e^(+-2x) / 2 to the bit
+        for zeta in (0.5, 2.0, 4.0):
+            cursor = _lossy_carry(DriveParams(1.0, zeta, pulse), 0.0, CLI_GRID[0])
+            for t in CLI_GRID.tolist():
+                x, decay, *_, v_plus, v_minus = cursor(t)
+                assert decay == 0.0 and (v_plus, v_minus) == (0.5 * math.exp(2.0 * x), 0.5 * math.exp(-2.0 * x))
+
+    @pytest.mark.parametrize("pulse", FINITE_SHAPES, ids=lambda pulse: type(pulse).__name__)
+    def test_cursor_variances_give_the_closed_form_moments(self, pulse):
+        # n = (V+ + V-)/2 - 1/2 and |s| = (V+ - V-)/2, which lossy_moments
+        # forms by its own formulas, within 7.2e-16 and 5.8e-16 of 1 + n
+        for zeta in (0.5, 1.0, 2.0, 3.0):
+            p = DriveParams(1.0, zeta, pulse)
+            for kappa in (0.0, 1e-6, 0.1, 10.0):
+                moments = lossy_moments(p, kappa, CLI_GRID)[1:]
+                for m, (*_, v_plus, v_minus) in zip(moments, dynamics._lossy_terms(p, kappa, CLI_GRID)):
+                    bound = 2e-15 * (1.0 + m.n)
+                    assert abs(0.5 * (v_plus + v_minus) - 0.5 - m.n) <= bound, (zeta, kappa)
+                    assert abs(0.5 * (v_plus - v_minus) - abs(m.s)) <= bound, (zeta, kappa)
 
     def test_gauss_legendre_rule(self):
         nodes, weights = np.polynomial.legendre.leggauss(8)

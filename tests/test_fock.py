@@ -687,14 +687,25 @@ class TestEvolveLindblad:
                 evolve_lindblad(gauss_params(1.0), 1e300, 6, grid)
 
     def test_frame_angle_is_the_closed_form_one(self):
-        # the final state's theta is ln(V+/V-)/8 of the closed form's terms
+        # the final state's theta is ln(V+/V-)/8 of the closed form's V+-
         # at the last instant, the walk that sizes the ladder
         for pulse, grid in ((Gaussian(1.0), GRID[:19]), (Lorentzian(1.0), GRID)):
             p = DriveParams(1.0, 1.0, pulse)
             *_, terms = dynamics._lossy_terms(p, 0.1, grid)
-            v_plus, v_minus = fock._variances(0.1, *terms)
+            *_, v_plus, v_minus = terms
             traj = evolve_lindblad(p, 0.1, frame_truncation(p, 0.1, grid, 1e-8), grid)
             assert traj.final_state.theta == 0.125 * math.log(v_plus / v_minus), pulse
+
+    def test_least_variance_is_read_off_the_frame(self):
+        # at zeta 10, kappa 1e-9, on fock-check's grid, V- is about 3e-9 on
+        # the last rows, where n is about 1.2e8, so 1/2 + n - |s| loses
+        # every digit; the frame's own variance, scaled by e^(-4 theta),
+        # keeps them: it lies within 3.0e-11 of the closed form's V-
+        p, grid = gauss_params(10.0), np.linspace(-8.0, 6.0, 57)
+        traj = evolve_lindblad(p, 1e-9, frame_truncation(p, 1e-9, grid, 1e-8), grid)
+        v_minus = np.array([0.5, *(terms[-1] for terms in dynamics._lossy_terms(p, 1e-9, grid))])
+        assert np.all(traj.var_x_min > 0.0)
+        assert np.max(np.abs(traj.var_x_min - v_minus) / v_minus) <= 1e-9
 
     def test_positivity_of_final_state(self):
         p = gauss_params(0.5)
