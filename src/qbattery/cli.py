@@ -401,7 +401,7 @@ def main(argv: list[str] | None = None) -> int:
             return 0
         if isinstance(exc, OverflowError) and "largest double" not in str(exc):
             # libm's overflow says only "math range error"; the package's
-            # own, the frame ladder's, names what passed the largest double
+            # own, the lossy state's V+, names what passed the largest double
             exc = (
                 "a result passed the largest double (about 1.8e308); the closed forms grow as "
                 "e^(2 zeta A), which passes it from zeta A = 354.9, the stored energy "

@@ -100,10 +100,10 @@ def _parts(start: float, stop: float, tau: float) -> list[tuple[float, float, bo
     return [(a, b, a < hot and b > -hot) for a, b in zip(cuts[:-1], cuts[1:])]
 
 
-def _rk45(rhs, times, y0, acc: Accuracy, tau: float, label: str, observe=lambda y: y, cap=None):
+def _rk45(rhs, times, y0, acc: Accuracy, tau: float, label: str, observe=lambda t, y: y, cap=None):
     """Integrate ``rhs`` from ``y0`` at ``times[0]`` to ``times[-1]`` with
     scipy's RK45 pair at the tolerances of ``acc``, for a drive of width
-    ``tau``, and sample ``observe(state)`` at each instant of ``times``.
+    ``tau``, and sample ``observe(t, state)`` at each instant t of ``times``.
 
     Every ODE in the package goes through here, the one place that picks
     step sizes, counts steps and catches overflow. It steps the parts of
@@ -123,12 +123,12 @@ def _rk45(rhs, times, y0, acc: Accuracy, tau: float, label: str, observe=lambda 
     steps that advance t and keeps the state a part ends in.
 
     ``times`` is a numpy grid, finite and strictly increasing; ``observe``
-    maps a state to the 1-D array its caller reads, by default the state.
+    maps (t, state) to the 1-D array its caller reads, by default the state.
     Returns ``y``, ``y_end``, ``nfev`` and ``steps``, the last two summed
     over the parts. ``y`` stacks the samples, one column an instant, each
     from the interpolant of the step that passed it. A grid of one
     instant spans nothing, takes no step, and its one sample is
-    ``observe(y0)``. ``y_end`` is the whole final state.
+    ``observe(times[0], y0)``. ``y_end`` is the whole final state.
 
     Raises
     ------
@@ -153,7 +153,7 @@ def _rk45(rhs, times, y0, acc: Accuracy, tau: float, label: str, observe=lambda 
 
         def _dense_output_impl(self):
             dense = super()._dense_output_impl()
-            return lambda ts: np.column_stack([observe(dense(t)) for t in ts])
+            return lambda ts: np.column_stack([observe(t, dense(t)) for t in ts])
 
     if cap is None:
         cap = 0.5 * tau
@@ -180,7 +180,7 @@ def _rk45(rhs, times, y0, acc: Accuracy, tau: float, label: str, observe=lambda 
     except FloatingPointError as exc:
         raise IntegrationError(f"{label}: {exc}") from None
     if not y_parts:  # solve_ivp samples nothing on the zero-length span
-        y_parts.append(observe(y0)[:, None])
+        y_parts.append(observe(times[0], y0)[:, None])
     run.y = np.concatenate(y_parts, axis=1)
     return run
 
@@ -343,8 +343,8 @@ def lossy_moments(p: DriveParams, kappa: float, times) -> list[MomentState]:
           = (V+ + V-)/2 - 1/2,
         s = -(i/2) (D sinh(2x) + (kappa/2) (I+ - I-)) = -(i/2) (V+ - V-),
 
-    which at ``kappa`` 0 is :func:`analytic_moments` ``(p, t, t0)`` to
-    the bit. It refuses what :func:`integrate_moments` refuses.
+    which at ``kappa`` 0, with I± untaken, is :func:`analytic_moments`
+    ``(p, t, t0)`` to the bit. It refuses what :func:`integrate_moments` refuses.
 
     Raises
     ------
@@ -353,6 +353,8 @@ def lossy_moments(p: DriveParams, kappa: float, times) -> list[MomentState]:
         finite, strictly increasing 1-D grid of at least one instant.
     UnsupportedPulseError
         For the delta-limit pulse, which has no width to integrate across.
+    OverflowError
+        Once V+ passes the largest double, from zeta about 355 on the Gaussian.
     """
     moments = [VACUUM]
     for x, decay, i_plus, i_minus, _, _ in _lossy_terms(p, kappa, times):
@@ -379,10 +381,11 @@ def _lossy_carry(p: DriveParams, kappa: float, t0: float):
     """A cursor over the terms of :func:`lossy_moments` from the vacuum at
     ``t0``: a function of t >= ``t0`` that returns x, kappa (t - t0), I+
     and I-, carried by :func:`_carry` from the latest instant asked for at
-    or before t, and V+- = e^(+-2x - kappa (t - t0))/2 + (kappa/2) I+-. It
-    keeps ``t0`` and the last 16, as RK45 steps back at most to the start
-    of its step. ``kappa``, ``t0`` and every t are checked Python floats,
-    so the quadrature reads the unchecked area."""
+    or before t (0 at ``kappa`` 0), and V+- = e^(+-2x - kappa (t - t0))/2
+    + (kappa/2) I+-, refusing a V+ past the largest double. It keeps ``t0``
+    and the last 16, as RK45 steps back at most to the start of its step.
+    ``kappa``, ``t0`` and every t are checked Python floats, so the
+    quadrature reads the unchecked area."""
     area, tau, zeta, two_zeta = p.pulse._area, p.pulse.tau, p.zeta, 2.0 * p.zeta
     area0 = area(t0)
     carried = [(t0, area0, 0.0, 0.0)]  # (t, A(t), I+, I-)
@@ -393,28 +396,31 @@ def _lossy_carry(p: DriveParams, kappa: float, t0: float):
         a, area_a, i_plus, i_minus = carried[-1]
         if t > a:
             area_t = area(t)
-            i_plus, i_minus = _carry(area, two_zeta, kappa, tau, a, area_a, t, area_t, i_plus, i_minus)
+            if kappa:
+                i_plus, i_minus = _carry(area, two_zeta, kappa, tau, a, area_a, t, area_t, i_plus, i_minus)
             carried.append((t, area_t, i_plus, i_minus))
             del carried[1:-16]
             area_a = area_t
         x, decay = zeta * (area_a - area0), kappa * (t - t0)
-        v_plus, v_minus = 0.5 * math.exp(2.0 * x - decay), 0.5 * math.exp(-2.0 * x - decay)
-        return x, decay, i_plus, i_minus, v_plus + 0.5 * kappa * i_plus, v_minus + 0.5 * kappa * i_minus
+        v_plus = 0.5 * math.exp(2.0 * x - decay) + 0.5 * kappa * i_plus
+        if v_plus == math.inf:
+            raise OverflowError("the lossy state's V+ passed the largest double (about 1.8e308)")
+        return x, decay, i_plus, i_minus, v_plus, 0.5 * math.exp(-2.0 * x - decay) + 0.5 * kappa * i_minus
 
     return terms
 
 
 def _carry(area, two_zeta, kappa, tau, a, area_a, b, area_b, i_plus, i_minus):
-    """I+- at ``b`` from I+- at ``a`` < ``b``, where ``area`` takes the values
-    ``area_a`` and ``area_b``, as :func:`lossy_moments` carries them, on
+    """I+- at ``b`` from I+- at ``a`` < ``b``, ``kappa`` > 0, where ``area`` takes
+    the values ``area_a`` and ``area_b``, as :func:`lossy_moments` carries them, on
     panels _PANEL_WIDTH / (1/l + kappa + 2 zeta |A(b) - A(a)|/(b - a)) wide, l as there."""
     if area_b == area_a:
         # the drive adds no area on [a, b], so the integrand is e^(-kappa v)
-        j_plus = j_minus = -math.expm1(-kappa * (b - a)) / kappa if kappa else b - a
+        j_plus = j_minus = -math.expm1(-kappa * (b - a)) / kappa
     else:
         # the quadrature runs in the lag v = b - u, which stays
         # resolved however short the reach
-        span = min(b - a, (2.0 * two_zeta + _LOSS_REACH) / kappa if kappa else math.inf)
+        span = min(b - a, (2.0 * two_zeta + _LOSS_REACH) / kappa)
         scale = max(tau, min(abs(a), abs(b))) if a * b > 0.0 else tau
         width = _PANEL_WIDTH / (1.0 / scale + kappa + two_zeta * abs(area_b - area_a) / (b - a))
         panels = max(1, math.ceil(span / width))

@@ -239,13 +239,13 @@ class FockDensity(_Value):
         return _unsqueeze(self.theta, n, pair)[0]
 
 
-def _unsqueeze(theta: float, n: float, pair: float) -> tuple[float, float]:
-    """Lab-frame <b†b> and Im<bb>, c^2 n + s^2 (n + 1) - 2 c s pair and
-    (c^2 + s^2) pair - c s (2 n + 1) with c, s = cosh, sinh 2 theta, of a
+def _unsqueeze(theta: float, n: float, pair: float) -> tuple[float, complex]:
+    """Lab-frame <b†b> and <bb>, c^2 n + s^2 (n + 1) - 2 c s pair and
+    i ((c^2 + s^2) pair - c s (2 n + 1)) with c, s = cosh, sinh 2 theta, of a
     state in the squeezed frame of angle ``theta`` with <b†b> ``n`` and <bb> i ``pair`` there."""
     c, s = math.cosh(2.0 * theta), math.sinh(2.0 * theta)
     lab_n = c * c * n + s * s * (n + 1.0) - 2.0 * c * s * pair
-    return lab_n, (c * c + s * s) * pair - c * s * (2.0 * n + 1.0)
+    return lab_n, complex(0.0, (c * c + s * s) * pair - c * s * (2.0 * n + 1.0))
 
 
 def _pair_tail(m: int, r: float) -> float:
@@ -352,11 +352,11 @@ class FockTrajectory(_Value):
         _write_table(*self.table(), Path(path))
 
 
-def _observed(n: float, s: complex, pops: np.ndarray) -> np.ndarray:
+def _observed(n: float, s: complex, v_minus: float, pops: np.ndarray) -> np.ndarray:
     """The seven observables of one state that :func:`_trajectory` reads:
-    n, Re s, Im s, 1/2 + n - |s|, and of the populations ``pops`` of the
+    n, Re s, Im s, V- ``v_minus``, and of the populations ``pops`` of the
     ladder stepped the top-four mass, the odd mass and the norm (or trace)."""
-    return np.array([n, s.real, s.imag, 0.5 + n - abs(s), pops[-_TAIL_LEVELS:].sum(), pops[1::2].sum(), pops.sum()])
+    return np.array([n, s.real, s.imag, v_minus, pops[-_TAIL_LEVELS:].sum(), pops[1::2].sum(), pops.sum()])
 
 
 def _trajectory(times: np.ndarray, observed: np.ndarray, dim: int, final_state) -> FockTrajectory:
@@ -426,9 +426,10 @@ def _evolve_vacuum(
     psi0[0] = 1.0
     levels, pair = np.arange(dim), _pair_coeffs(dim)
 
-    def observe(psi):
+    def observe(_t, psi):
         pops = np.abs(psi) ** 2
-        return _observed(levels @ pops, pair @ (np.conj(psi[:-2]) * psi[2:]), pops)
+        n, s = levels @ pops, pair @ (np.conj(psi[:-2]) * psi[2:])
+        return _observed(n, s, 0.5 + n - abs(s), pops)
 
     grid, at = np.unique(steps, return_inverse=True)
     sol = _rk45(rhs, grid, psi0, FOCK_ACCURACY, tau, label, observe=observe, cap=cap)
@@ -541,8 +542,6 @@ def frame_truncation(p: DriveParams, kappa: float, times, tail_tol: float) -> in
     nbar = max([0.0, *(math.sqrt(v_plus) * math.sqrt(v_minus) - 0.5 for *_, v_plus, v_minus in walk)])
     if nbar == 0.0:
         return _MIN_LEVELS
-    if nbar == math.inf:
-        raise OverflowError("the frame ladder's V+ passed the largest double (about 1.8e308)")
     return max(_MIN_LEVELS, _TAIL_LEVELS + math.ceil(math.log(tail_tol) / -math.log1p(1.0 / nbar)))
 
 
@@ -571,8 +570,8 @@ def evolve_lindblad(p: DriveParams, kappa: float, dim: int, times) -> FockTrajec
     With K = b†² + b² and U = exp(-i theta K), the frame angle is
     theta = ln(V+/V-) / 8, of the principal variances V± the closed form's
     cursor returns: at each time the stepper evaluates from one cursor,
-    and at each instant of ``times`` from the walk that sizes the ladder,
-    so only the state is stepped.
+    and at each instant of ``times`` from a second, as it samples, so
+    only the state is stepped.
     In sigma = e^(i pi n/4) U†rho U e^(-i pi n/4) the generator
     is g [A, sigma] + kappa (M sigma M^T - {M^T M, sigma}/2), with
     A = b†² - b², M = cosh(2 theta) b + sinh(2 theta) b† on the
@@ -582,10 +581,10 @@ def evolve_lindblad(p: DriveParams, kappa: float, dim: int, times) -> FockTrajec
     exactly symmetric in floating point: sigma's antisymmetric part,
     which rounding would otherwise seed, grows under the dissipator.
     Each sample is read off the populations and the sigma[j + 2, j]
-    coherences of one interpolated state, and theta at its instant. The
-    lab's least quadrature is e^(-2 theta) times the frame's X at angle
-    pi/4: ``var_x_min`` is e^(-4 theta) (1/2 + n + Im s) of the frame's
-    samples, which does not cancel where the lab's 1/2 + n - |s| does.
+    coherences of one interpolated state and turned to the lab by theta at
+    its instant. The lab's least quadrature is e^(-2 theta) times the
+    frame's X at angle pi/4: ``var_x_min`` is e^(-4 theta) (1/2 + n + Im s)
+    of the frame's n and s, which does not cancel where the lab's does.
     """
     try:
         kappa = _number("kappa", kappa, "positive")
@@ -609,6 +608,7 @@ def evolve_lindblad(p: DriveParams, kappa: float, dim: int, times) -> FockTrajec
     root = np.sqrt(np.arange(1.0, dim))  # <j| b |j+1>
     levels, pair = np.arange(dim), _pair_coeffs(dim)
     cursor = _lossy_carry(p, kappa, grid[0])
+    sampler = _lossy_carry(p, kappa, grid[0])  # its own: sampling must not move the stages' carry
 
     def rhs(t, y):
         # V+- at t, with t as a Python float, which math takes fastest
@@ -635,25 +635,24 @@ def evolve_lindblad(p: DriveParams, kappa: float, dim: int, times) -> FockTrajec
         z[:, 1:] += w[:, :-1] * down
         return (z + z.T).ravel()
 
-    def observe(y):
-        # in the frame, rho~[j + 2, j] = -i sigma[j + 2, j], so <bb> = -i x
-        sigma = y.reshape(dim, dim)
-        pops = sigma.diagonal()
-        return _observed(levels @ pops, complex(0.0, -(pair @ sigma.diagonal(-2))), pops)
+    def angle(t):
+        *_, v_plus, v_minus = sampler(t)
+        return 0.125 * math.log(v_plus / v_minus)
 
-    sol = _rk45(rhs, times, y0, LINDBLAD_ACCURACY, tau, label, observe=observe)
-    walk = (0.125 * math.log(v_plus / v_minus) for *_, v_plus, v_minus in _lossy_terms(p, kappa, grid))
-    theta = [0.0, *walk]  # 0 at the vacuum
-    sol.y[3] = np.exp(-4.0 * np.array(theta)) * (0.5 + sol.y[0] + sol.y[2])  # V- of the frame's n, Im s
-    lab = [_unsqueeze(*sample) for sample in zip(theta, sol.y[0].tolist(), sol.y[2].tolist())]
-    sol.y[0], sol.y[2] = np.array(lab).T
-    last = sol.y_end
+    def observe(t, y):
+        # in the frame, rho~[j + 2, j] = -i sigma[j + 2, j], so <bb> = -i x
+        sigma, theta = y.reshape(dim, dim), angle(_number("t", t))
+        pops = sigma.diagonal()
+        n, im_s = float(levels @ pops), -float(pair @ sigma.diagonal(-2))
+        return _observed(*_unsqueeze(theta, n, im_s), np.exp(-4.0 * theta) * (0.5 + n + im_s), pops)
+
+    run = _rk45(rhs, times, y0, LINDBLAD_ACCURACY, tau, label, observe=observe)
 
     def final_state() -> FockDensity:
         # rho~[j, k] = e^(-i pi (j - k)/4) sigma[j, k], nonzero for even j - k only
         turns = np.array(_QUARTER_TURNS)[np.subtract.outer(levels, levels) // 2 % 4]
-        final = turns * last.reshape(dim, dim)
-        rho = FockDensity(final / np.trace(final).real, theta[-1])
+        final = turns * run.y_end.reshape(dim, dim)
+        rho = FockDensity(final / np.trace(final).real, angle(grid[-1]))
         min_eig = rho.min_eigenvalue()
         if min_eig < -1e-8:
             raise IntegrationError(
@@ -661,7 +660,7 @@ def evolve_lindblad(p: DriveParams, kappa: float, dim: int, times) -> FockTrajec
             )
         return rho
 
-    return _trajectory(times, sol.y, dim, final_state)
+    return _trajectory(times, run.y, dim, final_state)
 
 
 def ergotropy(state: FockDensity | FockVector, omega_b: float) -> float:

@@ -1047,10 +1047,10 @@ NO_ENERGY = "stores no energy; the ergotropy ratio is undefined"
         pytest.param(
             ["fock-check", "--zeta", "0", "--kappa", "0.1", "--ergotropy"], NO_ENERGY, id="ergotropy-zeta-zero-lossy"
         ),
-        # the frame ladder overflows before any energy does
+        # the lossy state's V+ overflows before any energy does
         pytest.param(
             ["fock-check", "--zeta", "355.2", "--kappa", "0.1"],
-            "the frame ladder's V+ " + LARGEST_DOUBLE,
+            "the lossy state's V+ " + LARGEST_DOUBLE,
             id="overflow-fock-check-lossy",
         ),
         # the power's sinh(2 zeta A) overflows before the energy does

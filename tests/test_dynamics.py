@@ -326,7 +326,7 @@ def test_observer_keeps_the_plain_rows_and_steps():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             sampled = _rk45(rhs, grid, y0, acc, np.inf, "test")
-            observed = _rk45(rhs, grid, y0, acc, np.inf, "test", observe=lambda y: y[[1, 4]])
+            observed = _rk45(rhs, grid, y0, acc, np.inf, "test", observe=lambda t, y: y[[1, 4]])
         plain = solve_ivp(rhs, (0.0, 5.0), y0, "RK45", rtol=1e-12, atol=1e-12)
         at_grid = solve_ivp(rhs, (0.0, 5.0), y0, "RK45", grid, rtol=1e-12, atol=1e-12)
         assert np.array_equal(at_grid.t, grid)
@@ -345,6 +345,25 @@ def test_observer_keeps_the_plain_rows_and_steps():
     a, y0 = rng.normal(size=(6, 6)), rng.normal(size=6)
     check(a, y0)
     check(a + 1j * rng.normal(size=(6, 6)), y0 + 1j * rng.normal(size=6))
+
+
+def test_observer_gets_each_instant_once_in_order():
+    # observe(t, y) is called once at each instant of the grid, in order,
+    # with the grid's own value: across the parts cut at +-8 tau, on a
+    # grid that holds both cuts, and on a grid of one instant, which takes
+    # no step and is sampled at y0
+    a = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    y0 = np.array([1.0, 0.0])
+    for grid in (np.linspace(-10.0, 10.0, 23), np.array([-10.0, -8.0, 0.0, 8.0, 10.0]), np.array([2.5])):
+        seen = []
+
+        def observe(t, y):
+            seen.append((t, y.copy()))
+            return y
+
+        _rk45(lambda t, y: a @ y, grid, y0, Accuracy(1e-9, 1e-9), 1.0, "test", observe=observe)
+        assert [t for t, _ in seen] == grid.tolist()
+    assert np.array_equal(seen[0][1], y0)
 
 
 @pytest.mark.parametrize("tau", [1.0, math.inf])
@@ -432,6 +451,20 @@ class TestLossyMoments:
             p = DriveParams(1.0, zeta, pulse)
             expected = [analytic_moments(p, t, CLI_GRID[0]) for t in CLI_GRID]
             assert lossy_moments(p, 0.0, CLI_GRID) == expected
+
+    def test_is_the_area_law_near_the_largest_double(self):
+        # at zeta 354 the integral I+ over [-10, 10] tau in one interval
+        # would pass the largest double, but at kappa 0 it is not taken:
+        # n = sinh^2(354 A), about 7.6e306
+        p = gauss_params(354.0)
+        last = lossy_moments(p, 0.0, [-10.0, 10.0])[-1]
+        assert last == analytic_moments(p, 10.0, -10.0) and 7e306 < last.n < math.inf
+
+    def test_refuses_a_variance_past_the_largest_double(self):
+        # at kappa 1e-9 I+ passes it at zeta 354, where the cursor names V+
+        # rather than answer inf and nan
+        with pytest.raises(OverflowError, match=r"the lossy state's V\+ passed the largest double"):
+            lossy_moments(gauss_params(354.0), 1e-9, [-10.0, 10.0])
 
     def test_frame_ladders_of_the_legend(self):
         # the frame ladders fock-check --kappa sizes at the default --tail-tol

@@ -292,9 +292,9 @@ def record_frame_populations(monkeypatch):
         dim = math.isqrt(y0.size)
         diagonals = []
 
-        def recorded(y):
+        def recorded(t, y):
             diagonals.append(y.reshape(dim, dim).diagonal().copy())
-            return observe(y)
+            return observe(t, y)
 
         sol = rk45(rhs, times, y0, *args, observe=recorded, **kwargs)
         seen.append(np.column_stack(diagonals))
